@@ -27,4 +27,10 @@ let is_page_aligned a = a land (page_size - 1) = 0
 
 let round_up_pages bytes = (bytes + page_size - 1) lsr page_shift
 
+(* [d asr (int_size - 1)] is all ones exactly when [a < b], so the mask
+   keeps [d] only then. *)
+let[@inline always] imin a b =
+  let d = a - b in
+  b + (d land (d asr (Sys.int_size - 1)))
+
 let pp_ea fmt ea = Format.fprintf fmt "0x%08x" ea

@@ -77,5 +77,10 @@ val is_page_aligned : ea -> bool
 val round_up_pages : int -> int
 (** [round_up_pages bytes] is the number of pages covering [bytes]. *)
 
+val imin : int -> int -> int
+(** [imin a b] is [min a b] computed without a branch, for victim picks
+    whose comparisons the host cannot predict.  Exact while [a - b] does
+    not overflow, which stamps and way keys never approach. *)
+
 val pp_ea : Format.formatter -> ea -> unit
 (** Hexadecimal printer ([0x%08x]). *)

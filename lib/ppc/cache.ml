@@ -104,8 +104,40 @@ let rec fill_scan (tags : int array) (stamps : int array) base w n free lru
     else fill_scan tags stamps base (w + 1) n free lru lru_way
   end
 
+(* [fill_scan]'s choice without data-dependent branches, for the 4- and
+   8-way sets of every cache in [Machine.all]: each way gets the key
+   [stamp lsl 3 lor way] when valid and plain [way] when invalid (the
+   mask is zero for a -1 tag), and the minimal key's low bits name the
+   way.  Valid stamps are >= 1 — the tick is bumped before any fill — so
+   every invalid key sorts below every valid one: the first free way,
+   else the smallest stamp, the lowest index winning ties.  In bounds as
+   in [scan4]. *)
+let[@inline always] fill_key (tags : int array) (stamps : int array) base w =
+  let valid = lnot (Array.unsafe_get tags (base + w) asr (Sys.int_size - 1)) in
+  ((Array.unsafe_get stamps (base + w) lsl 3) land valid) lor w
+
+let[@inline always] min_key4 tags stamps base w =
+  Addr.imin
+    (Addr.imin
+       (fill_key tags stamps base w)
+       (fill_key tags stamps base (w + 1)))
+    (Addr.imin
+       (fill_key tags stamps base (w + 2))
+       (fill_key tags stamps base (w + 3)))
+
 let fill_way t base =
-  fill_scan t.tags t.stamps base 0 t.n_ways (-1) max_int 0
+  match t.n_ways with
+  | 4 -> min_key4 t.tags t.stamps base 0 land 7
+  | 8 ->
+      Addr.imin
+        (min_key4 t.tags t.stamps base 0)
+        (min_key4 t.tags t.stamps base 4)
+      land 7
+  | n -> fill_scan t.tags t.stamps base 0 n (-1) max_int 0
+
+(* The two possible fill results, built once: a miss allocates nothing. *)
+let miss_clean = Miss { dirty_writeback = false }
+let miss_dirty = Miss { dirty_writeback = true }
 
 let fill t ~source ~write i line =
   let src = source_index source in
@@ -115,7 +147,7 @@ let fill t ~source ~write i line =
   t.dirty.(i) <- write;
   t.stamps.(i) <- t.tick;
   t.allocs.(src) <- t.allocs.(src) + 1;
-  Miss { dirty_writeback }
+  if dirty_writeback then miss_dirty else miss_clean
 
 let access t ~source ~inhibited ~write pa =
   if inhibited then Bypass

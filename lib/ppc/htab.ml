@@ -66,18 +66,26 @@ let search_slot t ~vsid ~page_index ~on_ref =
   if i >= 0 then i
   else search_pteg_slot t ~pteg:(hash2 t ~primary:p) ~tag ~on_ref
 
+let slot_pte t i = t.entries.(i)
+
+(* Slots a search examined, from where it stopped: [k + 1] for a hit in
+   slot [k] of the primary PTEG, eight more for the secondary, all 16 on
+   a miss.  (With a single PTEG both hashes name it and the first pass
+   finds any hit, so a hit is always "primary".) *)
+let probe_len t ~vsid ~page_index i =
+  if i < 0 then 2 * slots_per_pteg
+  else if i / slots_per_pteg = hash1 t ~vsid ~page_index then
+    (i mod slots_per_pteg) + 1
+  else slots_per_pteg + (i mod slots_per_pteg) + 1
+
 let search t ~vsid ~page_index ~on_ref =
   let i = search_slot t ~vsid ~page_index ~on_ref in
   if i < 0 then None else Some t.entries.(i)
 
 let search_counted t ~vsid ~page_index ~on_ref =
-  let n = ref 0 in
-  let on_ref pa =
-    incr n;
-    on_ref pa
-  in
-  let hit = search t ~vsid ~page_index ~on_ref in
-  (hit, !n)
+  let i = search_slot t ~vsid ~page_index ~on_ref in
+  ( (if i < 0 then None else Some t.entries.(i)),
+    probe_len t ~vsid ~page_index i )
 
 type replacement =
   | Arbitrary
@@ -103,7 +111,7 @@ let find_free t ~pteg ~tag ~on_ref =
   if !same >= 0 then Some !same else if !free >= 0 then Some !free else None
 
 let write_entry t ~pteg ~slot ~secondary ~vsid ~page_index ~rpn ~wimg
-    ~protection =
+    ~protection ~changed =
   let i = (pteg * slots_per_pteg) + slot in
   let e = t.entries.(i) in
   e.Pte.valid <- true;
@@ -112,7 +120,7 @@ let write_entry t ~pteg ~slot ~secondary ~vsid ~page_index ~rpn ~wimg
   e.Pte.rpn <- rpn land 0xFFFFF;
   e.Pte.secondary <- secondary;
   e.Pte.referenced <- true;
-  e.Pte.changed <- false;
+  e.Pte.changed <- changed;
   e.Pte.wimg <- wimg;
   e.Pte.protection <- protection;
   t.tags.(i) <- tag_of ~vsid:e.Pte.vsid ~page_index:e.Pte.page_index
@@ -166,21 +174,21 @@ let pick_victim_zombie t ~rng ~is_zombie ~primary ~secondary ~on_ref =
       let in_secondary = Rng.bool rng in
       ((if in_secondary then secondary else primary), Rng.int rng slots_per_pteg)
 
-let insert ?(policy = Arbitrary) t ~rng ~vsid ~page_index ~rpn ~wimg
-    ~protection ~on_ref =
+let insert ?(policy = Arbitrary) ?(changed = false) t ~rng ~vsid ~page_index
+    ~rpn ~wimg ~protection ~on_ref =
   let tag = tag_of ~vsid ~page_index in
   let p = hash1 t ~vsid ~page_index in
   match find_free t ~pteg:p ~tag ~on_ref with
   | Some slot ->
       write_entry t ~pteg:p ~slot ~secondary:false ~vsid ~page_index ~rpn
-        ~wimg ~protection;
+        ~wimg ~protection ~changed;
       Filled_empty
   | None -> begin
       let s = hash2 t ~primary:p in
       match find_free t ~pteg:s ~tag ~on_ref with
       | Some slot ->
           write_entry t ~pteg:s ~slot ~secondary:true ~vsid ~page_index ~rpn
-            ~wimg ~protection;
+            ~wimg ~protection ~changed;
           Filled_empty
       | None ->
           (* Both PTEGs full: pick a victim without checking whether its
@@ -206,7 +214,7 @@ let insert ?(policy = Arbitrary) t ~rng ~vsid ~page_index ~rpn ~wimg
           in
           on_ref (pte_pa t ~pteg ~slot);
           write_entry t ~pteg ~slot ~secondary:in_secondary ~vsid ~page_index
-            ~rpn ~wimg ~protection;
+            ~rpn ~wimg ~protection ~changed;
           Replaced victim_copy
     end
 

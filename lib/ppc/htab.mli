@@ -51,6 +51,20 @@ val search_counted :
     trace layer charges to its histogram).  Reference behaviour is
     identical: [on_ref] sees the same addresses in the same order. *)
 
+val search_slot :
+  t -> vsid:int -> page_index:int -> on_ref:(Addr.pa -> unit) -> int
+(** [search] without the option: the flat slot index of the match, or
+    [-1].  Same references in the same order; allocates nothing. *)
+
+val slot_pte : t -> int -> Pte.t
+(** The entry stored in a slot {!search_slot} returned (the table's own
+    record, not a copy). *)
+
+val probe_len : t -> vsid:int -> page_index:int -> int -> int
+(** [probe_len t ~vsid ~page_index i] is the number of slots the search
+    for that key examined, given the slot (or [-1]) it returned — the
+    count {!search_counted} reports. *)
+
 (** Victim selection when both PTEGs are full.
 
     - [Arbitrary] is the paper's shipped policy ("it chose an arbitrary
@@ -74,6 +88,7 @@ type insert_outcome =
 
 val insert :
   ?policy:replacement ->
+  ?changed:bool ->
   t ->
   rng:Rng.t ->
   vsid:int ->
@@ -88,7 +103,9 @@ val insert :
     victim is displaced according to [policy] (default [Arbitrary] — the
     paper's non-optimal replacement, which cannot tell a zombie from a
     live entry).  If an entry with the same tag already exists it is
-    updated in place ([Filled_empty]). *)
+    updated in place ([Filled_empty]).  The written entry has R set and
+    C set to [changed] (default [false]) whichever way the slot was
+    found. *)
 
 val invalidate_page :
   t -> vsid:int -> page_index:int -> on_ref:(Addr.pa -> unit) -> bool

@@ -317,6 +317,20 @@ let shadow_check t kind ea ~pa ~inhibited ~answered =
 
 (* --- reload paths ---------------------------------------------------- *)
 
+(* A reload's answer packed into one immediate, so the miss path builds
+   nothing on the heap: -1 for "no translation", else
+   [rpn lsl 3 lor from_htab lor writable lor inhibited]. *)
+let r_inhibited = 1
+let r_writable = 2
+let r_from_htab = 4
+
+let pack ~rpn ~wimg ~protection =
+  (rpn lsl 3)
+  lor (match protection with
+      | Pte.Read_write -> r_writable
+      | Pte.Read_only | Pte.No_access -> 0)
+  lor if wimg.Pte.cache_inhibited then r_inhibited else 0
+
 (* Software fill after every faster mechanism missed: walk the Linux page
    tables and, when an htab exists, place the PTE there (possibly
    displacing a valid entry without checking VSID liveness). *)
@@ -324,7 +338,7 @@ let walk_and_fill t ~vsid ~ea ~page_index ~store =
   match t.backing.walk ea with
   | Unmapped { pt_refs } ->
       Array.iter t.on_pt_ref pt_refs;
-      None
+      -1
   | Mapped { rpn; wimg; protection; pt_refs } ->
       Array.iter t.on_pt_ref pt_refs;
       (match t.htab with
@@ -341,19 +355,15 @@ let walk_and_fill t ~vsid ~ea ~page_index ~store =
             | `Second_chance -> Htab.Second_chance
             | `Zombie_aware -> Htab.Prefer_zombie t.is_zombie
           in
+          (* "we updated the page-table PTE dirty/modified bits when we
+             loaded the PTE into the hash table" (§7): R is set at reload
+             and C eagerly for stores, whether the slot was free or
+             displaced a victim, so a later flush is a pure invalidate. *)
           (match
-             Htab.insert h ~policy ~rng:t.rng ~vsid ~page_index ~rpn ~wimg
-               ~protection ~on_ref:t.on_htab_ref
+             Htab.insert h ~policy ~changed:store ~rng:t.rng ~vsid ~page_index
+               ~rpn ~wimg ~protection ~on_ref:t.on_htab_ref
            with
-          | Htab.Filled_empty ->
-              (* "we updated the page-table PTE dirty/modified bits when
-                 we loaded the PTE into the hash table" (§7): R is set at
-                 reload, C eagerly for stores, so a later flush is a pure
-                 invalidate. *)
-              if store then
-                (match Htab.search h ~vsid ~page_index ~on_ref:noop_ref with
-                | Some pte -> pte.Pte.changed <- true
-                | None -> ())
+          | Htab.Filled_empty -> ()
           | Htab.Replaced victim ->
               (* the rejected design pays a software liveness check per
                  candidate right in the reload path *)
@@ -368,39 +378,54 @@ let walk_and_fill t ~vsid ~ea ~page_index ~store =
               if Trace.enabled tr then
                 Trace.emit tr Trace.Htab_evict ~a:victim.Pte.vsid
                   ~b:(if victim_zombie then 0 else 1)));
-      Some (rpn, wimg, protection)
+      pack ~rpn ~wimg ~protection
 
 let search_htab t h ~vsid ~page_index ~software =
   let p = perf t in
   p.Perf.htab_searches <- p.Perf.htab_searches + 1;
   let on_ref = if software then t.on_sw_htab_ref else t.on_htab_ref in
+  let i = Htab.search_slot h ~vsid ~page_index ~on_ref in
+  if i >= 0 then p.Perf.htab_hits <- p.Perf.htab_hits + 1
+  else p.Perf.htab_misses <- p.Perf.htab_misses + 1;
   let tr = trace t in
-  let hit, probe_len =
-    (* the counted variant drives the same references in the same order;
-       it only also reports the probe length for the histogram *)
-    if Trace.enabled tr then Htab.search_counted h ~vsid ~page_index ~on_ref
-    else (Htab.search h ~vsid ~page_index ~on_ref, 0)
-  in
-  match hit with
-  | Some pte ->
-      p.Perf.htab_hits <- p.Perf.htab_hits + 1;
-      if Trace.enabled tr then
-        Trace.emit_htab_probe tr ~len:probe_len ~hit:true;
-      pte.Pte.referenced <- true;
-      Some (pte.Pte.rpn, pte.Pte.wimg, pte.Pte.protection)
-  | None ->
-      p.Perf.htab_misses <- p.Perf.htab_misses + 1;
-      if Trace.enabled tr then
-        Trace.emit_htab_probe tr ~len:probe_len ~hit:false;
-      None
+  if Trace.enabled tr then
+    Trace.emit_htab_probe tr
+      ~len:(Htab.probe_len h ~vsid ~page_index i)
+      ~hit:(i >= 0);
+  if i < 0 then -1
+  else begin
+    let pte = Htab.slot_pte h i in
+    pte.Pte.referenced <- true;
+    pack ~rpn:pte.Pte.rpn ~wimg:pte.Pte.wimg ~protection:pte.Pte.protection
+    lor r_from_htab
+  end
 
 let reload_handler t =
   handler t ~fast:Cost.sw_reload_fast_instr ~slow:Cost.sw_reload_slow_instr
     ~slow_stack_refs:Cost.sw_reload_slow_stack_refs
 
+(* The miss trap and the software fill, once every faster mechanism has
+   missed.  A top-level function rather than a closure inside [reload],
+   which would be allocated on every reload whether it ran or not. *)
+let trap_and_fill t (c : Reload_engine.costs) ~batched ~vsid ~ea ~page_index
+    ~store =
+  if batched then
+    Memsys.instructions_stall t.memsys
+      ~instr:
+        (if c.Reload_engine.handler_on_miss then Cost.sw_reload_fast_instr
+         else 0)
+      ~stall:c.Reload_engine.miss_trap_cycles
+  else begin
+    if c.Reload_engine.miss_trap_cycles > 0 then
+      Memsys.stall t.memsys c.Reload_engine.miss_trap_cycles;
+    if c.Reload_engine.handler_on_miss then reload_handler t
+  end;
+  walk_and_fill t ~vsid ~ea ~page_index ~store
+
 (* One generic reload sequence driven by the selected backend's cost
    row; the per-style branching lives in [Reload_engine.cost_table], not
-   here.  Returns the translation plus which structure produced it.
+   here.  Returns the packed translation (see [pack]), whose
+   [r_from_htab] bit says which structure produced it.
 
    With the fast handlers selected and no timeline sampler armed, the
    back-to-back charges of each trap (entry stall + handler path length
@@ -412,23 +437,6 @@ let reload t ~vsid ~ea ~store =
   let page_index = Addr.page_index ea in
   let c = Reload_engine.costs t.engine in
   let batched = t.knobs.fast_reload && not (Memsys.sampling t.memsys) in
-  let fill () =
-    if batched then
-      Memsys.instructions_stall t.memsys
-        ~instr:
-          (if c.Reload_engine.handler_on_miss then Cost.sw_reload_fast_instr
-           else 0)
-        ~stall:c.Reload_engine.miss_trap_cycles
-    else begin
-      if c.Reload_engine.miss_trap_cycles > 0 then
-        Memsys.stall t.memsys c.Reload_engine.miss_trap_cycles;
-      if c.Reload_engine.handler_on_miss then reload_handler t
-    end;
-    match walk_and_fill t ~vsid ~ea ~page_index ~store with
-    | None -> None
-    | Some (rpn, wimg, protection) ->
-        Some (rpn, wimg, protection, Shadow.Page_table)
-  in
   let entry_instr =
     if c.Reload_engine.handler_on_entry then Cost.sw_reload_fast_instr else 0
   in
@@ -442,8 +450,8 @@ let reload t ~vsid ~ea ~store =
           Memsys.stall t.memsys c.Reload_engine.entry_stall_cycles;
         if c.Reload_engine.handler_on_entry then reload_handler t
       end;
-      fill ()
-  | Some h -> begin
+      trap_and_fill t c ~batched ~vsid ~ea ~page_index ~store
+  | Some h ->
       if batched then
         Memsys.instructions_stall t.memsys
           ~instr:(entry_instr + c.Reload_engine.hash_setup_instr)
@@ -455,14 +463,12 @@ let reload t ~vsid ~ea ~store =
         if c.Reload_engine.hash_setup_instr > 0 then
           Memsys.instructions t.memsys c.Reload_engine.hash_setup_instr
       end;
-      match
+      let r =
         search_htab t h ~vsid ~page_index
           ~software:c.Reload_engine.software_search
-      with
-      | Some (rpn, wimg, protection) ->
-          Some (rpn, wimg, protection, Shadow.Htab)
-      | None -> fill ()
-    end
+      in
+      if r >= 0 then r
+      else trap_and_fill t c ~batched ~vsid ~ea ~page_index ~store
 
 (* --- the access path -------------------------------------------------- *)
 
@@ -538,42 +544,42 @@ let access_miss t kind ea ~vsid ~vpn ~tlb ~source ~store =
     Span.charge_reload sp
       ~cost:((perf t).Perf.cycles - miss_start)
       ~htab_missed:((perf t).Perf.htab_misses > htab_misses_before);
-  match reloaded with
-  | None ->
-      shadow_check t kind ea ~pa:(-1) ~inhibited:false
-        ~answered:Shadow.No_translation;
+  if reloaded < 0 then begin
+    shadow_check t kind ea ~pa:(-1) ~inhibited:false
+      ~answered:Shadow.No_translation;
+    -1
+  end
+  else begin
+    let rpn = reloaded lsr 3 in
+    let inhibited = reloaded land r_inhibited <> 0 in
+    let writable = reloaded land r_writable <> 0 in
+    let answered =
+      if reloaded land r_from_htab <> 0 then Shadow.Htab else Shadow.Page_table
+    in
+    let victim_vpn = Tlb.insert_flat tlb ~vpn ~rpn ~inhibited ~writable in
+    if traced then begin
+      if victim_vpn >= 0 then
+        Trace.emit tr Trace.Tlb_evict ~a:victim_vpn
+          ~b:(Addr.vsid_of_vpn victim_vpn);
+      Trace.emit_tlb_service tr ~ea ~cost:((perf t).Perf.cycles - miss_start)
+    end;
+    (* kernel-vs-user slot census, taken while the TLB contents
+       are freshest (right after the fill) *)
+    if profiling then
+      Profile.note_tlb_census pr
+        ~kernel:(kernel_tlb_entries t ~is_kernel_vsid:t.is_kernel_vsid)
+        ~occupied:(tlb_occupancy t);
+    if store && not writable then begin
+      shadow_check t kind ea ~pa:(-1) ~inhibited:false ~answered;
       -1
-  | Some (rpn, wimg, protection, answered) ->
-      let inhibited = wimg.Pte.cache_inhibited in
-      let writable =
-        match protection with
-        | Pte.Read_write -> true
-        | Pte.Read_only | Pte.No_access -> false
-      in
-      let victim_vpn = Tlb.insert_flat tlb ~vpn ~rpn ~inhibited ~writable in
-      if traced then begin
-        if victim_vpn >= 0 then
-          Trace.emit tr Trace.Tlb_evict ~a:victim_vpn
-            ~b:(Addr.vsid_of_vpn victim_vpn);
-        Trace.emit_tlb_service tr ~ea
-          ~cost:((perf t).Perf.cycles - miss_start)
-      end;
-      (* kernel-vs-user slot census, taken while the TLB contents
-         are freshest (right after the fill) *)
-      if profiling then
-        Profile.note_tlb_census pr
-          ~kernel:(kernel_tlb_entries t ~is_kernel_vsid:t.is_kernel_vsid)
-          ~occupied:(tlb_occupancy t);
-      if store && not writable then begin
-        shadow_check t kind ea ~pa:(-1) ~inhibited:false ~answered;
-        -1
-      end
-      else begin
-        let pa = Addr.pa_of ~rpn ~ea in
-        final_ref t kind pa ~inhibited ~source;
-        shadow_check t kind ea ~pa ~inhibited ~answered;
-        pa
-      end
+    end
+    else begin
+      let pa = Addr.pa_of ~rpn ~ea in
+      final_ref t kind pa ~inhibited ~source;
+      shadow_check t kind ea ~pa ~inhibited ~answered;
+      pa
+    end
+  end
 
 (* One access, returning the physical address or -1 on a fault.  This is
    the hot path: on a TLB hit (no shadow attached) it allocates nothing —

@@ -117,6 +117,26 @@ let rec victim_scan (vpns : int array) (stamps : int array) (vpn : int) base
     else victim_scan vpns stamps vpn base (w + 1) n victim lru lru_way
   end
 
+(* [victim_scan] unrolled for the 2-way sets every TLB in [Machine.all]
+   has.  The same-VPN and first-invalid checks stay branches: on a miss
+   stream both ways are valid and neither matches, so they predict well.
+   The LRU pick between two valid ways is a coin flip on a random miss
+   stream, so it is the arithmetic min of [stamp lsl 1 lor way]: the
+   smaller stamp, way 0 winning ties — [victim_scan]'s strict [<].
+   In bounds as in [find_slot]. *)
+let victim2 (vpns : int array) (stamps : int array) (vpn : int) base =
+  let v0 = Array.unsafe_get vpns base in
+  let v1 = Array.unsafe_get vpns (base + 1) in
+  if v1 = vpn then 1
+  else if v0 = vpn then 0
+  else if v0 < 0 then 0
+  else if v1 < 0 then 1
+  else
+    Addr.imin
+      (Array.unsafe_get stamps base lsl 1)
+      ((Array.unsafe_get stamps (base + 1) lsl 1) lor 1)
+    land 1
+
 (* For [Rand]: the same-VPN / first-invalid preference, with no stamp
    scan behind it. *)
 let rec pref_scan (vpns : int array) (vpn : int) base w n inv =
@@ -142,7 +162,8 @@ let victim_way t base vpn =
   | Lru | Fifo ->
       (* stamps are bumped on every hit under LRU but only on insert
          under FIFO, so one scan serves both orders *)
-      victim_scan t.vpns t.stamps vpn base 0 t.n_ways (-1) max_int 0
+      if t.n_ways = 2 then victim2 t.vpns t.stamps vpn base
+      else victim_scan t.vpns t.stamps vpn base 0 t.n_ways (-1) max_int 0
   | Rand ->
       let w = pref_scan t.vpns vpn base 0 t.n_ways (-1) in
       if w >= 0 then w else next_rand t mod t.n_ways

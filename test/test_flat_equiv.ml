@@ -9,19 +9,23 @@ open Ppc
 
 (* The old implementation verbatim in miniature: one [entry option]
    slot per way plus a stamp, victim = same-VPN slot, else first
-   invalid way, else strict-LRU ([<], first minimal index wins). *)
+   invalid way, else strict-LRU ([<], first minimal index wins).  Under
+   FIFO a hit leaves the stamp alone, so the same pick evicts the oldest
+   insert. *)
 module Ref_tlb = struct
   type t = {
     sets : int;
     ways : int;
+    lru : bool;
     slots : Tlb.entry option array;
     stamps : int array;
     mutable tick : int;
   }
 
-  let create ~sets ~ways =
+  let create ~replacement ~sets ~ways =
     { sets;
       ways;
+      lru = replacement = Tlb.Lru;
       slots = Array.make (sets * ways) None;
       stamps = Array.make (sets * ways) 0;
       tick = 0 }
@@ -34,8 +38,10 @@ module Ref_tlb = struct
     for w = 0 to t.ways - 1 do
       match t.slots.(base + w) with
       | Some e when e.Tlb.vpn = vpn && !found = None ->
-          t.tick <- t.tick + 1;
-          t.stamps.(base + w) <- t.tick;
+          if t.lru then begin
+            t.tick <- t.tick + 1;
+            t.stamps.(base + w) <- t.tick
+          end;
           found := Some e
       | _ -> ()
     done;
@@ -116,14 +122,24 @@ let op_print = function
   | Lookup v -> Printf.sprintf "lookup %d" v
   | Invalidate v -> Printf.sprintf "invalidate %d" v
 
-let prop_tlb_matches_reference =
-  QCheck.Test.make ~name:"flat TLB == pre-flattening reference" ~count:300
+(* Both TLB properties run under LRU and under FIFO: the 2-way victim
+   pick serves both orders from the same stamps. *)
+let replacement_suffix = function
+  | Tlb.Lru -> ""
+  | r -> Printf.sprintf " (%s)" (Tlb.replacement_name r)
+
+let prop_tlb_matches_reference replacement =
+  QCheck.Test.make
+    ~name:
+      ("flat TLB == pre-flattening reference"
+      ^ replacement_suffix replacement)
+    ~count:300
     (QCheck.make
        ~print:(fun l -> String.concat "; " (List.map op_print l))
        (QCheck.Gen.list_size (QCheck.Gen.int_range 1 120) op_gen))
     (fun ops ->
-      let flat = Tlb.create ~sets:4 ~ways:2 () in
-      let reference = Ref_tlb.create ~sets:4 ~ways:2 in
+      let flat = Tlb.create ~replacement ~sets:4 ~ways:2 () in
+      let reference = Ref_tlb.create ~replacement ~sets:4 ~ways:2 in
       List.for_all
         (fun op ->
           match op with
@@ -141,14 +157,16 @@ let prop_tlb_matches_reference =
 
 (* insert_flat is the allocation-free form of insert_replacing: same
    victim, same displaced VPN (-1 standing for None / same-VPN update). *)
-let prop_insert_flat_matches_insert_replacing =
-  QCheck.Test.make ~name:"insert_flat == insert_replacing" ~count:300
+let prop_insert_flat_matches_insert_replacing replacement =
+  QCheck.Test.make
+    ~name:("insert_flat == insert_replacing" ^ replacement_suffix replacement)
+    ~count:300
     (QCheck.make
        ~print:(fun l -> String.concat "; " (List.map op_print l))
        (QCheck.Gen.list_size (QCheck.Gen.int_range 1 120) op_gen))
     (fun ops ->
-      let a = Tlb.create ~sets:4 ~ways:2 () in
-      let b = Tlb.create ~sets:4 ~ways:2 () in
+      let a = Tlb.create ~replacement ~sets:4 ~ways:2 () in
+      let b = Tlb.create ~replacement ~sets:4 ~ways:2 () in
       List.for_all
         (fun op ->
           match op with
@@ -214,7 +232,9 @@ let test_htab_tag_exactness () =
     (found ~vsid:(vsid lxor 1) ~page_index)
 
 (* Random inserts: the probe-by-tag search must agree with a linear
-   [Pte.matches] scan over the whole table. *)
+   [Pte.matches] scan over the whole table, and the probe length
+   [search_counted] derives from the slot must equal the references the
+   search actually made — for hits and for a never-inserted key. *)
 let prop_htab_search_matches_linear_scan =
   QCheck.Test.make ~name:"htab tag search == Pte.matches scan" ~count:100
     QCheck.(
@@ -234,6 +254,15 @@ let prop_htab_search_matches_linear_scan =
                ~on_ref:no_ref
               : Htab.insert_outcome))
         keys;
+      let probe_len_exact ~vsid ~page_index =
+        let refs = ref 0 in
+        let i =
+          Htab.search_slot h ~vsid ~page_index ~on_ref:(fun _ -> incr refs)
+        in
+        let hit, n = Htab.search_counted h ~vsid ~page_index ~on_ref:no_ref in
+        n = !refs
+        && match hit with None -> i < 0 | Some pte -> Htab.slot_pte h i == pte
+      in
       List.for_all
         (fun (vsid, page_index) ->
           let by_tag = Htab.search h ~vsid ~page_index ~on_ref:no_ref in
@@ -241,6 +270,9 @@ let prop_htab_search_matches_linear_scan =
           Htab.iter_valid h ~f:(fun pte ->
               if Pte.matches pte ~vsid ~page_index && !by_scan = None then
                 by_scan := Some pte);
+          probe_len_exact ~vsid ~page_index
+          && probe_len_exact ~vsid:(vsid lor 0x10000) ~page_index
+          &&
           match (by_tag, !by_scan) with
           | None, None -> true
           | Some a, Some b ->
@@ -268,7 +300,8 @@ module Ref_cache = struct
       stamps = Array.make (sets * ways) 0;
       tick = 0 }
 
-  (* hit / miss(dirty writeback) in the old semantics *)
+  (* hit / miss(dirty writeback) in the old semantics; [allocate_zero]
+     is an access that always writes *)
   let access t ~write pa =
     let line = pa lsr 5 in
     let base = line land (t.sets - 1) * t.ways in
@@ -300,11 +333,42 @@ module Ref_cache = struct
       t.stamps.(i) <- t.tick;
       `Miss wb
     end
+
+  (* tags and dirty bits go; the stamps stay behind, stale *)
+  let invalidate_all t =
+    Array.fill t.tags 0 (Array.length t.tags) None;
+    Array.fill t.dirty 0 (Array.length t.dirty) false
 end
 
+type cache_op =
+  | Raw of int * bool  (* physical address, write *)
+  | Access of int * bool  (* line key, write *)
+  | Zero of int
+  | Invalidate_all
+
+(* Raw addresses span 0..0x7FFF, so every set of every geometry and
+   every offset within a line is reached.  Line keys crowd two sets with
+   up to 24 tags each, so every geometry overflows those sets and LRU
+   decides most of their fills.  Rare whole-cache invalidations leave
+   invalid ways with stale stamps among valid ones — exactly where a
+   key-based pick could part from the scan. *)
+let cache_op_gen =
+  QCheck.Gen.(
+    frequency
+      [ (20, map2 (fun pa w -> Raw (pa, w)) (int_bound 0x7FFF) bool);
+        (40, map2 (fun k w -> Access (k, w)) (int_bound 47) bool);
+        (8, map (fun k -> Zero k) (int_bound 47));
+        (1, return Invalidate_all) ])
+
+let cache_op_print = function
+  | Raw (pa, w) -> Printf.sprintf "%x%c" pa (if w then 'W' else 'R')
+  | Access (k, w) -> Printf.sprintf "%d%c" k (if w then 'w' else 'r')
+  | Zero k -> Printf.sprintf "%dz" k
+  | Invalidate_all -> "inv"
+
 (* Drive a real cache and the reference over the same random stream and
-   require the same hit/miss/writeback verdict at every step.  The three
-   geometries cover the unrolled 4-way probe, the split 8-way probe and
+   require the same hit/miss/writeback verdict at every step.  The
+   geometries are every one in [Machine.all] (4- and 8-way picks) plus
    the generic fallback scan. *)
 let prop_cache_matches_reference geometry_name ~bytes ~ways =
   QCheck.Test.make
@@ -312,37 +376,57 @@ let prop_cache_matches_reference geometry_name ~bytes ~ways =
     ~count:60
     QCheck.(
       make
-        ~print:(fun l ->
-          String.concat ";"
-            (List.map (fun (pa, w) -> Printf.sprintf "%x%c" pa
-                          (if w then 'w' else 'r')) l))
-        (Gen.list_size (Gen.int_range 1 200)
-           (Gen.pair (Gen.int_bound 0x7FFF) Gen.bool)))
-    (fun stream ->
+        ~print:(fun l -> String.concat ";" (List.map cache_op_print l))
+        (Gen.list_size (Gen.int_range 1 300) cache_op_gen))
+    (fun ops ->
       let c = Cache.create ~bytes ~ways in
       let sets = bytes / Addr.line_size / ways in
       let r = Ref_cache.create ~sets ~ways in
+      let pa_of k = ((((k / 2) * sets) + (k land 1)) * Addr.line_size) + 4 in
+      let agree got want =
+        match (got, want) with
+        | Cache.Hit, `Hit -> true
+        | Cache.Miss { dirty_writeback }, `Miss wb -> dirty_writeback = wb
+        | _ -> false
+      in
       List.for_all
-        (fun (pa, write) ->
-          let got =
-            Cache.access c ~source:Cache.User ~inhibited:false ~write pa
-          in
-          let want = Ref_cache.access r ~write pa in
-          match (got, want) with
-          | Cache.Hit, `Hit -> true
-          | Cache.Miss { dirty_writeback }, `Miss wb -> dirty_writeback = wb
-          | _ -> false)
-        stream)
+        (function
+          | Raw (pa, write) ->
+              agree
+                (Cache.access c ~source:Cache.User ~inhibited:false ~write pa)
+                (Ref_cache.access r ~write pa)
+          | Access (k, write) ->
+              agree
+                (Cache.access c ~source:Cache.User ~inhibited:false ~write
+                   (pa_of k))
+                (Ref_cache.access r ~write (pa_of k))
+          | Zero k ->
+              agree
+                (Cache.allocate_zero c ~source:Cache.User (pa_of k))
+                (Ref_cache.access r ~write:true (pa_of k))
+          | Invalidate_all ->
+              Cache.invalidate_all c;
+              Ref_cache.invalidate_all r;
+              true)
+        ops)
 
 let suite =
   [ Alcotest.test_case "flat slot accessors" `Quick test_slot_accessors;
     Alcotest.test_case "htab tag exactness" `Quick test_htab_tag_exactness;
-    QCheck_alcotest.to_alcotest prop_tlb_matches_reference;
-    QCheck_alcotest.to_alcotest prop_insert_flat_matches_insert_replacing;
+    QCheck_alcotest.to_alcotest (prop_tlb_matches_reference Tlb.Lru);
+    QCheck_alcotest.to_alcotest (prop_tlb_matches_reference Tlb.Fifo);
+    QCheck_alcotest.to_alcotest
+      (prop_insert_flat_matches_insert_replacing Tlb.Lru);
+    QCheck_alcotest.to_alcotest
+      (prop_insert_flat_matches_insert_replacing Tlb.Fifo);
     QCheck_alcotest.to_alcotest prop_htab_search_matches_linear_scan;
     QCheck_alcotest.to_alcotest
       (prop_cache_matches_reference "32K 4-way" ~bytes:(32 * 1024) ~ways:4);
     QCheck_alcotest.to_alcotest
+      (prop_cache_matches_reference "16K 4-way" ~bytes:(16 * 1024) ~ways:4);
+    QCheck_alcotest.to_alcotest
       (prop_cache_matches_reference "16K 8-way" ~bytes:(16 * 1024) ~ways:8);
+    QCheck_alcotest.to_alcotest
+      (prop_cache_matches_reference "32K 8-way" ~bytes:(32 * 1024) ~ways:8);
     QCheck_alcotest.to_alcotest
       (prop_cache_matches_reference "768B 3-way" ~bytes:768 ~ways:3) ]

@@ -41,4 +41,5 @@ let () =
       ("tuner", Test_tuner.suite);
       ("edges", Test_edges.suite);
       ("flat-equiv", Test_flat_equiv.suite);
+      ("alloc", Test_alloc.suite);
       ("reproduction", Test_reproduction.suite) ]

@@ -184,7 +184,7 @@ let test_kernel_tlb_entries () =
 let test_changed_bit_set_eagerly () =
   (* §7: dirty/modified bits are updated when the PTE is loaded into the
      hash table, which is what makes a later flush a pure invalidate. *)
-  let mmu, mappings, _ = make () in
+  let mmu, mappings, perf = make () in
   map mappings ~ea:0x01800000 ~rpn:0x5;
   map mappings ~ea:0x01801000 ~rpn:0x6;
   ignore (Mmu.access mmu Mmu.Store 0x01800000 : Mmu.access_result);
@@ -205,7 +205,26 @@ let test_changed_bit_set_eagerly () =
           Alcotest.(check bool) "C clear for load reload" false
             pte.Pte.changed;
           Alcotest.(check bool) "R set" true pte.Pte.referenced
-      | None -> Alcotest.fail "expected htab entry")
+      | None -> Alcotest.fail "expected htab entry");
+      (* A store reload that must displace a valid entry sets C too:
+         sixteen loads fill the primary and secondary PTEGs of one hash,
+         and a seventeenth page with the same hash is stored to. *)
+      let stride = Htab.n_ptegs h * Addr.page_size in
+      let same_hash k = 0x00400000 + (k * stride) in
+      for k = 0 to 15 do
+        map mappings ~ea:(same_hash k) ~rpn:(0x100 + k);
+        ignore (Mmu.access mmu Mmu.Load (same_hash k) : Mmu.access_result)
+      done;
+      let evicts = perf.Perf.htab_evicts in
+      map mappings ~ea:(same_hash 16) ~rpn:0x200;
+      ignore (Mmu.access mmu Mmu.Store (same_hash 16) : Mmu.access_result);
+      Alcotest.(check int) "the store reload evicted" (evicts + 1)
+        perf.Perf.htab_evicts;
+      match find (Addr.page_index (same_hash 16)) with
+      | Some pte ->
+          Alcotest.(check bool) "C set for evicting store reload" true
+            pte.Pte.changed
+      | None -> Alcotest.fail "expected htab entry"
 
 let test_evict_classification () =
   (* Fill the htab's two PTEGs for one tag family until a live eviction
