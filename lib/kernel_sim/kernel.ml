@@ -605,7 +605,7 @@ let timer_tick t =
 
 (* The clock ticks no matter what the workload is doing; checked at the
    operation boundaries (syscalls, user references, idle turns). *)
-let maybe_tick t =
+let[@inline] maybe_tick t =
   if t.k_perf.Perf.cycles >= t.next_tick then timer_tick t
 
 let () = tick_hook := maybe_tick

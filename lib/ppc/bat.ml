@@ -52,7 +52,7 @@ let rec scan (t : t) ea i =
 (* [t] always has exactly [n_registers] entries ([create] is the only
    constructor), so the four probes are unrolled with [unsafe_get]; the
    common case on a user access is four [valid = false] loads. *)
-let translate_pa (t : t) ea =
+let[@inline] translate_pa (t : t) ea =
   if Array.length t <> n_registers then scan t ea 0
   else
     let e = Array.unsafe_get t 0 in

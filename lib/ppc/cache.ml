@@ -84,7 +84,7 @@ let[@inline always] scan4 (tags : int array) base (line : int) =
 
 (* Flat slot index of the hit, or -1.  Every machine in [Machine.all]
    has a 4- or 8-way cache; anything else takes the generic scan. *)
-let hit_slot t base line =
+let[@inline] hit_slot t base line =
   match t.n_ways with
   | 4 -> scan4 t.tags base line
   | 8 ->
@@ -125,7 +125,7 @@ let[@inline always] min_key4 tags stamps base w =
        (fill_key tags stamps base (w + 2))
        (fill_key tags stamps base (w + 3)))
 
-let fill_way t base =
+let[@inline] fill_way t base =
   match t.n_ways with
   | 4 -> min_key4 t.tags t.stamps base 0 land 7
   | 8 ->
@@ -139,7 +139,7 @@ let fill_way t base =
 let miss_clean = Miss { dirty_writeback = false }
 let miss_dirty = Miss { dirty_writeback = true }
 
-let fill t ~source ~write i line =
+let[@inline] fill t ~source ~write i line =
   let src = source_index source in
   let dirty_writeback = t.tags.(i) >= 0 && t.dirty.(i) in
   if t.tags.(i) >= 0 then t.evictions.(src) <- t.evictions.(src) + 1;
@@ -149,7 +149,13 @@ let fill t ~source ~write i line =
   t.allocs.(src) <- t.allocs.(src) + 1;
   if dirty_writeback then miss_dirty else miss_clean
 
-let access t ~source ~inhibited ~write pa =
+(* The miss half of a reference, out of line so that [access] inlines
+   into its callers as the probe and two stores of a hit. *)
+let[@inline never] miss t ~source ~write base line =
+  if t.locked then Bypass
+  else fill t ~source ~write (base + fill_way t base) line
+
+let[@inline] access t ~source ~inhibited ~write pa =
   if inhibited then Bypass
   else begin
     let line = Addr.line_index pa in
@@ -161,8 +167,7 @@ let access t ~source ~inhibited ~write pa =
       if write then t.dirty.(i) <- true;
       Hit
     end
-    else if t.locked then Bypass
-    else fill t ~source ~write (base + fill_way t base) line
+    else miss t ~source ~write base line
   end
 
 let allocate_zero t ~source pa =
@@ -175,8 +180,7 @@ let allocate_zero t ~source pa =
     t.dirty.(i) <- true;
     Hit
   end
-  else if t.locked then Bypass
-  else fill t ~source ~write:true (base + fill_way t base) line
+  else miss t ~source ~write:true base line
 
 let contains t pa =
   let line = Addr.line_index pa in

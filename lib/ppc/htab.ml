@@ -38,10 +38,10 @@ let base_pa t = t.base
 let pte_pa t ~pteg ~slot =
   t.base + (((pteg * slots_per_pteg) + slot) * pte_bytes)
 
-let hash1 t ~vsid ~page_index =
+let[@inline] hash1 t ~vsid ~page_index =
   Pte.hash_primary ~n_ptegs:t.ptegs ~vsid ~page_index
 
-let hash2 t ~primary = Pte.hash_secondary ~n_ptegs:t.ptegs ~primary
+let[@inline] hash2 t ~primary = Pte.hash_secondary ~n_ptegs:t.ptegs ~primary
 
 (* Search one PTEG for a matching tag, reporting each slot examined.
    Returns the flat slot index, or -1.  Top-level recursion so the probe

@@ -73,8 +73,8 @@ let create ~machine ~perf =
     idle = false }
 
 let machine t = t.machine
-let perf t = t.perf
-let trace t = t.trace
+let[@inline] perf t = t.perf
+let[@inline] trace t = t.trace
 let profile t = t.profile
 let span t = t.span
 let recorder t = t.recorder
@@ -84,43 +84,63 @@ let dcache t = t.dcache
 let set_idle t b = t.idle <- b
 let in_idle t = t.idle
 
-let charge t cycles =
-  t.perf.Perf.cycles <- t.perf.Perf.cycles + cycles;
-  if t.idle then t.perf.Perf.idle_cycles <- t.perf.Perf.idle_cycles + cycles;
-  (* timeline sampler: [next_sample] is [max_int] unless armed, so the
-     untraced cost is this one compare *)
+(* The three samplers' dispatch, out of line: [charge] only calls it
+   once the clock has reached some sampler's [next_sample]. *)
+let[@inline never] take_samples t =
+  (* timeline sampler *)
   if t.perf.Perf.cycles >= t.trace.Trace.next_sample then
     Trace.take_sample t.trace;
-  (* htab occupancy sampler, same Perf-timeline cadence discipline: one
-     integer compare while profiling is off *)
+  (* htab occupancy sampler, same Perf-timeline cadence *)
   if t.perf.Perf.cycles >= t.profile.Profile.next_sample then
     Profile.take_sample t.profile;
-  (* flight recorder, same discipline again *)
+  (* flight recorder, same cadence again *)
   if t.perf.Perf.cycles >= t.recorder.Recorder.next_sample then
     Recorder.take_sample t.recorder
+
+(* Every simulated cycle passes through here, inlined into each caller.
+   A sampler's [next_sample] is [max_int] unless it is armed, so with
+   none armed the cost past the clock update is three compares. *)
+let[@inline] charge t cycles =
+  let now = t.perf.Perf.cycles + cycles in
+  t.perf.Perf.cycles <- now;
+  if t.idle then t.perf.Perf.idle_cycles <- t.perf.Perf.idle_cycles + cycles;
+  if
+    now >= t.trace.Trace.next_sample
+    || now >= t.profile.Profile.next_sample
+    || now >= t.recorder.Recorder.next_sample
+  then take_samples t
 
 (* A write-back of a dirty victim is a posted store: it overlaps with
    execution, so we charge half the memory latency. *)
 let writeback_cost t = t.machine.Machine.mem_latency / 2
 
-let charge_writeback t dirty_writeback =
+let[@inline] charge_writeback t dirty_writeback =
   if dirty_writeback then begin
     t.perf.Perf.dcache_writebacks <- t.perf.Perf.dcache_writebacks + 1;
     charge t (writeback_cost t)
   end
 
-let data_ref t ~source ~inhibited ~write pa =
+(* A data reference's charge for [r], with [instr] instruction cycles
+   riding on the cache-access cost.  Out of line: the callers inline a
+   hit themselves and call this for a miss or a bypass. *)
+let[@inline never] charge_data t ~instr (r : Cache.result) =
+  let p = t.perf in
+  match r with
+  | Cache.Hit -> charge t (instr + Cost.cache_hit_cycles)
+  | Cache.Miss { dirty_writeback } ->
+      p.Perf.dcache_misses <- p.Perf.dcache_misses + 1;
+      charge t (instr + t.machine.Machine.mem_latency);
+      charge_writeback t dirty_writeback
+  | Cache.Bypass ->
+      p.Perf.dcache_bypasses <- p.Perf.dcache_bypasses + 1;
+      charge t (instr + t.machine.Machine.mem_latency)
+
+let[@inline] data_ref t ~source ~inhibited ~write pa =
   let p = t.perf in
   p.Perf.dcache_accesses <- p.Perf.dcache_accesses + 1;
   match Cache.access t.dcache ~source ~inhibited ~write pa with
   | Cache.Hit -> charge t Cost.cache_hit_cycles
-  | Cache.Miss { dirty_writeback } ->
-      p.Perf.dcache_misses <- p.Perf.dcache_misses + 1;
-      charge t t.machine.Machine.mem_latency;
-      charge_writeback t dirty_writeback
-  | Cache.Bypass ->
-      p.Perf.dcache_bypasses <- p.Perf.dcache_bypasses + 1;
-      charge t t.machine.Machine.mem_latency
+  | (Cache.Miss _ | Cache.Bypass) as r -> charge_data t ~instr:0 r
 
 let inst_ref t pa =
   let p = t.perf in
@@ -158,17 +178,17 @@ let set_cache_locked t b =
   Cache.set_locked t.icache b;
   Cache.set_locked t.dcache b
 
-let instructions t n =
+let[@inline] instructions t n =
   t.perf.Perf.instructions <- t.perf.Perf.instructions + n;
   charge t n
 
-let stall t n = charge t n
+let[@inline] stall t n = charge t n
 
 (* Either timeline sampler armed?  While true, fused charges must fall
    back to the historical charge-by-charge sequence so samples keep
    firing at the same cycle counts with the same intermediate counter
    values (experiment tables average over sample contents). *)
-let sampling t =
+let[@inline] sampling t =
   t.trace.Trace.next_sample <> max_int
   || t.profile.Profile.next_sample <> max_int
   || t.recorder.Recorder.next_sample <> max_int
@@ -177,7 +197,7 @@ let sampling t =
    [stall t stall; instructions t instr], with a single sampler check
    instead of two.  Used to batch the reload sequence's back-to-back
    stall + handler-instruction charges. *)
-let instructions_stall t ~instr ~stall:stall_cycles =
+let[@inline] instructions_stall t ~instr ~stall:stall_cycles =
   if sampling t then begin
     if stall_cycles > 0 then stall t stall_cycles;
     if instr > 0 then instructions t instr
@@ -201,13 +221,7 @@ let data_ref_instr t ~instr ~source ~inhibited ~write pa =
     p.Perf.dcache_accesses <- p.Perf.dcache_accesses + 1;
     match Cache.access t.dcache ~source ~inhibited ~write pa with
     | Cache.Hit -> charge t (instr + Cost.cache_hit_cycles)
-    | Cache.Miss { dirty_writeback } ->
-        p.Perf.dcache_misses <- p.Perf.dcache_misses + 1;
-        charge t (instr + t.machine.Machine.mem_latency);
-        charge_writeback t dirty_writeback
-    | Cache.Bypass ->
-        p.Perf.dcache_bypasses <- p.Perf.dcache_bypasses + 1;
-        charge t (instr + t.machine.Machine.mem_latency)
+    | (Cache.Miss _ | Cache.Bypass) as r -> charge_data t ~instr r
   end
 
 let copy_lines t ~source ~src ~dst ~bytes =

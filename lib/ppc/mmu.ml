@@ -127,8 +127,8 @@ let set_vsid_is_kernel t f = t.is_kernel_vsid <- f
 let attach_shadow t sh = t.shadow <- Some sh
 let shadow t = t.shadow
 
-let perf t = Memsys.perf t.memsys
-let trace t = Memsys.trace t.memsys
+let[@inline] perf t = Memsys.perf t.memsys
+let[@inline] trace t = Memsys.trace t.memsys
 let profile t = Memsys.profile t.memsys
 let span t = Memsys.span t.memsys
 
@@ -300,20 +300,24 @@ let shadow_kind = function
 (* Cross-validate one finished access against the reference translator.
    [ea] is already masked; [pa] is the fast path's physical address with
    -1 meaning "faulted".  The option is only built once a shadow is
-   known to be attached, so the unshadowed hit path allocates nothing. *)
-let shadow_check t kind ea ~pa ~inhibited ~answered =
+   known to be attached, so the unshadowed hit path allocates nothing:
+   [shadow_check] inlines to one test of [t.shadow], and the comparison
+   itself stays out of line. *)
+let[@inline never] shadow_compare t sh kind ea ~pa ~inhibited ~answered =
+  Shadow.check sh ~cpu:t.cur_cpu
+    ~pid:(Trace.current_pid (trace t))
+    ~vsid:(Segment.vsid_for t.seg ea)
+    ~ea ~kind:(shadow_kind kind)
+    ~fast:
+      { Shadow.pa = (if pa < 0 then None else Some pa);
+        inhibited;
+        answered }
+    ~reference:(reference_outcome t kind ea)
+
+let[@inline] shadow_check t kind ea ~pa ~inhibited ~answered =
   match t.shadow with
   | None -> ()
-  | Some sh ->
-      Shadow.check sh ~cpu:t.cur_cpu
-        ~pid:(Trace.current_pid (trace t))
-        ~vsid:(Segment.vsid_for t.seg ea)
-        ~ea ~kind:(shadow_kind kind)
-        ~fast:
-          { Shadow.pa = (if pa < 0 then None else Some pa);
-            inhibited;
-            answered }
-        ~reference:(reference_outcome t kind ea)
+  | Some sh -> shadow_compare t sh kind ea ~pa ~inhibited ~answered
 
 (* --- reload paths ---------------------------------------------------- *)
 
@@ -324,7 +328,7 @@ let r_inhibited = 1
 let r_writable = 2
 let r_from_htab = 4
 
-let pack ~rpn ~wimg ~protection =
+let[@inline] pack ~rpn ~wimg ~protection =
   (rpn lsl 3)
   lor (match protection with
       | Pte.Read_write -> r_writable
@@ -472,19 +476,19 @@ let reload t ~vsid ~ea ~store =
 
 (* --- the access path -------------------------------------------------- *)
 
-let final_ref t kind pa ~inhibited ~source =
+let[@inline] final_ref t kind pa ~inhibited ~source =
   match kind with
   | Fetch -> Memsys.inst_ref t.memsys pa
   | Load -> Memsys.data_ref t.memsys ~source ~inhibited ~write:false pa
   | Store -> Memsys.data_ref t.memsys ~source ~inhibited ~write:true pa
 
-let count_lookup t kind =
+let[@inline] count_lookup t kind =
   let p = perf t in
   match kind with
   | Fetch -> p.Perf.itlb_lookups <- p.Perf.itlb_lookups + 1
   | Load | Store -> p.Perf.dtlb_lookups <- p.Perf.dtlb_lookups + 1
 
-let count_miss t kind =
+let[@inline] count_miss t kind =
   let p = perf t in
   match kind with
   | Fetch ->
@@ -494,7 +498,7 @@ let count_miss t kind =
       p.Perf.dtlb_misses <- p.Perf.dtlb_misses + 1;
       t.cpu_dtlb_misses.(t.cur_cpu) <- t.cpu_dtlb_misses.(t.cur_cpu) + 1
 
-let source_of_ea ea =
+let[@inline] source_of_ea ea =
   if Segment.is_kernel_ea ea then Cache.Kernel else Cache.User
 
 (* The TLB miss: everything below the [Tlb.lookup_slot] fast exit.

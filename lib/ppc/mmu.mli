@@ -165,10 +165,10 @@ val access : t -> access_kind -> Addr.ea -> access_result
 
 val access_pa : t -> access_kind -> Addr.ea -> int
 (** {!access} returning the physical address directly, or [-1] on a
-    fault.  This is the allocation-free form the kernel's access loops
-    use: on a TLB hit, or a TLB miss the htab serves, with no shadow
-    attached, nothing is built on the heap.  [access] is a thin wrapper
-    around it. *)
+    fault.  This is the allocation-free form every access loop in the
+    simulator uses: on a TLB hit, or a TLB miss the htab serves, with no
+    shadow attached, nothing is built on the heap.  [access] is a thin
+    wrapper around it that only the tests call. *)
 
 val probe : t -> access_kind -> Addr.ea -> Addr.pa option
 (** [probe t kind ea] is the translation the architecture defines for

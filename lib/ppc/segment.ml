@@ -5,11 +5,11 @@ let kernel_first = 0xC
 
 let create () = Array.make n_registers 0
 
-let get t i = t.(i)
+let get (t : t) i = t.(i)
 
 let set t i vsid = t.(i) <- vsid land 0xFFFFFF
 
-let vsid_for t ea = t.(Addr.sr_index ea)
+let[@inline] vsid_for (t : t) ea = t.(Addr.sr_index ea)
 
 let load_user t f =
   for i = 0 to kernel_first - 1 do

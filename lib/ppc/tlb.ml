@@ -85,7 +85,7 @@ let[@inline always] find_slot t vpn =
     else -1
   else scan_vpn t.vpns vpn base 0 t.n_ways
 
-let lookup_slot t vpn =
+let[@inline] lookup_slot t vpn =
   let i = find_slot t vpn in
   if i >= 0 && t.lru_touch then begin
     t.tick <- t.tick + 1;
@@ -96,9 +96,9 @@ let lookup_slot t vpn =
 let peek_slot t vpn = find_slot t vpn
 
 let slot_vpn t i = t.vpns.(i)
-let slot_rpn t i = t.rpns.(i)
-let slot_inhibited t i = t.flags.(i) land flag_inhibited <> 0
-let slot_writable t i = t.flags.(i) land flag_writable <> 0
+let[@inline] slot_rpn t i = t.rpns.(i)
+let[@inline] slot_inhibited t i = t.flags.(i) land flag_inhibited <> 0
+let[@inline] slot_writable t i = t.flags.(i) land flag_writable <> 0
 
 (* Victim way for an insert: a same-VPN slot (update in place,
    unconditionally preferred), else the first invalid way, else the LRU
@@ -124,7 +124,7 @@ let rec victim_scan (vpns : int array) (stamps : int array) (vpn : int) base
    stream, so it is the arithmetic min of [stamp lsl 1 lor way]: the
    smaller stamp, way 0 winning ties — [victim_scan]'s strict [<].
    In bounds as in [find_slot]. *)
-let victim2 (vpns : int array) (stamps : int array) (vpn : int) base =
+let[@inline] victim2 (vpns : int array) (stamps : int array) (vpn : int) base =
   let v0 = Array.unsafe_get vpns base in
   let v1 = Array.unsafe_get vpns (base + 1) in
   if v1 = vpn then 1
@@ -157,7 +157,7 @@ let next_rand t =
   t.rand_state <- s;
   s
 
-let victim_way t base vpn =
+let[@inline] victim_way t base vpn =
   match t.repl with
   | Lru | Fifo ->
       (* stamps are bumped on every hit under LRU but only on insert
@@ -168,7 +168,7 @@ let victim_way t base vpn =
       let w = pref_scan t.vpns vpn base 0 t.n_ways (-1) in
       if w >= 0 then w else next_rand t mod t.n_ways
 
-let insert_flat t ~vpn ~rpn ~inhibited ~writable =
+let[@inline] insert_flat t ~vpn ~rpn ~inhibited ~writable =
   let base = set_of t vpn * t.n_ways in
   let i = base + victim_way t base vpn in
   let old = t.vpns.(i) in

@@ -65,6 +65,97 @@ let test_separate_caches () =
   Alcotest.(check int) "icache miss" 1 p.Perf.icache_misses;
   Alcotest.(check int) "dcache miss" 1 p.Perf.dcache_misses
 
+(* One fixed sequence through every charging entry point: D-cache hits,
+   misses and dirty write-backs, instruction fetches, plain and fused
+   instruction charges, a software htab probe and dcbz.  On the 604's
+   4-way, 256-set D-cache, addresses 8 KB apart share a set. *)
+let charge_sequence m =
+  for i = 0 to 299 do
+    (* six stored lines cycling through one set: every store misses and
+       evicts a dirty line *)
+    Memsys.data_ref m ~source:Cache.User ~inhibited:false ~write:true
+      (0x40000 + ((i mod 6) * 8192));
+    Memsys.data_ref m ~source:Cache.User ~inhibited:false ~write:false 0x80020;
+    Memsys.inst_ref m (0xC0010000 + ((i mod 64) * Addr.line_size));
+    Memsys.instructions m 7;
+    Memsys.instructions_stall m ~instr:3 ~stall:5;
+    Memsys.data_ref_instr m ~instr:4 ~source:Cache.Htab ~inhibited:false
+      ~write:false
+      (0x300100 + ((i mod 16) * 8));
+    Memsys.dcbz m ~source:Cache.Kernel (0x100040 + ((i mod 8) * 8192))
+  done
+
+let trace_every = 97
+let profile_every = 131
+let recorder_every = 211
+
+(* [charge_sequence] with the chosen samplers armed at cycle 0: each
+   sampler's firing cycles (empty when unarmed), and the counters. *)
+let run_sampled ~trace ~profile ~recorder =
+  let m, p, _ = mk () in
+  let tr = Memsys.trace m
+  and pr = Memsys.profile m
+  and rc = Memsys.recorder m in
+  if trace then Trace.set_sampling tr ~every:trace_every;
+  if profile then begin
+    Profile.set_htab_source pr (fun () ->
+        { Profile.h_cycle = p.Perf.cycles;
+          h_valid = 0;
+          h_capacity = 0;
+          h_zombie = 0;
+          h_chains = [||] });
+    Profile.set_sampling pr ~every:profile_every
+  end;
+  if recorder then Recorder.enable rc ~every:recorder_every;
+  charge_sequence m;
+  ( List.map fst (Trace.samples tr),
+    List.map (fun s -> s.Profile.h_cycle) (Profile.samples pr),
+    List.map (fun s -> s.Recorder.s_cycle) (Recorder.samples rc),
+    p )
+
+(* A sampler fires on the first charge that reaches its next sample, and
+   no single charge exceeds the memory latency: from arming at cycle 0,
+   every gap between firings is at least [every] and under
+   [every + latency], and the run ends less than [every] past the last
+   one. *)
+let on_cadence ~every ~latency ~total fires =
+  let rec go prev = function
+    | [] -> total - prev < every
+    | f :: rest -> f - prev >= every && f - prev < every + latency && go f rest
+  in
+  go 0 fires
+
+let test_sampler_dispatch () =
+  let latency = Machine.ppc604_185.Machine.mem_latency in
+  let trace_alone, _, _, p_trace =
+    run_sampled ~trace:true ~profile:false ~recorder:false
+  in
+  let _, profile_alone, _, p_profile =
+    run_sampled ~trace:false ~profile:true ~recorder:false
+  in
+  let _, _, recorder_alone, p_recorder =
+    run_sampled ~trace:false ~profile:false ~recorder:true
+  in
+  let trace_all, profile_all, recorder_all, p =
+    run_sampled ~trace:true ~profile:true ~recorder:true
+  in
+  Alcotest.(check bool) "the sequence hits, misses and writes back" true
+    (p.Perf.dcache_misses > 0
+    && p.Perf.dcache_accesses > p.Perf.dcache_misses
+    && p.Perf.dcache_writebacks > 0);
+  List.iter
+    (fun (name, every, alone, p_alone, all) ->
+      Alcotest.(check (list int))
+        (name ^ ": same cycles alone and with all three armed")
+        alone all;
+      Alcotest.(check bool)
+        (name ^ ": fires once per cadence")
+        true
+        (on_cadence ~every ~latency ~total:p_alone.Perf.cycles alone))
+    [ ("trace", trace_every, trace_alone, p_trace, trace_all);
+      ("profile", profile_every, profile_alone, p_profile, profile_all);
+      ("recorder", recorder_every, recorder_alone, p_recorder, recorder_all) ]
+
 let suite =
   [ Alcotest.test_case "miss then hit costs" `Quick test_miss_then_hit_costs;
     Alcotest.test_case "bypass costs latency" `Quick
@@ -73,4 +164,6 @@ let suite =
     Alcotest.test_case "instruction charging" `Quick test_instructions;
     Alcotest.test_case "idle routing" `Quick test_idle_routing;
     Alcotest.test_case "copy lines" `Quick test_copy_lines;
-    Alcotest.test_case "split I/D caches" `Quick test_separate_caches ]
+    Alcotest.test_case "split I/D caches" `Quick test_separate_caches;
+    Alcotest.test_case "sampler dispatch through charge" `Quick
+      test_sampler_dispatch ]
