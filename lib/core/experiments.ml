@@ -689,8 +689,9 @@ let server_configs =
 
 let server_experiment ~id ~model ~seed ~notes =
   let module Sv = Workloads.Server in
-  (* request count from the process-wide --requests knob; its default is
-     the historical 200, so committed baselines are byte-identical *)
+  (* request count from the boot configuration's --requests knob; its
+     default is the historical 200, so committed baselines are
+     byte-identical *)
   let params =
     { Sv.default_params with Sv.model; Sv.requests = Sv.boot_requests () }
   in

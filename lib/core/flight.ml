@@ -443,10 +443,10 @@ let sample_json ~run ?label ~last cur =
                          (Array.to_list (Array.map (fun x -> Json.Int x) a))))
                     g)) ]) ])
 
-let end_json rcd =
+let end_json ~run rcd =
   Json.Obj
     [ ("t", Json.String "end");
-      ("run", Json.Int (Recorder.run_id rcd));
+      ("run", Json.Int run);
       ("label", Json.String (Recorder.label rcd));
       ("c", Json.Int rcd.Recorder.perf.Perf.cycles);
       ("samples", Json.Int (Recorder.total rcd));
@@ -658,25 +658,33 @@ let series tl =
 (* ------------------------------------------------------------- sink *)
 
 type sstate = {
+  ss_run : int;
   mutable ss_last : view option;
   mutable ss_label : string;
   ss_det : detector;
 }
 
+(* Runs are numbered by the sink, in attach order: the order their
+   "begin" lines reach the stream. *)
 type sink = {
   sk_rules : rule list;
   sk_write : string -> unit;
-  mutable sk_states : (int * sstate) list;
+  mutable sk_runs : int;
+  mutable sk_open : (Recorder.t * sstate) list;  (* attached, not finished *)
   mutable sk_incidents_rev : incident list;
 }
 
 let sink ?(rules = default_rules) ~write () =
-  { sk_rules = rules; sk_write = write; sk_states = []; sk_incidents_rev = [] }
+  { sk_rules = rules;
+    sk_write = write;
+    sk_runs = 0;
+    sk_open = [];
+    sk_incidents_rev = [] }
 
 let emit sk j = sk.sk_write (Json.to_string ~compact:true j)
 
 let on_sample sk st rcd (s : Recorder.sample) =
-  let run = Recorder.run_id rcd in
+  let run = st.ss_run in
   let v = view_of_sample s in
   let label = Recorder.label rcd in
   let label_opt = if label = st.ss_label then None else Some label in
@@ -691,30 +699,23 @@ let on_sample sk st rcd (s : Recorder.sample) =
   st.ss_last <- Some v
 
 let attach sk rcd =
-  let run = Recorder.run_id rcd in
+  sk.sk_runs <- sk.sk_runs + 1;
   let st =
-    { ss_last = None; ss_label = Recorder.label rcd; ss_det = detector sk.sk_rules }
+    { ss_run = sk.sk_runs;
+      ss_last = None;
+      ss_label = Recorder.label rcd;
+      ss_det = detector sk.sk_rules }
   in
-  sk.sk_states <- (run, st) :: List.remove_assoc run sk.sk_states;
-  emit sk (begin_json ~run ~label:st.ss_label ~every:(Recorder.every rcd));
+  sk.sk_open <- (rcd, st) :: sk.sk_open;
+  emit sk
+    (begin_json ~run:st.ss_run ~label:st.ss_label ~every:(Recorder.every rcd));
   Recorder.set_on_sample rcd (fun r s -> on_sample sk st r s)
 
-let finish sk rcd = emit sk (end_json rcd)
+let finish sk rcd =
+  emit sk (end_json ~run:(List.assq rcd sk.sk_open).ss_run rcd);
+  sk.sk_open <- List.remove_assq rcd sk.sk_open
 
 let incidents sk = List.rev sk.sk_incidents_rev
-
-(* ------------------------------------------------------ session glue *)
-
-let arm ?(every = Recorder.default_every) ?(cap = Recorder.default_cap) sk =
-  Recorder.set_boot_defaults ~every ~cap ~enabled:true ();
-  Recorder.set_boot_attach (Some (fun rcd -> attach sk rcd))
-
-let disarm () =
-  Recorder.set_boot_defaults ~enabled:false ();
-  Recorder.set_boot_attach None
-
-let drain_into sk =
-  List.iter (fun rcd -> finish sk rcd) (Recorder.drain_registered ())
 
 (* ---------------------------------------------------------- Perfetto *)
 

@@ -18,12 +18,12 @@
       process per recorder, one counter per metric, instant markers for
       incidents).
 
-    A {!sink} is the streaming state machine; {!arm} wires it into every
-    kernel booted afterwards via {!Ppc.Recorder.set_boot_attach}.  The
-    sink writes through a caller-supplied [write] so the serial CLI can
-    stream lines to disk live (that is what [mmu_sim watch] tails) while
-    parallel runner workers buffer lines and ship them through
-    {!Runner.collect_hook}. *)
+    A {!sink} is the streaming state machine; a {!Ppc.Boot}
+    configuration whose [record] hook is {!attach} wires it into every
+    kernel booted under it.  The sink writes through a caller-supplied
+    [write] so a one-job run can stream lines to disk live (that is what
+    [mmu_sim watch] tails) while parallel runner workers buffer lines
+    and ship them through {!Runner.collect_hook}. *)
 
 open Ppc
 
@@ -100,7 +100,7 @@ val load_rules : string -> (rule list, string) result
 (** {1 Incidents} *)
 
 type incident = {
-  i_run : int;  (** the firing recorder's {!Ppc.Recorder.run_id} *)
+  i_run : int;  (** the firing recorder's run number in its timeline *)
   i_label : string;
   i_cycle : int;
   i_rule : string;
@@ -169,29 +169,17 @@ val sink : ?rules:rule list -> write:(string -> unit) -> unit -> sink
     rules default to {!default_rules}. *)
 
 val attach : sink -> Recorder.t -> unit
-(** Emit the ["begin"] line and hook the recorder's
+(** Number the recorder's run (the sink counts runs from 1, in attach
+    order), emit its ["begin"] line and hook
     {!Ppc.Recorder.set_on_sample} so every sample streams, is
     delta-encoded and detector-checked as it is taken. *)
 
 val finish : sink -> Recorder.t -> unit
-(** Emit the ["end"] line (final cadence, total/retained counts). *)
+(** Emit the ["end"] line (final cadence, total/retained counts) of an
+    attached recorder. *)
 
 val incidents : sink -> incident list
 (** Incidents fired through this sink, in firing order. *)
-
-(** {1 Session glue} *)
-
-val arm : ?every:int -> ?cap:int -> sink -> unit
-(** Arm {!Ppc.Recorder.set_boot_defaults} and point
-    {!Ppc.Recorder.set_boot_attach} at [attach sink]: every kernel
-    booted afterwards records into this sink. *)
-
-val disarm : unit -> unit
-
-val drain_into : sink -> unit
-(** {!finish} every boot-armed recorder created since the last drain —
-    call after each experiment (the serial CLI directly, parallel
-    workers from {!Runner.collect_hook}). *)
 
 (** {1 Export} *)
 

@@ -1,3 +1,5 @@
+module Kernel = Kernel_sim.Kernel
+
 type wstat =
   | Exited of int
   | Signaled of int
@@ -115,18 +117,29 @@ end
 
 (* ------------------------------------------------- payload collection *)
 
-(* Per-experiment observability payloads (span JSON today) are produced
-   in whatever process hosts the experiment — a forked worker or the
-   parent — by this hook, called right after each attempt with the
-   experiment's id.  The payload is marshalled over the same pipe as the
-   result, which is what lets span-armed runs keep [--jobs N]: the data
-   is drained where it was recorded instead of being stranded in a
-   child.  The hook must be installed before [fork] (children inherit
-   it) and should also drain any per-experiment instrument registries so
-   payloads cannot leak across experiments. *)
+(* Per-experiment observability payloads are produced in whatever
+   process hosts the experiment — a forked worker or the parent — by
+   this hook, called right after each attempt with the experiment's id.
+   The payload is marshalled over the same pipe as the result, which is
+   what lets every instrument keep [--jobs N]: the data is drained where
+   it was recorded instead of being stranded in a child.  The hook must
+   be installed before [fork] (children inherit it) and should also
+   drain the kernel registry so payloads cannot leak across
+   experiments. *)
 let collect_hook : (string -> Json.t option) ref = ref (fun _ -> None)
 
 let collect id = try !collect_hook id with _ -> None
+
+let armed ?(collect = fun _ _ -> None) boot f =
+  let saved = !collect_hook in
+  Kernel.set_smp_register true;
+  (collect_hook := fun id -> collect id (Kernel.drain_smp_registered ()));
+  Fun.protect
+    ~finally:(fun () ->
+      Kernel.set_smp_register false;
+      ignore (Kernel.drain_smp_registered () : Kernel.t list);
+      collect_hook := saved)
+    (fun () -> Ppc.Boot.with_config boot f)
 
 (* ------------------------------------------------------------ attempts *)
 
@@ -177,18 +190,6 @@ let attempt_timed ~timeout ~seed id f =
 let min_jobs = 1
 let max_jobs = 16
 let clamp_jobs n = max min_jobs (min n max_jobs)
-
-(* Observation layers whose data lives in the booting process (traces,
-   profilers, shadow checkers) and multi-CPU kernels cannot cross the
-   result pipe, so those runs must stay serial.  The CLI asks here which
-   of the user's requests forced that, so a --jobs downgrade is never
-   silent. *)
-let serial_forcers ~tracing ~profiled ~shadow ~cpus =
-  List.concat
-    [ (if tracing then [ "--trace/--timeline" ] else []);
-      (if profiled then [ "--profile" ] else []);
-      (if shadow then [ "--shadow" ] else []);
-      (if cpus > 1 then [ "--cpus" ] else []) ]
 
 (* First line of [cmd]'s output parsed as a positive int, if any. *)
 let probe_int cmd =

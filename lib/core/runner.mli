@@ -55,14 +55,22 @@ val collect_hook : (string -> Json.t option) ref
 (** Per-experiment payload collector, called with the experiment id in
     whatever process hosted the attempt, immediately after it finished.
     The payload rides the existing result pipe back to the supervisor,
-    which is what lets observation layers whose data lives in
-    process-local registries (span recorders armed via
-    {!Ppc.Span.set_boot_defaults}) keep [--jobs N]: each worker drains
-    its own registries and ships the digest, instead of the data dying
-    with the child.  The default hook returns [None]; hook exceptions
-    are swallowed (a broken collector must not fail the experiment).
-    The hook runs after {e every} attempt, so on a retried experiment
-    only the final attempt's payload survives. *)
+    which is what lets every instrument keep [--jobs N]: each worker
+    drains the kernel registry and ships the digest, instead of the data
+    dying with the child.  The default hook returns [None]; hook
+    exceptions are swallowed (a broken collector must not fail the
+    experiment).  The hook runs after {e every} attempt, so on a retried
+    experiment only the final attempt's payload survives. *)
+
+val armed :
+  ?collect:(string -> Kernel_sim.Kernel.t list -> Json.t option) ->
+  Ppc.Boot.t -> (unit -> 'a) -> 'a
+(** [armed ~collect boot f] runs [f] (typically one {!run_collect})
+    with [boot] as the boot configuration, the kernel registry armed,
+    and {!collect_hook} handing [collect] the experiment id and the
+    kernels the attempt booted (default: collect nothing).  Restores
+    the configuration and the hook, disarms and empties the registry
+    when [f] returns or raises. *)
 
 val run_collect :
   ?jobs:int ->
@@ -120,16 +128,6 @@ val clamp_jobs : int -> int
 (** Clamp a requested job count to [min_jobs .. max_jobs] — the single
     authority on worker-count bounds ([run] additionally never forks
     more workers than it has experiments). *)
-
-val serial_forcers :
-  tracing:bool -> profiled:bool -> shadow:bool -> cpus:int -> string list
-(** Which of the caller's requests force a serial ([jobs = 1]) run —
-    observation layers whose data lives in the booting process and
-    multi-CPU kernels can't ship their state over the result pipe.
-    Returns the forcing CLI flag names (["--trace/--timeline"],
-    ["--profile"], ["--shadow"], ["--cpus"]), empty when any job count
-    is fine.  The CLI warns (errors under [--strict]) instead of
-    silently downgrading [--jobs]. *)
 
 val fault_env : string
 (** ["MMU_SIM_FAULT"] — deterministic fault injection for testing the

@@ -521,28 +521,28 @@ let metric_table w_name metrics =
    Explain machinery (the one behind [mmu_sim explain]) can rank the
    deltas and name the responsible PID/segment accounts. *)
 let profiled_doc ~seed ~workloads policy =
-  Profile.set_boot_defaults ~enabled:true ();
-  Fun.protect
-    ~finally:(fun () ->
-      Profile.set_boot_defaults ~enabled:false ();
-      ignore (Profile.drain_registered () : Profile.t list))
-    (fun () ->
-      let entries =
+  let entries =
+    Runner.armed
+      { Boot.plain with Boot.profile = Some 0 }
+      (fun () ->
         List.map
           (fun w ->
             let ms = w.w_eval ~policy ~seed in
-            let profs = Profile.drain_registered () in
+            let profs =
+              List.map Kernel_sim.Kernel.profile
+                (Kernel_sim.Kernel.drain_smp_registered ())
+            in
             (w.w_name, metric_table w.w_name ms, Profile_export.to_json profs))
-          workloads
-      in
-      let tables = List.map (fun (n, t, _) -> (n, t)) entries in
-      let obs =
-        List.map (fun (n, _, p) -> (n, Json.Obj [ ("profile", p) ])) entries
-      in
-      let json = Baseline.doc_to_json ~observability:obs ~seed tables in
-      match Baseline.doc_of_json json with
-      | Ok doc -> (doc, json)
-      | Error e -> failwith ("tuner: internal results document invalid: " ^ e))
+          workloads)
+  in
+  let tables = List.map (fun (n, t, _) -> (n, t)) entries in
+  let obs =
+    List.map (fun (n, _, p) -> (n, Json.Obj [ ("profile", p) ])) entries
+  in
+  let json = Baseline.doc_to_json ~observability:obs ~seed tables in
+  match Baseline.doc_of_json json with
+  | Ok doc -> (doc, json)
+  | Error e -> failwith ("tuner: internal results document invalid: " ^ e)
 
 let explain ?top ?(seed = 42) ~workloads ~base ~candidate () =
   let a_doc, a_json = profiled_doc ~seed ~workloads base.c_policy in

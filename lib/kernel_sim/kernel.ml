@@ -100,39 +100,26 @@ let lazy_flush_available t =
   t.k_policy.Policy.lazy_flush
   && Vsid_alloc.source t.k_vsid = Vsid_alloc.Context_counter
 
-(* Boot-default CPU count, mirroring the Shadow/Trace registry pattern:
-   the experiment driver cannot reach the kernels the registry boots, so
-   [experiment --cpus N] arms the default process-wide.  Kernels booted
-   with more than one CPU register themselves so the driver can drain
-   their SMP counters afterwards. *)
 let max_cpus = 30
 
-let boot_cpus_default = ref 1
+(* The kernel registry: the one place a caller that cannot reach the
+   kernels being booted (the experiment registry boots its own) finds
+   them again, to read their counters and instruments after a run.
+   Tests and benches boot thousands of kernels and must not accumulate
+   them, so a kernel registers only while the registry is armed. *)
+let registry_armed = ref false
+let registry : t list ref = ref []  (* newest first *)
 
-let set_boot_cpus n =
-  if n < 1 || n > max_cpus then invalid_arg "Kernel.set_boot_cpus";
-  boot_cpus_default := n
-
-let boot_cpus () = !boot_cpus_default
-
-let smp_registered_rev : t list ref = ref []
-
-(* [experiment] wants the SMP counters of every kernel the registry
-   boots even at one CPU (the baseline document carries the smp object
-   at [--cpus 1]); tests and benches boot thousands of kernels and must
-   not accumulate them.  So registration at [cpus = 1] is opt-in,
-   process-wide, like the other boot defaults. *)
-let smp_register_always = ref false
-
-let set_smp_register b = smp_register_always := b
+let set_smp_register b = registry_armed := b
 
 let drain_smp_registered () =
-  let l = List.rev !smp_registered_rev in
-  smp_registered_rev := [];
+  let l = List.rev !registry in
+  registry := [];
   l
 
 let boot ~machine ~policy ?(seed = 42) ?shadow ?cpus () =
-  let cpus = match cpus with Some n -> n | None -> !boot_cpus_default in
+  let config = Boot.current () in
+  let cpus = Option.value cpus ~default:config.Boot.cpus in
   if cpus < 1 || cpus > max_cpus then invalid_arg "Kernel.boot: cpus";
   let perf = Perf.create () in
   let memsys = Memsys.create ~machine ~perf in
@@ -157,19 +144,10 @@ let boot ~machine ~policy ?(seed = 42) ?shadow ?cpus () =
     Mmu.create ~htab_base_pa:Kparams.htab_pa ~cpus ~machine ~memsys
       ~knobs:(Policy.mmu_knobs policy) ~backing:dummy_backing ~rng:mmu_rng ()
   in
-  (* Shadow checking: explicit request wins; otherwise honour the
-     process-wide boot default (set by [experiment --shadow], which
-     cannot reach the kernels the registry boots).  Checkers created via
-     the default are registered so the driver can drain them. *)
-  (match shadow with
-  | Some false -> ()
-  | Some true -> Mmu.attach_shadow mmu (Shadow.create ())
-  | None ->
-      if Shadow.boot_enabled () then begin
-        let sh = Shadow.create () in
-        Shadow.register sh;
-        Mmu.attach_shadow mmu sh
-      end);
+  (* Shadow checking: explicit request wins; otherwise the boot
+     configuration decides. *)
+  if Option.value shadow ~default:config.Boot.shadow then
+    Mmu.attach_shadow mmu (Shadow.create ());
   let t =
     { k_machine = machine;
       k_policy = policy;
@@ -265,9 +243,8 @@ let boot ~machine ~policy ?(seed = 42) ?shadow ?cpus () =
   Mmu.set_vsid_is_zombie mmu (Vsid_alloc.is_zombie vsid);
   (* The attribution profiler's TLB census classifies slots with the
      same ownership test as the §5.1 footprint measurement.  Like Trace,
-     the profiler itself was created (and, if [Profile.set_boot_defaults]
-     armed process-wide profiling, enabled and registered) inside
-     [Memsys.create] above. *)
+     the profiler itself was created (and, if the boot configuration
+     names it, armed) inside [Memsys.create] above. *)
   Mmu.set_vsid_is_kernel mmu Vsid_alloc.is_kernel;
   (* The §7 escape hatch at the 20-bit context-counter wrap: before any
      wrapped id is re-issued, flush every TLB on every CPU and purge the
@@ -282,8 +259,7 @@ let boot ~machine ~policy ?(seed = 42) ?shadow ?cpus () =
       | None -> ()
       | Some h ->
           ignore (Mmu.reclaim_zombies mmu ~max_ptes:(Htab.capacity h) : int));
-  if cpus > 1 || !smp_register_always then
-    smp_registered_rev := t :: !smp_registered_rev;
+  if !registry_armed then registry := t :: !registry;
   t
 
 (* --- kernel path execution ------------------------------------------- *)

@@ -31,41 +31,26 @@ val boot :
     registers and the MMU backing, and start the performance monitor.
 
     [?shadow] attaches a {!Ppc.Shadow} checker that cross-validates
-    every translation against the reference MMU.  When omitted, the
-    process-wide {!Ppc.Shadow.boot_enabled} default applies and any
-    checker so created is {!Ppc.Shadow.register}ed for the driver to
-    drain — the hook [experiment --shadow] uses to reach kernels booted
-    deep inside the experiment registry.
-
-    [?cpus] boots an SMP machine: per-CPU segment registers, BAT banks
-    and TLBs behind one shared memory system and htab, with every CPU's
-    kernel mapping programmed at boot.  When omitted, the process-wide
-    {!set_boot_cpus} default (1) applies, and a kernel booted with more
-    than one CPU registers itself for {!drain_smp_registered}.  At
-    [cpus = 1] the boot — and everything after it — is byte-identical
-    to the single-CPU kernel.
+    every translation against the reference MMU.  [?cpus] boots an SMP
+    machine: per-CPU segment registers, BAT banks and TLBs behind one
+    shared memory system and htab, with every CPU's kernel mapping
+    programmed at boot.  At [cpus = 1] the boot — and everything after
+    it — is byte-identical to the single-CPU kernel.  When omitted, both
+    come from the {!Ppc.Boot} configuration, which also names the
+    instruments that start armed — how [experiment] reaches kernels
+    booted deep inside the experiment registry.
     @raise Invalid_argument when [cpus] is outside [1, 30]. *)
 
-val set_boot_cpus : int -> unit
-(** Arm the process-wide CPU-count default for subsequent boots that
-    omit [?cpus] — the hook [experiment --cpus N] uses to reach kernels
-    booted deep inside the experiment registry.
-    @raise Invalid_argument outside [1, 30]. *)
-
-val boot_cpus : unit -> int
-(** The current boot default. *)
-
 val set_smp_register : bool -> unit
-(** Arm (or disarm) SMP registration for single-CPU boots too: with this
-    on, {e every} subsequent boot registers for
-    {!drain_smp_registered} — the hook [experiment] uses so the SMP
-    observability object rides the baseline document even at
-    [--cpus 1].  Off (the default), only [cpus > 1] boots register. *)
+(** Arm (or disarm) the kernel registry: while armed, every boot
+    registers for {!drain_smp_registered}.  Off by default, so tests and
+    benches that boot thousands of kernels accumulate none. *)
 
 val drain_smp_registered : unit -> t list
-(** Kernels booted with [cpus > 1] (or any count, under
-    {!set_smp_register}) since the last drain, in boot order — the
-    driver reads their shootdown/steal counters after a run. *)
+(** Kernels booted while the registry was armed, since the last drain,
+    in boot order — the caller reads their counters and instruments
+    ({!trace}, {!profile}, {!span}, {!recorder}, {!shadow}) after a
+    run. *)
 
 (** {1 Accessors} *)
 
@@ -80,29 +65,20 @@ val trace : t -> Trace.t
 val profile : t -> Profile.t
 (** The attribution profiler attached to this kernel's memory system —
     shorthand for [Memsys.profile (memsys t)].  Its TLB slot census
-    classifies entries with {!Vsid_alloc.is_kernel}; like Trace, a
-    profiler created while {!Ppc.Profile.set_boot_defaults} has armed
-    process-wide profiling starts enabled and registered for the driver
-    to drain. *)
+    classifies entries with {!Vsid_alloc.is_kernel}. *)
 
 val span : t -> Span.t
 (** The request-span recorder attached to this kernel's memory system —
     shorthand for [Memsys.span (memsys t)].  The kernel reports syscall
     entry/exit windows, context switches and run slices into it; the
     workload drives the request lifecycle ({!Ppc.Span.request_begin},
-    {!Ppc.Span.bind_pid}, {!Ppc.Span.request_end}).  Like Trace and
-    Profile, a recorder created while {!Ppc.Span.set_boot_defaults} has
-    armed process-wide spans starts enabled and registered for the
-    driver to drain. *)
+    {!Ppc.Span.bind_pid}, {!Ppc.Span.request_end}). *)
 
 val recorder : t -> Recorder.t
 (** The flight recorder attached to this kernel's memory system —
     shorthand for [Memsys.recorder (memsys t)].  Gauge sources (htab,
     TLB census, per-CPU miss slices, run queues, span percentiles) are
-    installed by their owning subsystems at boot; like Trace and
-    Profile, a recorder created while {!Ppc.Recorder.set_boot_defaults}
-    has armed process-wide recording starts enabled and registered for
-    the driver to drain. *)
+    installed by their owning subsystems at boot. *)
 
 val age_address_spaces : t -> contexts:int -> unit
 (** Advance the VSID context counter as if [contexts] address spaces had

@@ -58,9 +58,26 @@ let create ~machine ~perf =
           !top;
         a
       end);
+  let trace = Trace.create ~perf in
+  (* Arm what the boot configuration names, before the boot charges a
+     cycle, so sample cadences start from cycle 0. *)
+  let boot = Boot.current () in
+  Option.iter
+    (fun every ->
+      Trace.enable trace;
+      Trace.set_sampling trace ~every)
+    boot.Boot.trace;
+  Option.iter (fun sample_every -> Profile.enable ~sample_every profile)
+    boot.Boot.profile;
+  if boot.Boot.spans then Span.enable span;
+  Option.iter
+    (fun (every, attach) ->
+      Recorder.enable ~every recorder;
+      attach recorder)
+    boot.Boot.record;
   { machine;
     perf;
-    trace = Trace.create ~perf;
+    trace;
     profile;
     span;
     recorder;

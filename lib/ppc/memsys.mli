@@ -14,6 +14,8 @@
 type t
 
 val create : machine:Machine.t -> perf:Perf.t -> t
+(** Caches plus the machine's instruments, the ones the current
+    {!Boot} configuration names already armed. *)
 
 val machine : t -> Machine.t
 val perf : t -> Perf.t

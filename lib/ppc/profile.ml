@@ -82,7 +82,7 @@ type t = {
 
 (* --- lifecycle -------------------------------------------------------- *)
 
-let create_plain ~perf =
+let create ~perf =
   { perf;
     enabled = false;
     attribution = Hashtbl.create 64;
@@ -117,32 +117,6 @@ let disable t =
   set_sampling t ~every:0
 
 let enabled t = t.enabled
-
-(* --- process-wide boot defaults -------------------------------------- *)
-
-(* Drivers that cannot reach the kernels being booted (the experiment
-   registry boots its own) arm these; every profiler created afterwards
-   starts enabled and registers itself for later collection — the same
-   discipline as Trace and Shadow. *)
-let boot_defaults : int option ref = ref None
-let registered_rev : t list ref = ref []
-
-let set_boot_defaults ?(sample_every = 0) ~enabled () =
-  boot_defaults := (if enabled then Some sample_every else None)
-
-let drain_registered () =
-  let l = List.rev !registered_rev in
-  registered_rev := [];
-  l
-
-let create ~perf =
-  let t = create_plain ~perf in
-  (match !boot_defaults with
-  | None -> ()
-  | Some sample_every ->
-      enable ~sample_every t;
-      registered_rev := t :: !registered_rev);
-  t
 
 (* --- hooks wired by the MMU ------------------------------------------- *)
 

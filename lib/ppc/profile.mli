@@ -88,9 +88,7 @@ type t = {
     {!Memsys} and {!Mmu}. *)
 
 val create : perf:Perf.t -> t
-(** A disabled profiler stamping samples from [perf]'s cycle counter —
-    unless {!set_boot_defaults} armed process-wide profiling, in which
-    case it starts enabled and is registered for {!drain_registered}. *)
+(** A disabled profiler stamping samples from [perf]'s cycle counter. *)
 
 val enable : ?sample_every:int -> t -> unit
 (** Start attributing; [sample_every > 0] also arms the htab occupancy
@@ -103,16 +101,6 @@ val enabled : t -> bool
 
 val set_sampling : t -> every:int -> unit
 (** Re-arm or disarm ([every <= 0]) the htab occupancy sampler. *)
-
-(** {1 Boot defaults}
-
-    For drivers that cannot reach the kernels being booted (the
-    experiment registry boots its own): arm profiling process-wide,
-    run, then collect every profiler created in between — the same
-    discipline as {!Trace} and {!Shadow}. *)
-
-val set_boot_defaults : ?sample_every:int -> enabled:bool -> unit -> unit
-val drain_registered : unit -> t list
 
 (** {1 Hooks wired by the MMU} *)
 

@@ -34,7 +34,6 @@ type t = {
   mutable every : int;  (* current cadence (doubles on decimation) *)
   mutable cap : int;  (* retained-sample bound *)
   mutable label : string;
-  run_id : int;
   mutable sources : (string * (unit -> int array)) list;  (* install order *)
   mutable samples : sample array;
   mutable len : int;
@@ -47,16 +46,12 @@ let default_cap = 4096
 
 let dummy_sample = { s_cycle = 0; s_perf = Perf.create (); s_gauges = [] }
 
-let run_counter = ref 0
-
-let create_plain ~perf =
-  incr run_counter;
+let create ~perf =
   { perf;
     next_sample = max_int;
     every = default_every;
     cap = default_cap;
     label = "";
-    run_id = !run_counter;
     sources = [];
     samples = [||];
     len = 0;
@@ -81,7 +76,6 @@ let enabled t = t.next_sample <> max_int
 
 let set_label t label = t.label <- label
 let label t = t.label
-let run_id t = t.run_id
 let every t = t.every
 let cap t = t.cap
 
@@ -145,40 +139,3 @@ let iter t f =
   for i = 0 to t.len - 1 do
     f t.samples.(i)
   done
-
-(* --- process-wide boot defaults ---------------------------------------- *)
-
-(* The experiment driver cannot reach the kernels the registry boots, so
-   it arms these; every recorder created afterwards starts enabled and
-   registers itself for later collection — the Trace/Profile/Span/Shadow
-   discipline, which survives [Unix.fork] because forked workers inherit
-   the armed globals. *)
-let boot_defaults : (int * int) option ref = ref None
-let registered_rev : t list ref = ref []
-let boot_attach : (t -> unit) option ref = ref None
-
-let set_boot_defaults ?(every = default_every) ?(cap = default_cap) ~enabled
-    () =
-  boot_defaults := (if enabled then Some (every, cap) else None)
-
-let boot_enabled () = !boot_defaults <> None
-
-(* Layers above Ppc (the Flight streamer/detectors live in Mmu_tricks)
-   hook every boot-armed recorder at creation time without Ppc depending
-   on them. *)
-let set_boot_attach f = boot_attach := f
-
-let drain_registered () =
-  let l = List.rev !registered_rev in
-  registered_rev := [];
-  l
-
-let create ~perf =
-  let t = create_plain ~perf in
-  (match !boot_defaults with
-  | None -> ()
-  | Some (every, cap) ->
-      enable ~every ~cap t;
-      registered_rev := t :: !registered_rev;
-      (match !boot_attach with Some f -> f t | None -> ()));
-  t

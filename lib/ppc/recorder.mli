@@ -33,7 +33,6 @@ type t = {
   mutable every : int;
   mutable cap : int;
   mutable label : string;
-  run_id : int;
   mutable sources : (string * (unit -> int array)) list;
   mutable samples : sample array;
   mutable len : int;
@@ -47,9 +46,7 @@ val default_cap : int
 (** {1 Lifecycle} *)
 
 val create : perf:Perf.t -> t
-(** Disabled unless {!set_boot_defaults} armed recording process-wide,
-    in which case the new recorder starts enabled, registers itself for
-    {!drain_registered}, and is passed to the {!set_boot_attach} hook. *)
+(** A disabled recorder sampling [perf]. *)
 
 val enable : ?every:int -> ?cap:int -> t -> unit
 (** Start sampling every [every] simulated cycles, retaining at most
@@ -64,10 +61,6 @@ val set_label : t -> string -> unit
     config name); carried into the timeline stream. *)
 
 val label : t -> string
-
-val run_id : t -> int
-(** Process-unique id distinguishing interleaved recorders in one
-    timeline file. *)
 
 val every : t -> int
 (** Current cadence — doubles each time the retained stream decimates. *)
@@ -108,22 +101,3 @@ val sample : t -> int -> sample
 
 val samples : t -> sample list
 val iter : t -> (sample -> unit) -> unit
-
-(** {1 Process-wide boot defaults}
-
-    The Trace/Profile/Span/Shadow registry discipline, for drivers that
-    cannot reach the kernels being booted (the experiment registry boots
-    its own).  Forked workers inherit the armed globals, so recording
-    works under the supervised parallel Runner. *)
-
-val set_boot_defaults : ?every:int -> ?cap:int -> enabled:bool -> unit -> unit
-val boot_enabled : unit -> bool
-
-val set_boot_attach : (t -> unit) option -> unit
-(** Hook run on every boot-armed recorder at creation: how the Flight
-    streaming/detector layer (which lives above Ppc) attaches its
-    [on_sample] consumers without Ppc depending on it. *)
-
-val drain_registered : unit -> t list
-(** Boot-armed recorders created since the last drain, in creation
-    order. *)

@@ -141,18 +141,3 @@ let report d =
 let summary t =
   Printf.sprintf "%d translations cross-checked, %d divergence(s)"
     t.sh_checks t.sh_total_divergences
-
-(* --- boot defaults ----------------------------------------------------- *)
-
-let boot_default = ref false
-let registered_rev : t list ref = ref []
-
-let set_boot_defaults ~enabled () = boot_default := enabled
-let boot_enabled () = !boot_default
-
-let register t = registered_rev := t :: !registered_rev
-
-let drain_registered () =
-  let l = List.rev !registered_rev in
-  registered_rev := [];
-  l

@@ -114,20 +114,3 @@ val report : divergence -> string
 
 val summary : t -> string
 (** One line: checks performed and divergences found. *)
-
-(** {1 Boot defaults}
-
-    For drivers that cannot reach the kernels being booted (the
-    experiment registry boots its own): arm shadow checking
-    process-wide, run, then collect every checker created in between —
-    the same pattern as {!Trace.set_boot_defaults}. *)
-
-val set_boot_defaults : enabled:bool -> unit -> unit
-val boot_enabled : unit -> bool
-
-val register : t -> unit
-(** Add a checker to the process-wide drain list ([Kernel.boot] does
-    this for checkers created via boot defaults). *)
-
-val drain_registered : unit -> t list
-(** Checkers registered since the last drain, in creation order. *)

@@ -46,7 +46,7 @@ type t = {
 
 let initial_requests = 1024
 
-let create_plain ~perf =
+let create ~perf =
   { perf;
     enabled = false;
     label = "";
@@ -99,34 +99,6 @@ let enabled t = t.enabled
 
 let set_label t label = t.label <- label
 let label t = t.label
-
-(* --- process-wide boot defaults -------------------------------------- *)
-
-(* Drivers that cannot reach the kernels being booted (the experiment
-   registry boots its own) arm these; every recorder created afterwards
-   starts enabled and registers itself for later collection — the same
-   discipline as Trace, Profile and Shadow. *)
-let boot_defaults : int option ref = ref None
-let registered_rev : t list ref = ref []
-
-let set_boot_defaults ?(requests = initial_requests) ~enabled () =
-  boot_defaults := (if enabled then Some requests else None)
-
-let boot_enabled () = !boot_defaults <> None
-
-let drain_registered () =
-  let l = List.rev !registered_rev in
-  registered_rev := [];
-  l
-
-let create ~perf =
-  let t = create_plain ~perf in
-  (match !boot_defaults with
-  | None -> ()
-  | Some requests ->
-      enable ~requests t;
-      registered_rev := t :: !registered_rev);
-  t
 
 (* --- request classes -------------------------------------------------- *)
 

@@ -36,9 +36,7 @@
 type t
 
 val create : perf:Perf.t -> t
-(** A disabled recorder stamping cycles from [perf] — unless
-    {!set_boot_defaults} armed process-wide spans, in which case it
-    starts enabled and is registered for {!drain_registered}. *)
+(** A disabled recorder stamping cycles from [perf]. *)
 
 val enable : ?requests:int -> t -> unit
 (** Start recording; [requests] sizes the initial per-request arrays
@@ -55,17 +53,6 @@ val set_label : t -> string -> unit
 
 val label : t -> string
 
-(** {1 Boot defaults}
-
-    For drivers that cannot reach the kernels being booted (the
-    experiment registry boots its own): arm spans process-wide, run,
-    then collect every recorder created in between — the same
-    discipline as {!Trace}, {!Profile} and {!Shadow}. *)
-
-val set_boot_defaults : ?requests:int -> enabled:bool -> unit -> unit
-val boot_enabled : unit -> bool
-val drain_registered : unit -> t list
-
 (** {1 Request classes}
 
     A class is (service model x request kind); the workload names them
@@ -73,7 +60,8 @@ val drain_registered : unit -> t list
 
 val set_classes : t -> string array -> unit
 (** Install the class-name table and create one latency {!Hist} per
-    class.  Call after {!enable} (or under armed boot defaults). *)
+    class.  Call after {!enable} (or under a {!Boot} configuration that
+    arms spans). *)
 
 val class_names : t -> string array
 val class_name : t -> int -> string

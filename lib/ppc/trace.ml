@@ -107,7 +107,7 @@ type t = {
 
 let default_ring = 65536
 
-let create_plain ~perf =
+let create ~perf =
   { perf;
     enabled = false;
     r_kind = [||];
@@ -124,14 +124,6 @@ let create_plain ~perf =
     hist_probe = Hist.create ();
     hist_tlb_service = Hist.create ();
     hist_ctxsw = Hist.create () }
-
-(* --- process-wide boot defaults ------------------------------------- *)
-
-(* Drivers that cannot reach the kernels being booted (the experiment
-   registry boots its own) set these; every trace created afterwards
-   starts enabled and registers itself for later collection. *)
-let boot_defaults : (int * int) option ref = ref None
-let registered_rev : t list ref = ref []
 
 let set_sampling t ~every =
   if every > 0 then begin
@@ -156,24 +148,6 @@ let enable ?(ring = default_ring) t =
 let disable t =
   t.enabled <- false;
   set_sampling t ~every:0
-
-let set_boot_defaults ?(ring = default_ring) ?(sample_every = 0) ~enabled () =
-  boot_defaults := (if enabled then Some (ring, sample_every) else None)
-
-let drain_registered () =
-  let l = List.rev !registered_rev in
-  registered_rev := [];
-  l
-
-let create ~perf =
-  let t = create_plain ~perf in
-  (match !boot_defaults with
-  | None -> ()
-  | Some (ring, every) ->
-      enable ~ring t;
-      if every > 0 then set_sampling t ~every;
-      registered_rev := t :: !registered_rev);
-  t
 
 (* --- emission --------------------------------------------------------- *)
 

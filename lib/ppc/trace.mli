@@ -82,9 +82,7 @@ type t = {
     {!Memsys}. *)
 
 val create : perf:Perf.t -> t
-(** A disabled trace stamping events from [perf]'s cycle counter — unless
-    {!set_boot_defaults} armed process-wide tracing, in which case the
-    trace starts enabled and is registered for {!drain_registered}. *)
+(** A disabled trace stamping events from [perf]'s cycle counter. *)
 
 val enable : ?ring:int -> t -> unit
 (** Allocate the ring ([ring] events, default 65536; oldest events are
@@ -99,22 +97,6 @@ val set_sampling : t -> every:int -> unit
 (** Snapshot the Perf counters every [every] simulated cycles
     ([every <= 0] turns sampling off).  Sampling works even when event
     recording is disabled. *)
-
-(** {1 Boot defaults}
-
-    For drivers that cannot reach the kernels being booted (the
-    experiment registry boots its own): arm tracing process-wide, run,
-    then collect every trace created in between. *)
-
-val set_boot_defaults :
-  ?ring:int -> ?sample_every:int -> enabled:bool -> unit -> unit
-(** Arm ([enabled:true]) or disarm process-wide tracing for traces
-    created afterwards.  [sample_every > 0] also turns on timeline
-    sampling for them. *)
-
-val drain_registered : unit -> t list
-(** Traces created-enabled via boot defaults since the last drain, in
-    creation order. *)
 
 (** {1 Emission} — all no-ops unless {!enabled} *)
 

@@ -49,17 +49,12 @@ let default_params =
     worker_requests = 32;
     mix = [| 5; 2; 2; 1 |] }
 
-(* Process-wide request-count default for drivers that cannot reach the
-   params record (the experiment registry builds its own): the --requests
-   knob.  200 — the historical hardcoded count — keeps the committed
+(* The request count for callers that cannot reach the params record
+   (the experiment registry builds its own): the boot configuration's
+   --requests, else the historical 200, which keeps the committed
    baselines byte-identical. *)
-let boot_requests_default = ref default_params.requests
-
-let set_boot_requests n =
-  if n < 1 then invalid_arg "Server.set_boot_requests: requests must be >= 1";
-  boot_requests_default := n
-
-let boot_requests () = !boot_requests_default
+let boot_requests () =
+  Option.value (Boot.current ()).Boot.requests ~default:default_params.requests
 
 type result = {
   perf : Perf.t;

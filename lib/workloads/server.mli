@@ -57,14 +57,12 @@ type params = {
 
 val default_params : params
 
-val set_boot_requests : int -> unit
-(** Process-wide request-count default for drivers that cannot reach the
-    params record (the experiment registry builds its own) — the CLI's
-    [--requests] knob.  The default, 200, keeps the committed baselines
-    byte-identical.  Forked runner workers inherit the armed value.
-    @raise Invalid_argument below 1. *)
-
 val boot_requests : unit -> int
+(** The request count for callers that cannot reach the params record
+    (the experiment registry builds its own): the {!Ppc.Boot}
+    configuration's [requests] — the CLI's [--requests] knob — else
+    {!default_params}' 200, which keeps the committed baselines
+    byte-identical. *)
 
 type result = {
   perf : Ppc.Perf.t;

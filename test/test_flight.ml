@@ -260,14 +260,14 @@ let stream_one_run () =
     Recorder.take_sample rcd
   done;
   Flight.finish sk rcd;
-  (Recorder.run_id rcd, sk, List.rev !lines)
+  (sk, List.rev !lines)
 
 let test_stream_decode_roundtrip () =
-  let run, sk, lines = stream_one_run () in
+  let sk, lines = stream_one_run () in
   match Flight.decode_lines lines with
   | Error m -> Alcotest.fail m
   | Ok [ tl ] ->
-      Alcotest.(check int) "run id" run tl.Flight.tl_run;
+      Alcotest.(check int) "the sink's first run" 1 tl.Flight.tl_run;
       Alcotest.(check string) "label" "unit" tl.Flight.tl_label;
       Alcotest.(check bool) "ended" true tl.Flight.tl_ended;
       Alcotest.(check int) "total" 5 tl.Flight.tl_total;
@@ -294,7 +294,7 @@ let test_stream_decode_roundtrip () =
   | Ok l -> Alcotest.fail (Printf.sprintf "%d timelines" (List.length l))
 
 let test_delta_encoding_is_sparse () =
-  let _, _, lines = stream_one_run () in
+  let _, lines = stream_one_run () in
   (* line 0 = begin; line 2 = the second sample: between samples only
      cycles, itlb_lookups changed (runq stayed [|1;1|]) *)
   let j =
@@ -312,7 +312,7 @@ let test_delta_encoding_is_sparse () =
     (Json.member "g" j = None)
 
 let test_decode_unclosed_run () =
-  let _, _, lines = stream_one_run () in
+  let _, lines = stream_one_run () in
   let truncated = List.filteri (fun i _ -> i < 3) lines in
   match Flight.decode_lines truncated with
   | Error m -> Alcotest.fail m
@@ -372,7 +372,7 @@ let test_decode_errors_carry_line_numbers () =
 (* --- series and export ------------------------------------------------- *)
 
 let test_series () =
-  let _, _, lines = stream_one_run () in
+  let _, lines = stream_one_run () in
   let tl =
     match Flight.decode_lines lines with
     | Ok [ tl ] -> tl
@@ -390,7 +390,7 @@ let test_series () =
     (List.assoc_opt "htab_occupancy_pct" series = None)
 
 let test_to_chrome_shape () =
-  let _, _, lines = stream_one_run () in
+  let _, lines = stream_one_run () in
   let tls =
     match Flight.decode_lines lines with Ok l -> l | Error m -> Alcotest.fail m
   in
@@ -409,10 +409,39 @@ let test_to_chrome_shape () =
   Alcotest.(check bool) "counter tracks" true (List.exists (ph "C") events);
   Alcotest.(check bool) "incident instant" true (List.exists (ph "i") events)
 
+(* Run numbers belong to the sink: they count up in attach order, the
+   order the "begin" lines reach the stream, and each end line finds its
+   own run even when the recorders finish in the other order. *)
+let test_sink_numbers_runs () =
+  let lines = ref [] in
+  let sk = Flight.sink ~write:(fun l -> lines := l :: !lines) () in
+  let mk label =
+    let rcd = Recorder.create ~perf:(Perf.create ()) in
+    Recorder.enable ~every:100 rcd;
+    Recorder.set_label rcd label;
+    Flight.attach sk rcd;
+    rcd
+  in
+  let a = mk "a" in
+  let b = mk "b" in
+  Flight.finish sk b;
+  Flight.finish sk a;
+  let run_of t l =
+    match Json.of_string l with
+    | Ok j when Json.member "t" j = Some (Json.String t) ->
+        Option.bind (Json.member "run" j) Json.to_int_opt
+    | _ -> None
+  in
+  let lines = List.rev !lines in
+  Alcotest.(check (list int)) "begin lines count up" [ 1; 2 ]
+    (List.filter_map (run_of "begin") lines);
+  Alcotest.(check (list int)) "end lines find their runs" [ 2; 1 ]
+    (List.filter_map (run_of "end") lines)
+
 (* --- batch detect matches the stream ----------------------------------- *)
 
 let test_batch_detect_matches_stream () =
-  let _, sk, lines = stream_one_run () in
+  let sk, lines = stream_one_run () in
   let tl =
     match Flight.decode_lines lines with
     | Ok [ tl ] -> tl
@@ -442,6 +471,8 @@ let suite =
       test_step_quiet_on_zero_baseline;
     Alcotest.test_case "Drop collapse detector" `Quick test_drop;
     Alcotest.test_case "incident codec" `Quick test_incident_codec;
+    Alcotest.test_case "sink numbers runs in order" `Quick
+      test_sink_numbers_runs;
     Alcotest.test_case "stream decode round trip" `Quick
       test_stream_decode_roundtrip;
     Alcotest.test_case "delta encoding is sparse" `Quick

@@ -295,28 +295,6 @@ let test_runner_serial_equals_parallel () =
       Alcotest.(check string) "seed plumbed" "W3 seed 9" t.Experiments.title
   | o -> Alcotest.fail (Runner.describe o)
 
-let test_serial_forcers () =
-  (* the CLI's non-silent-downgrade authority: every flag whose data
-     can't ship over the worker result pipe must be named, so the
-     warning (or --strict error) tells the user *why* their --jobs was
-     ignored *)
-  let f ?(tracing = false) ?(profiled = false) ?(shadow = false) ?(cpus = 1)
-      () =
-    Runner.serial_forcers ~tracing ~profiled ~shadow ~cpus
-  in
-  Alcotest.(check (list string)) "nothing forces serial" [] (f ());
-  Alcotest.(check (list string)) "trace forces serial"
-    [ "--trace/--timeline" ] (f ~tracing:true ());
-  Alcotest.(check (list string)) "profile forces serial" [ "--profile" ]
-    (f ~profiled:true ());
-  Alcotest.(check (list string)) "shadow forces serial" [ "--shadow" ]
-    (f ~shadow:true ());
-  Alcotest.(check (list string)) "smp forces serial" [ "--cpus" ]
-    (f ~cpus:4 ());
-  Alcotest.(check (list string)) "all forcers, in flag order"
-    [ "--trace/--timeline"; "--profile"; "--shadow"; "--cpus" ]
-    (f ~tracing:true ~profiled:true ~shadow:true ~cpus:2 ())
-
 let test_runner_failure_isolation () =
   let boom : string * (?seed:int -> unit -> Experiments.table) =
     ("BOOM", fun ?seed:_ () -> failwith "deliberate") in
@@ -502,8 +480,6 @@ let suite =
       test_runner_serial_equals_parallel;
     Alcotest.test_case "runner failure isolation" `Quick
       test_runner_failure_isolation;
-    Alcotest.test_case "runner serial forcers named" `Quick
-      test_serial_forcers;
     Alcotest.test_case "runner real experiment (E13)" `Slow
       test_runner_real_experiment;
     Alcotest.test_case "runner worker death retried" `Quick

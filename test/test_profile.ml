@@ -9,6 +9,7 @@ module Experiments = Mmu_tricks.Experiments
 module Profile_export = Mmu_tricks.Profile_export
 module Explain = Mmu_tricks.Explain
 module Json = Mmu_tricks.Json
+module Runner = Mmu_tricks.Runner
 
 (* Same varied workload shape as the shadow tests: processes, COW
    forks, exec, mmap/munmap — plenty of misses to attribute. *)
@@ -68,20 +69,17 @@ let test_profiling_is_free () =
         (run false = run true))
     [ ("optimized", Policy.optimized); ("baseline", Policy.baseline) ]
 
-let test_experiment_table_identical_under_boot_defaults () =
+let test_experiment_table_identical_when_armed () =
   (* the same guarantee end to end: an experiment's table is unchanged
-     when the CLI arms process-wide profiling *)
+     when the boot configuration arms profiling *)
   let d1 = Option.get (Experiments.find "D1") in
   let plain = d1.Experiments.run ~seed:42 () in
-  Profile.set_boot_defaults ~sample_every:50_000 ~enabled:true ();
   let profiled, profilers =
-    Fun.protect
-      ~finally:(fun () ->
-        Profile.set_boot_defaults ~enabled:false ();
-        ignore (Profile.drain_registered () : Profile.t list))
+    Runner.armed
+      { Boot.plain with Boot.profile = Some 50_000 }
       (fun () ->
         let t = d1.Experiments.run ~seed:42 () in
-        (t, Profile.drain_registered ()))
+        (t, List.map Kernel.profile (Kernel.drain_smp_registered ())))
   in
   Alcotest.(check bool) "table identical" true (plain = profiled);
   Alcotest.(check bool) "profilers were registered and armed" true
@@ -258,33 +256,38 @@ let test_explain_attribution_join () =
   Alcotest.(check (list string)) "unknown id yields nothing" []
     (Explain.attribution_lines doc ~id:"E2")
 
-(* --- boot-defaults registry -------------------------------------------- *)
+(* --- boot configuration and kernel registry ---------------------------- *)
 
-let test_boot_defaults_registry () =
-  Alcotest.(check int) "registry empty" 0
-    (List.length (Profile.drain_registered ()));
-  let mk () = Profile.create ~perf:(Perf.create ()) in
-  Alcotest.(check bool) "disabled by default" false (Profile.enabled (mk ()));
-  Profile.set_boot_defaults ~sample_every:123 ~enabled:true ();
-  Fun.protect
-    ~finally:(fun () ->
-      Profile.set_boot_defaults ~enabled:false ();
-      ignore (Profile.drain_registered () : Profile.t list))
-    (fun () ->
-      let pr = mk () in
-      Alcotest.(check bool) "armed creation enables" true
-        (Profile.enabled pr);
-      Alcotest.(check int) "armed creation registers" 1
-        (List.length (Profile.drain_registered ())));
-  Alcotest.(check bool) "disarmed again" false (Profile.enabled (mk ()));
-  Alcotest.(check int) "drained" 0
-    (List.length (Profile.drain_registered ()))
+let test_boot_config_registry () =
+  let boot () =
+    Kernel.boot ~machine:Machine.ppc604_185 ~policy:Policy.optimized ~seed:7
+      ()
+  in
+  let k, drained, again =
+    Runner.armed
+      { Boot.plain with Boot.profile = Some 123 }
+      (fun () ->
+        let k = boot () in
+        let drained = Kernel.drain_smp_registered () in
+        (k, drained, Kernel.drain_smp_registered ()))
+  in
+  let pr = Kernel.profile k in
+  Alcotest.(check bool) "armed boot enables" true (Profile.enabled pr);
+  Alcotest.(check int) "armed boot samples at the configured cadence" 123
+    pr.Profile.sample_every;
+  Alcotest.(check bool) "armed boot collected" true
+    (List.length drained = 1 && List.hd drained == k);
+  Alcotest.(check int) "one drain empties the registry" 0 (List.length again);
+  Alcotest.(check bool) "disarmed boot is plain" false
+    (Profile.enabled (Kernel.profile (boot ())));
+  Alcotest.(check int) "disarmed boot not registered" 0
+    (List.length (Kernel.drain_smp_registered ()))
 
 let suite =
   [ Alcotest.test_case "profiling is free (kernel)" `Quick
       test_profiling_is_free;
     Alcotest.test_case "experiment table identical when armed" `Quick
-      test_experiment_table_identical_under_boot_defaults;
+      test_experiment_table_identical_when_armed;
     Alcotest.test_case "attribution rows" `Quick test_attribution_rows;
     Alcotest.test_case "hot pages" `Quick test_hot_pages;
     Alcotest.test_case "folded stacks golden" `Quick test_folded_golden;
@@ -297,4 +300,4 @@ let suite =
     Alcotest.test_case "explain attribution join" `Quick
       test_explain_attribution_join;
     Alcotest.test_case "boot-defaults registry" `Quick
-      test_boot_defaults_registry ]
+      test_boot_config_registry ]

@@ -1,10 +1,13 @@
 (* The flight recorder core: one-int-compare disabled cost, fixed-cadence
    sampling, deterministic decimation under the retention cap, in-place
-   gauge replacement, the streaming hook, the boot-defaults registry —
-   and the free-ness contract (an armed run's tables are byte-identical
-   to a bare run at the same seed). *)
+   gauge replacement, the streaming hook, arming through the boot
+   configuration — and the free-ness contract (an armed run's tables
+   are byte-identical to a bare run at the same seed). *)
 open Ppc
+module Kernel = Kernel_sim.Kernel
+module Policy = Kernel_sim.Policy
 module Experiments = Mmu_tricks.Experiments
+module Runner = Mmu_tricks.Runner
 
 let mk () =
   let perf = Perf.create () in
@@ -79,8 +82,7 @@ let test_streaming_hook_sees_everything () =
   Recorder.enable ~every:10 ~cap:4 r;
   let streamed = ref [] in
   Recorder.set_on_sample r (fun rcd s ->
-      Alcotest.(check int) "hook gets the owning recorder"
-        (Recorder.run_id r) (Recorder.run_id rcd);
+      Alcotest.(check bool) "hook gets the owning recorder" true (rcd == r);
       streamed := s.Recorder.s_cycle :: !streamed);
   for i = 1 to 9 do
     perf.Perf.cycles <- i * 10;
@@ -116,39 +118,36 @@ let test_sources_lazy () =
 
 (* --- boot registry ----------------------------------------------------- *)
 
+let boot () =
+  Kernel.boot ~machine:Machine.ppc604_185 ~policy:Policy.optimized ~seed:7 ()
+
 let test_boot_registry () =
-  ignore (Recorder.drain_registered ());
   let attached = ref [] in
-  Recorder.set_boot_attach
-    (Some (fun r -> attached := Recorder.run_id r :: !attached));
-  Recorder.set_boot_defaults ~every:77 ~cap:16 ~enabled:true ();
-  Alcotest.(check bool) "armed" true (Recorder.boot_enabled ());
-  let _, r1 = mk () in
-  let _, r2 = mk () in
-  Recorder.set_boot_defaults ~enabled:false ();
-  Recorder.set_boot_attach None;
-  Alcotest.(check bool) "disarmed" false (Recorder.boot_enabled ());
-  let _, r3 = mk () in
+  let k1, k2, drained, again =
+    Runner.armed
+      { Boot.plain with
+        Boot.record = Some (77, fun r -> attached := r :: !attached) }
+      (fun () ->
+        let k1 = boot () in
+        let k2 = boot () in
+        let drained = Kernel.drain_smp_registered () in
+        (k1, k2, drained, Kernel.drain_smp_registered ()))
+  in
+  let r1 = Kernel.recorder k1 and r2 = Kernel.recorder k2 in
   Alcotest.(check bool) "boot-armed recorders start enabled" true
     (Recorder.enabled r1 && Recorder.enabled r2);
   Alcotest.(check int) "boot cadence applied" 77 (Recorder.every r1);
+  Alcotest.(check bool) "attach hook saw both, in creation order" true
+    (List.length !attached = 2
+    && List.for_all2 ( == ) (List.rev !attached) [ r1; r2 ]);
+  Alcotest.(check bool) "registry collects both, in boot order" true
+    (List.length drained = 2 && List.for_all2 ( == ) drained [ k1; k2 ]);
+  Alcotest.(check int) "one drain empties the registry" 0 (List.length again);
+  let k3 = boot () in
   Alcotest.(check bool) "post-disarm recorders start disabled" false
-    (Recorder.enabled r3);
-  Alcotest.(check (list int)) "attach hook saw both, in creation order"
-    [ Recorder.run_id r1; Recorder.run_id r2 ]
-    (List.rev !attached);
-  let drained = Recorder.drain_registered () in
-  Alcotest.(check (list int)) "registry drains both, in creation order"
-    [ Recorder.run_id r1; Recorder.run_id r2 ]
-    (List.map Recorder.run_id drained);
-  Alcotest.(check (list int)) "drain empties the registry" []
-    (List.map Recorder.run_id (Recorder.drain_registered ()))
-
-let test_run_ids_unique () =
-  let _, a = mk () in
-  let _, b = mk () in
-  Alcotest.(check bool) "process-unique" true
-    (Recorder.run_id a <> Recorder.run_id b)
+    (Recorder.enabled (Kernel.recorder k3));
+  Alcotest.(check int) "post-disarm boots are not registered" 0
+    (List.length (Kernel.drain_smp_registered ()))
 
 (* --- observation-only -------------------------------------------------- *)
 
@@ -158,10 +157,13 @@ let test_recording_is_free () =
      RNG *)
   let run () = (Option.get (Experiments.find "E13")).Experiments.run ~seed:7 () in
   let bare = run () in
-  Recorder.set_boot_defaults ~every:50_000 ~cap:64 ~enabled:true ();
-  let recorded = run () in
-  let drained = Recorder.drain_registered () in
-  Recorder.set_boot_defaults ~enabled:false ();
+  let recorded, drained =
+    Runner.armed
+      { Boot.plain with Boot.record = Some (50_000, ignore) }
+      (fun () ->
+        let t = run () in
+        (t, List.map Kernel.recorder (Kernel.drain_smp_registered ())))
+  in
   Alcotest.(check bool) "tables byte-identical under recording" true
     (bare = recorded);
   Alcotest.(check bool) "and the run really was recorded" true
@@ -179,6 +181,5 @@ let suite =
       test_gauge_replace_in_place;
     Alcotest.test_case "sources lazy until armed" `Quick test_sources_lazy;
     Alcotest.test_case "boot registry" `Quick test_boot_registry;
-    Alcotest.test_case "run ids unique" `Quick test_run_ids_unique;
     Alcotest.test_case "recording is free (E13)" `Slow
       test_recording_is_free ]

@@ -6,6 +6,7 @@ module Kernel = Kernel_sim.Kernel
 module Policy = Kernel_sim.Policy
 module Mm = Kernel_sim.Mm
 module Config = Mmu_tricks.Config
+module Runner = Mmu_tricks.Runner
 
 let user_vsid_base = 0x100
 
@@ -281,25 +282,30 @@ let test_agree_semantics () =
        { Shadow.pa = Some 0x1000; inhibited = true;
          answered = Shadow.Page_table })
 
-let test_boot_defaults_registry () =
-  Shadow.set_boot_defaults ~enabled:true ();
-  Fun.protect
-    ~finally:(fun () ->
-      Shadow.set_boot_defaults ~enabled:false ();
-      ignore (Shadow.drain_registered () : Shadow.t list))
-    (fun () ->
-      Alcotest.(check bool) "default armed" true (Shadow.boot_enabled ());
-      let k =
-        Kernel.boot ~machine:Machine.ppc604_185 ~policy:Policy.optimized
-          ~seed:7 ()
-      in
-      Alcotest.(check bool) "kernel picked up the default" true
-        (Kernel.shadow k <> None);
-      let drained = Shadow.drain_registered () in
-      Alcotest.(check int) "checker registered for the driver" 1
-        (List.length drained);
-      Alcotest.(check int) "drain empties the list" 0
-        (List.length (Shadow.drain_registered ())))
+let test_boot_config_registry () =
+  (* the boot configuration arms the checker; the kernel registry hands
+     its kernel back to the caller *)
+  let boot () =
+    Kernel.boot ~machine:Machine.ppc604_185 ~policy:Policy.optimized ~seed:7
+      ()
+  in
+  let k, drained, again =
+    Runner.armed
+      { Boot.plain with Boot.shadow = true }
+      (fun () ->
+        let k = boot () in
+        let drained = Kernel.drain_smp_registered () in
+        (k, drained, Kernel.drain_smp_registered ()))
+  in
+  Alcotest.(check bool) "armed: kernel picked up a checker" true
+    (Kernel.shadow k <> None);
+  Alcotest.(check bool) "armed: kernel collected for the caller" true
+    (List.length drained = 1 && List.hd drained == k);
+  Alcotest.(check int) "one drain empties the registry" 0 (List.length again);
+  Alcotest.(check bool) "disarmed: plain kernel" true
+    (Kernel.shadow (boot ()) = None);
+  Alcotest.(check int) "disarmed: nothing registered" 0
+    (List.length (Kernel.drain_smp_registered ()))
 
 let suite =
   [ Alcotest.test_case "clean run, all backends" `Quick
@@ -318,4 +324,4 @@ let suite =
       test_kernel_injected_bug_is_caught;
     Alcotest.test_case "agree semantics" `Quick test_agree_semantics;
     Alcotest.test_case "boot-defaults registry" `Quick
-      test_boot_defaults_registry ]
+      test_boot_config_registry ]

@@ -232,6 +232,17 @@ let test_kernel_level_wrap () =
       Alcotest.(check int) "shadow clean across the wrap" 0
         (Shadow.total_divergences s))
 
+(* A multi-CPU boot registers only while the kernel registry is armed:
+   with nothing armed, nothing accumulates for a caller to drain. *)
+let test_disarmed_registry_stays_empty () =
+  ignore (Kernel.drain_smp_registered () : Kernel.t list);
+  ignore
+    (Kernel.boot ~machine:Machine.ppc604_185 ~policy:Policy.optimized ~seed:3
+       ~cpus:4 ()
+      : Kernel.t);
+  Alcotest.(check int) "nothing registered" 0
+    (List.length (Kernel.drain_smp_registered ()))
+
 let suite =
   [ Alcotest.test_case "cpus:1 boot is byte-identical" `Quick
       test_cpus1_identical;
@@ -245,4 +256,6 @@ let suite =
     Alcotest.test_case "lazy reset defers shootdowns" `Quick
       test_lazy_reset_defers;
     Alcotest.test_case "kernel-level VSID wrap" `Quick
-      test_kernel_level_wrap ]
+      test_kernel_level_wrap;
+    Alcotest.test_case "disarmed registry stays empty" `Quick
+      test_disarmed_registry_stays_empty ]

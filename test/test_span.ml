@@ -4,12 +4,14 @@
    costs deterministically, and SLO verdicts gate on the exported
    document. *)
 open Ppc
+module Kernel = Kernel_sim.Kernel
 module Policy = Kernel_sim.Policy
 module Server = Workloads.Server
 module Experiments = Mmu_tricks.Experiments
 module Span_export = Mmu_tricks.Span_export
 module Slo = Mmu_tricks.Slo
 module Json = Mmu_tricks.Json
+module Runner = Mmu_tricks.Runner
 
 (* --- Hist.merge -------------------------------------------------------- *)
 
@@ -156,12 +158,7 @@ let test_spans_are_free () =
   List.iter
     (fun model ->
       let run armed =
-        if armed then Span.set_boot_defaults ~enabled:true ();
-        Fun.protect
-          ~finally:(fun () ->
-            Span.set_boot_defaults ~enabled:false ();
-            ignore (Span.drain_registered () : Span.t list))
-          (fun () ->
+        Boot.with_config { Boot.plain with Boot.spans = armed } (fun () ->
             let r =
               Server.measure ~machine:Machine.ppc604_185
                 ~policy:Policy.optimized ~params:(small_params model)
@@ -175,23 +172,31 @@ let test_spans_are_free () =
         (run false = run true))
     [ Server.Fork_exec; Server.Pool; Server.Shared_mm ]
 
-let test_server_table_identical_under_boot_defaults () =
+let test_server_table_identical_when_armed () =
   (* End to end through the registry: E18's rendered table is unchanged
-     when the CLI arms process-wide spans, and the recorders drained
-     afterwards actually saw the requests. *)
+     when the boot configuration arms spans, the kernels drained
+     afterwards carry recorders that saw the requests, and one drain
+     empties the registry.  Disarmed, boots are plain and unregistered. *)
   let e18 = Option.get (Experiments.find "E18") in
   let plain = e18.Experiments.run ~seed:42 () in
-  Span.set_boot_defaults ~enabled:true ();
-  let spanned, recorders =
-    Fun.protect
-      ~finally:(fun () ->
-        Span.set_boot_defaults ~enabled:false ();
-        ignore (Span.drain_registered () : Span.t list))
+  Alcotest.(check bool) "disarmed: plain recorder" false
+    (Span.enabled
+       (Kernel.span
+          (Kernel.boot ~machine:Machine.ppc604_185 ~policy:Policy.optimized ())));
+  Alcotest.(check int) "disarmed: nothing registered" 0
+    (List.length (Kernel.drain_smp_registered ()));
+  let spanned, recorders, again =
+    Runner.armed
+      { Boot.plain with Boot.spans = true }
       (fun () ->
         let t = e18.Experiments.run ~seed:42 () in
-        (t, Span.drain_registered ()))
+        let recorders = List.map Kernel.span (Kernel.drain_smp_registered ()) in
+        (t, recorders, Kernel.drain_smp_registered ()))
   in
   Alcotest.(check bool) "table identical" true (plain = spanned);
+  Alcotest.(check bool) "armed: every collected recorder enabled" true
+    (recorders <> [] && List.for_all Span.enabled recorders);
+  Alcotest.(check int) "one drain empties the registry" 0 (List.length again);
   let interesting = List.filter Span_export.interesting recorders in
   Alcotest.(check bool) "recorders saw requests" true (interesting <> []);
   List.iter
@@ -206,9 +211,8 @@ let test_server_table_identical_under_boot_defaults () =
 let spans_fixture () =
   (* One small armed server run, exported the way `experiment --spans`
      embeds it. *)
-  Span.set_boot_defaults ~enabled:true ();
-  Fun.protect
-    ~finally:(fun () -> Span.set_boot_defaults ~enabled:false ())
+  Runner.armed
+    { Boot.plain with Boot.spans = true }
     (fun () ->
       ignore
         (Server.measure ~machine:Machine.ppc604_185
@@ -216,7 +220,8 @@ let spans_fixture () =
            ~seed:42 ~label:"optimized" ()
           : Server.result);
       Span_export.to_json
-        (List.filter Span_export.interesting (Span.drain_registered ())))
+        (List.filter Span_export.interesting
+           (List.map Kernel.span (Kernel.drain_smp_registered ()))))
 
 let objective ?(cls = "overall") ?(metric = Slo.P99) ~budget () =
   { Slo.s_experiment = "E18"; s_config = "optimized"; s_class = cls;
@@ -273,7 +278,7 @@ let suite =
     Alcotest.test_case "spans are free (all models)" `Slow
       test_spans_are_free;
     Alcotest.test_case "experiment table identical under boot defaults"
-      `Slow test_server_table_identical_under_boot_defaults;
+      `Slow test_server_table_identical_when_armed;
     Alcotest.test_case "SLO verdicts" `Quick test_slo_verdicts;
     Alcotest.test_case "SLO document roundtrip" `Quick
       test_slo_doc_roundtrip ]
