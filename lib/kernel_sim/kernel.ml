@@ -1060,8 +1060,5 @@ let htab_live_and_zombie t =
   match Mmu.htab t.k_mmu with
   | None -> (0, 0)
   | Some h ->
-      let live =
-        Htab.count_valid h ~f:(fun pte ->
-            Vsid_alloc.is_live t.k_vsid pte.Pte.vsid)
-      in
+      let live = Htab.count_valid h ~f:(Vsid_alloc.is_live t.k_vsid) in
       (live, Htab.occupancy h - live)

@@ -1,19 +1,37 @@
+(* Each slot holds the two words of the paper's Figure 1, interleaved in
+   one [int array]: slot [i]'s word 0 at [2i] and its word 1 at [2i + 1],
+   so a hit reads both from one host cache line.
+
+   Word 0 is the search tag, [vsid lsl 16 lor page_index] for a valid
+   entry and -1 for an invalid one: Figure 1's first word (V, VSID, API)
+   with the whole 16-bit page index standing in for the API, so the probe
+   compares one int per slot.  Word 1 is Figure 1's second word, high
+   bits to low:
+
+     RPN (20) | H | R | C | W | I | M | G | - | PP (2)
+
+   The H bit moves down from the first word into one of the second
+   word's reserved bits.  PP reads as it does for a user (key 1): 0b10
+   read/write, 0b11 read-only, 0b00 no access.  An invalid slot's
+   word 1 is never read. *)
 type t = {
   ptegs : int;
   base : Addr.pa;
-  entries : Pte.t array;  (* pteg-major: entries.(pteg * 8 + slot) *)
-  tags : int array;
-      (* flat probe tags, one per slot: (vsid << 16) | page_index for a
-         valid entry, -1 otherwise.  The probe loops compare one int per
-         slot instead of touching three fields of a [Pte.t] record; the
-         invariant [tags.(i) >= 0 <=> entries.(i).valid] is maintained by
-         every function here that writes a valid bit (all valid-bit
-         writes in the repo live in this module). *)
+  words : int array;
   mutable cursor : int;   (* reclaim scan position *)
 }
 
 let slots_per_pteg = 8
 let pte_bytes = 8
+
+let g_bit = 1 lsl 3
+let m_bit = 1 lsl 4
+let i_bit = 1 lsl 5
+let w_bit = 1 lsl 6
+let c_bit = 1 lsl 7
+let r_bit = 1 lsl 8
+let h_bit = 1 lsl 9
+let rpn_shift = 12
 
 (* The search tag for (vsid, page_index).  [write_entry] masks what it
    stores, so a stored tag is always built from masked fields; searching
@@ -25,18 +43,14 @@ let create ?(base_pa = 0x00100000) ~n_ptes () =
   let ptegs = n_ptes / slots_per_pteg in
   if ptegs <= 0 || ptegs land (ptegs - 1) <> 0 then
     invalid_arg "Htab.create: n_ptes/8 must be a positive power of two";
-  { ptegs;
-    base = base_pa;
-    entries = Array.init n_ptes (fun _ -> Pte.invalid ());
-    tags = Array.make n_ptes (-1);
-    cursor = 0 }
+  { ptegs; base = base_pa; words = Array.make (2 * n_ptes) (-1); cursor = 0 }
 
 let n_ptegs t = t.ptegs
-let capacity t = Array.length t.entries
+let capacity t = Array.length t.words / 2
 let base_pa t = t.base
 
-let pte_pa t ~pteg ~slot =
-  t.base + (((pteg * slots_per_pteg) + slot) * pte_bytes)
+let[@inline] slot_pa t i = t.base + (i * pte_bytes)
+let pte_pa t ~pteg ~slot = slot_pa t ((pteg * slots_per_pteg) + slot)
 
 let[@inline] hash1 t ~vsid ~page_index =
   Pte.hash_primary ~n_ptegs:t.ptegs ~vsid ~page_index
@@ -46,18 +60,18 @@ let[@inline] hash2 t ~primary = Pte.hash_secondary ~n_ptegs:t.ptegs ~primary
 (* Search one PTEG for a matching tag, reporting each slot examined.
    Returns the flat slot index, or -1.  Top-level recursion so the probe
    loop is not a per-call closure allocation. *)
-let rec probe_scan (tags : int array) (tag : int) base pa0
+let rec probe_scan (words : int array) (tag : int) base pa0
     (on_ref : int -> unit) slot =
   if slot >= slots_per_pteg then -1
   else begin
     on_ref (pa0 + (slot * pte_bytes));
-    if tags.(base + slot) = tag then base + slot
-    else probe_scan tags tag base pa0 on_ref (slot + 1)
+    if words.(2 * (base + slot)) = tag then base + slot
+    else probe_scan words tag base pa0 on_ref (slot + 1)
   end
 
 let search_pteg_slot t ~pteg ~tag ~on_ref =
   let base = pteg * slots_per_pteg in
-  probe_scan t.tags tag base (t.base + (base * pte_bytes)) on_ref 0
+  probe_scan t.words tag base (t.base + (base * pte_bytes)) on_ref 0
 
 let search_slot t ~vsid ~page_index ~on_ref =
   let tag = tag_of ~vsid ~page_index in
@@ -66,7 +80,50 @@ let search_slot t ~vsid ~page_index ~on_ref =
   if i >= 0 then i
   else search_pteg_slot t ~pteg:(hash2 t ~primary:p) ~tag ~on_ref
 
-let slot_pte t i = t.entries.(i)
+let[@inline] reference t i =
+  let j = (2 * i) + 1 in
+  let w1 = t.words.(j) lor r_bit in
+  t.words.(j) <- w1;
+  w1
+
+let[@inline] rpn w1 = w1 lsr rpn_shift
+let[@inline] writable w1 = w1 land 3 = 2
+let[@inline] inhibited w1 = w1 land i_bit <> 0
+let[@inline] vsid_of_tag w0 = w0 lsr 16
+
+let wimg_bits (w : Pte.wimg) =
+  (if w.Pte.write_through then w_bit else 0)
+  lor (if w.Pte.cache_inhibited then i_bit else 0)
+  lor (if w.Pte.memory_coherent then m_bit else 0)
+  lor if w.Pte.guarded then g_bit else 0
+
+let pp_bits = function
+  | Pte.Read_write -> 2
+  | Pte.Read_only -> 3
+  | Pte.No_access -> 0
+
+let decode t i =
+  let w0 = t.words.(2 * i) in
+  if w0 < 0 then Pte.invalid
+  else
+    let w1 = t.words.((2 * i) + 1) in
+    { Pte.valid = true;
+      vsid = vsid_of_tag w0;
+      page_index = w0 land 0xFFFF;
+      rpn = rpn w1;
+      secondary = w1 land h_bit <> 0;
+      referenced = w1 land r_bit <> 0;
+      changed = w1 land c_bit <> 0;
+      wimg =
+        { Pte.write_through = w1 land w_bit <> 0;
+          cache_inhibited = w1 land i_bit <> 0;
+          memory_coherent = w1 land m_bit <> 0;
+          guarded = w1 land g_bit <> 0 };
+      protection =
+        (match w1 land 3 with
+        | 2 -> Pte.Read_write
+        | 3 -> Pte.Read_only
+        | _ -> Pte.No_access) }
 
 (* Slots a search examined, from where it stopped: [k + 1] for a hit in
    slot [k] of the primary PTEG, eight more for the secondary, all 16 on
@@ -80,11 +137,11 @@ let probe_len t ~vsid ~page_index i =
 
 let search t ~vsid ~page_index ~on_ref =
   let i = search_slot t ~vsid ~page_index ~on_ref in
-  if i < 0 then None else Some t.entries.(i)
+  if i < 0 then None else Some (decode t i)
 
 let search_counted t ~vsid ~page_index ~on_ref =
   let i = search_slot t ~vsid ~page_index ~on_ref in
-  ( (if i < 0 then None else Some t.entries.(i)),
+  ( (if i < 0 then None else Some (decode t i)),
     probe_len t ~vsid ~page_index i )
 
 type replacement =
@@ -92,185 +149,178 @@ type replacement =
   | Second_chance
   | Prefer_zombie of (int -> bool)
 
-type insert_outcome =
-  | Filled_empty
-  | Replaced of Pte.t
-
-(* Find a reusable slot in a PTEG: an entry with the same tag (update in
-   place) or an invalid slot.  Reports references. *)
+(* Find a reusable slot in a PTEG: the flat index of an entry with the
+   same tag (update in place), else of the first invalid slot, else -1.
+   Reports all eight references. *)
 let find_free t ~pteg ~tag ~on_ref =
   let base = pteg * slots_per_pteg in
   let free = ref (-1) in
   let same = ref (-1) in
-  for slot = 0 to slots_per_pteg - 1 do
-    on_ref (pte_pa t ~pteg ~slot);
-    let stored = t.tags.(base + slot) in
-    if stored = tag then same := slot
-    else if stored < 0 && !free < 0 then free := slot
+  for i = base to base + slots_per_pteg - 1 do
+    on_ref (slot_pa t i);
+    let stored = t.words.(2 * i) in
+    if stored = tag then same := i
+    else if stored < 0 && !free < 0 then free := i
   done;
-  if !same >= 0 then Some !same else if !free >= 0 then Some !free else None
+  if !same >= 0 then !same else !free
 
-let write_entry t ~pteg ~slot ~secondary ~vsid ~page_index ~rpn ~wimg
-    ~protection ~changed =
-  let i = (pteg * slots_per_pteg) + slot in
-  let e = t.entries.(i) in
-  e.Pte.valid <- true;
-  e.Pte.vsid <- vsid land 0xFFFFFF;
-  e.Pte.page_index <- page_index land 0xFFFF;
-  e.Pte.rpn <- rpn land 0xFFFFF;
-  e.Pte.secondary <- secondary;
-  e.Pte.referenced <- true;
-  e.Pte.changed <- changed;
-  e.Pte.wimg <- wimg;
-  e.Pte.protection <- protection;
-  t.tags.(i) <- tag_of ~vsid:e.Pte.vsid ~page_index:e.Pte.page_index
+let write_entry t i ~secondary ~vsid ~page_index ~rpn ~wimg ~protection
+    ~changed =
+  t.words.(2 * i) <-
+    tag_of ~vsid:(vsid land 0xFFFFFF) ~page_index:(page_index land 0xFFFF);
+  t.words.((2 * i) + 1) <-
+    ((rpn land 0xFFFFF) lsl rpn_shift)
+    lor (if secondary then h_bit else 0)
+    lor r_bit
+    lor (if changed then c_bit else 0)
+    lor wimg_bits wimg lor pp_bits protection
+
+let arbitrary_victim ~rng ~primary ~secondary =
+  let pteg = if Rng.bool rng then secondary else primary in
+  (pteg * slots_per_pteg) + Rng.int rng slots_per_pteg
+
+(* The first slot of a PTEG whose R bit is clear, or -1.  Reports all
+   eight references. *)
+let first_unreferenced t ~pteg ~on_ref =
+  let base = pteg * slots_per_pteg in
+  let found = ref (-1) in
+  for i = base to base + slots_per_pteg - 1 do
+    on_ref (slot_pa t i);
+    if !found < 0 && t.words.((2 * i) + 1) land r_bit = 0 then found := i
+  done;
+  !found
+
+let clear_r_bits t ~pteg =
+  let base = pteg * slots_per_pteg in
+  for i = base to base + slots_per_pteg - 1 do
+    t.words.((2 * i) + 1) <- t.words.((2 * i) + 1) land lnot r_bit
+  done
 
 (* Second-chance victim selection over the 16 candidate slots: an
    unreferenced entry if one exists, else strip every R bit and choose
    arbitrarily. *)
 let pick_victim_second_chance t ~rng ~primary ~secondary ~on_ref =
-  let candidate = ref None in
-  let examine pteg =
-    for slot = 0 to slots_per_pteg - 1 do
-      on_ref (pte_pa t ~pteg ~slot);
-      let pte = t.entries.((pteg * slots_per_pteg) + slot) in
-      if (not pte.Pte.referenced) && !candidate = None then
-        candidate := Some (pteg, slot)
-    done
-  in
-  examine primary;
-  (match !candidate with None -> examine secondary | Some _ -> ());
-  match !candidate with
-  | Some c -> c
-  | None ->
-      (* everyone was referenced: second chance for all *)
-      List.iter
-        (fun pteg ->
-          for slot = 0 to slots_per_pteg - 1 do
-            t.entries.((pteg * slots_per_pteg) + slot).Pte.referenced <- false
-          done)
-        [ primary; secondary ];
-      let in_secondary = Rng.bool rng in
-      ((if in_secondary then secondary else primary), Rng.int rng slots_per_pteg)
+  let i = first_unreferenced t ~pteg:primary ~on_ref in
+  let i = if i >= 0 then i else first_unreferenced t ~pteg:secondary ~on_ref in
+  if i >= 0 then i
+  else begin
+    (* everyone was referenced: second chance for all *)
+    clear_r_bits t ~pteg:primary;
+    clear_r_bits t ~pteg:secondary;
+    arbitrary_victim ~rng ~primary ~secondary
+  end
+
+(* The first slot of a PTEG whose VSID [is_zombie] marks dead, or -1.
+   Reports references up to and including that slot. *)
+let first_zombie t ~is_zombie ~pteg ~on_ref =
+  let base = pteg * slots_per_pteg in
+  let found = ref (-1) in
+  for i = base to base + slots_per_pteg - 1 do
+    if !found < 0 then begin
+      on_ref (slot_pa t i);
+      if is_zombie (vsid_of_tag t.words.(2 * i)) then found := i
+    end
+  done;
+  !found
 
 (* Zombie-aware victim selection: the first entry whose VSID the
    predicate marks dead; arbitrary if the 16 candidates are all live. *)
 let pick_victim_zombie t ~rng ~is_zombie ~primary ~secondary ~on_ref =
-  let candidate = ref None in
-  let examine pteg =
-    for slot = 0 to slots_per_pteg - 1 do
-      if !candidate = None then begin
-        on_ref (pte_pa t ~pteg ~slot);
-        let pte = t.entries.((pteg * slots_per_pteg) + slot) in
-        if is_zombie pte.Pte.vsid then candidate := Some (pteg, slot)
-      end
-    done
+  let i = first_zombie t ~is_zombie ~pteg:primary ~on_ref in
+  let i =
+    if i >= 0 then i else first_zombie t ~is_zombie ~pteg:secondary ~on_ref
   in
-  examine primary;
-  (match !candidate with None -> examine secondary | Some _ -> ());
-  match !candidate with
-  | Some c -> c
-  | None ->
-      let in_secondary = Rng.bool rng in
-      ((if in_secondary then secondary else primary), Rng.int rng slots_per_pteg)
+  if i >= 0 then i else arbitrary_victim ~rng ~primary ~secondary
 
 let insert ?(policy = Arbitrary) ?(changed = false) t ~rng ~vsid ~page_index
     ~rpn ~wimg ~protection ~on_ref =
   let tag = tag_of ~vsid ~page_index in
   let p = hash1 t ~vsid ~page_index in
-  match find_free t ~pteg:p ~tag ~on_ref with
-  | Some slot ->
-      write_entry t ~pteg:p ~slot ~secondary:false ~vsid ~page_index ~rpn
-        ~wimg ~protection ~changed;
-      Filled_empty
-  | None -> begin
-      let s = hash2 t ~primary:p in
-      match find_free t ~pteg:s ~tag ~on_ref with
-      | Some slot ->
-          write_entry t ~pteg:s ~slot ~secondary:true ~vsid ~page_index ~rpn
-            ~wimg ~protection ~changed;
-          Filled_empty
-      | None ->
-          (* Both PTEGs full: pick a victim without checking whether its
-             VSID is live (the hardware view cannot tell). *)
-          let pteg, slot =
-            match policy with
-            | Arbitrary ->
-                let in_secondary = Rng.bool rng in
-                ((if in_secondary then s else p), Rng.int rng slots_per_pteg)
-            | Second_chance ->
-                pick_victim_second_chance t ~rng ~primary:p ~secondary:s
-                  ~on_ref
-            | Prefer_zombie is_zombie ->
-                pick_victim_zombie t ~rng ~is_zombie ~primary:p ~secondary:s
-                  ~on_ref
-          in
-          let in_secondary = pteg = s in
-          let victim = t.entries.((pteg * slots_per_pteg) + slot) in
-          let victim_copy =
-            Pte.make ~secondary:victim.Pte.secondary ~wimg:victim.Pte.wimg
-              ~protection:victim.Pte.protection ~vsid:victim.Pte.vsid
-              ~page_index:victim.Pte.page_index ~rpn:victim.Pte.rpn ()
-          in
-          on_ref (pte_pa t ~pteg ~slot);
-          write_entry t ~pteg ~slot ~secondary:in_secondary ~vsid ~page_index
-            ~rpn ~wimg ~protection ~changed;
-          Replaced victim_copy
+  let i = find_free t ~pteg:p ~tag ~on_ref in
+  if i >= 0 then begin
+    write_entry t i ~secondary:false ~vsid ~page_index ~rpn ~wimg ~protection
+      ~changed;
+    -1
+  end
+  else begin
+    let s = hash2 t ~primary:p in
+    let i = find_free t ~pteg:s ~tag ~on_ref in
+    if i >= 0 then begin
+      write_entry t i ~secondary:true ~vsid ~page_index ~rpn ~wimg
+        ~protection ~changed;
+      -1
     end
+    else begin
+      (* Both PTEGs full: pick a victim without checking whether its
+         VSID is live (the hardware view cannot tell). *)
+      let i =
+        match policy with
+        | Arbitrary -> arbitrary_victim ~rng ~primary:p ~secondary:s
+        | Second_chance ->
+            pick_victim_second_chance t ~rng ~primary:p ~secondary:s ~on_ref
+        | Prefer_zombie is_zombie ->
+            pick_victim_zombie t ~rng ~is_zombie ~primary:p ~secondary:s
+              ~on_ref
+      in
+      let victim = t.words.(2 * i) in
+      on_ref (slot_pa t i);
+      write_entry t i ~secondary:(i / slots_per_pteg = s) ~vsid ~page_index
+        ~rpn ~wimg ~protection ~changed;
+      victim
+    end
+  end
 
 let invalidate_page t ~vsid ~page_index ~on_ref =
   let i = search_slot t ~vsid ~page_index ~on_ref in
   if i < 0 then false
   else begin
-    t.entries.(i).Pte.valid <- false;
-    t.tags.(i) <- -1;
+    t.words.(2 * i) <- -1;
     true
   end
 
 let reclaim_zombies t ~is_zombie ~max_ptes ~on_ref =
+  let words = t.words in
   let total = capacity t in
-  let budget = min max_ptes total in
   let reclaimed = ref 0 in
-  for _ = 1 to budget do
-    let i = t.cursor in
-    t.cursor <- (t.cursor + 1) mod total;
-    let pteg = i / slots_per_pteg and slot = i mod slots_per_pteg in
-    on_ref (pte_pa t ~pteg ~slot);
-    let pte = t.entries.(i) in
-    if pte.Pte.valid && is_zombie pte.Pte.vsid then begin
-      pte.Pte.valid <- false;
-      t.tags.(i) <- -1;
+  let i = ref t.cursor in
+  for _ = 1 to min max_ptes total do
+    on_ref (slot_pa t !i);
+    let w0 = words.(2 * !i) in
+    if w0 >= 0 && is_zombie (vsid_of_tag w0) then begin
+      words.(2 * !i) <- -1;
       incr reclaimed
-    end
+    end;
+    i := if !i + 1 = total then 0 else !i + 1
   done;
+  t.cursor <- !i;
   !reclaimed
 
 let occupancy t =
   let n = ref 0 in
-  for i = 0 to Array.length t.tags - 1 do
-    if t.tags.(i) >= 0 then incr n
+  for i = 0 to capacity t - 1 do
+    if t.words.(2 * i) >= 0 then incr n
   done;
   !n
 
 let count_valid t ~f =
-  Array.fold_left
-    (fun n pte -> if pte.Pte.valid && f pte then n + 1 else n)
-    0 t.entries
-
-let iter_valid t ~f =
-  Array.iter (fun pte -> if pte.Pte.valid then f pte) t.entries
+  let n = ref 0 in
+  for i = 0 to capacity t - 1 do
+    let w0 = t.words.(2 * i) in
+    if w0 >= 0 && f (vsid_of_tag w0) then incr n
+  done;
+  !n
 
 let clear t =
-  Array.iter (fun pte -> pte.Pte.valid <- false) t.entries;
-  Array.fill t.tags 0 (Array.length t.tags) (-1);
+  Array.fill t.words 0 (Array.length t.words) (-1);
   t.cursor <- 0
 
 let histogram t =
   let h = Array.make (slots_per_pteg + 1) 0 in
   for pteg = 0 to t.ptegs - 1 do
+    let base = pteg * slots_per_pteg in
     let valid = ref 0 in
-    for slot = 0 to slots_per_pteg - 1 do
-      if t.tags.((pteg * slots_per_pteg) + slot) >= 0 then incr valid
+    for i = base to base + slots_per_pteg - 1 do
+      if t.words.(2 * i) >= 0 then incr valid
     done;
     h.(!valid) <- h.(!valid) + 1
   done;

@@ -6,6 +6,14 @@
     examines up to 16 PTEs — the "16 memory references" the paper charges
     to every precise flush and hardware reload.
 
+    Each entry is stored as the two words of the paper's Figure 1, two
+    [int]s per slot in one flat array (16 host bytes per simulated 8-byte
+    PTE; no per-entry record).  Word 0 is the search tag
+    [vsid lsl 16 lor page_index] of a valid entry, and -1 for an invalid
+    one.  Word 1 packs, high bits to low, RPN, H, R, C, WIMG and PP.  The
+    hot paths read the words; {!decode} builds a {!Pte.t} view for tests
+    and cold readers.
+
     The structure itself is policy-free: it reports which physical PTE
     slots a search touched (via [on_ref]) so the MMU can drive them
     through the data cache, and it exposes zombie accounting hooks so the
@@ -56,9 +64,28 @@ val search_slot :
 (** [search] without the option: the flat slot index of the match, or
     [-1].  Same references in the same order; allocates nothing. *)
 
-val slot_pte : t -> int -> Pte.t
-(** The entry stored in a slot {!search_slot} returned (the table's own
-    record, not a copy). *)
+val decode : t -> int -> Pte.t
+(** [decode t i] is the entry in slot [i] decoded from its two words
+    ({!Pte.invalid} for an invalid slot): a fresh immutable view, so
+    nothing written to the table through it can exist. *)
+
+val reference : t -> int -> int
+(** [reference t i] sets the R bit of the valid entry in slot [i] — what
+    the hardware does on a search hit — and returns its word 1, which
+    {!rpn}, {!writable} and {!inhibited} read. *)
+
+val rpn : int -> int
+(** The real page number in a word 1. *)
+
+val writable : int -> bool
+(** Whether a word 1's PP bits grant a user store. *)
+
+val inhibited : int -> bool
+(** Whether a word 1's WIMG bits mark the page cache-inhibited. *)
+
+val vsid_of_tag : int -> int
+(** The VSID in a word 0 (a search tag), as {!insert} reports a
+    displaced entry. *)
 
 val probe_len : t -> vsid:int -> page_index:int -> int -> int
 (** [probe_len t ~vsid ~page_index i] is the number of slots the search
@@ -82,10 +109,6 @@ type replacement =
   | Second_chance
   | Prefer_zombie of (int -> bool)
 
-type insert_outcome =
-  | Filled_empty        (** an invalid slot was available *)
-  | Replaced of Pte.t   (** a valid entry was displaced (copy of victim) *)
-
 val insert :
   ?policy:replacement ->
   ?changed:bool ->
@@ -97,15 +120,16 @@ val insert :
   wimg:Pte.wimg ->
   protection:Pte.protection ->
   on_ref:(Addr.pa -> unit) ->
-  insert_outcome
+  int
 (** [insert t ~rng ...] places a PTE, preferring an invalid slot in the
     primary PTEG, then in the secondary PTEG; when both groups are full a
     victim is displaced according to [policy] (default [Arbitrary] — the
     paper's non-optimal replacement, which cannot tell a zombie from a
     live entry).  If an entry with the same tag already exists it is
-    updated in place ([Filled_empty]).  The written entry has R set and
-    C set to [changed] (default [false]) whichever way the slot was
-    found. *)
+    updated in place.  The written entry has R set and C set to
+    [changed] (default [false]) whichever way the slot was found.
+    Returns the displaced entry's word 0 ({!vsid_of_tag} reads its VSID),
+    or [-1] when no valid entry was displaced.  Allocates nothing. *)
 
 val invalidate_page :
   t -> vsid:int -> page_index:int -> on_ref:(Addr.pa -> unit) -> bool
@@ -122,16 +146,16 @@ val reclaim_zombies :
 (** [reclaim_zombies t ~is_zombie ~max_ptes ~on_ref] is the idle-task
     scan: examine up to [max_ptes] slots starting from a persistent
     cursor, clearing the valid bit of every PTE whose VSID satisfies
-    [is_zombie].  Returns the number reclaimed.  The cursor survives
-    across calls so repeated idle slices cover the whole table. *)
+    [is_zombie] (read from word 0).  Returns the number reclaimed.  The
+    cursor survives across calls so repeated idle slices cover the whole
+    table. *)
 
 val occupancy : t -> int
 (** Number of valid PTEs (live + zombie: what the hardware sees). *)
 
-val count_valid : t -> f:(Pte.t -> bool) -> int
-(** Count valid entries satisfying [f] (e.g. live vs zombie split). *)
-
-val iter_valid : t -> f:(Pte.t -> unit) -> unit
+val count_valid : t -> f:(int -> bool) -> int
+(** Count valid entries whose VSID satisfies [f] (e.g. live vs zombie
+    split).  Reads word 0 only; decodes nothing. *)
 
 val clear : t -> unit
 (** Invalidate every entry. *)

@@ -237,7 +237,7 @@ let create ?(htab_base_pa = 0x0030_0000) ?(cpus = 1) ~machine ~memsys ~knobs
           { Profile.h_cycle = (Memsys.perf memsys).Perf.cycles;
             h_valid = Htab.occupancy h;
             h_capacity = Htab.capacity h;
-            h_zombie = Htab.count_valid h ~f:(fun p -> t.is_zombie p.Pte.vsid);
+            h_zombie = Htab.count_valid h ~f:t.is_zombie;
             h_chains = Htab.histogram h }));
   (* Flight-recorder gauges over the same machine state: only ever read
      inside [Recorder.take_sample], so they cost nothing unarmed. *)
@@ -248,7 +248,7 @@ let create ?(htab_base_pa = 0x0030_0000) ?(cpus = 1) ~machine ~memsys ~knobs
       Recorder.add_source rcd ~name:"htab" (fun () ->
           [| Htab.occupancy h;
              Htab.capacity h;
-             Htab.count_valid h ~f:(fun p -> t.is_zombie p.Pte.vsid) |]);
+             Htab.count_valid h ~f:t.is_zombie |]);
       Recorder.add_source rcd ~name:"htab_chains" (fun () ->
           Htab.histogram h));
   Recorder.add_source rcd ~name:"tlb" (fun () ->
@@ -328,12 +328,10 @@ let r_inhibited = 1
 let r_writable = 2
 let r_from_htab = 4
 
-let[@inline] pack ~rpn ~wimg ~protection =
+let[@inline] pack ~rpn ~writable ~inhibited =
   (rpn lsl 3)
-  lor (match protection with
-      | Pte.Read_write -> r_writable
-      | Pte.Read_only | Pte.No_access -> 0)
-  lor if wimg.Pte.cache_inhibited then r_inhibited else 0
+  lor (if writable then r_writable else 0)
+  lor if inhibited then r_inhibited else 0
 
 (* Software fill after every faster mechanism missed: walk the Linux page
    tables and, when an htab exists, place the PTE there (possibly
@@ -363,26 +361,28 @@ let walk_and_fill t ~vsid ~ea ~page_index ~store =
              loaded the PTE into the hash table" (§7): R is set at reload
              and C eagerly for stores, whether the slot was free or
              displaced a victim, so a later flush is a pure invalidate. *)
-          (match
-             Htab.insert h ~policy ~changed:store ~rng:t.rng ~vsid ~page_index
-               ~rpn ~wimg ~protection ~on_ref:t.on_htab_ref
-           with
-          | Htab.Filled_empty -> ()
-          | Htab.Replaced victim ->
-              (* the rejected design pays a software liveness check per
-                 candidate right in the reload path *)
-              if t.knobs.htab_replacement = `Zombie_aware then
-                Memsys.instructions t.memsys Cost.zombie_check_instr;
-              p.Perf.htab_evicts <- p.Perf.htab_evicts + 1;
-              let victim_zombie = t.is_zombie victim.Pte.vsid in
-              if victim_zombie then
-                p.Perf.htab_evicts_zombie <- p.Perf.htab_evicts_zombie + 1
-              else p.Perf.htab_evicts_live <- p.Perf.htab_evicts_live + 1;
-              let tr = trace t in
-              if Trace.enabled tr then
-                Trace.emit tr Trace.Htab_evict ~a:victim.Pte.vsid
-                  ~b:(if victim_zombie then 0 else 1)));
-      pack ~rpn ~wimg ~protection
+          let victim =
+            Htab.insert h ~policy ~changed:store ~rng:t.rng ~vsid ~page_index
+              ~rpn ~wimg ~protection ~on_ref:t.on_htab_ref
+          in
+          if victim >= 0 then begin
+            (* the rejected design pays a software liveness check per
+               candidate right in the reload path *)
+            if t.knobs.htab_replacement = `Zombie_aware then
+              Memsys.instructions t.memsys Cost.zombie_check_instr;
+            p.Perf.htab_evicts <- p.Perf.htab_evicts + 1;
+            let victim_vsid = Htab.vsid_of_tag victim in
+            let victim_zombie = t.is_zombie victim_vsid in
+            if victim_zombie then
+              p.Perf.htab_evicts_zombie <- p.Perf.htab_evicts_zombie + 1
+            else p.Perf.htab_evicts_live <- p.Perf.htab_evicts_live + 1;
+            let tr = trace t in
+            if Trace.enabled tr then
+              Trace.emit tr Trace.Htab_evict ~a:victim_vsid
+                ~b:(if victim_zombie then 0 else 1)
+          end);
+      pack ~rpn ~writable:(protection = Pte.Read_write)
+        ~inhibited:wimg.Pte.cache_inhibited
 
 let search_htab t h ~vsid ~page_index ~software =
   let p = perf t in
@@ -398,9 +398,9 @@ let search_htab t h ~vsid ~page_index ~software =
       ~hit:(i >= 0);
   if i < 0 then -1
   else begin
-    let pte = Htab.slot_pte h i in
-    pte.Pte.referenced <- true;
-    pack ~rpn:pte.Pte.rpn ~wimg:pte.Pte.wimg ~protection:pte.Pte.protection
+    let w1 = Htab.reference h i in
+    pack ~rpn:(Htab.rpn w1) ~writable:(Htab.writable w1)
+      ~inhibited:(Htab.inhibited w1)
     lor r_from_htab
   end
 

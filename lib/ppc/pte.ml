@@ -19,15 +19,15 @@ let wimg_default =
 let wimg_uncached = { wimg_default with cache_inhibited = true }
 
 type t = {
-  mutable valid : bool;
-  mutable vsid : int;
-  mutable page_index : int;
-  mutable rpn : int;
-  mutable secondary : bool;
-  mutable referenced : bool;
-  mutable changed : bool;
-  mutable wimg : wimg;
-  mutable protection : protection;
+  valid : bool;
+  vsid : int;
+  page_index : int;
+  rpn : int;
+  secondary : bool;
+  referenced : bool;
+  changed : bool;
+  wimg : wimg;
+  protection : protection;
 }
 
 let make ?(secondary = false) ?(wimg = wimg_default)
@@ -42,7 +42,7 @@ let make ?(secondary = false) ?(wimg = wimg_default)
     wimg;
     protection }
 
-let invalid () =
+let invalid =
   { valid = false;
     vsid = 0;
     page_index = 0;

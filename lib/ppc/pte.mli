@@ -4,7 +4,13 @@
     number plus protection and storage-control bits.  The hashed page table
     ("htab") is organised in {e PTE groups} (PTEGs) of eight entries; a
     primary hash selects one PTEG and its one's-complement selects the
-    secondary (overflow) PTEG, exactly as in the 603/604 user's manuals. *)
+    secondary (overflow) PTEG, exactly as in the 603/604 user's manuals.
+
+    The htab stores each entry as the two words of the paper's Figure 1
+    (see {!Htab}).  A [t] is an immutable decoded view of one entry, built
+    by {!Htab.decode} for tests and cold readers: the table's words are
+    the only copy of an entry's state, so writing through a view is not
+    possible. *)
 
 (** Page protection, from the PP bits. *)
 type protection =
@@ -29,15 +35,15 @@ val wimg_uncached : wimg
     data cache. *)
 
 type t = {
-  mutable valid : bool;
-  mutable vsid : int;          (** 24-bit virtual segment id. *)
-  mutable page_index : int;    (** 16-bit page index within the segment. *)
-  mutable rpn : int;           (** 20-bit real (physical) page number. *)
-  mutable secondary : bool;    (** H bit: entry lives in its secondary PTEG. *)
-  mutable referenced : bool;   (** R bit. *)
-  mutable changed : bool;      (** C bit. *)
-  mutable wimg : wimg;
-  mutable protection : protection;
+  valid : bool;
+  vsid : int;          (** 24-bit virtual segment id. *)
+  page_index : int;    (** 16-bit page index within the segment. *)
+  rpn : int;           (** 20-bit real (physical) page number. *)
+  secondary : bool;    (** H bit: entry lives in its secondary PTEG. *)
+  referenced : bool;   (** R bit. *)
+  changed : bool;      (** C bit. *)
+  wimg : wimg;
+  protection : protection;
 }
 
 val make :
@@ -52,8 +58,8 @@ val make :
 (** [make ~vsid ~page_index ~rpn ()] builds a valid PTE with default
     storage control and read-write protection. *)
 
-val invalid : unit -> t
-(** A fresh invalid entry (all fields zeroed). *)
+val invalid : t
+(** The invalid entry (all fields zeroed). *)
 
 val matches : t -> vsid:int -> page_index:int -> bool
 (** [matches pte ~vsid ~page_index] holds when [pte] is valid and tags

@@ -9,12 +9,17 @@
 
    The bound is per translation and leaves room for the timer tick,
    which [Kernel.touch] runs every [Kparams.timer_tick_cycles] simulated
-   cycles and which does allocate. *)
+   cycles and which does allocate.
+
+   The software fill's [Htab.insert] is gated on its own, under each
+   replacement policy: the fill path around it still allocates
+   ([backing.walk] returns a record), so [Kernel.touch] cannot gate it. *)
 open Ppc
 module Kernel = Kernel_sim.Kernel
 module Policy = Kernel_sim.Policy
 module Mm = Kernel_sim.Mm
 
+let no_ref (_ : Addr.pa) = ()
 let data_base = Mm.user_text_base + (16 lsl Addr.page_shift)
 let calls = 20_000
 let bound = 0.01
@@ -52,6 +57,43 @@ let check_loop machine ~pages ~reloads () =
   if words >= bound then
     Alcotest.failf "%.4f minor words per translation (bound %.2f)" words bound
 
+(* Minor words per [Htab.insert] on the 604-185's 16,384-entry table.
+   For each of 512 page indices, 24 VSIDs share one PTEG pair: sixteen
+   inserts fill both PTEGs' free slots, sixteen more update those
+   entries in place, and the last eight each evict with both PTEGs full.
+   [policy] and [changed] are passed through as options built once, as
+   a caller that names them per call would allocate the [Some]. *)
+let words_per_insert policy =
+  let h = Htab.create ~n_ptes:16_384 () in
+  let rng = Rng.create ~seed:42 in
+  let policy = Some policy and changed = Some true in
+  let evictions = ref 0 and inserts = ref 0 in
+  let insert ~vsid ~page_index =
+    incr inserts;
+    if
+      Htab.insert ?policy ?changed h ~rng ~vsid ~page_index ~rpn:vsid
+        ~wimg:Pte.wimg_default ~protection:Pte.Read_write ~on_ref:no_ref
+      >= 0
+    then incr evictions
+  in
+  (* VSIDs that are multiples of the PTEG count hash with the page index
+     alone *)
+  let vsid k = k * Htab.n_ptegs h in
+  let words_before = Gc.minor_words () in
+  for page_index = 0 to 511 do
+    for k = 0 to 15 do insert ~vsid:(vsid k) ~page_index done;
+    for k = 0 to 15 do insert ~vsid:(vsid k) ~page_index done;
+    for k = 16 to 23 do insert ~vsid:(vsid k) ~page_index done
+  done;
+  let words = Gc.minor_words () -. words_before in
+  (words /. float_of_int !inserts, !evictions)
+
+let check_insert policy () =
+  let words, evictions = words_per_insert policy in
+  Alcotest.(check int) "eight evictions per PTEG pair" (512 * 8) evictions;
+  if words >= bound then
+    Alcotest.failf "%.4f minor words per insert (bound %.2f)" words bound
+
 (* 8 pages stay in every TLB; 512 pages cycle through more sets than a
    2-way TLB of 128 (604) or 64 (603) entries holds. *)
 let suite =
@@ -62,4 +104,10 @@ let suite =
     Alcotest.test_case "warm loop (603-133, sw htab)" `Quick
       (check_loop Machine.ppc603_133 ~pages:8 ~reloads:false);
     Alcotest.test_case "reload loop (603-133, sw htab)" `Quick
-      (check_loop Machine.ppc603_133 ~pages:512 ~reloads:true) ]
+      (check_loop Machine.ppc603_133 ~pages:512 ~reloads:true);
+    Alcotest.test_case "htab insert (arbitrary)" `Quick
+      (check_insert Htab.Arbitrary);
+    Alcotest.test_case "htab insert (second chance)" `Quick
+      (check_insert Htab.Second_chance);
+    Alcotest.test_case "htab insert (prefer zombie)" `Quick
+      (check_insert (Htab.Prefer_zombie (fun vsid -> vsid land 0x800 <> 0))) ]

@@ -50,7 +50,7 @@ let test_minimal_htab () =
       (Htab.insert h ~rng ~vsid:i ~page_index:0 ~rpn:i
          ~wimg:Pte.wimg_default ~protection:Pte.Read_write
          ~on_ref:(fun _ -> ())
-        : Htab.insert_outcome)
+        : int)
   done;
   Alcotest.(check int) "full but never over" 16 (Htab.occupancy h)
 

@@ -1,8 +1,9 @@
-(* Equivalence of the flat (PR-6) hot-path layouts with the original
+(* Equivalence of the flat hot-path layouts with the original
    record/option semantics: the flat TLB must pick the same LRU victims
-   as the old [entry option array] implementation, the htab tag probe
-   must match exactly [Pte.matches], and the unrolled cache scans must
-   agree with a straightforward reference model. *)
+   as the old [entry option array] implementation, the htab's two-word
+   entries must behave exactly like the old boxed-record table and its
+   tag probe must match exactly [Pte.matches], and the unrolled cache
+   scans must agree with a straightforward reference model. *)
 open Ppc
 
 (* --- reference model of the pre-flattening TLB ---------------------- *)
@@ -219,7 +220,7 @@ let test_htab_tag_exactness () =
   ignore
     (Htab.insert h ~rng ~vsid ~page_index ~rpn:0x42 ~wimg:Pte.wimg_default ~protection:Pte.Read_write
        ~on_ref:no_ref
-      : Htab.insert_outcome);
+      : int);
   let found ~vsid ~page_index =
     Htab.search h ~vsid ~page_index ~on_ref:no_ref <> None
   in
@@ -252,7 +253,7 @@ let prop_htab_search_matches_linear_scan =
           ignore
             (Htab.insert h ~rng ~vsid ~page_index ~rpn:1 ~wimg:Pte.wimg_default ~protection:Pte.Read_only
                ~on_ref:no_ref
-              : Htab.insert_outcome))
+              : int))
         keys;
       let probe_len_exact ~vsid ~page_index =
         let refs = ref 0 in
@@ -261,15 +262,17 @@ let prop_htab_search_matches_linear_scan =
         in
         let hit, n = Htab.search_counted h ~vsid ~page_index ~on_ref:no_ref in
         n = !refs
-        && match hit with None -> i < 0 | Some pte -> Htab.slot_pte h i == pte
+        && match hit with None -> i < 0 | Some pte -> Htab.decode h i = pte
       in
       List.for_all
         (fun (vsid, page_index) ->
           let by_tag = Htab.search h ~vsid ~page_index ~on_ref:no_ref in
           let by_scan = ref None in
-          Htab.iter_valid h ~f:(fun pte ->
-              if Pte.matches pte ~vsid ~page_index && !by_scan = None then
-                by_scan := Some pte);
+          for i = 0 to Htab.capacity h - 1 do
+            let pte = Htab.decode h i in
+            if Pte.matches pte ~vsid ~page_index && !by_scan = None then
+              by_scan := Some pte
+          done;
           probe_len_exact ~vsid ~page_index
           && probe_len_exact ~vsid:(vsid lor 0x10000) ~page_index
           &&
@@ -279,6 +282,424 @@ let prop_htab_search_matches_linear_scan =
               a.Pte.vsid = b.Pte.vsid && a.Pte.page_index = b.Pte.page_index
           | _ -> false)
         keys)
+
+(* --- two-word htab vs the boxed-record reference model ---------------- *)
+
+(* The htab as it was before it stored Figure 1's two words: one mutable
+   record per slot plus an [int] tags mirror of the valid entries'
+   search tags, victims reported as a record copy. *)
+module Ref_htab = struct
+  type pte = {
+    mutable valid : bool;
+    mutable vsid : int;
+    mutable page_index : int;
+    mutable rpn : int;
+    mutable secondary : bool;
+    mutable referenced : bool;
+    mutable changed : bool;
+    mutable wimg : Pte.wimg;
+    mutable protection : Pte.protection;
+  }
+
+  type t = {
+    ptegs : int;
+    base : Addr.pa;
+    entries : pte array;
+    tags : int array;
+    mutable cursor : int;
+  }
+
+  type outcome = Filled_empty | Replaced of pte
+
+  let slots_per_pteg = 8
+  let pte_bytes = 8
+  let tag_of ~vsid ~page_index = (vsid lsl 16) lor page_index
+
+  let invalid () =
+    { valid = false;
+      vsid = 0;
+      page_index = 0;
+      rpn = 0;
+      secondary = false;
+      referenced = false;
+      changed = false;
+      wimg = Pte.wimg_default;
+      protection = Pte.No_access }
+
+  let create ~n_ptes =
+    { ptegs = n_ptes / slots_per_pteg;
+      base = 0x00100000;
+      entries = Array.init n_ptes (fun _ -> invalid ());
+      tags = Array.make n_ptes (-1);
+      cursor = 0 }
+
+  let capacity t = Array.length t.entries
+
+  let pte_pa t ~pteg ~slot =
+    t.base + (((pteg * slots_per_pteg) + slot) * pte_bytes)
+
+  let hash1 t ~vsid ~page_index =
+    Pte.hash_primary ~n_ptegs:t.ptegs ~vsid ~page_index
+
+  let hash2 t ~primary = Pte.hash_secondary ~n_ptegs:t.ptegs ~primary
+
+  let search_pteg_slot t ~pteg ~tag ~on_ref =
+    let base = pteg * slots_per_pteg in
+    let rec scan slot =
+      if slot >= slots_per_pteg then -1
+      else begin
+        on_ref (pte_pa t ~pteg ~slot);
+        if t.tags.(base + slot) = tag then base + slot else scan (slot + 1)
+      end
+    in
+    scan 0
+
+  let search_slot t ~vsid ~page_index ~on_ref =
+    let tag = tag_of ~vsid ~page_index in
+    let p = hash1 t ~vsid ~page_index in
+    let i = search_pteg_slot t ~pteg:p ~tag ~on_ref in
+    if i >= 0 then i
+    else search_pteg_slot t ~pteg:(hash2 t ~primary:p) ~tag ~on_ref
+
+  let probe_len t ~vsid ~page_index i =
+    if i < 0 then 2 * slots_per_pteg
+    else if i / slots_per_pteg = hash1 t ~vsid ~page_index then
+      (i mod slots_per_pteg) + 1
+    else slots_per_pteg + (i mod slots_per_pteg) + 1
+
+  let find_free t ~pteg ~tag ~on_ref =
+    let base = pteg * slots_per_pteg in
+    let free = ref (-1) in
+    let same = ref (-1) in
+    for slot = 0 to slots_per_pteg - 1 do
+      on_ref (pte_pa t ~pteg ~slot);
+      let stored = t.tags.(base + slot) in
+      if stored = tag then same := slot
+      else if stored < 0 && !free < 0 then free := slot
+    done;
+    if !same >= 0 then Some !same else if !free >= 0 then Some !free else None
+
+  let write_entry t ~pteg ~slot ~secondary ~vsid ~page_index ~rpn ~wimg
+      ~protection ~changed =
+    let i = (pteg * slots_per_pteg) + slot in
+    let e = t.entries.(i) in
+    e.valid <- true;
+    e.vsid <- vsid land 0xFFFFFF;
+    e.page_index <- page_index land 0xFFFF;
+    e.rpn <- rpn land 0xFFFFF;
+    e.secondary <- secondary;
+    e.referenced <- true;
+    e.changed <- changed;
+    e.wimg <- wimg;
+    e.protection <- protection;
+    t.tags.(i) <- tag_of ~vsid:e.vsid ~page_index:e.page_index
+
+  let pick_victim_second_chance t ~rng ~primary ~secondary ~on_ref =
+    let candidate = ref None in
+    let examine pteg =
+      for slot = 0 to slots_per_pteg - 1 do
+        on_ref (pte_pa t ~pteg ~slot);
+        let pte = t.entries.((pteg * slots_per_pteg) + slot) in
+        if (not pte.referenced) && !candidate = None then
+          candidate := Some (pteg, slot)
+      done
+    in
+    examine primary;
+    (match !candidate with None -> examine secondary | Some _ -> ());
+    match !candidate with
+    | Some c -> c
+    | None ->
+        List.iter
+          (fun pteg ->
+            for slot = 0 to slots_per_pteg - 1 do
+              t.entries.((pteg * slots_per_pteg) + slot).referenced <- false
+            done)
+          [ primary; secondary ];
+        let in_secondary = Rng.bool rng in
+        ( (if in_secondary then secondary else primary),
+          Rng.int rng slots_per_pteg )
+
+  let pick_victim_zombie t ~rng ~is_zombie ~primary ~secondary ~on_ref =
+    let candidate = ref None in
+    let examine pteg =
+      for slot = 0 to slots_per_pteg - 1 do
+        if !candidate = None then begin
+          on_ref (pte_pa t ~pteg ~slot);
+          let pte = t.entries.((pteg * slots_per_pteg) + slot) in
+          if is_zombie pte.vsid then candidate := Some (pteg, slot)
+        end
+      done
+    in
+    examine primary;
+    (match !candidate with None -> examine secondary | Some _ -> ());
+    match !candidate with
+    | Some c -> c
+    | None ->
+        let in_secondary = Rng.bool rng in
+        ( (if in_secondary then secondary else primary),
+          Rng.int rng slots_per_pteg )
+
+  let insert ~policy ~changed t ~rng ~vsid ~page_index ~rpn ~wimg
+      ~protection ~on_ref =
+    let tag = tag_of ~vsid ~page_index in
+    let p = hash1 t ~vsid ~page_index in
+    match find_free t ~pteg:p ~tag ~on_ref with
+    | Some slot ->
+        write_entry t ~pteg:p ~slot ~secondary:false ~vsid ~page_index ~rpn
+          ~wimg ~protection ~changed;
+        Filled_empty
+    | None -> begin
+        let s = hash2 t ~primary:p in
+        match find_free t ~pteg:s ~tag ~on_ref with
+        | Some slot ->
+            write_entry t ~pteg:s ~slot ~secondary:true ~vsid ~page_index
+              ~rpn ~wimg ~protection ~changed;
+            Filled_empty
+        | None ->
+            let pteg, slot =
+              match policy with
+              | Htab.Arbitrary ->
+                  let in_secondary = Rng.bool rng in
+                  ((if in_secondary then s else p), Rng.int rng slots_per_pteg)
+              | Htab.Second_chance ->
+                  pick_victim_second_chance t ~rng ~primary:p ~secondary:s
+                    ~on_ref
+              | Htab.Prefer_zombie is_zombie ->
+                  pick_victim_zombie t ~rng ~is_zombie ~primary:p
+                    ~secondary:s ~on_ref
+            in
+            let victim = t.entries.((pteg * slots_per_pteg) + slot) in
+            (* a copy: [write_entry] rewrites the record below *)
+            let victim_copy = { victim with valid = true } in
+            on_ref (pte_pa t ~pteg ~slot);
+            write_entry t ~pteg ~slot ~secondary:(pteg = s) ~vsid ~page_index
+              ~rpn ~wimg ~protection ~changed;
+            Replaced victim_copy
+      end
+
+  let invalidate_page t ~vsid ~page_index ~on_ref =
+    let i = search_slot t ~vsid ~page_index ~on_ref in
+    if i < 0 then false
+    else begin
+      t.entries.(i).valid <- false;
+      t.tags.(i) <- -1;
+      true
+    end
+
+  let reclaim_zombies t ~is_zombie ~max_ptes ~on_ref =
+    let total = capacity t in
+    let reclaimed = ref 0 in
+    for _ = 1 to min max_ptes total do
+      let i = t.cursor in
+      t.cursor <- (t.cursor + 1) mod total;
+      let pteg = i / slots_per_pteg and slot = i mod slots_per_pteg in
+      on_ref (pte_pa t ~pteg ~slot);
+      let pte = t.entries.(i) in
+      if pte.valid && is_zombie pte.vsid then begin
+        pte.valid <- false;
+        t.tags.(i) <- -1;
+        incr reclaimed
+      end
+    done;
+    !reclaimed
+
+  let clear t =
+    Array.iter (fun pte -> pte.valid <- false) t.entries;
+    Array.fill t.tags 0 (Array.length t.tags) (-1);
+    t.cursor <- 0
+
+  (* What [Htab.decode] must answer for the same slot. *)
+  let view t i =
+    let e = t.entries.(i) in
+    if not e.valid then Pte.invalid
+    else
+      { Pte.valid = true;
+        vsid = e.vsid;
+        page_index = e.page_index;
+        rpn = e.rpn;
+        secondary = e.secondary;
+        referenced = e.referenced;
+        changed = e.changed;
+        wimg = e.wimg;
+        protection = e.protection }
+end
+
+(* A key universe that crowds a few PTEG pairs at every table size: the
+   primary hash depends on the VSID's low byte and the page index, and
+   the low bytes 0x01 and 0xFE make each other's secondary PTEGs.  One
+   key in sixteen carries a VSID bit above 24, which must never match a
+   stored (masked) entry. *)
+type key = { k_vsid : int; k_page : int }
+
+type htab_op =
+  | H_insert of {
+      key : key;
+      policy : int;  (* 0 arbitrary, 1 second chance, 2 prefer zombie *)
+      zombie : int;
+      changed : bool;
+      rpn : int;
+      wimg : int;
+      pp : int;
+    }
+  | H_search of key
+  | H_invalidate of key
+  | H_reclaim of { zombie : int; max_ptes : int }
+  | H_clear
+
+(* A random zombie predicate, named by an int so a counterexample
+   prints. *)
+let zombie_pred z vsid = (vsid lxor z) land 3 = 0
+
+let key_gen =
+  QCheck.Gen.(
+    map
+      (fun (r, low, page, over) ->
+        { k_vsid =
+            (r lsl 8)
+            lor [| 0x01; 0xFE; 0x42 |].(low)
+            lor if over = 0 then 0x1000000 else 0;
+          k_page = page })
+      (quad (int_bound 31) (int_bound 2) (int_bound 3) (int_bound 15)))
+
+let htab_op_gen =
+  QCheck.Gen.(
+    frequency
+      [ ( 12,
+          map
+            (fun ((key, policy, zombie), (changed, rpn, wimg, pp)) ->
+              H_insert { key; policy; zombie; changed; rpn; wimg; pp })
+            (pair
+               (triple key_gen (int_bound 2) (int_bound 3))
+               (quad bool (int_bound 0x1FFFFF) (int_bound 15) (int_bound 2)))
+        );
+        (4, map (fun k -> H_search k) key_gen);
+        (2, map (fun k -> H_invalidate k) key_gen);
+        ( 1,
+          map2
+            (fun zombie max_ptes -> H_reclaim { zombie; max_ptes })
+            (int_bound 3) (int_bound 100) );
+        (1, return H_clear) ])
+
+let key_print k = Printf.sprintf "(%#x,%d)" k.k_vsid k.k_page
+
+let htab_op_print = function
+  | H_insert { key; policy; zombie; changed; rpn; wimg; pp } ->
+      Printf.sprintf "insert%s p%d z%d %s rpn=%#x wimg=%d pp=%d" (key_print key)
+        policy zombie
+        (if changed then "C" else "-")
+        rpn wimg pp
+  | H_search k -> "search" ^ key_print k
+  | H_invalidate k -> "invalidate" ^ key_print k
+  | H_reclaim { zombie; max_ptes } ->
+      Printf.sprintf "reclaim z%d %d" zombie max_ptes
+  | H_clear -> "clear"
+
+let wimg_of_int b =
+  { Pte.write_through = b land 8 <> 0;
+    cache_inhibited = b land 4 <> 0;
+    memory_coherent = b land 2 <> 0;
+    guarded = b land 1 <> 0 }
+
+let protection_of_int = function
+  | 0 -> Pte.Read_write
+  | 1 -> Pte.Read_only
+  | _ -> Pte.No_access
+
+(* Drive the two-word table and the boxed reference through one random
+   stream.  After every operation both must have returned the same
+   answer (slot and probe length, displaced VSID and page index,
+   invalidate verdict, reclaim count), reported the same [on_ref]
+   address sequence, drawn the same RNG values and hold equal decoded
+   entries in every slot. *)
+let prop_htab_matches_boxed_reference n_ptes ~count =
+  QCheck.Test.make
+    ~name:(Printf.sprintf "htab == boxed reference (%d PTEs)" n_ptes)
+    ~count
+    (QCheck.make
+       ~print:(fun l -> String.concat "; " (List.map htab_op_print l))
+       (QCheck.Gen.list_size (QCheck.Gen.int_range 1 150) htab_op_gen))
+    (fun ops ->
+      let flat = Htab.create ~n_ptes () in
+      let reference = Ref_htab.create ~n_ptes in
+      let rng_flat = Rng.create ~seed:n_ptes in
+      let rng_ref = Rng.create ~seed:n_ptes in
+      let refs_flat = ref [] and refs_ref = ref [] in
+      let on_flat pa = refs_flat := pa :: !refs_flat in
+      let on_ref pa = refs_ref := pa :: !refs_ref in
+      let same_entries () =
+        let ok = ref true in
+        for i = 0 to n_ptes - 1 do
+          if Htab.decode flat i <> Ref_htab.view reference i then ok := false
+        done;
+        !ok
+      in
+      List.for_all
+        (fun op ->
+          refs_flat := [];
+          refs_ref := [];
+          let same_answer =
+            match op with
+            | H_insert { key; policy; zombie; changed; rpn; wimg; pp } -> (
+                let policy =
+                  match policy with
+                  | 0 -> Htab.Arbitrary
+                  | 1 -> Htab.Second_chance
+                  | _ -> Htab.Prefer_zombie (zombie_pred zombie)
+                in
+                let wimg = wimg_of_int wimg
+                and protection = protection_of_int pp in
+                let v =
+                  Htab.insert ~policy ~changed flat ~rng:rng_flat
+                    ~vsid:key.k_vsid ~page_index:key.k_page ~rpn ~wimg
+                    ~protection ~on_ref:on_flat
+                in
+                match
+                  Ref_htab.insert ~policy ~changed reference ~rng:rng_ref
+                    ~vsid:key.k_vsid ~page_index:key.k_page ~rpn ~wimg
+                    ~protection ~on_ref
+                with
+                | Ref_htab.Filled_empty -> v = -1
+                | Ref_htab.Replaced victim ->
+                    v >= 0
+                    && Htab.vsid_of_tag v = victim.Ref_htab.vsid
+                    && v land 0xFFFF = victim.Ref_htab.page_index)
+            | H_search key ->
+                let vsid = key.k_vsid and page_index = key.k_page in
+                let i = Htab.search_slot flat ~vsid ~page_index ~on_ref:on_flat in
+                let j =
+                  Ref_htab.search_slot reference ~vsid ~page_index ~on_ref
+                in
+                i = j
+                && Htab.probe_len flat ~vsid ~page_index i
+                   = Ref_htab.probe_len reference ~vsid ~page_index j
+            | H_invalidate key ->
+                Htab.invalidate_page flat ~vsid:key.k_vsid
+                  ~page_index:key.k_page ~on_ref:on_flat
+                = Ref_htab.invalidate_page reference ~vsid:key.k_vsid
+                    ~page_index:key.k_page ~on_ref
+            | H_reclaim { zombie; max_ptes } ->
+                let is_zombie = zombie_pred zombie in
+                Htab.reclaim_zombies flat ~is_zombie ~max_ptes ~on_ref:on_flat
+                = Ref_htab.reclaim_zombies reference ~is_zombie ~max_ptes
+                    ~on_ref
+            | H_clear ->
+                Htab.clear flat;
+                Ref_htab.clear reference;
+                true
+          in
+          same_answer
+          && !refs_flat = !refs_ref
+          && Rng.next (Rng.copy rng_flat) = Rng.next (Rng.copy rng_ref)
+          && same_entries ())
+        ops)
+
+(* The table is its words: two per slot, and a few for the record. *)
+let test_htab_footprint () =
+  let n_ptes = 16_384 in
+  let words = Obj.reachable_words (Obj.repr (Htab.create ~n_ptes ())) in
+  if words > (2 * n_ptes) + 64 then
+    Alcotest.failf "%d words for %d PTEs (bound %d)" words n_ptes
+      ((2 * n_ptes) + 64)
 
 (* --- cache scans vs a reference model -------------------------------- *)
 
@@ -429,4 +850,13 @@ let suite =
     QCheck_alcotest.to_alcotest
       (prop_cache_matches_reference "32K 8-way" ~bytes:(32 * 1024) ~ways:8);
     QCheck_alcotest.to_alcotest
-      (prop_cache_matches_reference "768B 3-way" ~bytes:768 ~ways:3) ]
+      (prop_cache_matches_reference "768B 3-way" ~bytes:768 ~ways:3);
+    QCheck_alcotest.to_alcotest (prop_htab_matches_boxed_reference 8 ~count:300);
+    QCheck_alcotest.to_alcotest
+      (prop_htab_matches_boxed_reference 16 ~count:300);
+    QCheck_alcotest.to_alcotest
+      (prop_htab_matches_boxed_reference 64 ~count:200);
+    QCheck_alcotest.to_alcotest
+      (prop_htab_matches_boxed_reference 2048 ~count:50);
+    Alcotest.test_case "htab footprint: two words per PTE" `Quick
+      test_htab_footprint ]

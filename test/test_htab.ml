@@ -9,11 +9,22 @@ let insert ?(rpn = 7) h ~vsid ~page_index =
   Htab.insert h ~rng:(rng ()) ~vsid ~page_index ~rpn ~wimg:Pte.wimg_default
     ~protection:Pte.Read_write ~on_ref:no_ref
 
+(* [insert]'s answer: the displaced entry's word 0, or -1 *)
+let displaced_nothing victim = victim < 0
+
+(* Valid entries whose decoded view satisfies [f]. *)
+let count_decoded h ~f =
+  let n = ref 0 in
+  for i = 0 to Htab.capacity h - 1 do
+    let pte = Htab.decode h i in
+    if pte.Pte.valid && f pte then incr n
+  done;
+  !n
+
 let test_insert_search () =
   let h = mk () in
-  (match insert h ~vsid:0x42 ~page_index:0x10 with
-  | Htab.Filled_empty -> ()
-  | Htab.Replaced _ -> Alcotest.fail "table was empty");
+  if not (displaced_nothing (insert h ~vsid:0x42 ~page_index:0x10)) then
+    Alcotest.fail "table was empty";
   match Htab.search h ~vsid:0x42 ~page_index:0x10 ~on_ref:no_ref with
   | Some pte -> Alcotest.(check int) "rpn" 7 pte.Pte.rpn
   | None -> Alcotest.fail "expected hit"
@@ -25,7 +36,7 @@ let test_search_miss () =
 
 let test_search_ref_counting () =
   let h = mk () in
-  ignore (insert h ~vsid:0x42 ~page_index:0x10 : Htab.insert_outcome);
+  ignore (insert h ~vsid:0x42 ~page_index:0x10 : int);
   (* a miss examines both PTEGs: 16 references *)
   let refs = ref 0 in
   ignore
@@ -35,8 +46,8 @@ let test_search_ref_counting () =
 
 let test_update_in_place () =
   let h = mk () in
-  ignore (insert h ~rpn:1 ~vsid:3 ~page_index:4 : Htab.insert_outcome);
-  ignore (insert h ~rpn:2 ~vsid:3 ~page_index:4 : Htab.insert_outcome);
+  ignore (insert h ~rpn:1 ~vsid:3 ~page_index:4 : int);
+  ignore (insert h ~rpn:2 ~vsid:3 ~page_index:4 : int);
   Alcotest.(check int) "single entry" 1 (Htab.occupancy h);
   match Htab.search h ~vsid:3 ~page_index:4 ~on_ref:no_ref with
   | Some pte -> Alcotest.(check int) "updated rpn" 2 pte.Pte.rpn
@@ -61,9 +72,8 @@ let test_overflow_to_secondary () =
   let vsids = colliding_vsids h 9 in
   List.iter
     (fun vsid ->
-      match insert h ~vsid ~page_index:0 with
-      | Htab.Filled_empty -> ()
-      | Htab.Replaced _ -> Alcotest.fail "should not evict yet")
+      if not (displaced_nothing (insert h ~vsid ~page_index:0)) then
+        Alcotest.fail "should not evict yet")
     vsids;
   Alcotest.(check int) "all placed" 9 (Htab.occupancy h);
   (* all 9 are findable *)
@@ -84,14 +94,14 @@ let test_eviction_when_both_full () =
   let vsids = colliding_vsids h 17 in
   let outcomes = List.map (fun vsid -> insert h ~vsid ~page_index:0) vsids in
   let evictions =
-    List.filter (function Htab.Replaced _ -> true | _ -> false) outcomes
+    List.filter (fun victim -> not (displaced_nothing victim)) outcomes
   in
   Alcotest.(check int) "exactly one eviction" 1 (List.length evictions);
   Alcotest.(check int) "occupancy capped at 16" 16 (Htab.occupancy h)
 
 let test_invalidate_page () =
   let h = mk () in
-  ignore (insert h ~vsid:5 ~page_index:6 : Htab.insert_outcome);
+  ignore (insert h ~vsid:5 ~page_index:6 : int);
   Alcotest.(check bool) "invalidated" true
     (Htab.invalidate_page h ~vsid:5 ~page_index:6 ~on_ref:no_ref);
   Alcotest.(check bool) "gone" true
@@ -103,10 +113,10 @@ let test_reclaim_zombies () =
   let h = mk () in
   (* fixed VSID per generation: entries scatter over distinct PTEGs *)
   for i = 0 to 9 do
-    ignore (insert h ~vsid:0x101 ~page_index:i : Htab.insert_outcome)
+    ignore (insert h ~vsid:0x101 ~page_index:i : int)
   done;
   for i = 0 to 9 do
-    ignore (insert h ~vsid:0x200 ~page_index:i : Htab.insert_outcome)
+    ignore (insert h ~vsid:0x200 ~page_index:i : int)
   done;
   let is_zombie vsid = vsid < 0x200 in
   let reclaimed =
@@ -116,12 +126,12 @@ let test_reclaim_zombies () =
   Alcotest.(check int) "reclaimed the zombie generation" 10 reclaimed;
   Alcotest.(check int) "live generation survives" 10 (Htab.occupancy h);
   Alcotest.(check int) "survivors are live" 10
-    (Htab.count_valid h ~f:(fun pte -> pte.Pte.vsid >= 0x200))
+    (Htab.count_valid h ~f:(fun vsid -> vsid >= 0x200))
 
 let test_reclaim_cursor_resumes () =
   let h = mk () in
   for i = 0 to 9 do
-    ignore (insert h ~vsid:0x100 ~page_index:i : Htab.insert_outcome)
+    ignore (insert h ~vsid:0x100 ~page_index:i : int)
   done;
   let is_zombie _ = true in
   (* two half-table scans must cover the whole table *)
@@ -135,7 +145,7 @@ let test_histogram () =
   let h = mk () in
   let hist0 = Htab.histogram h in
   Alcotest.(check int) "all PTEGs empty" (Htab.n_ptegs h) hist0.(0);
-  ignore (insert h ~vsid:1 ~page_index:1 : Htab.insert_outcome);
+  ignore (insert h ~vsid:1 ~page_index:1 : int);
   let hist1 = Htab.histogram h in
   Alcotest.(check int) "one PTEG with one entry" 1 hist1.(1);
   Alcotest.(check int) "rest empty" (Htab.n_ptegs h - 1) hist1.(0)
@@ -143,7 +153,7 @@ let test_histogram () =
 let test_clear () =
   let h = mk () in
   for i = 0 to 20 do
-    ignore (insert h ~vsid:i ~page_index:i : Htab.insert_outcome)
+    ignore (insert h ~vsid:i ~page_index:i : int)
   done;
   Htab.clear h;
   Alcotest.(check int) "cleared" 0 (Htab.occupancy h)
@@ -162,7 +172,7 @@ let prop_insert_then_found =
     QCheck.(pair (int_bound 0xFFFFFF) (int_bound 0xFFFF))
     (fun (vsid, page_index) ->
       let h = mk () in
-      ignore (insert h ~vsid ~page_index : Htab.insert_outcome);
+      ignore (insert h ~vsid ~page_index : int);
       Htab.search h ~vsid ~page_index ~on_ref:no_ref <> None)
 
 let prop_occupancy_bounded =
@@ -174,7 +184,7 @@ let prop_occupancy_bounded =
       let h = Htab.create ~n_ptes:64 () in
       List.iter
         (fun (vsid, page_index) ->
-          ignore (insert h ~vsid ~page_index : Htab.insert_outcome))
+          ignore (insert h ~vsid ~page_index : int))
         tags;
       Htab.occupancy h <= Htab.capacity h)
 
@@ -186,17 +196,17 @@ let prop_reclaim_never_kills_live =
       let h = mk () in
       List.iteri
         (fun i vsid ->
-          ignore (insert h ~vsid ~page_index:i : Htab.insert_outcome))
+          ignore (insert h ~vsid ~page_index:i : int))
         vsids;
       let is_zombie vsid = vsid land 1 = 0 in
       let live_before =
-        Htab.count_valid h ~f:(fun pte -> not (is_zombie pte.Pte.vsid))
+        Htab.count_valid h ~f:(fun vsid -> not (is_zombie vsid))
       in
       ignore
         (Htab.reclaim_zombies h ~is_zombie ~max_ptes:(Htab.capacity h)
            ~on_ref:no_ref
           : int);
-      Htab.count_valid h ~f:(fun pte -> is_zombie pte.Pte.vsid) = 0
+      Htab.count_valid h ~f:is_zombie = 0
       && Htab.occupancy h = live_before)
 
 let prop_histogram_sums =
@@ -208,7 +218,7 @@ let prop_histogram_sums =
       let h = mk () in
       List.iter
         (fun (vsid, page_index) ->
-          ignore (insert h ~vsid ~page_index : Htab.insert_outcome))
+          ignore (insert h ~vsid ~page_index : int))
         tags;
       let hist = Htab.histogram h in
       let total_ptegs = Array.fold_left ( + ) 0 hist in
@@ -221,7 +231,7 @@ let prop_search_hit_cost_bounded =
     QCheck.(pair (int_bound 0xFFFF) (int_bound 0xFF))
     (fun (vsid, page_index) ->
       let h = mk () in
-      ignore (insert h ~vsid ~page_index : Htab.insert_outcome);
+      ignore (insert h ~vsid ~page_index : int);
       let refs = ref 0 in
       ignore
         (Htab.search h ~vsid ~page_index ~on_ref:(fun _ -> incr refs)
@@ -230,9 +240,8 @@ let prop_search_hit_cost_bounded =
 
 let test_insert_prefers_primary () =
   let h = mk () in
-  (match insert h ~vsid:0x33 ~page_index:0x44 with
-  | Htab.Filled_empty -> ()
-  | Htab.Replaced _ -> Alcotest.fail "empty table");
+  if not (displaced_nothing (insert h ~vsid:0x33 ~page_index:0x44)) then
+    Alcotest.fail "empty table";
   match Htab.search h ~vsid:0x33 ~page_index:0x44 ~on_ref:no_ref with
   | Some pte ->
       Alcotest.(check bool) "primary group (H clear)" false pte.Pte.secondary
@@ -242,7 +251,7 @@ let test_primary_hit_cheaper_than_secondary () =
   let h = mk () in
   let vsids = colliding_vsids h 9 in
   List.iter
-    (fun vsid -> ignore (insert h ~vsid ~page_index:0 : Htab.insert_outcome))
+    (fun vsid -> ignore (insert h ~vsid ~page_index:0 : int))
     vsids;
   let refs_for vsid =
     let refs = ref 0 in
@@ -257,32 +266,34 @@ let test_primary_hit_cheaper_than_secondary () =
   Alcotest.(check bool) "overflow entry costs > 8 references" true
     (refs_for (List.nth vsids 8) > 8)
 
+let second_chance h ~vsid =
+  Htab.insert ~policy:Htab.Second_chance h ~rng:(rng ()) ~vsid ~page_index:0
+    ~rpn:9 ~wimg:Pte.wimg_default ~protection:Pte.Read_write ~on_ref:no_ref
+
 let test_second_chance_prefers_unreferenced () =
   let h = mk () in
-  let vsids = colliding_vsids h 17 in
+  let vsids = colliding_vsids h 18 in
   let first16 = List.filteri (fun i _ -> i < 16) vsids in
   List.iter
-    (fun vsid -> ignore (insert h ~vsid ~page_index:0 : Htab.insert_outcome))
+    (fun vsid -> ignore (insert h ~vsid ~page_index:0 : int))
     first16;
-  (* searches set R; clear one entry's R bit by hand *)
+  (* every entry is referenced, so this insert strips all sixteen R bits
+     and evicts one; only the new entry has R set *)
+  let stripped = second_chance h ~vsid:(List.nth vsids 16) in
+  if displaced_nothing stripped then Alcotest.fail "expected eviction";
+  let survivors =
+    List.filter (fun v -> v <> Htab.vsid_of_tag stripped) first16
+  in
+  (* a same-tag re-insert sets R again: leave one survivor cold *)
+  let cold = List.nth survivors 5 in
   List.iter
     (fun vsid ->
-      ignore (Htab.search h ~vsid ~page_index:0 ~on_ref:no_ref : Pte.t option))
-    first16;
-  let cold = List.nth first16 5 in
-  (match Htab.search h ~vsid:cold ~page_index:0 ~on_ref:no_ref with
-  | Some pte -> pte.Pte.referenced <- false
-  | None -> Alcotest.fail "expected entry");
-  let seventeenth = List.nth vsids 16 in
-  (match
-     Htab.insert ~policy:Htab.Second_chance h ~rng:(rng ())
-       ~vsid:seventeenth ~page_index:0 ~rpn:9 ~wimg:Pte.wimg_default
-       ~protection:Pte.Read_write ~on_ref:no_ref
-   with
-  | Htab.Replaced victim ->
-      Alcotest.(check int) "the unreferenced entry was chosen" cold
-        victim.Pte.vsid
-  | Htab.Filled_empty -> Alcotest.fail "expected eviction");
+      if vsid <> cold then ignore (insert h ~vsid ~page_index:0 : int))
+    survivors;
+  let victim = second_chance h ~vsid:(List.nth vsids 17) in
+  if displaced_nothing victim then Alcotest.fail "expected eviction";
+  Alcotest.(check int) "the unreferenced entry was chosen" cold
+    (Htab.vsid_of_tag victim);
   Alcotest.(check bool) "victim gone" true
     (Htab.search h ~vsid:cold ~page_index:0 ~on_ref:no_ref = None)
 
@@ -291,49 +302,43 @@ let test_second_chance_strips_r_bits () =
   let vsids = colliding_vsids h 17 in
   let first16 = List.filteri (fun i _ -> i < 16) vsids in
   List.iter
-    (fun vsid -> ignore (insert h ~vsid ~page_index:0 : Htab.insert_outcome))
+    (fun vsid -> ignore (insert h ~vsid ~page_index:0 : int))
     first16;
   (* every entry is referenced (insert sets R): the fallback must strip
      the R bits and still evict exactly one entry *)
-  (match
-     Htab.insert ~policy:Htab.Second_chance h ~rng:(rng ())
-       ~vsid:(List.nth vsids 16) ~page_index:0 ~rpn:9 ~wimg:Pte.wimg_default
-       ~protection:Pte.Read_write ~on_ref:no_ref
-   with
-  | Htab.Replaced _ -> ()
-  | Htab.Filled_empty -> Alcotest.fail "expected eviction");
+  if displaced_nothing (second_chance h ~vsid:(List.nth vsids 16)) then
+    Alcotest.fail "expected eviction";
   Alcotest.(check int) "occupancy still 16" 16 (Htab.occupancy h);
   (* all survivors but the fresh insert now have R clear *)
   Alcotest.(check int) "one referenced entry (the new one)" 1
-    (Htab.count_valid h ~f:(fun pte -> pte.Pte.referenced))
+    (count_decoded h ~f:(fun pte -> pte.Pte.referenced))
 
 let test_zombie_aware_evicts_zombie () =
   let h = mk () in
   let vsids = colliding_vsids h 17 in
   let first16 = List.filteri (fun i _ -> i < 16) vsids in
   List.iter
-    (fun vsid -> ignore (insert h ~vsid ~page_index:0 : Htab.insert_outcome))
+    (fun vsid -> ignore (insert h ~vsid ~page_index:0 : int))
     first16;
   let the_zombie = List.nth first16 9 in
   let is_zombie vsid = vsid = the_zombie in
-  (match
-     Htab.insert ~policy:(Htab.Prefer_zombie is_zombie) h ~rng:(rng ())
-       ~vsid:(List.nth vsids 16) ~page_index:0 ~rpn:9 ~wimg:Pte.wimg_default
-       ~protection:Pte.Read_write ~on_ref:no_ref
-   with
-  | Htab.Replaced victim ->
-      Alcotest.(check int) "the zombie was chosen" the_zombie victim.Pte.vsid
-  | Htab.Filled_empty -> Alcotest.fail "expected eviction");
+  let victim =
+    Htab.insert ~policy:(Htab.Prefer_zombie is_zombie) h ~rng:(rng ())
+      ~vsid:(List.nth vsids 16) ~page_index:0 ~rpn:9 ~wimg:Pte.wimg_default
+      ~protection:Pte.Read_write ~on_ref:no_ref
+  in
+  if displaced_nothing victim then Alcotest.fail "expected eviction";
+  Alcotest.(check int) "the zombie was chosen" the_zombie
+    (Htab.vsid_of_tag victim);
   Alcotest.(check bool) "zombie gone" true
     (Htab.search h ~vsid:the_zombie ~page_index:0 ~on_ref:no_ref = None);
   (* with no zombies at all it degrades to an arbitrary (but live) evict *)
-  match
-    Htab.insert ~policy:(Htab.Prefer_zombie (fun _ -> false)) h
-      ~rng:(rng ()) ~vsid:0x7FFFF ~page_index:0 ~rpn:1
-      ~wimg:Pte.wimg_default ~protection:Pte.Read_write ~on_ref:no_ref
-  with
-  | Htab.Replaced _ -> ()
-  | Htab.Filled_empty -> Alcotest.fail "expected eviction"
+  if
+    displaced_nothing
+      (Htab.insert ~policy:(Htab.Prefer_zombie (fun _ -> false)) h
+         ~rng:(rng ()) ~vsid:0x7FFFF ~page_index:0 ~rpn:1
+         ~wimg:Pte.wimg_default ~protection:Pte.Read_write ~on_ref:no_ref)
+  then Alcotest.fail "expected eviction"
 
 let suite =
   [ Alcotest.test_case "insert/search" `Quick test_insert_search;

@@ -14,7 +14,7 @@ let test_make_masks () =
   Alcotest.(check bool) "valid" true pte.Pte.valid
 
 let test_invalid () =
-  let pte = Pte.invalid () in
+  let pte = Pte.invalid in
   Alcotest.(check bool) "invalid" false pte.Pte.valid;
   Alcotest.(check bool) "never matches" false
     (Pte.matches pte ~vsid:0 ~page_index:0)
