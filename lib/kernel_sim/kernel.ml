@@ -33,6 +33,9 @@ type t = {
   (* frames shared copy-on-write between address spaces: rpn -> number of
      referencing address spaces (absent = exclusively owned) *)
   cow_refs : (int, int) Hashtbl.t;
+  (* [charge_pt_update]'s [on_ref]: one page-table entry written
+     through the cache, built once at boot like [Mmu]'s [on_pt_ref] *)
+  on_pt_write : Addr.pa -> unit;
 }
 
 let disk_wait_cycles = 25_000
@@ -139,7 +142,7 @@ let boot ~machine ~policy ?(seed = 42) ?shadow ?cpus () =
   let kernel_pt =
     Pagetable.create ~physmem ~ctx_pa:(Kparams.data_pa + 0x80)
   in
-  let dummy_backing = { Mmu.walk = (fun _ -> Mmu.Unmapped { pt_refs = [||] }) } in
+  let dummy_backing = { Mmu.walk = (fun ~on_ref:_ _ -> -1) } in
   let mmu =
     Mmu.create ~htab_base_pa:Kparams.htab_pa ~cpus ~machine ~memsys
       ~knobs:(Policy.mmu_knobs policy) ~backing:dummy_backing ~rng:mmu_rng ()
@@ -171,7 +174,11 @@ let boot ~machine ~policy ?(seed = 42) ?shadow ?cpus () =
       next_pipe = 0;
       idle_count = 0;
       next_tick = Kparams.timer_tick_cycles;
-      cow_refs = Hashtbl.create 64 }
+      cow_refs = Hashtbl.create 64;
+      on_pt_write =
+        (fun pa ->
+          Memsys.data_ref memsys ~source:Cache.Page_table
+            ~inhibited:policy.Policy.cache_inhibit_pagetables ~write:true pa) }
   in
   (* Linear kernel map: every RAM frame is visible at
      [kernel_base + physical].  With the BAT optimization one block
@@ -182,8 +189,8 @@ let boot ~machine ~policy ?(seed = 42) ?shadow ?cpus () =
   for rpn = 0 to frames - 1 do
     Pagetable.map kernel_pt ~physmem
       ~ea:(Kparams.kernel_virt_of_phys (rpn lsl Addr.page_shift))
-      { Pagetable.rpn; writable = true; inhibited = false; shared = false;
-        cow = false }
+      (Pagetable.pte ~rpn ~writable:true ~inhibited:false ~shared:false
+         ~cow:false)
   done;
   (* Every CPU gets the same kernel view: BAT banks and kernel segment
      registers are programmed per CPU at boot (cost-free bookkeeping, so
@@ -212,32 +219,22 @@ let boot ~machine ~policy ?(seed = 42) ?shadow ?cpus () =
   done;
   (* The MMU resolves kernel EAs against the linear map and user EAs
      against the current task. *)
-  let walk ea =
-    let pt =
-      if Segment.is_kernel_ea ea then Some t.kernel_pt
-      else
-        (* the active CPU's current task — the reference translator must
-           judge each CPU's accesses against that CPU's address space *)
-        match t.k_currents.(t.k_cpu) with
-        | None -> None
-        | Some task -> Some (Mm.pagetable task.Task.mm)
-    in
-    match pt with
-    | None -> Mmu.Unmapped { pt_refs = [||] }
-    | Some pt -> begin
-        match Pagetable.walk pt ~ea with
-        | None, refs -> Mmu.Unmapped { pt_refs = refs }
-        | Some e, refs ->
-            Mmu.Mapped
-              { rpn = e.Pagetable.rpn;
-                wimg =
-                  (if e.Pagetable.inhibited then Pte.wimg_uncached
-                   else Pte.wimg_default);
-                protection =
-                  (if e.Pagetable.writable then Pte.Read_write
-                   else Pte.Read_only);
-                pt_refs = refs }
-      end
+  let translation w =
+    if w < 0 then -1
+    else
+      Mmu.pack ~rpn:(Pagetable.rpn w) ~writable:(Pagetable.writable w)
+        ~inhibited:(Pagetable.inhibited w)
+  in
+  let walk ~on_ref ea =
+    if Segment.is_kernel_ea ea then
+      translation (Pagetable.walk t.kernel_pt ~ea ~on_ref)
+    else
+      (* the active CPU's current task — the reference translator must
+         judge each CPU's accesses against that CPU's address space *)
+      match t.k_currents.(t.k_cpu) with
+      | None -> -1
+      | Some task ->
+          translation (Pagetable.walk (Mm.pagetable task.Task.mm) ~ea ~on_ref)
   in
   Mmu.set_backing mmu { Mmu.walk };
   Mmu.set_vsid_is_zombie mmu (Vsid_alloc.is_zombie vsid);
@@ -422,7 +419,7 @@ let flush_whole_mm t ~mm =
   else begin
     let targets = remote_targets t mm in
     precise_flush_pages t ~mm ~targets ~each:(fun flush ->
-        Pagetable.iter (Mm.pagetable mm) (fun ea _entry -> flush ea))
+        Pagetable.iter (Mm.pagetable mm) (fun ea _w -> flush ea))
   end
 
 (* --- processes -------------------------------------------------------- *)
@@ -633,23 +630,19 @@ let note_work_steal t =
 
 (* Release one mapping's frame: page-cache/device frames are not ours;
    a copy-on-write frame is freed only by its last referent. *)
-let release_frame t (entry : Pagetable.entry) =
-  if not entry.Pagetable.shared then begin
-    match Hashtbl.find_opt t.cow_refs entry.Pagetable.rpn with
-    | Some n when n > 2 -> Hashtbl.replace t.cow_refs entry.Pagetable.rpn (n - 1)
-    | Some _ -> Hashtbl.remove t.cow_refs entry.Pagetable.rpn
-    | None -> Pagepool.free_page t.k_pagepool entry.Pagetable.rpn
+let release_frame t w =
+  if not (Pagetable.shared w) then begin
+    let rpn = Pagetable.rpn w in
+    match Hashtbl.find_opt t.cow_refs rpn with
+    | Some n when n > 2 -> Hashtbl.replace t.cow_refs rpn (n - 1)
+    | Some _ -> Hashtbl.remove t.cow_refs rpn
+    | None -> Pagepool.free_page t.k_pagepool rpn
   end
 
 (* --- faults and user execution --------------------------------------- *)
 
 let charge_pt_update t pt ~ea =
-  let _entry, refs = Pagetable.walk pt ~ea in
-  Array.iter
-    (fun pa ->
-      Memsys.data_ref t.k_memsys ~source:Cache.Page_table
-        ~inhibited:t.k_policy.Policy.cache_inhibit_pagetables ~write:true pa)
-    refs
+  ignore (Pagetable.walk pt ~ea ~on_ref:t.on_pt_write : int)
 
 let handle_user_fault t kind ea =
   let task = require_current t in
@@ -666,42 +659,40 @@ let handle_user_fault t kind ea =
   | Some vma ->
       if kind = Mmu.Store && not vma.Mm.va_writable then raise (Segfault ea);
       let pt = Mm.pagetable mm in
-      (match Pagetable.find pt ~ea with
-      | Some entry
-        when entry.Pagetable.cow && kind = Mmu.Store
-             && vma.Mm.va_writable -> begin
-          (* Copy-on-write break: give this address space its own frame
-             (or reclaim exclusivity if everyone else is gone). *)
-          let upgraded =
-            match Hashtbl.find_opt t.cow_refs entry.Pagetable.rpn with
-            | Some n -> begin
-                match Pagepool.get_page t.k_pagepool with
-                | None -> raise Pagetable.Out_of_frames
-                | Some rpn ->
-                    Memsys.copy_lines t.k_memsys ~source:Cache.Kernel
-                      ~src:(entry.Pagetable.rpn lsl Addr.page_shift)
-                      ~dst:(rpn lsl Addr.page_shift) ~bytes:Addr.page_size;
-                    if n > 2 then
-                      Hashtbl.replace t.cow_refs entry.Pagetable.rpn (n - 1)
-                    else Hashtbl.remove t.cow_refs entry.Pagetable.rpn;
-                    { entry with Pagetable.rpn; writable = true; cow = false }
-              end
-            | None ->
-                (* sole surviving referent: upgrade in place *)
-                { entry with Pagetable.writable = true; cow = false }
-          in
-          Pagetable.map pt ~physmem:t.k_physmem ~ea upgraded;
-          charge_pt_update t pt ~ea;
-          (* the stale read-only translation must die before the retry —
-             on every CPU that may cache it, or a sibling thread keeps
-             writing the shared frame through the old mapping *)
-          flush_page_mm t ~mm ~targets:(remote_targets t mm) ea;
-          raise Cow_broken
-        end
-      | Some _ ->
+      let w = Pagetable.find pt ~ea in
+      if w >= 0 then begin
+        if not (Pagetable.cow w && kind = Mmu.Store && vma.Mm.va_writable)
+        then
           (* Translation exists but faulted anyway: a protection error. *)
-          raise (Segfault ea)
-      | None -> ());
+          raise (Segfault ea);
+        (* Copy-on-write break: give this address space its own frame
+           (or reclaim exclusivity if everyone else is gone). *)
+        let shared_rpn = Pagetable.rpn w in
+        let upgraded =
+          match Hashtbl.find_opt t.cow_refs shared_rpn with
+          | Some n -> begin
+              match Pagepool.get_page t.k_pagepool with
+              | None -> raise Pagetable.Out_of_frames
+              | Some rpn ->
+                  Memsys.copy_lines t.k_memsys ~source:Cache.Kernel
+                    ~src:(shared_rpn lsl Addr.page_shift)
+                    ~dst:(rpn lsl Addr.page_shift) ~bytes:Addr.page_size;
+                  if n > 2 then Hashtbl.replace t.cow_refs shared_rpn (n - 1)
+                  else Hashtbl.remove t.cow_refs shared_rpn;
+                  Pagetable.break_cow w ~rpn
+            end
+          | None ->
+              (* sole surviving referent: upgrade in place *)
+              Pagetable.break_cow w ~rpn:shared_rpn
+        in
+        Pagetable.map pt ~physmem:t.k_physmem ~ea upgraded;
+        charge_pt_update t pt ~ea;
+        (* the stale read-only translation must die before the retry —
+           on every CPU that may cache it, or a sibling thread keeps
+           writing the shared frame through the old mapping *)
+        flush_page_mm t ~mm ~targets:(remote_targets t mm) ea;
+        raise Cow_broken
+      end;
       let rpn, shared =
         match vma.Mm.va_backing with
         | Mm.Anonymous -> begin
@@ -725,8 +716,8 @@ let handle_user_fault t kind ea =
             (base_rpn + ((ea - vma.Mm.va_start) lsr Addr.page_shift), true)
       in
       Pagetable.map pt ~physmem:t.k_physmem ~ea
-        { Pagetable.rpn; writable = vma.Mm.va_writable; inhibited = false;
-          shared; cow = false };
+        (Pagetable.pte ~rpn ~writable:vma.Mm.va_writable ~inhibited:false
+           ~shared ~cow:false);
       charge_pt_update t pt ~ea
 
 let touch t kind ea =
@@ -746,7 +737,7 @@ let user_run t ~instrs =
   let mm = task.Task.mm in
   let text =
     match Mm.find_vma mm Mm.user_text_base with
-    | Some vma -> Some vma
+    | Some _ as text -> text
     | None -> Mm.find_vma mm task.Task.code_cursor
   in
   (match text with
@@ -806,12 +797,12 @@ let sys_munmap t ~ea ~pages =
   let pt = Mm.pagetable mm in
   for i = 0 to pages - 1 do
     let pea = ea + (i lsl Addr.page_shift) in
-    match Pagetable.unmap pt ~ea:pea with
-    | None -> ()
-    | Some entry ->
-        Memsys.instructions t.k_memsys Kparams.munmap_per_mapped_page;
-        charge_pt_update t pt ~ea:pea;
-        release_frame t entry
+    let w = Pagetable.unmap pt ~ea:pea in
+    if w >= 0 then begin
+      Memsys.instructions t.k_memsys Kparams.munmap_per_mapped_page;
+      charge_pt_update t pt ~ea:pea;
+      release_frame t w
+    end
   done;
   flush_range t ~mm ~ea ~pages;
   syscall_ret t
@@ -869,23 +860,24 @@ let sys_fork t =
   let ppt = Mm.pagetable pmm in
   (* Copy-on-write: both sides reference the same frame read-only; the
      first store to either copy breaks the sharing. *)
-  Pagetable.iter ppt (fun ea entry ->
+  Pagetable.iter ppt (fun ea w ->
       Memsys.instructions t.k_memsys Kparams.fork_per_page;
-      if entry.Pagetable.shared then begin
-        Pagetable.map cpt ~physmem:t.k_physmem ~ea entry;
+      if Pagetable.shared w then begin
+        Pagetable.map cpt ~physmem:t.k_physmem ~ea w;
         charge_pt_update t cpt ~ea
       end
       else begin
-        let downgraded = { entry with Pagetable.writable = false; cow = true } in
+        let downgraded = Pagetable.share_cow w in
         Pagetable.map ppt ~physmem:t.k_physmem ~ea downgraded;
         Pagetable.map cpt ~physmem:t.k_physmem ~ea downgraded;
         charge_pt_update t cpt ~ea;
+        let rpn = Pagetable.rpn w in
         let refs =
-          match Hashtbl.find_opt t.cow_refs entry.Pagetable.rpn with
+          match Hashtbl.find_opt t.cow_refs rpn with
           | Some n -> n + 1
           | None -> 2
         in
-        Hashtbl.replace t.cow_refs entry.Pagetable.rpn refs
+        Hashtbl.replace t.cow_refs rpn refs
       end);
   (* The parent's writable translations are now stale: flush its whole
      context (real fork flushed the parent's TLB for the same reason). *)
@@ -897,15 +889,9 @@ let sys_fork t =
   child
 
 let release_address_space t mm =
-  let pt = Mm.pagetable mm in
-  let mapped = ref [] in
-  Pagetable.iter pt (fun ea entry -> mapped := (ea, entry) :: !mapped);
-  List.iter
-    (fun (ea, (entry : Pagetable.entry)) ->
-      ignore (Pagetable.unmap pt ~ea : Pagetable.entry option);
+  Pagetable.unmap_all (Mm.pagetable mm) (fun w ->
       Memsys.instructions t.k_memsys Kparams.munmap_per_mapped_page;
-      release_frame t entry)
-    !mapped
+      release_frame t w)
 
 let sys_exec t ~text_pages ~data_pages ~stack_pages =
   syscall_entry t;

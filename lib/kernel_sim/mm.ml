@@ -92,8 +92,16 @@ let grow_vma t ~start ~extra_pages =
       t.mm_vmas <- grown :: rest;
       grown
 
-let find_vma t ea =
-  List.find_opt (fun v -> ea >= v.va_start && ea < vma_end v) t.mm_vmas
+(* A top-level scan rather than [List.find_opt] over a closure that
+   captures [ea]: that closure was allocated on every call, and this
+   runs on every [user_run] and every fault. *)
+let rec find_vma_in ea = function
+  | [] -> None
+  | v :: rest ->
+      if ea >= v.va_start && ea < vma_end v then Some v
+      else find_vma_in ea rest
+
+let find_vma t ea = find_vma_in ea t.mm_vmas
 
 let vmas t = t.mm_vmas
 
@@ -109,7 +117,7 @@ let reset_vmas t =
 let mapped_pages t = Pagetable.mapped_count t.pt
 
 let destroy t ~physmem ~vsid_alloc ~free_frame =
-  Pagetable.iter t.pt (fun _ea entry -> free_frame entry.Pagetable.rpn);
+  Pagetable.iter t.pt (fun _ea w -> free_frame (Pagetable.rpn w));
   Pagetable.destroy t.pt ~physmem;
   Vsid_alloc.retire_context vsid_alloc t.mm_ctx;
   t.mm_vmas <- []

@@ -2,29 +2,51 @@ open Ppc
 
 exception Out_of_frames
 
-type entry = {
-  rpn : int;
-  writable : bool;
-  inhibited : bool;
-  shared : bool;
-  cow : bool;
-}
+(* A PTE word: -1, or [rpn lsl 4 lor writable lor inhibited lor shared
+   lor cow] (see the interface). *)
+let unmapped = -1
+let cow_bit = 1
+let shared_bit = 2
+let inhibited_bit = 4
+let writable_bit = 8
+let rpn_shift = 4
+
+let[@inline] bit b v = if b then v else 0
+
+let pte ~rpn ~writable ~inhibited ~shared ~cow =
+  (rpn lsl rpn_shift)
+  lor bit writable writable_bit
+  lor bit inhibited inhibited_bit
+  lor bit shared shared_bit
+  lor bit cow cow_bit
+
+let[@inline] rpn w = w lsr rpn_shift
+let[@inline] writable w = w land writable_bit <> 0
+let[@inline] inhibited w = w land inhibited_bit <> 0
+let[@inline] shared w = w land shared_bit <> 0
+let[@inline] cow w = w land cow_bit <> 0
+let share_cow w = (w land lnot writable_bit) lor cow_bit
+
+let break_cow w ~rpn =
+  (rpn lsl rpn_shift)
+  lor (w land (inhibited_bit lor shared_bit))
+  lor writable_bit
 
 type pte_page = {
-  frame : int;                   (* physical frame holding this table *)
-  slots : entry option array;    (* 1024 PTEs *)
-  mutable live : int;            (* occupied slots *)
+  frame : int;          (* physical frame holding this table *)
+  words : int array;    (* 1024 PTE words *)
 }
 
 type t = {
   ctx_pa : Addr.pa;
   pgd_frame : int;
-  pgd : pte_page option array;   (* 1024 pgd slots *)
+  pgd : pte_page array; (* 1024 pgd slots, [no_page] when empty *)
   mutable mapped : int;
 }
 
 let entries_per_table = 1024
 let pte_entry_bytes = 4
+let no_page = { frame = -1; words = [||] }
 
 let pgd_index ea = (ea lsr 22) land 0x3FF
 let pte_index ea = (ea lsr Addr.page_shift) land 0x3FF
@@ -37,92 +59,95 @@ let alloc_frame physmem =
 let create ~physmem ~ctx_pa =
   { ctx_pa;
     pgd_frame = alloc_frame physmem;
-    pgd = Array.make entries_per_table None;
+    pgd = Array.make entries_per_table no_page;
     mapped = 0 }
 
 let pgd_rpn t = t.pgd_frame
 
-let pgd_entry_pa t ea =
-  (t.pgd_frame lsl Addr.page_shift) + (pgd_index ea * pte_entry_bytes)
-
-let pte_entry_pa page ea =
-  (page.frame lsl Addr.page_shift) + (pte_index ea * pte_entry_bytes)
-
-let map t ~physmem ~ea entry =
+let map t ~physmem ~ea w =
   let i = pgd_index ea in
   let page =
-    match t.pgd.(i) with
-    | Some page -> page
-    | None ->
-        let page =
-          { frame = alloc_frame physmem;
-            slots = Array.make entries_per_table None;
-            live = 0 }
-        in
-        t.pgd.(i) <- Some page;
-        page
+    let page = t.pgd.(i) in
+    if page != no_page then page
+    else begin
+      let page =
+        { frame = alloc_frame physmem;
+          words = Array.make entries_per_table unmapped }
+      in
+      t.pgd.(i) <- page;
+      page
+    end
   in
   let j = pte_index ea in
-  (match page.slots.(j) with
-  | None ->
-      page.live <- page.live + 1;
-      t.mapped <- t.mapped + 1
-  | Some _ -> ());
-  page.slots.(j) <- Some entry
+  if page.words.(j) = unmapped then t.mapped <- t.mapped + 1;
+  page.words.(j) <- w
 
 let unmap t ~ea =
-  let i = pgd_index ea in
-  match t.pgd.(i) with
-  | None -> None
-  | Some page -> begin
-      let j = pte_index ea in
-      match page.slots.(j) with
-      | None -> None
-      | Some _ as old ->
-          page.slots.(j) <- None;
-          page.live <- page.live - 1;
-          t.mapped <- t.mapped - 1;
-          old
-    end
+  let page = t.pgd.(pgd_index ea) in
+  if page == no_page then unmapped
+  else begin
+    let j = pte_index ea in
+    let w = page.words.(j) in
+    if w <> unmapped then begin
+      page.words.(j) <- unmapped;
+      t.mapped <- t.mapped - 1
+    end;
+    w
+  end
 
 let find t ~ea =
-  match t.pgd.(pgd_index ea) with
-  | None -> None
-  | Some page -> page.slots.(pte_index ea)
+  let page = t.pgd.(pgd_index ea) in
+  if page == no_page then unmapped else page.words.(pte_index ea)
 
-let walk t ~ea =
-  match t.pgd.(pgd_index ea) with
-  | None -> (None, [| t.ctx_pa; pgd_entry_pa t ea |])
-  | Some page ->
-      ( page.slots.(pte_index ea),
-        [| t.ctx_pa; pgd_entry_pa t ea; pte_entry_pa page ea |] )
+(* The three loads of §6.1: the pgd pointer in the context structure,
+   the pgd entry, and (when the pgd entry is present) the PTE. *)
+let walk t ~ea ~on_ref =
+  let i = pgd_index ea in
+  on_ref t.ctx_pa;
+  on_ref ((t.pgd_frame lsl Addr.page_shift) + (i * pte_entry_bytes));
+  let page = t.pgd.(i) in
+  if page == no_page then unmapped
+  else begin
+    let j = pte_index ea in
+    on_ref ((page.frame lsl Addr.page_shift) + (j * pte_entry_bytes));
+    page.words.(j)
+  end
 
 let mapped_count t = t.mapped
 
+let page_ea i j = (i lsl 22) lor (j lsl Addr.page_shift)
+
 let iter t f =
-  Array.iteri
-    (fun i slot ->
-      match slot with
-      | None -> ()
-      | Some page ->
-          Array.iteri
-            (fun j entry ->
-              match entry with
-              | None -> ()
-              | Some e ->
-                  let ea = (i lsl 22) lor (j lsl Addr.page_shift) in
-                  f ea e)
-            page.slots)
-    t.pgd
+  for i = 0 to entries_per_table - 1 do
+    let page = t.pgd.(i) in
+    if page != no_page then
+      for j = 0 to entries_per_table - 1 do
+        let w = page.words.(j) in
+        if w <> unmapped then f (page_ea i j) w
+      done
+  done
+
+let unmap_all t f =
+  for i = entries_per_table - 1 downto 0 do
+    let page = t.pgd.(i) in
+    if page != no_page then
+      for j = entries_per_table - 1 downto 0 do
+        let w = page.words.(j) in
+        if w <> unmapped then begin
+          page.words.(j) <- unmapped;
+          t.mapped <- t.mapped - 1;
+          f w
+        end
+      done
+  done
 
 let destroy t ~physmem =
-  Array.iteri
-    (fun i slot ->
-      match slot with
-      | None -> ()
-      | Some page ->
-          Physmem.free physmem page.frame;
-          t.pgd.(i) <- None)
-    t.pgd;
+  for i = 0 to entries_per_table - 1 do
+    let page = t.pgd.(i) in
+    if page != no_page then begin
+      Physmem.free physmem page.frame;
+      t.pgd.(i) <- no_page
+    end
+  done;
   Physmem.free physmem t.pgd_frame;
   t.mapped <- 0

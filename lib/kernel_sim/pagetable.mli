@@ -12,23 +12,54 @@
     their physical addresses so the MMU charges them through the cache.
 
     Directory pages live in real physical frames taken from {!Physmem},
-    so walks touch genuinely distinct cache lines, as on hardware. *)
+    so walks touch genuinely distinct cache lines, as on hardware.
+
+    Each PTE page is one [int array] of 1024 packed words, one per
+    mapping, and nothing else is stored per mapping.  A word is [-1]
+    when the page is unmapped; otherwise, high bits to low:
+
+    {v
+      bits 4 and up   bit 3      bit 2       bit 1    bit 0
+      rpn             writable   inhibited   shared   cow
+    v}
+
+    - [writable]: user stores are allowed;
+    - [inhibited]: a cache-inhibited mapping;
+    - [shared]: the frame is owned elsewhere (page cache, device
+      aperture) and is never freed with the address space;
+    - [cow]: copy-on-write, mapped read-only and possibly referenced by
+      several address spaces; a store breaks the sharing.
+
+    {!pte} builds a word and the accessors below read one;
+    [find], [unmap], [walk] and [iter] hand out words, so no lookup
+    allocates. *)
 
 open Ppc
 
 exception Out_of_frames
 (** Raised when a directory page cannot be allocated. *)
 
-type entry = {
-  rpn : int;           (** physical frame *)
-  writable : bool;
-  inhibited : bool;    (** cache-inhibited mapping *)
-  shared : bool;       (** frame owned elsewhere (page cache, device
-                           aperture): never freed with the address space *)
-  cow : bool;          (** copy-on-write: mapped read-only and possibly
-                           referenced by several address spaces; a store
-                           breaks the sharing *)
-}
+val unmapped : int
+(** [-1], the word of an unmapped page. *)
+
+val pte :
+  rpn:int -> writable:bool -> inhibited:bool -> shared:bool -> cow:bool -> int
+(** The word mapping frame [rpn] with those bits. *)
+
+val rpn : int -> int
+val writable : int -> bool
+val inhibited : int -> bool
+val shared : int -> bool
+val cow : int -> bool
+(** The fields of a mapped word. *)
+
+val share_cow : int -> int
+(** [share_cow w] is [w] read-only and copy-on-write: fork's downgrade. *)
+
+val break_cow : int -> rpn:int -> int
+(** [break_cow w ~rpn] is [w] writable and no longer copy-on-write, on
+    frame [rpn] (a fresh copy, or [rpn w] when the last other referent
+    is gone). *)
 
 type t
 
@@ -39,28 +70,35 @@ val create : physmem:Physmem.t -> ctx_pa:Addr.pa -> t
 
 val pgd_rpn : t -> int
 
-val map :
-  t -> physmem:Physmem.t -> ea:Addr.ea -> entry -> unit
-(** [map t ~physmem ~ea e] installs a translation for the page containing
-    [ea], allocating the PTE page on demand.
+val map : t -> physmem:Physmem.t -> ea:Addr.ea -> int -> unit
+(** [map t ~physmem ~ea w] installs the mapped word [w] for the page
+    containing [ea], allocating the PTE page on demand.
     @raise Out_of_frames when a directory frame cannot be allocated. *)
 
-val unmap : t -> ea:Addr.ea -> entry option
-(** [unmap t ~ea] removes and returns the translation, if any. *)
+val unmap : t -> ea:Addr.ea -> int
+(** [unmap t ~ea] removes the translation and returns its word
+    ({!unmapped} if there was none). *)
 
-val find : t -> ea:Addr.ea -> entry option
-(** Side-effect-free lookup (no reference reporting). *)
+val find : t -> ea:Addr.ea -> int
+(** Side-effect-free lookup (no reference reporting): the word, or
+    {!unmapped}. *)
 
-val walk : t -> ea:Addr.ea -> entry option * Addr.pa array
-(** [walk t ~ea] is the hardware-visible walk: the result plus the
-    physical addresses of the loads performed (2 when the pgd entry is
-    empty, 3 otherwise). *)
+val walk : t -> ea:Addr.ea -> on_ref:(Addr.pa -> unit) -> int
+(** [walk t ~ea ~on_ref] is the hardware-visible walk: it calls [on_ref]
+    with the physical address of each load it performs, in order (2 when
+    the pgd entry is empty, 3 otherwise), and returns the word.
+    Allocates nothing. *)
 
 val mapped_count : t -> int
 (** Number of installed translations. *)
 
-val iter : t -> (Addr.ea -> entry -> unit) -> unit
-(** [iter t f] calls [f] on every mapping (page-aligned EA). *)
+val iter : t -> (Addr.ea -> int -> unit) -> unit
+(** [iter t f] calls [f] on every mapping (page-aligned EA and word), in
+    ascending address order. *)
+
+val unmap_all : t -> (int -> unit) -> unit
+(** [unmap_all t f] removes every mapping in descending address order,
+    calling [f] with each word right after removing it. *)
 
 val destroy : t -> physmem:Physmem.t -> unit
 (** Free every directory frame.  The mapped data frames themselves are

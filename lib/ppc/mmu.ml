@@ -13,16 +13,7 @@ let default_knobs =
     htab_replacement = `Arbitrary;
     tlb_replacement = Tlb.Lru }
 
-type walk_result =
-  | Mapped of {
-      rpn : int;
-      wimg : Pte.wimg;
-      protection : Pte.protection;
-      pt_refs : Addr.pa array;
-    }
-  | Unmapped of { pt_refs : Addr.pa array }
-
-type backing = { walk : Addr.ea -> walk_result }
+type backing = { walk : on_ref:(Addr.pa -> unit) -> Addr.ea -> int }
 
 type access_kind =
   | Fetch
@@ -71,6 +62,9 @@ type t = {
   mutable on_pt_ref : Addr.pa -> unit;
   mutable on_htab_ref : Addr.pa -> unit;
   mutable on_sw_htab_ref : Addr.pa -> unit;
+  (* [Htab.insert]'s [?policy], built once for the same reason: naming
+     it at the call would allocate a [Some] per fill. *)
+  mutable htab_policy : Htab.replacement option;
 }
 
 (* Physical address region where the C handlers save/restore state. *)
@@ -160,6 +154,10 @@ let sw_htab_ref t pa =
 
 let noop_ref (_ : Addr.pa) = ()
 
+(* [Htab.insert]'s [?changed] for a store, a constant so passing it
+   allocates nothing. *)
+let changed_true = Some true
+
 (* Handler path length: fast assembly vs original C with state save. *)
 let handler t ~fast ~slow ~slow_stack_refs =
   if t.knobs.fast_reload then Memsys.instructions t.memsys fast
@@ -220,11 +218,18 @@ let create ?(htab_base_pa = 0x0030_0000) ?(cpus = 1) ~machine ~memsys ~knobs
       rng;
       on_pt_ref = noop_ref;
       on_htab_ref = noop_ref;
-      on_sw_htab_ref = noop_ref }
+      on_sw_htab_ref = noop_ref;
+      htab_policy = None }
   in
   t.on_pt_ref <- pt_ref t;
   t.on_htab_ref <- htab_ref t;
   t.on_sw_htab_ref <- sw_htab_ref t;
+  t.htab_policy <-
+    Some
+      (match knobs.htab_replacement with
+      | `Arbitrary -> Htab.Arbitrary
+      | `Second_chance -> Htab.Second_chance
+      | `Zombie_aware -> Htab.Prefer_zombie (fun vsid -> t.is_zombie vsid));
   (* Wire the attribution profiler's machine-shape hooks.  The closures
      read [t]'s mutable predicates at call time, so the kernel can
      install liveness/ownership tests after boot. *)
@@ -261,6 +266,21 @@ let create ?(htab_base_pa = 0x0030_0000) ?(cpus = 1) ~machine ~memsys ~knobs
       Array.copy t.cpu_dtlb_misses);
   t
 
+(* --- translations as one immediate ------------------------------------ *)
+
+(* A reload's answer packed into one immediate, so the miss path builds
+   nothing on the heap: -1 for "no translation", else
+   [rpn lsl 3 lor from_htab lor writable lor inhibited].  The backing
+   walk answers in the same form, with [from_htab] clear. *)
+let r_inhibited = 1
+let r_writable = 2
+let r_from_htab = 4
+
+let[@inline] pack ~rpn ~writable ~inhibited =
+  (rpn lsl 3)
+  lor (if writable then r_writable else 0)
+  lor if inhibited then r_inhibited else 0
+
 (* --- the reference translator ----------------------------------------- *)
 
 (* The architectural answer for one effective address: BAT registers,
@@ -273,22 +293,18 @@ let reference_outcome t kind ea =
   let bat = match kind with Fetch -> t.ibat | Load | Store -> t.dbat in
   match Bat.translate bat ea with
   | Some pa -> { Shadow.pa = Some pa; inhibited = false; answered = Shadow.Bat }
-  | None -> begin
-      match t.backing.walk ea with
-      | Unmapped _ ->
-          { Shadow.pa = None;
-            inhibited = false;
-            answered = Shadow.No_translation }
-      | Mapped { rpn; wimg; protection; _ } ->
-          if kind = Store && protection <> Pte.Read_write then
-            { Shadow.pa = None;
-              inhibited = false;
-              answered = Shadow.Page_table }
-          else
-            { Shadow.pa = Some (Addr.pa_of ~rpn ~ea);
-              inhibited = wimg.Pte.cache_inhibited;
-              answered = Shadow.Page_table }
-    end
+  | None ->
+      let r = t.backing.walk ~on_ref:noop_ref ea in
+      if r < 0 then
+        { Shadow.pa = None;
+          inhibited = false;
+          answered = Shadow.No_translation }
+      else if kind = Store && r land r_writable = 0 then
+        { Shadow.pa = None; inhibited = false; answered = Shadow.Page_table }
+      else
+        { Shadow.pa = Some (Addr.pa_of ~rpn:(r lsr 3) ~ea);
+          inhibited = r land r_inhibited <> 0;
+          answered = Shadow.Page_table }
 
 let probe t kind ea = (reference_outcome t kind ea).Shadow.pa
 
@@ -321,68 +337,51 @@ let[@inline] shadow_check t kind ea ~pa ~inhibited ~answered =
 
 (* --- reload paths ---------------------------------------------------- *)
 
-(* A reload's answer packed into one immediate, so the miss path builds
-   nothing on the heap: -1 for "no translation", else
-   [rpn lsl 3 lor from_htab lor writable lor inhibited]. *)
-let r_inhibited = 1
-let r_writable = 2
-let r_from_htab = 4
-
-let[@inline] pack ~rpn ~writable ~inhibited =
-  (rpn lsl 3)
-  lor (if writable then r_writable else 0)
-  lor if inhibited then r_inhibited else 0
-
 (* Software fill after every faster mechanism missed: walk the Linux page
    tables and, when an htab exists, place the PTE there (possibly
    displacing a valid entry without checking VSID liveness). *)
 let walk_and_fill t ~vsid ~ea ~page_index ~store =
-  match t.backing.walk ea with
-  | Unmapped { pt_refs } ->
-      Array.iter t.on_pt_ref pt_refs;
-      -1
-  | Mapped { rpn; wimg; protection; pt_refs } ->
-      Array.iter t.on_pt_ref pt_refs;
-      (match t.htab with
-      | None -> ()
-      | Some h ->
-          handler t ~fast:Cost.htab_insert_fast_instr
-            ~slow:Cost.htab_insert_slow_instr
-            ~slow_stack_refs:Cost.htab_insert_slow_stack_refs;
-          let p = perf t in
-          p.Perf.htab_reloads <- p.Perf.htab_reloads + 1;
-          let policy =
-            match t.knobs.htab_replacement with
-            | `Arbitrary -> Htab.Arbitrary
-            | `Second_chance -> Htab.Second_chance
-            | `Zombie_aware -> Htab.Prefer_zombie t.is_zombie
-          in
-          (* "we updated the page-table PTE dirty/modified bits when we
-             loaded the PTE into the hash table" (§7): R is set at reload
-             and C eagerly for stores, whether the slot was free or
-             displaced a victim, so a later flush is a pure invalidate. *)
-          let victim =
-            Htab.insert h ~policy ~changed:store ~rng:t.rng ~vsid ~page_index
-              ~rpn ~wimg ~protection ~on_ref:t.on_htab_ref
-          in
-          if victim >= 0 then begin
-            (* the rejected design pays a software liveness check per
-               candidate right in the reload path *)
-            if t.knobs.htab_replacement = `Zombie_aware then
-              Memsys.instructions t.memsys Cost.zombie_check_instr;
-            p.Perf.htab_evicts <- p.Perf.htab_evicts + 1;
-            let victim_vsid = Htab.vsid_of_tag victim in
-            let victim_zombie = t.is_zombie victim_vsid in
-            if victim_zombie then
-              p.Perf.htab_evicts_zombie <- p.Perf.htab_evicts_zombie + 1
-            else p.Perf.htab_evicts_live <- p.Perf.htab_evicts_live + 1;
-            let tr = trace t in
-            if Trace.enabled tr then
-              Trace.emit tr Trace.Htab_evict ~a:victim_vsid
-                ~b:(if victim_zombie then 0 else 1)
-          end);
-      pack ~rpn ~writable:(protection = Pte.Read_write)
-        ~inhibited:wimg.Pte.cache_inhibited
+  let r = t.backing.walk ~on_ref:t.on_pt_ref ea in
+  (match t.htab with
+  | Some h when r >= 0 ->
+      handler t ~fast:Cost.htab_insert_fast_instr
+        ~slow:Cost.htab_insert_slow_instr
+        ~slow_stack_refs:Cost.htab_insert_slow_stack_refs;
+      let p = perf t in
+      p.Perf.htab_reloads <- p.Perf.htab_reloads + 1;
+      (* "we updated the page-table PTE dirty/modified bits when we
+         loaded the PTE into the hash table" (§7): R is set at reload
+         and C eagerly for stores, whether the slot was free or
+         displaced a victim, so a later flush is a pure invalidate. *)
+      let victim =
+        Htab.insert h ?policy:t.htab_policy
+          ?changed:(if store then changed_true else None)
+          ~rng:t.rng ~vsid ~page_index ~rpn:(r lsr 3)
+          ~wimg:
+            (if r land r_inhibited <> 0 then Pte.wimg_uncached
+             else Pte.wimg_default)
+          ~protection:
+            (if r land r_writable <> 0 then Pte.Read_write else Pte.Read_only)
+          ~on_ref:t.on_htab_ref
+      in
+      if victim >= 0 then begin
+        (* the rejected design pays a software liveness check per
+           candidate right in the reload path *)
+        if t.knobs.htab_replacement = `Zombie_aware then
+          Memsys.instructions t.memsys Cost.zombie_check_instr;
+        p.Perf.htab_evicts <- p.Perf.htab_evicts + 1;
+        let victim_vsid = Htab.vsid_of_tag victim in
+        let victim_zombie = t.is_zombie victim_vsid in
+        if victim_zombie then
+          p.Perf.htab_evicts_zombie <- p.Perf.htab_evicts_zombie + 1
+        else p.Perf.htab_evicts_live <- p.Perf.htab_evicts_live + 1;
+        let tr = trace t in
+        if Trace.enabled tr then
+          Trace.emit tr Trace.Htab_evict ~a:victim_vsid
+            ~b:(if victim_zombie then 0 else 1)
+      end
+  | Some _ | None -> ());
+  r
 
 let search_htab t h ~vsid ~page_index ~software =
   let p = perf t in

@@ -58,21 +58,18 @@ val default_knobs : knobs
 (** htab in use, fast handlers, cacheable page tables, arbitrary htab
     replacement, LRU TLB replacement. *)
 
-(** Result of the kernel's page-table walk for one effective address.
-    [pt_refs] are the physical addresses of the page-table entries the
-    walk touched (at most 3 on the Linux two-level tree); the MMU drives
-    them through the data cache. *)
-type walk_result =
-  | Mapped of {
-      rpn : int;
-      wimg : Pte.wimg;
-      protection : Pte.protection;
-      pt_refs : Addr.pa array;
-    }
-  | Unmapped of { pt_refs : Addr.pa array }
+val pack : rpn:int -> writable:bool -> inhibited:bool -> int
+(** A translation as one immediate: [rpn lsl 3 lor writable lor
+    inhibited], with [writable] = 2 and [inhibited] = 1.  Bit 2 is
+    clear.  [-1] stands for "no translation". *)
 
-type backing = { walk : Addr.ea -> walk_result }
-(** The kernel-provided resolver for the {e current} address space. *)
+type backing = { walk : on_ref:(Addr.pa -> unit) -> Addr.ea -> int }
+(** The kernel-provided resolver for the {e current} address space.
+    [walk ~on_ref ea] calls [on_ref] with the physical address of every
+    page-table entry it loads, in order (at most 3 on the Linux
+    two-level tree), and returns the translation as {!pack} builds it,
+    or [-1] when [ea] is unmapped.  The reload path drives those loads
+    through the data cache; the reference translator passes a no-op. *)
 
 type access_kind =
   | Fetch

@@ -1,19 +1,17 @@
 (* Allocation gate for the translation path: [Kernel.touch] builds
-   nothing on the heap, on a TLB hit or on a TLB miss served from the
-   htab, for both htab reload engines — the 604's hardware search
-   ([Hw_search]) and the 603's software search ([Sw_htab]).
-
-   Excluded: the 603 without an htab ([Sw_direct]), whose reload walks
-   the page tables through [backing.walk], and that still returns a
-   record per miss.
+   nothing on the heap, on a TLB hit or on any TLB miss, for all three
+   reload engines — the 604's hardware search ([Hw_search]), the 603's
+   software htab search ([Sw_htab]) and the 603's direct walk of the
+   page tables with no htab at all ([Sw_direct]) — and on an htab miss,
+   where the software fill walks the page tables and runs
+   [Htab.insert].
 
    The bound is per translation and leaves room for the timer tick,
    which [Kernel.touch] runs every [Kparams.timer_tick_cycles] simulated
    cycles and which does allocate.
 
-   The software fill's [Htab.insert] is gated on its own, under each
-   replacement policy: the fill path around it still allocates
-   ([backing.walk] returns a record), so [Kernel.touch] cannot gate it. *)
+   [Htab.insert] is also gated on its own, under each replacement
+   policy, through free-slot fills, same-tag updates and evictions. *)
 open Ppc
 module Kernel = Kernel_sim.Kernel
 module Policy = Kernel_sim.Policy
@@ -26,9 +24,13 @@ let bound = 0.01
 
 (* Minor words per [Kernel.touch] over [calls] touches cycling through
    [pages] pages, one store in four, once every page is mapped writable
-   and has been touched (no fault is left for the timed loop). *)
-let words_per_touch machine ~pages =
-  let k = Kernel.boot ~machine ~policy:Policy.optimized ~seed:42 () in
+   and has been touched (no fault is left for the timed loop).  With
+   [flush], [Mmu.flush_page] drops each page from the TLB and the htab
+   before its touch, so every touch misses both and the fill runs; the
+   flushes count in the words. *)
+let words_per_touch ?(policy = Policy.optimized) ?(flush = false) machine
+    ~pages =
+  let k = Kernel.boot ~machine ~policy ~seed:42 () in
   Kernel.switch_to k (Kernel.spawn k ~data_pages:pages ());
   let eas =
     Array.init pages (fun i ->
@@ -39,21 +41,28 @@ let words_per_touch machine ~pages =
     Array.init pages (fun i -> if i land 3 = 0 then Mmu.Store else Mmu.Load)
   in
   Array.iter (fun ea -> Kernel.touch k Mmu.Store ea) eas;
-  let misses_before = (Kernel.perf k).Perf.dtlb_misses in
+  let mmu = Kernel.mmu k in
+  let perf = Kernel.perf k in
+  let misses_before = perf.Perf.dtlb_misses in
+  let fills_before = perf.Perf.htab_reloads in
   let words_before = Gc.minor_words () in
   for i = 0 to calls - 1 do
     let j = i mod pages in
+    if flush then Mmu.flush_page mmu eas.(j);
     Kernel.touch k kinds.(j) eas.(j)
   done;
   let words = Gc.minor_words () -. words_before in
-  let misses = (Kernel.perf k).Perf.dtlb_misses - misses_before in
-  (words /. float_of_int calls, misses)
+  let misses = perf.Perf.dtlb_misses - misses_before in
+  let fills = perf.Perf.htab_reloads - fills_before in
+  (words /. float_of_int calls, misses, fills)
 
-let check_loop machine ~pages ~reloads () =
-  let words, misses = words_per_touch machine ~pages in
+let check_loop ?policy ?(flush = false) machine ~pages ~reloads () =
+  let words, misses, fills = words_per_touch ?policy ~flush machine ~pages in
   if reloads then
     Alcotest.(check bool) "every touch reloads" true (misses >= calls)
   else Alcotest.(check int) "no D-TLB misses" 0 misses;
+  if flush then
+    Alcotest.(check bool) "every touch fills the htab" true (fills >= calls);
   if words >= bound then
     Alcotest.failf "%.4f minor words per translation (bound %.2f)" words bound
 
@@ -105,6 +114,12 @@ let suite =
       (check_loop Machine.ppc603_133 ~pages:8 ~reloads:false);
     Alcotest.test_case "reload loop (603-133, sw htab)" `Quick
       (check_loop Machine.ppc603_133 ~pages:512 ~reloads:true);
+    Alcotest.test_case "reload loop (603-133, no htab)" `Quick
+      (check_loop
+         ~policy:{ Policy.optimized with use_htab = false }
+         Machine.ppc603_133 ~pages:512 ~reloads:true);
+    Alcotest.test_case "htab-miss fill loop (604-185)" `Quick
+      (check_loop ~flush:true Machine.ppc604_185 ~pages:512 ~reloads:true);
     Alcotest.test_case "htab insert (arbitrary)" `Quick
       (check_insert Htab.Arbitrary);
     Alcotest.test_case "htab insert (second chance)" `Quick

@@ -2,9 +2,13 @@
    record/option semantics: the flat TLB must pick the same LRU victims
    as the old [entry option array] implementation, the htab's two-word
    entries must behave exactly like the old boxed-record table and its
-   tag probe must match exactly [Pte.matches], and the unrolled cache
-   scans must agree with a straightforward reference model. *)
+   tag probe must match exactly [Pte.matches], the Linux page tables'
+   packed words must behave exactly like the old boxed entries, and the
+   unrolled cache scans must agree with a straightforward reference
+   model. *)
 open Ppc
+module Physmem = Kernel_sim.Physmem
+module Pagetable = Kernel_sim.Pagetable
 
 (* --- reference model of the pre-flattening TLB ---------------------- *)
 
@@ -701,6 +705,325 @@ let test_htab_footprint () =
     Alcotest.failf "%d words for %d PTEs (bound %d)" words n_ptes
       ((2 * n_ptes) + 64)
 
+(* --- packed page tables vs the boxed reference model ------------------ *)
+
+(* The Linux page tables as they were before they stored packed words:
+   one [entry option] per PTE slot, a [walk] that returns its load
+   addresses in a fresh array, and exec/exit's release pattern (collect
+   every mapping, then unmap them newest first) for [unmap_all]. *)
+module Ref_pagetable = struct
+  exception Out_of_frames
+
+  type entry = {
+    rpn : int;
+    writable : bool;
+    inhibited : bool;
+    shared : bool;
+    cow : bool;
+  }
+
+  type pte_page = {
+    frame : int;
+    slots : entry option array;
+  }
+
+  type t = {
+    ctx_pa : Addr.pa;
+    pgd_frame : int;
+    pgd : pte_page option array;
+    mutable mapped : int;
+  }
+
+  let entries_per_table = 1024
+  let pte_entry_bytes = 4
+  let pgd_index ea = (ea lsr 22) land 0x3FF
+  let pte_index ea = (ea lsr Addr.page_shift) land 0x3FF
+
+  let alloc_frame physmem =
+    match Physmem.alloc physmem with
+    | Some rpn -> rpn
+    | None -> raise Out_of_frames
+
+  let create ~physmem ~ctx_pa =
+    { ctx_pa;
+      pgd_frame = alloc_frame physmem;
+      pgd = Array.make entries_per_table None;
+      mapped = 0 }
+
+  let pgd_entry_pa t ea =
+    (t.pgd_frame lsl Addr.page_shift) + (pgd_index ea * pte_entry_bytes)
+
+  let pte_entry_pa page ea =
+    (page.frame lsl Addr.page_shift) + (pte_index ea * pte_entry_bytes)
+
+  let map t ~physmem ~ea entry =
+    let i = pgd_index ea in
+    let page =
+      match t.pgd.(i) with
+      | Some page -> page
+      | None ->
+          let page =
+            { frame = alloc_frame physmem;
+              slots = Array.make entries_per_table None }
+          in
+          t.pgd.(i) <- Some page;
+          page
+    in
+    let j = pte_index ea in
+    if page.slots.(j) = None then t.mapped <- t.mapped + 1;
+    page.slots.(j) <- Some entry
+
+  let unmap t ~ea =
+    let i = pgd_index ea in
+    match t.pgd.(i) with
+    | None -> None
+    | Some page -> begin
+        let j = pte_index ea in
+        match page.slots.(j) with
+        | None -> None
+        | Some _ as old ->
+            page.slots.(j) <- None;
+            t.mapped <- t.mapped - 1;
+            old
+      end
+
+  let find t ~ea =
+    match t.pgd.(pgd_index ea) with
+    | None -> None
+    | Some page -> page.slots.(pte_index ea)
+
+  let walk t ~ea =
+    match t.pgd.(pgd_index ea) with
+    | None -> (None, [| t.ctx_pa; pgd_entry_pa t ea |])
+    | Some page ->
+        ( page.slots.(pte_index ea),
+          [| t.ctx_pa; pgd_entry_pa t ea; pte_entry_pa page ea |] )
+
+  let mapped_count t = t.mapped
+
+  let iter t f =
+    Array.iteri
+      (fun i slot ->
+        match slot with
+        | None -> ()
+        | Some page ->
+            Array.iteri
+              (fun j entry ->
+                match entry with
+                | None -> ()
+                | Some e ->
+                    let ea = (i lsl 22) lor (j lsl Addr.page_shift) in
+                    f ea e)
+              page.slots)
+      t.pgd
+
+  let unmap_all t f =
+    let mapped = ref [] in
+    iter t (fun ea entry -> mapped := (ea, entry) :: !mapped);
+    List.iter
+      (fun (ea, entry) ->
+        ignore (unmap t ~ea : entry option);
+        f entry)
+      !mapped
+
+  let destroy t ~physmem =
+    Array.iteri
+      (fun i slot ->
+        match slot with
+        | None -> ()
+        | Some page ->
+            Physmem.free physmem page.frame;
+            t.pgd.(i) <- None)
+      t.pgd;
+    Physmem.free physmem t.pgd_frame;
+    t.mapped <- 0
+end
+
+let word_of_entry = function
+  | None -> Pagetable.unmapped
+  | Some { Ref_pagetable.rpn; writable; inhibited; shared; cow } ->
+      Pagetable.pte ~rpn ~writable ~inhibited ~shared ~cow
+
+type pt_op =
+  | P_map of Addr.ea * Ref_pagetable.entry
+  | P_unmap of Addr.ea
+  | P_find of Addr.ea
+  | P_walk of Addr.ea
+  | P_unmap_all
+  | P_destroy
+
+(* Five pgd slots (one more than the directory frames [pt_ram_frames]
+   leaves for PTE pages, so maps run out of frames), eight PTEs in
+   each, and any offset within the page. *)
+let pt_ram_frames = 6
+
+let pt_ea_gen =
+  QCheck.Gen.(
+    map
+      (fun (i, j, off) ->
+        ([| 0; 1; 0x060; 0x200; 0x3FF |].(i) lsl 22)
+        lor (j lsl Addr.page_shift) lor off)
+      (triple (int_bound 4) (int_bound 7) (int_bound 0xFFF)))
+
+let pt_entry_gen =
+  QCheck.Gen.(
+    map
+      (fun (rpn, bits) ->
+        { Ref_pagetable.rpn;
+          writable = bits land 1 <> 0;
+          inhibited = bits land 2 <> 0;
+          shared = bits land 4 <> 0;
+          cow = bits land 8 <> 0 })
+      (pair (int_bound 0xFFFFF) (int_bound 15)))
+
+let pt_op_gen =
+  QCheck.Gen.(
+    frequency
+      [ (8, map2 (fun ea e -> P_map (ea, e)) pt_ea_gen pt_entry_gen);
+        (3, map (fun ea -> P_unmap ea) pt_ea_gen);
+        (3, map (fun ea -> P_find ea) pt_ea_gen);
+        (4, map (fun ea -> P_walk ea) pt_ea_gen);
+        (1, return P_unmap_all);
+        (1, return P_destroy) ])
+
+let pt_op_print = function
+  | P_map (ea, e) ->
+      Printf.sprintf "map %#x rpn=%#x %s%s%s%s" ea e.Ref_pagetable.rpn
+        (if e.Ref_pagetable.writable then "w" else "-")
+        (if e.Ref_pagetable.inhibited then "i" else "-")
+        (if e.Ref_pagetable.shared then "s" else "-")
+        (if e.Ref_pagetable.cow then "c" else "-")
+  | P_unmap ea -> Printf.sprintf "unmap %#x" ea
+  | P_find ea -> Printf.sprintf "find %#x" ea
+  | P_walk ea -> Printf.sprintf "walk %#x" ea
+  | P_unmap_all -> "unmap_all"
+  | P_destroy -> "destroy"
+
+(* Drive the packed table and the boxed reference through one random
+   stream, each over its own identically built [Physmem] small enough to
+   run out.  [P_destroy] frees a table and builds the next one.  After
+   every operation both must have given the same answer (a reference
+   entry counts as the word [Pagetable.pte] makes of it; running out of
+   frames is an answer), reported the same walk addresses in order,
+   hold the same frames allocated, and agree on [mapped_count] and on
+   [iter]'s (address, word) sequence, which is checked after every
+   operation rather than as one. *)
+let prop_pagetable_matches_boxed_reference =
+  QCheck.Test.make ~name:"page tables == boxed reference" ~count:300
+    (QCheck.make ~shrink:QCheck.Shrink.list
+       ~print:(fun l -> String.concat "; " (List.map pt_op_print l))
+       (QCheck.Gen.list_size (QCheck.Gen.int_range 1 80) pt_op_gen))
+    (fun ops ->
+      let physmem () =
+        Physmem.create ~ram_bytes:(pt_ram_frames * Addr.page_size)
+          ~reserved_bytes:Addr.page_size
+      in
+      let pm = physmem () and pm_ref = physmem () in
+      let ctx_pa = 0x80 in
+      let pt = ref (Pagetable.create ~physmem:pm ~ctx_pa) in
+      let rt = ref (Ref_pagetable.create ~physmem:pm_ref ~ctx_pa) in
+      let listing () =
+        let l = ref [] in
+        Pagetable.iter !pt (fun ea w -> l := (ea, w) :: !l);
+        !l
+      in
+      let ref_listing () =
+        let l = ref [] in
+        Ref_pagetable.iter !rt (fun ea e ->
+            l := (ea, word_of_entry (Some e)) :: !l);
+        !l
+      in
+      let same_frames () =
+        let ok = ref true in
+        for rpn = 0 to pt_ram_frames - 1 do
+          if Physmem.is_allocated pm rpn <> Physmem.is_allocated pm_ref rpn
+          then ok := false
+        done;
+        !ok
+      in
+      List.for_all
+        (fun op ->
+          let same_answer =
+            match op with
+            | P_map (ea, e) -> (
+                let w = word_of_entry (Some e) in
+                match
+                  ( (try Ok (Pagetable.map !pt ~physmem:pm ~ea w)
+                     with Pagetable.Out_of_frames -> Error ()),
+                    try Ok (Ref_pagetable.map !rt ~physmem:pm_ref ~ea e)
+                    with Ref_pagetable.Out_of_frames -> Error () )
+                with
+                | Ok (), Ok () | Error (), Error () -> true
+                | _ -> false)
+            | P_unmap ea ->
+                Pagetable.unmap !pt ~ea
+                = word_of_entry (Ref_pagetable.unmap !rt ~ea)
+            | P_find ea ->
+                Pagetable.find !pt ~ea
+                = word_of_entry (Ref_pagetable.find !rt ~ea)
+            | P_walk ea ->
+                let refs = ref [] in
+                let w =
+                  Pagetable.walk !pt ~ea ~on_ref:(fun pa -> refs := pa :: !refs)
+                in
+                let e, ref_refs = Ref_pagetable.walk !rt ~ea in
+                w = word_of_entry e
+                && List.rev !refs = Array.to_list ref_refs
+            | P_unmap_all ->
+                let ws = ref [] and es = ref [] in
+                Pagetable.unmap_all !pt (fun w -> ws := w :: !ws);
+                Ref_pagetable.unmap_all !rt (fun e ->
+                    es := word_of_entry (Some e) :: !es);
+                !ws = !es
+            | P_destroy ->
+                Pagetable.destroy !pt ~physmem:pm;
+                Ref_pagetable.destroy !rt ~physmem:pm_ref;
+                pt := Pagetable.create ~physmem:pm ~ctx_pa;
+                rt := Ref_pagetable.create ~physmem:pm_ref ~ctx_pa;
+                Pagetable.pgd_rpn !pt = (!rt).Ref_pagetable.pgd_frame
+          in
+          same_answer && same_frames ()
+          && Pagetable.mapped_count !pt = Ref_pagetable.mapped_count !rt
+          && listing () = ref_listing ())
+        ops)
+
+(* The boot's linear map of the 604-185's 8,192 frames fills eight PTE
+   pages: nine 1,024-word arrays (1,025 words with their headers), plus
+   a few words of records. *)
+let test_linear_map_footprint () =
+  let physmem =
+    Physmem.create ~ram_bytes:Machine.ppc604_185.Machine.ram_bytes
+      ~reserved_bytes:Kernel_sim.Kparams.reserved_bytes
+  in
+  let pt = Pagetable.create ~physmem ~ctx_pa:0x80 in
+  let frames = Physmem.total_frames physmem in
+  for rpn = 0 to frames - 1 do
+    Pagetable.map pt ~physmem
+      ~ea:(Kernel_sim.Kparams.kernel_virt_of_phys (rpn lsl Addr.page_shift))
+      (Pagetable.pte ~rpn ~writable:true ~inhibited:false ~shared:false
+         ~cow:false)
+  done;
+  Alcotest.(check int) "every frame mapped" 8192 (Pagetable.mapped_count pt);
+  let words = Obj.reachable_words (Obj.repr pt) in
+  let bound = (9 * 1025) + 64 in
+  if words > bound then
+    Alcotest.failf "%d words for the linear map (bound %d)" words bound
+
+(* A booted 604-185 kernel: the htab's 32,774 words, the physical frame
+   allocator's 16,392, the linear map's 9,2xx and the rest.  It read
+   67,133 words when this bound was set; boxed page-table entries would
+   add back about 65,000. *)
+let test_booted_kernel_footprint () =
+  let k =
+    Kernel_sim.Kernel.boot ~machine:Machine.ppc604_185
+      ~policy:Kernel_sim.Policy.optimized ~seed:42 ()
+  in
+  let words = Obj.reachable_words (Obj.repr k) in
+  let bound = 72_000 in
+  if words > bound then
+    Alcotest.failf "%d words for a booted 604-185 kernel (bound %d)" words
+      bound
+
 (* --- cache scans vs a reference model -------------------------------- *)
 
 module Ref_cache = struct
@@ -859,4 +1182,9 @@ let suite =
     QCheck_alcotest.to_alcotest
       (prop_htab_matches_boxed_reference 2048 ~count:50);
     Alcotest.test_case "htab footprint: two words per PTE" `Quick
-      test_htab_footprint ]
+      test_htab_footprint;
+    QCheck_alcotest.to_alcotest prop_pagetable_matches_boxed_reference;
+    Alcotest.test_case "page-table footprint: the linear map" `Quick
+      test_linear_map_footprint;
+    Alcotest.test_case "footprint: a booted 604-185 kernel" `Quick
+      test_booted_kernel_footprint ]

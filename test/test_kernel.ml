@@ -101,14 +101,14 @@ let test_munmap_errors () =
 
 let frames_of mm =
   let acc = ref [] in
-  Kernel_sim.Pagetable.iter (Mm.pagetable mm) (fun _ e ->
-      acc := e.Kernel_sim.Pagetable.rpn :: !acc);
+  Kernel_sim.Pagetable.iter (Mm.pagetable mm) (fun _ w ->
+      acc := Kernel_sim.Pagetable.rpn w :: !acc);
   List.sort compare !acc
 
 let frame_at mm ea =
-  match Kernel_sim.Pagetable.find (Mm.pagetable mm) ~ea with
-  | Some e -> e.Kernel_sim.Pagetable.rpn
-  | None -> Alcotest.fail "expected a mapping"
+  let w = Kernel_sim.Pagetable.find (Mm.pagetable mm) ~ea in
+  if w < 0 then Alcotest.fail "expected a mapping";
+  Kernel_sim.Pagetable.rpn w
 
 let test_fork_cow () =
   let k = boot () in
@@ -172,9 +172,9 @@ let test_fork_shares_file_pages () =
   let child = Kernel.sys_fork k in
   let shared_frame mm =
     let acc = ref None in
-    Kernel_sim.Pagetable.iter (Mm.pagetable mm) (fun _ e ->
-        if e.Kernel_sim.Pagetable.shared then
-          acc := Some e.Kernel_sim.Pagetable.rpn);
+    Kernel_sim.Pagetable.iter (Mm.pagetable mm) (fun _ w ->
+        if Kernel_sim.Pagetable.shared w then
+          acc := Some (Kernel_sim.Pagetable.rpn w));
     !acc
   in
   Alcotest.(check (option int)) "same page-cache frame"

@@ -98,8 +98,8 @@ let test_destroy () =
   let pt = Mm.pagetable mm in
   let frame = Option.get (Physmem.alloc pm) in
   Kernel_sim.Pagetable.map pt ~physmem:pm ~ea:0x01800000
-    { Kernel_sim.Pagetable.rpn = frame; writable = true; inhibited = false;
-      shared = false; cow = false };
+    (Kernel_sim.Pagetable.pte ~rpn:frame ~writable:true ~inhibited:false
+       ~shared:false ~cow:false);
   let freed = ref [] in
   Mm.destroy mm ~physmem:pm ~vsid_alloc:v ~free_frame:(fun rpn ->
       freed := rpn :: !freed;

@@ -47,10 +47,9 @@ let op_of_int n =
 let check_consistency k task =
   let mmu = Kernel.mmu k in
   let ok = ref true in
-  Pagetable.iter (Mm.pagetable task.Task.mm) (fun ea entry ->
+  Pagetable.iter (Mm.pagetable task.Task.mm) (fun ea w ->
       match Mmu.probe mmu Mmu.Load ea with
-      | Some pa ->
-          if Addr.rpn_of_pa pa <> entry.Pagetable.rpn then ok := false
+      | Some pa -> if Addr.rpn_of_pa pa <> Pagetable.rpn w then ok := false
       | None -> ok := false);
   !ok
 

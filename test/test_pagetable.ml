@@ -8,27 +8,32 @@ let mk () =
   (Pagetable.create ~physmem:pm ~ctx_pa:0x80, pm)
 
 let entry ?(writable = true) rpn =
-  { Pagetable.rpn; writable; inhibited = false; shared = false; cow = false }
+  Pagetable.pte ~rpn ~writable ~inhibited:false ~shared:false ~cow:false
+
+(* [walk] with its loads collected in order *)
+let walk pt ~ea =
+  let refs = ref [] in
+  let w = Pagetable.walk pt ~ea ~on_ref:(fun pa -> refs := pa :: !refs) in
+  (w, Array.of_list (List.rev !refs))
 
 let test_map_find () =
   let pt, pm = mk () in
   Pagetable.map pt ~physmem:pm ~ea:0x01800123 (entry 0x42);
-  (match Pagetable.find pt ~ea:0x01800FFF with
-  | Some e -> Alcotest.(check int) "same page" 0x42 e.Pagetable.rpn
-  | None -> Alcotest.fail "expected mapping");
-  Alcotest.(check bool) "other page unmapped" true
-    (Pagetable.find pt ~ea:0x01801000 = None)
+  Alcotest.(check int) "same page" 0x42
+    (Pagetable.rpn (Pagetable.find pt ~ea:0x01800FFF));
+  Alcotest.(check int) "other page unmapped" Pagetable.unmapped
+    (Pagetable.find pt ~ea:0x01801000)
 
 let test_walk_refs () =
   let pt, pm = mk () in
   (* empty: walk touches ctx pointer + pgd entry = 2 loads *)
-  let r, refs = Pagetable.walk pt ~ea:0x01800000 in
-  Alcotest.(check bool) "unmapped" true (r = None);
+  let r, refs = walk pt ~ea:0x01800000 in
+  Alcotest.(check int) "unmapped" Pagetable.unmapped r;
   Alcotest.(check int) "2 loads when pgd empty" 2 (Array.length refs);
   Alcotest.(check int) "first load is the context" 0x80 refs.(0);
   Pagetable.map pt ~physmem:pm ~ea:0x01800000 (entry 0x1);
-  let r, refs = Pagetable.walk pt ~ea:0x01800000 in
-  Alcotest.(check bool) "mapped" true (r <> None);
+  let r, refs = walk pt ~ea:0x01800000 in
+  Alcotest.(check int) "mapped" (entry 0x1) r;
   Alcotest.(check int) "3 loads worst case" 3 (Array.length refs);
   (* the pgd entry and pte entry live in distinct frames *)
   Alcotest.(check bool) "distinct frames" true
@@ -37,12 +42,12 @@ let test_walk_refs () =
 let test_unmap () =
   let pt, pm = mk () in
   Pagetable.map pt ~physmem:pm ~ea:0x01800000 (entry 0x9);
-  (match Pagetable.unmap pt ~ea:0x01800000 with
-  | Some e -> Alcotest.(check int) "returned entry" 0x9 e.Pagetable.rpn
-  | None -> Alcotest.fail "expected entry");
-  Alcotest.(check bool) "gone" true (Pagetable.find pt ~ea:0x01800000 = None);
-  Alcotest.(check bool) "second unmap none" true
-    (Pagetable.unmap pt ~ea:0x01800000 = None);
+  Alcotest.(check int) "returned entry" (entry 0x9)
+    (Pagetable.unmap pt ~ea:0x01800000);
+  Alcotest.(check int) "gone" Pagetable.unmapped
+    (Pagetable.find pt ~ea:0x01800000);
+  Alcotest.(check int) "second unmap none" Pagetable.unmapped
+    (Pagetable.unmap pt ~ea:0x01800000);
   Alcotest.(check int) "count zero" 0 (Pagetable.mapped_count pt)
 
 let test_remap_updates () =
@@ -50,9 +55,7 @@ let test_remap_updates () =
   Pagetable.map pt ~physmem:pm ~ea:0x01800000 (entry 0x1);
   Pagetable.map pt ~physmem:pm ~ea:0x01800000 (entry 0x2);
   Alcotest.(check int) "count stays 1" 1 (Pagetable.mapped_count pt);
-  match Pagetable.find pt ~ea:0x01800000 with
-  | Some e -> Alcotest.(check int) "updated" 0x2 e.Pagetable.rpn
-  | None -> Alcotest.fail "expected mapping"
+  Alcotest.(check int) "updated" (entry 0x2) (Pagetable.find pt ~ea:0x01800000)
 
 let test_iter () =
   let pt, pm = mk () in
@@ -77,6 +80,25 @@ let test_destroy_frees_frames () =
   (* +1: the pgd frame allocated at create is also released *)
   Alcotest.(check int) "all directory frames back" (before + 1)
     (Physmem.free_frames pm)
+
+let test_word_fields () =
+  let w =
+    Pagetable.pte ~rpn:0xABCDE ~writable:true ~inhibited:true ~shared:false
+      ~cow:false
+  in
+  Alcotest.(check int) "rpn" 0xABCDE (Pagetable.rpn w);
+  Alcotest.(check (list bool)) "writable, inhibited, shared, cow"
+    [ true; true; false; false ]
+    Pagetable.[ writable w; inhibited w; shared w; cow w ];
+  let c = Pagetable.share_cow w in
+  Alcotest.(check (list bool)) "fork's downgrade: read-only, cow"
+    [ false; true; false; true ]
+    Pagetable.[ writable c; inhibited c; shared c; cow c ];
+  Alcotest.(check int) "downgrade keeps the frame" 0xABCDE (Pagetable.rpn c);
+  Alcotest.(check int) "breaking cow in place restores the word" w
+    (Pagetable.break_cow c ~rpn:(Pagetable.rpn c));
+  Alcotest.(check int) "breaking cow onto a copy moves the frame" 0x42
+    (Pagetable.rpn (Pagetable.break_cow c ~rpn:0x42))
 
 let test_out_of_frames () =
   let pm = Physmem.create ~ram_bytes:(2 * 4096) ~reserved_bytes:0 in
@@ -105,9 +127,8 @@ let prop_map_walk_agree =
         (fun epn rpn ok ->
           ok
           &&
-          match Pagetable.walk pt ~ea:(epn lsl Addr.page_shift) with
-          | Some e, _ -> e.Pagetable.rpn = rpn
-          | None, _ -> false)
+          Pagetable.walk pt ~ea:(epn lsl Addr.page_shift) ~on_ref:ignore
+          = entry rpn)
         model true)
 
 let suite =
@@ -116,6 +137,8 @@ let suite =
     Alcotest.test_case "unmap" `Quick test_unmap;
     Alcotest.test_case "remap updates in place" `Quick test_remap_updates;
     Alcotest.test_case "iter" `Quick test_iter;
+    Alcotest.test_case "word fields and cow transitions" `Quick
+      test_word_fields;
     Alcotest.test_case "destroy frees directory frames" `Quick
       test_destroy_frees_frames;
     Alcotest.test_case "out of frames" `Quick test_out_of_frames;

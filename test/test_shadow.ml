@@ -17,15 +17,14 @@ let make_shadowed ?(machine = Machine.ppc604_185) ?(knobs = Mmu.default_knobs)
   let perf = Perf.create () in
   let memsys = Memsys.create ~machine ~perf in
   let mappings : (int, int * bool) Hashtbl.t = Hashtbl.create 64 in
-  let walk ea =
+  let walk ~on_ref ea =
+    on_ref 0x4000;
+    on_ref 0x4100;
     match Hashtbl.find_opt mappings (Addr.epn ea) with
     | Some (rpn, writable) ->
-        Mmu.Mapped
-          { rpn;
-            wimg = Pte.wimg_default;
-            protection = (if writable then Pte.Read_write else Pte.Read_only);
-            pt_refs = [| 0x4000; 0x4100; 0x4200 |] }
-    | None -> Mmu.Unmapped { pt_refs = [| 0x4000; 0x4100 |] }
+        on_ref 0x4200;
+        Mmu.pack ~rpn ~writable ~inhibited:false
+    | None -> -1
   in
   let mmu =
     Mmu.create ~machine ~memsys ~knobs ~backing:{ Mmu.walk }
@@ -91,16 +90,14 @@ let test_shadow_is_free () =
         let perf = Perf.create () in
         let memsys = Memsys.create ~machine ~perf in
         let mappings = Hashtbl.create 64 in
-        let walk ea =
+        let walk ~on_ref ea =
+          on_ref 0x4000;
+          on_ref 0x4100;
           match Hashtbl.find_opt mappings (Addr.epn ea) with
           | Some (rpn, writable) ->
-              Mmu.Mapped
-                { rpn;
-                  wimg = Pte.wimg_default;
-                  protection =
-                    (if writable then Pte.Read_write else Pte.Read_only);
-                  pt_refs = [| 0x4000; 0x4100; 0x4200 |] }
-          | None -> Mmu.Unmapped { pt_refs = [| 0x4000; 0x4100 |] }
+              on_ref 0x4200;
+              Mmu.pack ~rpn ~writable ~inhibited:false
+          | None -> -1
         in
         let mmu =
           Mmu.create ~machine ~memsys ~knobs ~backing:{ Mmu.walk }
