@@ -201,8 +201,8 @@ let kind_counts_json tr =
 
 (* The per-run observability document embedded in experiment results:
    merged histograms and event counts over every kernel the run booted,
-   plus one timeline per kernel that sampled. *)
-let observability_json traces =
+   plus one timeline per kernel that sampled, when asked for. *)
+let observability_json ~timelines traces =
   let probe = Hist.create () in
   let tlb = Hist.create () in
   let ctxsw = Hist.create () in
@@ -225,10 +225,12 @@ let observability_json traces =
             Trace.all_kinds))
   in
   let timelines =
-    List.filter_map
-      (fun tr ->
-        match timeline_to_json tr with Json.Null -> None | j -> Some j)
-      traces
+    if not timelines then []
+    else
+      List.filter_map
+        (fun tr ->
+          match timeline_to_json tr with Json.Null -> None | j -> Some j)
+        traces
   in
   Json.Obj
     [ ("events", events);

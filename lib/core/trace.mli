@@ -1,8 +1,8 @@
 (** Exporters for {!Ppc.Trace} — the half of the observability layer
     that formats, as opposed to records.
 
-    {!Ppc.Trace} owns the hot-path API (ring buffer, timeline sampler,
-    histograms) because the MMU and kernel instrumentation live below
+    {!Ppc.Trace} owns the hot-path API (ring buffer, histograms, the
+    timeline view) because the MMU and kernel instrumentation live below
     this library in the dependency order; this module turns a finished
     trace into Chrome trace-event JSON (loadable in Perfetto or
     [chrome://tracing]), machine-readable distribution documents for
@@ -36,10 +36,13 @@ val timeline_to_json : Trace.t -> Json.t
 val kind_counts_json : Trace.t -> Json.t
 (** Event totals by kind (wrap-immune), zero kinds omitted. *)
 
-val observability_json : Trace.t list -> Json.t
+val observability_json : timelines:bool -> Trace.t list -> Json.t
 (** The per-run document embedded in experiment results when tracing is
     armed: event totals and merged histograms across every kernel the
-    run booted, plus one timeline per kernel that sampled. *)
+    run booted, plus, when [timelines], one timeline per kernel that
+    sampled.  The timeline recorder also runs for the profiler's
+    occupancy map, so whether the trace exports it is the caller's
+    request, not whether it ran. *)
 
 val summary : Trace.t -> string
 (** Flamegraph-flavoured text report: event counts with bars, latency

@@ -523,7 +523,7 @@ let metric_table w_name metrics =
 let profiled_doc ~seed ~workloads policy =
   let entries =
     Runner.armed
-      { Boot.plain with Boot.profile = Some 0 }
+      { Boot.plain with Boot.profile = true }
       (fun () ->
         List.map
           (fun w ->

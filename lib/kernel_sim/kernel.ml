@@ -79,8 +79,7 @@ let set_active_cpu t cpu =
   if cpu <> t.k_cpu then begin
     t.k_cpu <- cpu;
     Mmu.set_cpu t.k_mmu cpu;
-    Trace.set_current_pid
-      (Memsys.trace t.k_memsys)
+    Mmu.set_pid t.k_mmu
       (match t.k_currents.(cpu) with
       | Some task -> task.Task.pid
       | None -> 0)
@@ -348,7 +347,8 @@ let context_reset t ~mm =
   | Some sh -> Shadow.note_flush sh ~what:"context-reset" ~vsid:old_ctx ~ea:0);
   let tr = trace t in
   if Trace.enabled tr then
-    Trace.emit tr Trace.Flush_context ~a:old_ctx ~b:fresh;
+    Trace.emit tr Trace.Flush_context ~pid:(Mmu.pid t.k_mmu) ~a:old_ctx
+      ~b:fresh;
   Memsys.instructions t.k_memsys 40;
   (* The lazy reset is also the SMP win: remote TLBs keep the retired
      VSID's entries as zombies instead of being shot down — count every
@@ -515,8 +515,8 @@ let switch_to t task =
      task's address space; flushes must include it until the mask is
      reset (we never narrow it — conservative, like the real thing). *)
   Mm.note_running task.Task.mm ~cpu:t.k_cpu;
+  Mmu.set_pid t.k_mmu task.Task.pid;
   let tr = trace t in
-  Trace.set_current_pid tr task.Task.pid;
   if Trace.enabled tr then
     Trace.emit_context_switch tr ~pid:task.Task.pid
       ~cost:(t.k_perf.Perf.cycles - switch_start);
@@ -619,7 +619,7 @@ let idle_for t ~cycles:n =
   done;
   let tr = trace t in
   if Trace.enabled tr then
-    Trace.emit_for tr Trace.Idle_window ~pid:0 ~a:0 ~b:(cycles t - start)
+    Trace.emit tr Trace.Idle_window ~pid:0 ~a:0 ~b:(cycles t - start)
 
 (* An idle CPU pulled a runnable task off another CPU's queue: charge the
    run-queue lock + migration bookkeeping and count it.  The scheduler
@@ -649,7 +649,7 @@ let handle_user_fault t kind ea =
   t.k_perf.Perf.page_faults <- t.k_perf.Perf.page_faults + 1;
   let tr = trace t in
   if Trace.enabled tr then
-    Trace.emit tr Trace.Page_fault ~a:ea
+    Trace.emit tr Trace.Page_fault ~pid:(Mmu.pid t.k_mmu) ~a:ea
       ~b:(match kind with Mmu.Fetch -> 0 | Mmu.Load -> 1 | Mmu.Store -> 2);
   run_path t ~off:Kparams.off_fault ~instrs:Kparams.fault_service
     ~data:(current_task_refs t);

@@ -65,7 +65,7 @@ let add_vma t v =
   t.mm_vmas <- v :: t.mm_vmas;
   match t.mm_trace with
   | Some tr when Trace.enabled tr ->
-      Trace.emit_for tr Trace.Vma_map ~pid:t.mm_pid ~a:v.va_start
+      Trace.emit tr Trace.Vma_map ~pid:t.mm_pid ~a:v.va_start
         ~b:v.va_pages
   | Some _ | None -> ()
 
@@ -76,7 +76,7 @@ let remove_vma t ~start =
       t.mm_vmas <- rest;
       (match t.mm_trace with
       | Some tr when Trace.enabled tr ->
-          Trace.emit_for tr Trace.Vma_unmap ~pid:t.mm_pid ~a:v.va_start
+          Trace.emit tr Trace.Vma_unmap ~pid:t.mm_pid ~a:v.va_start
             ~b:v.va_pages
       | Some _ | None -> ());
       Some v

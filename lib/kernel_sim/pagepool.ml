@@ -88,7 +88,7 @@ let idle_clear_one t =
               Physmem.free t.physmem rpn;
             let tr = Memsys.trace t.memsys in
             if Trace.enabled tr then
-              Trace.emit_for tr Trace.Idle_prezero ~pid:0 ~a:rpn
+              Trace.emit tr Trace.Idle_prezero ~pid:0 ~a:rpn
                 ~b:(if t.use_list then 1 else 0);
             true
       end

@@ -28,11 +28,11 @@ let create kernel =
       queues = Array.make (Kernel.cpus kernel) [];
       next_enroll = 0 }
   in
-  (* Per-CPU run-queue depths as a flight-recorder gauge.  Re-installing
-     under the same name re-points the gauge at the newest scheduler, so
-     a workload that builds several in sequence always samples the live
+  (* Per-CPU run-queue depths as a recorder gauge.  Re-installing under
+     the same name re-points the gauge at the newest scheduler, so a
+     workload that builds several in sequence always samples the live
      one. *)
-  Ppc.Recorder.add_source (Kernel.recorder kernel) ~name:"runq" (fun () ->
+  Ppc.Memsys.add_gauge (Kernel.memsys kernel) ~name:"runq" (fun () ->
       let now = Kernel.cycles kernel in
       Array.map (fun q -> runnable_count q now) t.queues);
   t
@@ -112,7 +112,7 @@ let run t =
     | Sleep n -> e.wake_at <- Kernel.cycles k + n
     | Done -> e.finished <- true);
     if traced then
-      Ppc.Trace.emit_for tr Ppc.Trace.Run_slice ~pid:e.task.Task.pid ~a:cpu
+      Ppc.Trace.emit tr Ppc.Trace.Run_slice ~pid:e.task.Task.pid ~a:cpu
         ~b:(Kernel.cycles k - slice_start)
   in
   (* each pass gives every CPU one turn; a CPU with nothing runnable

@@ -1,8 +1,9 @@
 type t = {
   cpus : int;
   requests : int option;
-  trace : int option;
-  profile : int option;
+  trace : bool;
+  profile : bool;
+  timeline : int;
   spans : bool;
   shadow : bool;
   record : (int * (Recorder.t -> unit)) option;
@@ -11,8 +12,9 @@ type t = {
 let plain =
   { cpus = 1;
     requests = None;
-    trace = None;
-    profile = None;
+    trace = false;
+    profile = false;
+    timeline = 0;
     spans = false;
     shadow = false;
     record = None }

@@ -15,19 +15,21 @@ type t = {
   requests : int option;
       (** server-experiment request count; [None] keeps the workload's
           default *)
-  trace : int option;
-      (** [Some every]: tracing armed, the Perf timeline sampled every
-          [every] cycles ([0]: no timeline) *)
-  profile : int option;
-      (** [Some every]: profiling armed, htab occupancy sampled every
-          [every] cycles ([0]: no sampler) *)
+  trace : bool;  (** event tracing armed *)
+  profile : bool;  (** attribution profiling armed *)
+  timeline : int;
+      (** cadence in cycles of {!Memsys.timeline}, armed with unbounded
+          retention ([<= 0]: not armed).  Its samples are both the
+          trace's Perf timeline and the profile's htab occupancy, so
+          the two share this one cadence. *)
   spans : bool;  (** request spans armed *)
   shadow : bool;
       (** a shadow checker attached to every kernel booted without
           [?shadow] *)
   record : (int * (Recorder.t -> unit)) option;
       (** [Some (every, attach)]: flight recording armed at cadence
-          [every], each recorder handed to [attach] as it is created *)
+          [every], each recorder handed to [attach] as it is created —
+          the other cadence *)
 }
 
 val plain : t

@@ -8,15 +8,42 @@ type t = {
   icache : Cache.t;
   dcache : Cache.t;
   mutable idle : bool;
+  timeline : Recorder.t;  (* last, so the hit path's field offsets stay put *)
 }
 
+(* Every gauge goes on both recorders, in the same order. *)
+let add_gauge t ~name f =
+  Recorder.add_source t.recorder ~name f;
+  Recorder.add_source t.timeline ~name f
+
+(* The timeline keeps every sample: the trace and profile views it
+   serves never decimate. *)
+let arm_timeline t ~every =
+  if every > 0 then Recorder.enable ~every ~cap:max_int t.timeline
+
 let create ~machine ~perf =
+  let timeline = Recorder.create ~perf in
+  let profile = Profile.create ~timeline in
   let span = Span.create ~perf in
-  let recorder = Recorder.create ~perf in
-  let profile = Profile.create ~perf in
-  (* Span percentiles-so-far as a recorder gauge: completed requests and
-     the running p50/p99 latency.  All zeros outside server workloads. *)
-  Recorder.add_source recorder ~name:"span" (fun () ->
+  let t =
+    { machine;
+      perf;
+      trace = Trace.create ~timeline;
+      profile;
+      span;
+      recorder = Recorder.create ~perf;
+      icache =
+        Cache.create ~bytes:machine.Machine.icache.Machine.cache_bytes
+          ~ways:machine.Machine.icache.Machine.cache_ways;
+      dcache =
+        Cache.create ~bytes:machine.Machine.dcache.Machine.cache_bytes
+          ~ways:machine.Machine.dcache.Machine.cache_ways;
+      idle = false;
+      timeline }
+  in
+  (* Span percentiles-so-far as a gauge: completed requests and the
+     running p50/p99 latency.  All zeros outside server workloads. *)
+  add_gauge t ~name:"span" (fun () ->
       let h = Span.hist_latency span in
       [| Span.completed span;
          Hist.percentile h 0.50;
@@ -25,7 +52,7 @@ let create ~machine ~perf =
      flattened at stride 5 (pid, seg, kind, count, cost) so incident
      records can say who owned the misses.  Empty until profiling is
      armed alongside recording. *)
-  Recorder.add_source recorder ~name:"attribution" (fun () ->
+  add_gauge t ~name:"attribution" (fun () ->
       if not (Profile.enabled profile) then [||]
       else begin
         let rows =
@@ -58,36 +85,19 @@ let create ~machine ~perf =
           !top;
         a
       end);
-  let trace = Trace.create ~perf in
   (* Arm what the boot configuration names, before the boot charges a
      cycle, so sample cadences start from cycle 0. *)
   let boot = Boot.current () in
-  Option.iter
-    (fun every ->
-      Trace.enable trace;
-      Trace.set_sampling trace ~every)
-    boot.Boot.trace;
-  Option.iter (fun sample_every -> Profile.enable ~sample_every profile)
-    boot.Boot.profile;
+  if boot.Boot.trace then Trace.enable t.trace;
+  if boot.Boot.profile then Profile.enable profile;
+  arm_timeline t ~every:boot.Boot.timeline;
   if boot.Boot.spans then Span.enable span;
   Option.iter
     (fun (every, attach) ->
-      Recorder.enable ~every recorder;
-      attach recorder)
+      Recorder.enable ~every t.recorder;
+      attach t.recorder)
     boot.Boot.record;
-  { machine;
-    perf;
-    trace;
-    profile;
-    span;
-    recorder;
-    icache =
-      Cache.create ~bytes:machine.Machine.icache.Machine.cache_bytes
-        ~ways:machine.Machine.icache.Machine.cache_ways;
-    dcache =
-      Cache.create ~bytes:machine.Machine.dcache.Machine.cache_bytes
-        ~ways:machine.Machine.dcache.Machine.cache_ways;
-    idle = false }
+  t
 
 let machine t = t.machine
 let[@inline] perf t = t.perf
@@ -95,35 +105,30 @@ let[@inline] trace t = t.trace
 let profile t = t.profile
 let span t = t.span
 let recorder t = t.recorder
+let timeline t = t.timeline
 let icache t = t.icache
 let dcache t = t.dcache
 
 let set_idle t b = t.idle <- b
 let in_idle t = t.idle
 
-(* The three samplers' dispatch, out of line: [charge] only calls it
-   once the clock has reached some sampler's [next_sample]. *)
+(* The two recorders' dispatch, out of line: [charge] only calls it
+   once the clock has reached either recorder's [next_sample]. *)
 let[@inline never] take_samples t =
-  (* timeline sampler *)
-  if t.perf.Perf.cycles >= t.trace.Trace.next_sample then
-    Trace.take_sample t.trace;
-  (* htab occupancy sampler, same Perf-timeline cadence *)
-  if t.perf.Perf.cycles >= t.profile.Profile.next_sample then
-    Profile.take_sample t.profile;
-  (* flight recorder, same cadence again *)
+  if t.perf.Perf.cycles >= t.timeline.Recorder.next_sample then
+    Recorder.take_sample t.timeline;
   if t.perf.Perf.cycles >= t.recorder.Recorder.next_sample then
     Recorder.take_sample t.recorder
 
 (* Every simulated cycle passes through here, inlined into each caller.
-   A sampler's [next_sample] is [max_int] unless it is armed, so with
-   none armed the cost past the clock update is three compares. *)
+   A recorder's [next_sample] is [max_int] unless it is armed, so with
+   neither armed the cost past the clock update is two compares. *)
 let[@inline] charge t cycles =
   let now = t.perf.Perf.cycles + cycles in
   t.perf.Perf.cycles <- now;
   if t.idle then t.perf.Perf.idle_cycles <- t.perf.Perf.idle_cycles + cycles;
   if
-    now >= t.trace.Trace.next_sample
-    || now >= t.profile.Profile.next_sample
+    now >= t.timeline.Recorder.next_sample
     || now >= t.recorder.Recorder.next_sample
   then take_samples t
 
@@ -201,17 +206,16 @@ let[@inline] instructions t n =
 
 let[@inline] stall t n = charge t n
 
-(* Either timeline sampler armed?  While true, fused charges must fall
-   back to the historical charge-by-charge sequence so samples keep
-   firing at the same cycle counts with the same intermediate counter
-   values (experiment tables average over sample contents). *)
+(* Either recorder armed?  While true, fused charges must fall back to
+   the historical charge-by-charge sequence so samples keep firing at
+   the same cycle counts with the same intermediate counter values
+   (experiment tables average over sample contents). *)
 let[@inline] sampling t =
-  t.trace.Trace.next_sample <> max_int
-  || t.profile.Profile.next_sample <> max_int
+  t.timeline.Recorder.next_sample <> max_int
   || t.recorder.Recorder.next_sample <> max_int
 
 (* One fused trap charge: counters end up identical to
-   [stall t stall; instructions t instr], with a single sampler check
+   [stall t stall; instructions t instr], with a single deadline check
    instead of two.  Used to batch the reload sequence's back-to-back
    stall + handler-instruction charges. *)
 let[@inline] instructions_stall t ~instr ~stall:stall_cycles =

@@ -9,7 +9,13 @@
 
     The [idle] flag routes cycle charges to the idle counter as well, so
     experiments can separate idle-task work (zombie reclaim, page
-    clearing) from foreground work. *)
+    clearing) from foreground work.
+
+    Cadence sampling has one mechanism, {!Recorder}, in two instances
+    that differ only in cadence and retention: the flight {!recorder}
+    and the {!timeline} whose samples the {!Trace} timeline and the
+    {!Profile} occupancy map read.  Each charge tests the two deadlines
+    and nothing else. *)
 
 type t
 
@@ -21,14 +27,13 @@ val machine : t -> Machine.t
 val perf : t -> Perf.t
 
 val trace : t -> Trace.t
-(** The machine's trace handle (disabled until [Trace.enable]).  Cycle
-    charges check its sampling deadline, so timeline samples land here
-    no matter which subsystem advanced the clock. *)
+(** The machine's trace handle (disabled until [Trace.enable]).  Its
+    Perf timeline is a view of {!timeline}. *)
 
 val profile : t -> Profile.t
 (** The machine's attribution profiler (disabled until
-    [Profile.enable]).  Cycle charges check its htab-occupancy sampling
-    deadline on the same cadence discipline as the trace timeline. *)
+    [Profile.enable]).  Its htab occupancy map is a view of
+    {!timeline}'s [htab] and [htab_chains] gauges. *)
 
 val span : t -> Span.t
 (** The machine's request-span recorder (disabled until [Span.enable]).
@@ -36,11 +41,27 @@ val span : t -> Span.t
     so the disabled cost is the flag check at each instrumented site. *)
 
 val recorder : t -> Recorder.t
-(** The machine's flight recorder (disabled until [Recorder.enable]).
-    Cycle charges check its sampling deadline on the same cadence
-    discipline as the trace timeline; the "span" gauge (completed
-    requests, running p50/p99 latency) is pre-installed here, the
-    machine-shape gauges (htab, TLB, run queues) by their owners. *)
+(** The machine's flight recorder (disabled until [Recorder.enable];
+    the boot configuration's [record] arms it at the default cap).
+    Cycle charges check its sampling deadline. *)
+
+val timeline : t -> Recorder.t
+(** The machine's timeline recorder (disabled until {!arm_timeline};
+    the boot configuration's [timeline] arms it).  Same gauges as
+    {!recorder}, its own cadence, and every sample kept: a second
+    instance because the flight stream and the timeline documents are
+    taken at different cadences ([--record-every] and
+    [--sample-every]).  Cycle charges check its sampling deadline. *)
+
+val arm_timeline : t -> every:int -> unit
+(** Arm {!timeline} at cadence [every] from now with unbounded
+    retention; [every <= 0] leaves it as it is. *)
+
+val add_gauge : t -> name:string -> (unit -> int array) -> unit
+(** Install a gauge source on both recorders (see
+    {!Recorder.add_source}).  The "span" and "attribution" gauges are
+    pre-installed here, the machine-shape gauges (htab, TLB, run
+    queues) by their owners. *)
 
 val icache : t -> Cache.t
 val dcache : t -> Cache.t
@@ -83,15 +104,15 @@ val stall : t -> int -> unit
     costs). *)
 
 val sampling : t -> bool
-(** Whether any timeline sampler (trace, profile or recorder) is armed.  While
-    true the fused charges below take the historical charge-by-charge
-    sequence, so sample timing and contents are byte-identical to the
-    unfused calls; counters are identical either way. *)
+(** Whether either recorder is armed.  While true the fused charges
+    below take the historical charge-by-charge sequence, so sample
+    timing and contents are byte-identical to the unfused calls;
+    counters are identical either way. *)
 
 val instructions_stall : t -> instr:int -> stall:int -> unit
 (** [instructions_stall t ~instr ~stall] is
     [stall t stall; instructions t instr] fused into one charge (one
-    sampler check) — the reload sequence's trap stall plus handler path
+    deadline check) — the reload sequence's trap stall plus handler path
     length batched together. *)
 
 val data_ref_instr :

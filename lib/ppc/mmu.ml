@@ -65,6 +65,10 @@ type t = {
   (* [Htab.insert]'s [?policy], built once for the same reason: naming
      it at the call would allocate a [Some] per fill. *)
   mutable htab_policy : Htab.replacement option;
+  (* The running task's PID (0 = kernel/idle), set by the kernel on a
+     context switch: the owner of trace events, profiler accounts and
+     shadow reports.  Last, so the hit path's field offsets stay put. *)
+  mutable pid : int;
 }
 
 (* Physical address region where the C handlers save/restore state. *)
@@ -120,6 +124,9 @@ let set_vsid_is_kernel t f = t.is_kernel_vsid <- f
 
 let attach_shadow t sh = t.shadow <- Some sh
 let shadow t = t.shadow
+
+let set_pid t pid = t.pid <- pid
+let pid t = t.pid
 
 let[@inline] perf t = Memsys.perf t.memsys
 let[@inline] trace t = Memsys.trace t.memsys
@@ -219,7 +226,8 @@ let create ?(htab_base_pa = 0x0030_0000) ?(cpus = 1) ~machine ~memsys ~knobs
       on_pt_ref = noop_ref;
       on_htab_ref = noop_ref;
       on_sw_htab_ref = noop_ref;
-      htab_policy = None }
+      htab_policy = None;
+      pid = 0 }
   in
   t.on_pt_ref <- pt_ref t;
   t.on_htab_ref <- htab_ref t;
@@ -230,40 +238,27 @@ let create ?(htab_base_pa = 0x0030_0000) ?(cpus = 1) ~machine ~memsys ~knobs
       | `Arbitrary -> Htab.Arbitrary
       | `Second_chance -> Htab.Second_chance
       | `Zombie_aware -> Htab.Prefer_zombie (fun vsid -> t.is_zombie vsid));
-  (* Wire the attribution profiler's machine-shape hooks.  The closures
-     read [t]'s mutable predicates at call time, so the kernel can
-     install liveness/ownership tests after boot. *)
-  let prof = Memsys.profile memsys in
-  Profile.set_tlb_capacity prof (Tlb.capacity t.itlb + Tlb.capacity t.dtlb);
+  Profile.set_tlb_capacity (Memsys.profile memsys)
+    (Tlb.capacity t.itlb + Tlb.capacity t.dtlb);
+  (* Recorder gauges over the machine state: only ever read inside a
+     sample or the profiler's end-of-run snapshot, so they cost nothing
+     unarmed.  The closures read [t]'s mutable predicates at call time,
+     so the kernel can install liveness/ownership tests after boot. *)
+  let gauge = Memsys.add_gauge memsys in
   (match t.htab with
   | None -> ()
   | Some h ->
-      Profile.set_htab_source prof (fun () ->
-          { Profile.h_cycle = (Memsys.perf memsys).Perf.cycles;
-            h_valid = Htab.occupancy h;
-            h_capacity = Htab.capacity h;
-            h_zombie = Htab.count_valid h ~f:t.is_zombie;
-            h_chains = Htab.histogram h }));
-  (* Flight-recorder gauges over the same machine state: only ever read
-     inside [Recorder.take_sample], so they cost nothing unarmed. *)
-  let rcd = Memsys.recorder memsys in
-  (match t.htab with
-  | None -> ()
-  | Some h ->
-      Recorder.add_source rcd ~name:"htab" (fun () ->
+      gauge ~name:"htab" (fun () ->
           [| Htab.occupancy h;
              Htab.capacity h;
              Htab.count_valid h ~f:t.is_zombie |]);
-      Recorder.add_source rcd ~name:"htab_chains" (fun () ->
-          Htab.histogram h));
-  Recorder.add_source rcd ~name:"tlb" (fun () ->
+      gauge ~name:"htab_chains" (fun () -> Htab.histogram h));
+  gauge ~name:"tlb" (fun () ->
       [| tlb_occupancy t;
          Tlb.capacity t.itlb + Tlb.capacity t.dtlb;
          kernel_tlb_entries t ~is_kernel_vsid:t.is_kernel_vsid |]);
-  Recorder.add_source rcd ~name:"cpu_itlb" (fun () ->
-      Array.copy t.cpu_itlb_misses);
-  Recorder.add_source rcd ~name:"cpu_dtlb" (fun () ->
-      Array.copy t.cpu_dtlb_misses);
+  gauge ~name:"cpu_itlb" (fun () -> Array.copy t.cpu_itlb_misses);
+  gauge ~name:"cpu_dtlb" (fun () -> Array.copy t.cpu_dtlb_misses);
   t
 
 (* --- translations as one immediate ------------------------------------ *)
@@ -320,8 +315,7 @@ let shadow_kind = function
    [shadow_check] inlines to one test of [t.shadow], and the comparison
    itself stays out of line. *)
 let[@inline never] shadow_compare t sh kind ea ~pa ~inhibited ~answered =
-  Shadow.check sh ~cpu:t.cur_cpu
-    ~pid:(Trace.current_pid (trace t))
+  Shadow.check sh ~cpu:t.cur_cpu ~pid:t.pid
     ~vsid:(Segment.vsid_for t.seg ea)
     ~ea ~kind:(shadow_kind kind)
     ~fast:
@@ -377,7 +371,7 @@ let walk_and_fill t ~vsid ~ea ~page_index ~store =
         else p.Perf.htab_evicts_live <- p.Perf.htab_evicts_live + 1;
         let tr = trace t in
         if Trace.enabled tr then
-          Trace.emit tr Trace.Htab_evict ~a:victim_vsid
+          Trace.emit tr Trace.Htab_evict ~pid:t.pid ~a:victim_vsid
             ~b:(if victim_zombie then 0 else 1)
       end
   | Some _ | None -> ());
@@ -392,7 +386,7 @@ let search_htab t h ~vsid ~page_index ~software =
   else p.Perf.htab_misses <- p.Perf.htab_misses + 1;
   let tr = trace t in
   if Trace.enabled tr then
-    Trace.emit_htab_probe tr
+    Trace.emit_htab_probe tr ~pid:t.pid
       ~len:(Htab.probe_len h ~vsid ~page_index i)
       ~hit:(i >= 0);
   if i < 0 then -1
@@ -430,10 +424,10 @@ let trap_and_fill t (c : Reload_engine.costs) ~batched ~vsid ~ea ~page_index
    here.  Returns the packed translation (see [pack]), whose
    [r_from_htab] bit says which structure produced it.
 
-   With the fast handlers selected and no timeline sampler armed, the
+   With the fast handlers selected and no recorder armed, the
    back-to-back charges of each trap (entry stall + handler path length
    + hash setup; miss trap + fill handler) are batched into one
-   [Memsys.instructions_stall] each — counter-identical, fewer sampler
+   [Memsys.instructions_stall] each — counter-identical, fewer deadline
    checks.  The slow-handler generation keeps the charge-by-charge
    sequence: its state save interleaves data references. *)
 let reload t ~vsid ~ea ~store =
@@ -521,7 +515,7 @@ let access_miss t kind ea ~vsid ~vpn ~tlb ~source ~store =
       (match kind with
       | Fetch -> Trace.Itlb_miss
       | Load | Store -> Trace.Dtlb_miss)
-      ~a:ea ~b:0;
+      ~pid:t.pid ~a:ea ~b:0;
   let reloaded = reload t ~vsid ~ea ~store in
   (* Attribution: the full reload service cost is charged to the
      owning (pid, segment) under the TLB kind; a reload that also
@@ -529,7 +523,7 @@ let access_miss t kind ea ~vsid ~vpn ~tlb ~source ~store =
      Observation only — no cycles, no cache traffic, no RNG. *)
   if profiling then begin
     let cost = (perf t).Perf.cycles - miss_start in
-    let pid = Trace.current_pid tr in
+    let pid = t.pid in
     let seg = Addr.sr_index ea in
     let page = Addr.page_base ea in
     let mk =
@@ -562,9 +556,10 @@ let access_miss t kind ea ~vsid ~vpn ~tlb ~source ~store =
     let victim_vpn = Tlb.insert_flat tlb ~vpn ~rpn ~inhibited ~writable in
     if traced then begin
       if victim_vpn >= 0 then
-        Trace.emit tr Trace.Tlb_evict ~a:victim_vpn
+        Trace.emit tr Trace.Tlb_evict ~pid:t.pid ~a:victim_vpn
           ~b:(Addr.vsid_of_vpn victim_vpn);
-      Trace.emit_tlb_service tr ~ea ~cost:((perf t).Perf.cycles - miss_start)
+      Trace.emit_tlb_service tr ~pid:t.pid ~ea
+        ~cost:((perf t).Perf.cycles - miss_start)
     end;
     (* kernel-vs-user slot census, taken while the TLB contents
        are freshest (right after the fill) *)
@@ -594,7 +589,8 @@ let access_pa t kind ea =
   let bat_pa = Bat.translate_pa bat ea in
   if bat_pa >= 0 then begin
     let tr = trace t in
-    if Trace.enabled tr then Trace.emit tr Trace.Bat_hit ~a:ea ~b:0;
+    if Trace.enabled tr then
+      Trace.emit tr Trace.Bat_hit ~pid:t.pid ~a:ea ~b:0;
     final_ref t kind bat_pa ~inhibited:false ~source;
     shadow_check t kind ea ~pa:bat_pa ~inhibited:false ~answered:Shadow.Bat;
     bat_pa
@@ -637,7 +633,8 @@ let note_flush t ~what ~vsid ~ea =
 let flush_page_for_vsid t ~vsid ea =
   let vpn = Addr.vpn_of ~vsid ~ea in
   let tr = trace t in
-  if Trace.enabled tr then Trace.emit tr Trace.Flush_page ~a:ea ~b:vsid;
+  if Trace.enabled tr then
+    Trace.emit tr Trace.Flush_page ~pid:t.pid ~a:ea ~b:vsid;
   Memsys.stall t.memsys tlbie_cycles;
   Memsys.instructions t.memsys 6;
   (* test-only stale-TLB injection: see [test_skip_tlb_invalidations] *)
@@ -762,5 +759,5 @@ let reclaim_zombies t ~max_ptes =
       p.Perf.zombies_reclaimed <- p.Perf.zombies_reclaimed + reclaimed;
       let tr = trace t in
       if Trace.enabled tr then
-        Trace.emit_for tr Trace.Idle_reclaim ~pid:0 ~a:reclaimed ~b:max_ptes;
+        Trace.emit tr Trace.Idle_reclaim ~pid:0 ~a:reclaimed ~b:max_ptes;
       reclaimed

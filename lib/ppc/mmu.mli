@@ -186,6 +186,14 @@ val attach_shadow : t -> Shadow.t -> unit
 
 val shadow : t -> Shadow.t option
 
+val set_pid : t -> int -> unit
+(** Name the task now running on the current CPU (0 = kernel/idle); the
+    kernel calls this on every context switch and CPU change.  Trace
+    events, profiler accounts and shadow reports from the MMU are
+    attributed to it. *)
+
+val pid : t -> int
+
 val flush_page : t -> Addr.ea -> unit
 (** Precise per-page flush for the {e current} segment contents: [tlbie]
     on both TLBs plus an htab search-and-invalidate (16 memory references

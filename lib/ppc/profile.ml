@@ -2,14 +2,14 @@
 
    Where Trace records a stream of events, this layer maintains running
    *attributions*: per-(PID, segment, kind) miss and reload-cost
-   accounts, per-kind hot-page tables, a kernel-vs-user TLB slot census
-   with high-water marks, and periodic htab bucket-occupancy samples.
+   accounts, per-kind hot-page tables and a kernel-vs-user TLB slot
+   census with high-water marks.  Htab bucket occupancy is a view of the
+   timeline recorder's htab gauges.
 
    Everything here is observation only: charging never costs cycles,
    touches the caches, or draws from an RNG, so a profiled run and an
    unprofiled run of the same seed produce byte-identical Perf counts.
-   The disabled path is one flag check per instrumented site (plus one
-   integer compare on the charge path for the occupancy sampler) and
+   The disabled path is one flag check per instrumented site and
    allocates nothing. *)
 
 type miss_kind =
@@ -62,7 +62,6 @@ type census = {
 }
 
 type t = {
-  perf : Perf.t;  (* cycle source for sample stamps; never written *)
   mutable enabled : bool;
   attribution : (int, cell) Hashtbl.t;
   hot_pages : (int, cell) Hashtbl.t array;  (* per kind: page EA -> cell *)
@@ -73,18 +72,13 @@ type t = {
   mutable census_kernel_now : int;
   mutable census_occupied_now : int;
   mutable tlb_capacity : int;
-  (* htab bucket-occupancy sampler (Perf timeline cadence) *)
-  mutable sample_every : int;
-  mutable next_sample : int;  (* max_int while sampling is off *)
-  mutable samples_rev : htab_sample list;
-  mutable htab_source : (unit -> htab_sample) option;
+  timeline : Recorder.t;  (* owned by Memsys; read by [samples] *)
 }
 
 (* --- lifecycle -------------------------------------------------------- *)
 
-let create ~perf =
-  { perf;
-    enabled = false;
+let create ~timeline =
+  { enabled = false;
     attribution = Hashtbl.create 64;
     hot_pages = Array.init n_kinds (fun _ -> Hashtbl.create 64);
     census_samples = 0;
@@ -93,34 +87,14 @@ let create ~perf =
     census_kernel_now = 0;
     census_occupied_now = 0;
     tlb_capacity = 0;
-    sample_every = 0;
-    next_sample = max_int;
-    samples_rev = [];
-    htab_source = None }
+    timeline }
 
-let set_sampling t ~every =
-  if every > 0 then begin
-    t.sample_every <- every;
-    t.next_sample <- t.perf.Perf.cycles + every
-  end
-  else begin
-    t.sample_every <- 0;
-    t.next_sample <- max_int
-  end
-
-let enable ?(sample_every = 0) t =
-  t.enabled <- true;
-  if sample_every > 0 then set_sampling t ~every:sample_every
-
-let disable t =
-  t.enabled <- false;
-  set_sampling t ~every:0
-
+let enable t = t.enabled <- true
+let disable t = t.enabled <- false
 let enabled t = t.enabled
 
 (* --- hooks wired by the MMU ------------------------------------------- *)
 
-let set_htab_source t f = t.htab_source <- Some f
 let set_tlb_capacity t n = t.tlb_capacity <- n
 
 (* --- charging (call sites guard on [enabled]) ------------------------- *)
@@ -149,14 +123,6 @@ let note_tlb_census t ~kernel ~occupied =
     t.census_kernel_now <- kernel;
     t.census_occupied_now <- occupied
   end
-
-(* --- htab occupancy sampler ------------------------------------------- *)
-
-let take_sample t =
-  (match t.htab_source with
-  | None -> ()
-  | Some f -> t.samples_rev <- f () :: t.samples_rev);
-  t.next_sample <- t.perf.Perf.cycles + t.sample_every
 
 (* --- inspection ------------------------------------------------------- *)
 
@@ -216,12 +182,37 @@ let census t =
     occupied_now = t.census_occupied_now;
     slot_capacity = t.tlb_capacity }
 
-let samples t = List.rev t.samples_rev
+(* --- htab occupancy, a view of the timeline recorder's gauges --------- *)
+
+(* The MMU's "htab" gauge is [| valid; capacity; zombie |] and its
+   "htab_chains" gauge the PTEG chain-length histogram; a machine
+   without an htab installs neither. *)
+let htab_sample ~cycle ~htab ~chains =
+  match (htab, chains) with
+  | Some [| valid; capacity; zombie |], Some chains ->
+      Some
+        { h_cycle = cycle;
+          h_valid = valid;
+          h_capacity = capacity;
+          h_zombie = zombie;
+          h_chains = chains }
+  | _ -> None
+
+let samples t =
+  List.filter_map
+    (fun (s : Recorder.sample) ->
+      let g name = List.assoc_opt name s.Recorder.s_gauges in
+      htab_sample ~cycle:s.Recorder.s_cycle ~htab:(g "htab")
+        ~chains:(g "htab_chains"))
+    (Recorder.samples t.timeline)
 
 (* A pure read of the current htab state (no sample recorded): exporters
-   use this for the end-of-run snapshot even when periodic sampling was
-   never armed. *)
-let snapshot_htab t = Option.map (fun f -> f ()) t.htab_source
+   use this for the end-of-run snapshot even when the timeline was never
+   armed. *)
+let snapshot_htab t =
+  let g = Recorder.gauge t.timeline in
+  htab_sample ~cycle:t.timeline.Recorder.perf.Perf.cycles ~htab:(g "htab")
+    ~chains:(g "htab_chains")
 
 let total_misses t =
   Hashtbl.fold (fun _ c acc -> acc + c.a_count) t.attribution 0

@@ -11,17 +11,18 @@
       the MMU reports how many TLB slots hold kernel translations — the
       §5.1 footprint claim (33% of slots without BATs, high water ≤ 4
       with them) as a measured artifact;
-    - an {e htab bucket-occupancy map}, sampled on the same cadence as
-      the {!Perf} timeline: occupancy, PTEG collision-chain length
-      histogram and zombie fraction over time — the §5.2 37%/57%/75%
-      trajectory.
+    - an {e htab bucket-occupancy map}: occupancy, PTEG collision-chain
+      length histogram and zombie fraction over time — the §5.2
+      37%/57%/75% trajectory.  It is a view of the [htab] and
+      [htab_chains] gauges in {!Memsys.timeline}'s samples, the same
+      samples the {!Trace} timeline reads, so the profiler itself
+      samples nothing.
 
     Profiling is observation only: charging never costs cycles, touches
     the caches or draws from an RNG, so a profiled run produces exactly
     the Perf counts of an unprofiled run at the same seed.  When
     disabled (the default) the cost is one flag check per instrumented
-    site — plus one integer compare on {!Memsys}'s charge path for the
-    occupancy sampler — and zero allocation.
+    site and zero allocation.
 
     The exporters (folded stacks, JSON, text heatmaps) live in
     [Mmu_tricks.Profile_export], which depends on this module, not the
@@ -58,54 +59,20 @@ type census = {
   slot_capacity : int;      (** total TLB slots (I + D) *)
 }
 
-(** One account: misses charged and reload cycles attributed to them. *)
-type cell = {
-  mutable a_count : int;
-  mutable a_cost : int;
-}
+type t
 
-type t = {
-  perf : Perf.t;
-  mutable enabled : bool;
-  attribution : (int, cell) Hashtbl.t;
-  hot_pages : (int, cell) Hashtbl.t array;
-  mutable census_samples : int;
-  mutable census_share_sum : float;
-  mutable census_kernel_hw : int;
-  mutable census_kernel_now : int;
-  mutable census_occupied_now : int;
-  mutable tlb_capacity : int;
-  mutable sample_every : int;
-  mutable next_sample : int;
-      (** [max_int] while sampling is off — {!Memsys} compares the cycle
-          counter against this on every charge, so the disabled sampler
-          costs one integer compare *)
-  mutable samples_rev : htab_sample list;
-  mutable htab_source : (unit -> htab_sample) option;
-}
-(** Exposed so the one comparison on {!Memsys.t}'s charge path reads
-    [next_sample] directly; treat as read-only outside this module,
-    {!Memsys} and {!Mmu}. *)
+val create : timeline:Recorder.t -> t
+(** A disabled profiler whose occupancy map reads [timeline]. *)
 
-val create : perf:Perf.t -> t
-(** A disabled profiler stamping samples from [perf]'s cycle counter. *)
-
-val enable : ?sample_every:int -> t -> unit
-(** Start attributing; [sample_every > 0] also arms the htab occupancy
-    sampler at that cadence (simulated cycles). *)
+val enable : t -> unit
+(** Start attributing. *)
 
 val disable : t -> unit
-(** Stop attributing and sampling; accumulated data stays readable. *)
+(** Stop attributing; accumulated data stays readable. *)
 
 val enabled : t -> bool
 
-val set_sampling : t -> every:int -> unit
-(** Re-arm or disarm ([every <= 0]) the htab occupancy sampler. *)
-
 (** {1 Hooks wired by the MMU} *)
-
-val set_htab_source : t -> (unit -> htab_sample) -> unit
-(** Install the htab snapshot function the occupancy sampler calls. *)
 
 val set_tlb_capacity : t -> int -> unit
 (** Record the machine's total TLB slots (I + D) for census reporting. *)
@@ -121,10 +88,6 @@ val charge_miss :
 val note_tlb_census : t -> kernel:int -> occupied:int -> unit
 (** Record one census: [kernel] of [occupied] valid TLB slots currently
     hold kernel translations. *)
-
-val take_sample : t -> unit
-(** Record one htab occupancy sample now (called by {!Memsys} when the
-    cycle counter passes [next_sample]). *)
 
 (** {1 Inspection} *)
 
@@ -145,13 +108,15 @@ val hot_pages : t -> miss_kind -> top:int -> (int * int * int) list
 
 val census : t -> census
 val samples : t -> htab_sample list
-(** Htab occupancy samples, chronological. *)
+(** Htab occupancy samples, chronological: one per timeline-recorder
+    sample; empty when the timeline was not armed or the machine has no
+    htab. *)
 
 val snapshot_htab : t -> htab_sample option
-(** The htab's state right now, as a pure read (nothing is recorded and
-    the sampling deadline is untouched); [None] when the machine has no
-    htab.  Exporters use this for the end-of-run snapshot even when
-    periodic sampling was never armed. *)
+(** The htab's state right now, read through the timeline recorder's
+    gauges as a pure read (nothing is recorded and no deadline moves);
+    [None] when the machine has no htab.  Exporters use this for the
+    end-of-run snapshot even when the timeline was never armed. *)
 
 val total_misses : t -> int
 val total_cost : t -> int

@@ -1,4 +1,4 @@
-(* The flight recorder: bounded-memory streaming telemetry.
+(* The recorder: bounded-memory streaming telemetry.
 
    Where Trace keeps an event ring and Profile keeps running
    attributions, this layer snapshots the *whole* observability state —
@@ -6,21 +6,22 @@
    occupancy and chain histogram, TLB census, per-CPU miss slices, run
    queue depths, span percentiles-so-far) — on a fixed simulated-cycle
    cadence, §5.2's "watch the table while it runs" loop as
-   infrastructure.
+   infrastructure.  Memsys owns two instances: the flight recorder and
+   the timeline recorder whose samples Trace and Profile read.
 
-   Cost discipline is the Trace/Profile one exactly: [next_sample] is
-   [max_int] unless armed, so the disabled cost in [Memsys.charge] is a
-   single integer compare.  Recording is observation only — no cycles
-   charged, no RNG draws, no cache traffic — so an armed run's counters
-   are byte-identical to a bare run at the same seed.
+   [next_sample] is [max_int] unless armed, so the disabled cost in
+   [Memsys.charge] is a single integer compare.  Recording is
+   observation only — no cycles charged, no RNG draws, no cache
+   traffic — so an armed run's counters are byte-identical to a bare
+   run at the same seed.
 
-   Memory is bounded: retained samples live in a flat array capped at
-   [cap]; on overflow the recorder *decimates* — keeps every other
-   sample and doubles the cadence — so an arbitrarily long run holds at
-   most [cap] samples at a deterministic, self-coarsening resolution
-   (the classic flight-recorder trick).  Consumers that want the full
-   stream at the original cadence hook [set_on_sample] and write each
-   sample out as it fires. *)
+   Memory is bounded: retained samples live in a flat array that grows
+   on demand up to [cap]; on overflow the recorder *decimates* — keeps
+   every other sample and doubles the cadence — so an arbitrarily long
+   run holds at most [cap] samples at a deterministic, self-coarsening
+   resolution (the classic flight-recorder trick).  Consumers that want
+   the full stream at the original cadence hook [set_on_sample] and
+   write each sample out as it fires. *)
 
 type sample = {
   s_cycle : int;
@@ -35,7 +36,7 @@ type t = {
   mutable cap : int;  (* retained-sample bound *)
   mutable label : string;
   mutable sources : (string * (unit -> int array)) list;  (* install order *)
-  mutable samples : sample array;
+  mutable samples : sample array;  (* grows on demand up to [cap] *)
   mutable len : int;
   mutable total : int;  (* samples ever taken, pre-decimation *)
   mutable on_sample : (t -> sample -> unit) option;
@@ -65,10 +66,9 @@ let enable ?(every = default_every) ?(cap = default_cap) t =
   if cap < 2 then invalid_arg "Recorder.enable: cap must be >= 2";
   t.every <- every;
   t.cap <- cap;
+  t.samples <- [||];
   t.len <- 0;
   t.total <- 0;
-  if Array.length t.samples < cap then
-    t.samples <- Array.make cap dummy_sample;
   t.next_sample <- t.perf.Perf.cycles + every
 
 let disable t = t.next_sample <- max_int
@@ -97,6 +97,8 @@ let add_source t ~name f =
 
 let source_names t = List.map fst t.sources
 
+let gauge t name = Option.map (fun f -> f ()) (List.assoc_opt name t.sources)
+
 (* --- sampling ---------------------------------------------------------- *)
 
 (* Halve the retained stream: keep samples 0, 2, 4, ... and double the
@@ -113,6 +115,12 @@ let decimate t =
   t.len <- kept;
   t.every <- t.every * 2
 
+(* Double the storage, up to [cap]. *)
+let grow t =
+  let a = Array.make (min t.cap (max 64 (2 * t.len))) dummy_sample in
+  Array.blit t.samples 0 a 0 t.len;
+  t.samples <- a
+
 let take_sample t =
   let s =
     { s_cycle = t.perf.Perf.cycles;
@@ -120,6 +128,7 @@ let take_sample t =
       s_gauges = List.map (fun (name, f) -> (name, f ())) t.sources }
   in
   if t.len >= t.cap then decimate t;
+  if t.len = Array.length t.samples then grow t;
   t.samples.(t.len) <- s;
   t.len <- t.len + 1;
   t.total <- t.total + 1;

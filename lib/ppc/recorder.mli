@@ -1,21 +1,25 @@
-(** The flight recorder: bounded-memory streaming telemetry (§5.2's
+(** The recorder: bounded-memory streaming telemetry (§5.2's
     watch-it-while-it-runs loop as infrastructure).
 
     Snapshots the full observability state — a {!Perf.snapshot} plus a
     set of named integer gauge vectors installed by the subsystems that
     own them (htab occupancy/chains, TLB census, per-CPU miss slices,
     run-queue depths, span percentiles-so-far) — every [every] simulated
-    cycles.
+    cycles.  {!Memsys} owns two instances with the same gauges: the
+    flight recorder ([--record-every], default cap) and the timeline
+    recorder ([--sample-every], unbounded), whose samples are the
+    {!Trace} Perf timeline and the {!Profile} htab occupancy.
 
     Zero-cost when disabled: [next_sample] is [max_int], so the
     per-charge cost in {!Memsys.charge} is one integer compare.
     Observation-only when armed: no cycles charged, no RNG draws, so
     counters are byte-identical to an unrecorded run at the same seed.
-    Memory-bounded: at most [cap] samples are retained; on overflow the
-    recorder deterministically decimates (keeps every other sample,
-    doubles the cadence), so arbitrarily long runs self-coarsen instead
-    of growing.  Streaming consumers that want every sample at the
-    original cadence hook {!set_on_sample}. *)
+    Memory-bounded: storage grows on demand up to [cap] samples; on
+    overflow the recorder deterministically decimates (keeps every
+    other sample, doubles the cadence), so arbitrarily long runs
+    self-coarsen instead of growing.  [cap = max_int] keeps every
+    sample.  Streaming consumers that want every sample at the original
+    cadence hook {!set_on_sample}. *)
 
 type sample = {
   s_cycle : int;  (** [Perf.cycles] when the sample fired *)
@@ -50,7 +54,8 @@ val create : perf:Perf.t -> t
 
 val enable : ?every:int -> ?cap:int -> t -> unit
 (** Start sampling every [every] simulated cycles, retaining at most
-    [cap] samples (decimating beyond).  Resets retained samples.
+    [cap] samples (decimating beyond; [max_int] never decimates).
+    Drops retained samples; storage is allocated as samples arrive.
     @raise Invalid_argument if [every < 1] or [cap < 2]. *)
 
 val disable : t -> unit
@@ -81,6 +86,11 @@ val add_source : t -> name:string -> (unit -> int array) -> unit
     disturbing the gauge order. *)
 
 val source_names : t -> string list
+
+val gauge : t -> string -> int array option
+(** The named gauge's value right now ([None] when no source has that
+    name) — a pure read: nothing is recorded and the deadline is
+    untouched. *)
 
 (** {1 Sampling} *)
 

@@ -1,11 +1,11 @@
 (* Typed event tracing: a preallocated ring buffer of simulator events,
-   a Perf-counter timeline sampler, and latency histograms.
+   latency histograms, and a view of the timeline recorder's Perf
+   snapshots.
 
    Everything here is observation only: emitting never charges cycles,
    touches the caches, or draws from an RNG, so a traced run and an
    untraced run of the same seed produce byte-identical Perf counts.
-   The disabled path is one flag check (or one integer compare for the
-   sampler) and allocates nothing. *)
+   The disabled path is one flag check and allocates nothing. *)
 
 type kind =
   | Itlb_miss
@@ -84,7 +84,6 @@ type event = {
 }
 
 type t = {
-  perf : Perf.t;  (* cycle source for event stamps and the sampler *)
   mutable enabled : bool;
   (* ring storage, structure-of-arrays so an emit writes five ints *)
   mutable r_kind : int array;
@@ -94,11 +93,7 @@ type t = {
   mutable r_b : int array;
   mutable head : int;  (* total events ever emitted *)
   kind_counts : int array;  (* per-kind totals, immune to ring wrap *)
-  mutable cur_pid : int;
-  (* timeline sampler *)
-  mutable sample_every : int;
-  mutable next_sample : int;  (* max_int while sampling is off *)
-  mutable samples_rev : (int * Perf.t) list;
+  timeline : Recorder.t;  (* owned by Memsys; its clock stamps events *)
   (* latency histograms *)
   hist_probe : Hist.t;
   hist_tlb_service : Hist.t;
@@ -107,9 +102,8 @@ type t = {
 
 let default_ring = 65536
 
-let create ~perf =
-  { perf;
-    enabled = false;
+let create ~timeline =
+  { enabled = false;
     r_kind = [||];
     r_cycle = [||];
     r_pid = [||];
@@ -117,23 +111,10 @@ let create ~perf =
     r_b = [||];
     head = 0;
     kind_counts = Array.make n_kinds 0;
-    cur_pid = 0;
-    sample_every = 0;
-    next_sample = max_int;
-    samples_rev = [];
+    timeline;
     hist_probe = Hist.create ();
     hist_tlb_service = Hist.create ();
     hist_ctxsw = Hist.create () }
-
-let set_sampling t ~every =
-  if every > 0 then begin
-    t.sample_every <- every;
-    t.next_sample <- t.perf.Perf.cycles + every
-  end
-  else begin
-    t.sample_every <- 0;
-    t.next_sample <- max_int
-  end
 
 let enable ?(ring = default_ring) t =
   let ring = max 1 ring in
@@ -145,48 +126,42 @@ let enable ?(ring = default_ring) t =
   t.head <- 0;
   t.enabled <- true
 
-let disable t =
-  t.enabled <- false;
-  set_sampling t ~every:0
+let disable t = t.enabled <- false
 
 (* --- emission --------------------------------------------------------- *)
 
 let enabled t = t.enabled
-let set_current_pid t pid = t.cur_pid <- pid
-let current_pid t = t.cur_pid
 
-let emit_for t kind ~pid ~a ~b =
+let emit t kind ~pid ~a ~b =
   if t.enabled then begin
     let k = int_of_kind kind in
     t.kind_counts.(k) <- t.kind_counts.(k) + 1;
     let cap = Array.length t.r_kind in
     let i = t.head mod cap in
     t.r_kind.(i) <- k;
-    t.r_cycle.(i) <- t.perf.Perf.cycles;
+    t.r_cycle.(i) <- t.timeline.Recorder.perf.Perf.cycles;
     t.r_pid.(i) <- pid;
     t.r_a.(i) <- a;
     t.r_b.(i) <- b;
     t.head <- t.head + 1
   end
 
-let emit t kind ~a ~b = emit_for t kind ~pid:t.cur_pid ~a ~b
-
-let emit_htab_probe t ~len ~hit =
+let emit_htab_probe t ~pid ~len ~hit =
   if t.enabled then begin
     Hist.observe t.hist_probe len;
-    emit t Htab_probe ~a:len ~b:(if hit then 1 else 0)
+    emit t Htab_probe ~pid ~a:len ~b:(if hit then 1 else 0)
   end
 
-let emit_tlb_service t ~ea ~cost =
+let emit_tlb_service t ~pid ~ea ~cost =
   if t.enabled then begin
     Hist.observe t.hist_tlb_service cost;
-    emit t Tlb_reload ~a:ea ~b:cost
+    emit t Tlb_reload ~pid ~a:ea ~b:cost
   end
 
 let emit_context_switch t ~pid ~cost =
   if t.enabled then begin
     Hist.observe t.hist_ctxsw cost;
-    emit_for t Context_switch ~pid ~a:pid ~b:cost
+    emit t Context_switch ~pid ~a:pid ~b:cost
   end
 
 (* --- inspection ------------------------------------------------------- *)
@@ -223,13 +198,12 @@ let events t =
   iter t (fun e -> out := e :: !out);
   List.rev !out
 
-(* --- timeline sampler ------------------------------------------------- *)
+(* --- the timeline, a view of the timeline recorder -------------------- *)
 
-let take_sample t =
-  t.samples_rev <- (t.perf.Perf.cycles, Perf.snapshot t.perf) :: t.samples_rev;
-  t.next_sample <- t.perf.Perf.cycles + t.sample_every
-
-let samples t = List.rev t.samples_rev
+let samples t =
+  List.map
+    (fun s -> (s.Recorder.s_cycle, s.Recorder.s_perf))
+    (Recorder.samples t.timeline)
 
 (* --- histograms ------------------------------------------------------- *)
 

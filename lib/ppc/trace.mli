@@ -8,9 +8,10 @@
       probes and evictions (with probe length and victim liveness), BAT
       hits, context switches, precise and lazy flushes, page faults,
       idle-task pre-zeroing and zombie reclaim — each stamped with the
-      simulated cycle counter and the owning task's PID;
-    - a {e timeline sampler} that snapshots the {!Perf} counters every N
-      simulated cycles;
+      simulated cycle counter and the owning task's PID, which the
+      emitter names ({!Mmu.pid} for the running task);
+    - the Perf {e timeline}: a view of {!Memsys.timeline}'s samples, so
+      the trace itself samples nothing;
     - latency {!Hist} histograms of htab probe lengths, TLB-miss service
       costs and context-switch costs.
 
@@ -56,65 +57,31 @@ type event = {
   e_b : int;
 }
 
-type t = {
-  perf : Perf.t;
-  mutable enabled : bool;
-  mutable r_kind : int array;
-  mutable r_cycle : int array;
-  mutable r_pid : int array;
-  mutable r_a : int array;
-  mutable r_b : int array;
-  mutable head : int;
-  kind_counts : int array;
-  mutable cur_pid : int;
-  mutable sample_every : int;
-  mutable next_sample : int;
-      (** [max_int] while sampling is off — {!Memsys} compares the cycle
-          counter against this on every charge, so the disabled sampler
-          costs one integer compare *)
-  mutable samples_rev : (int * Perf.t) list;
-  hist_probe : Hist.t;
-  hist_tlb_service : Hist.t;
-  hist_ctxsw : Hist.t;
-}
-(** Exposed so the one comparison on {!Memsys.t}'s charge path reads the
-    field directly; treat as read-only outside this module and
-    {!Memsys}. *)
+type t
 
-val create : perf:Perf.t -> t
-(** A disabled trace stamping events from [perf]'s cycle counter. *)
+val create : timeline:Recorder.t -> t
+(** A disabled trace stamping events from [timeline]'s cycle counter;
+    {!samples} reads [timeline]. *)
 
 val enable : ?ring:int -> t -> unit
 (** Allocate the ring ([ring] events, default 65536; oldest events are
     overwritten on wrap) and start recording. *)
 
 val disable : t -> unit
-(** Stop recording and sampling; retained events stay readable. *)
+(** Stop recording; retained events stay readable. *)
 
 val enabled : t -> bool
 
-val set_sampling : t -> every:int -> unit
-(** Snapshot the Perf counters every [every] simulated cycles
-    ([every <= 0] turns sampling off).  Sampling works even when event
-    recording is disabled. *)
-
 (** {1 Emission} — all no-ops unless {!enabled} *)
 
-val set_current_pid : t -> int -> unit
-(** Attribute subsequent {!emit}s to this task (0 = kernel/idle). *)
+val emit : t -> kind -> pid:int -> a:int -> b:int -> unit
+(** Record one event stamped with the current cycle and owned by task
+    [pid] (0 = kernel/idle). *)
 
-val current_pid : t -> int
-
-val emit : t -> kind -> a:int -> b:int -> unit
-(** Record one event stamped with the current cycle and current PID. *)
-
-val emit_for : t -> kind -> pid:int -> a:int -> b:int -> unit
-(** [emit] with an explicit owning PID. *)
-
-val emit_htab_probe : t -> len:int -> hit:bool -> unit
+val emit_htab_probe : t -> pid:int -> len:int -> hit:bool -> unit
 (** {!Htab_probe} event plus a {!hist_probe} observation. *)
 
-val emit_tlb_service : t -> ea:int -> cost:int -> unit
+val emit_tlb_service : t -> pid:int -> ea:int -> cost:int -> unit
 (** {!Tlb_reload} event plus a {!hist_tlb_service} observation. *)
 
 val emit_context_switch : t -> pid:int -> cost:int -> unit
@@ -143,12 +110,9 @@ val iter : t -> (event -> unit) -> unit
 val events : t -> event list
 (** Retained events, oldest first. *)
 
-val take_sample : t -> unit
-(** Record one timeline sample now (called by {!Memsys} when the cycle
-    counter passes [next_sample]). *)
-
 val samples : t -> (int * Perf.t) list
-(** Timeline samples as [(cycle, snapshot)], chronological. *)
+(** The timeline recorder's samples as [(cycle, snapshot)],
+    chronological; empty unless it was armed. *)
 
 val hist_probe : t -> Hist.t
 val hist_tlb_service : t -> Hist.t

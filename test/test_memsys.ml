@@ -85,37 +85,24 @@ let charge_sequence m =
     Memsys.dcbz m ~source:Cache.Kernel (0x100040 + ((i mod 8) * 8192))
   done
 
-let trace_every = 97
-let profile_every = 131
+let timeline_every = 97
 let recorder_every = 211
 
-(* [charge_sequence] with the chosen samplers armed at cycle 0: each
-   sampler's firing cycles (empty when unarmed), and the counters. *)
-let run_sampled ~trace ~profile ~recorder =
+(* [charge_sequence] with the chosen recorders armed at cycle 0: each
+   recorder's firing cycles (empty when unarmed), and the counters. *)
+let run_sampled ~timeline ~recorder =
   let m, p, _ = mk () in
-  let tr = Memsys.trace m
-  and pr = Memsys.profile m
-  and rc = Memsys.recorder m in
-  if trace then Trace.set_sampling tr ~every:trace_every;
-  if profile then begin
-    Profile.set_htab_source pr (fun () ->
-        { Profile.h_cycle = p.Perf.cycles;
-          h_valid = 0;
-          h_capacity = 0;
-          h_zombie = 0;
-          h_chains = [||] });
-    Profile.set_sampling pr ~every:profile_every
-  end;
-  if recorder then Recorder.enable rc ~every:recorder_every;
+  if timeline then Memsys.arm_timeline m ~every:timeline_every;
+  if recorder then Recorder.enable (Memsys.recorder m) ~every:recorder_every;
   charge_sequence m;
-  ( List.map fst (Trace.samples tr),
-    List.map (fun s -> s.Profile.h_cycle) (Profile.samples pr),
-    List.map (fun s -> s.Recorder.s_cycle) (Recorder.samples rc),
-    p )
+  let cycles r =
+    List.map (fun s -> s.Recorder.s_cycle) (Recorder.samples r)
+  in
+  (cycles (Memsys.timeline m), cycles (Memsys.recorder m), p)
 
-(* A sampler fires on the first charge that reaches its next sample, and
-   no single charge exceeds the memory latency: from arming at cycle 0,
-   every gap between firings is at least [every] and under
+(* A recorder fires on the first charge that reaches its next sample,
+   and no single charge exceeds the memory latency: from arming at cycle
+   0, every gap between firings is at least [every] and under
    [every + latency], and the run ends less than [every] past the last
    one. *)
 let on_cadence ~every ~latency ~total fires =
@@ -127,34 +114,33 @@ let on_cadence ~every ~latency ~total fires =
 
 let test_sampler_dispatch () =
   let latency = Machine.ppc604_185.Machine.mem_latency in
-  let trace_alone, _, _, p_trace =
-    run_sampled ~trace:true ~profile:false ~recorder:false
+  let timeline_alone, no_recorder, p_timeline =
+    run_sampled ~timeline:true ~recorder:false
   in
-  let _, profile_alone, _, p_profile =
-    run_sampled ~trace:false ~profile:true ~recorder:false
+  let no_timeline, recorder_alone, p_recorder =
+    run_sampled ~timeline:false ~recorder:true
   in
-  let _, _, recorder_alone, p_recorder =
-    run_sampled ~trace:false ~profile:false ~recorder:true
-  in
-  let trace_all, profile_all, recorder_all, p =
-    run_sampled ~trace:true ~profile:true ~recorder:true
+  let timeline_both, recorder_both, p =
+    run_sampled ~timeline:true ~recorder:true
   in
   Alcotest.(check bool) "the sequence hits, misses and writes back" true
     (p.Perf.dcache_misses > 0
     && p.Perf.dcache_accesses > p.Perf.dcache_misses
     && p.Perf.dcache_writebacks > 0);
+  Alcotest.(check bool) "an unarmed recorder never fires" true
+    (no_recorder = [] && no_timeline = []);
   List.iter
-    (fun (name, every, alone, p_alone, all) ->
+    (fun (name, every, alone, p_alone, both) ->
       Alcotest.(check (list int))
-        (name ^ ": same cycles alone and with all three armed")
-        alone all;
+        (name ^ ": same cycles alone and with both armed")
+        alone both;
       Alcotest.(check bool)
         (name ^ ": fires once per cadence")
         true
         (on_cadence ~every ~latency ~total:p_alone.Perf.cycles alone))
-    [ ("trace", trace_every, trace_alone, p_trace, trace_all);
-      ("profile", profile_every, profile_alone, p_profile, profile_all);
-      ("recorder", recorder_every, recorder_alone, p_recorder, recorder_all) ]
+    [ ("timeline", timeline_every, timeline_alone, p_timeline, timeline_both);
+      ("recorder", recorder_every, recorder_alone, p_recorder, recorder_both)
+    ]
 
 let suite =
   [ Alcotest.test_case "miss then hit costs" `Quick test_miss_then_hit_costs;

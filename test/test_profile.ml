@@ -58,8 +58,10 @@ let test_profiling_is_free () =
         let k =
           Kernel.boot ~machine:Machine.ppc604_185 ~policy ~seed:7 ()
         in
-        if profiled then
-          Profile.enable ~sample_every:10_000 (Kernel.profile k);
+        if profiled then begin
+          Profile.enable (Kernel.profile k);
+          Memsys.arm_timeline (Kernel.memsys k) ~every:10_000
+        end;
         kernel_workload k;
         perf_signature (Kernel.perf k)
       in
@@ -76,7 +78,7 @@ let test_experiment_table_identical_when_armed () =
   let plain = d1.Experiments.run ~seed:42 () in
   let profiled, profilers =
     Runner.armed
-      { Boot.plain with Boot.profile = Some 50_000 }
+      { Boot.plain with Boot.profile = true; timeline = 50_000 }
       (fun () ->
         let t = d1.Experiments.run ~seed:42 () in
         (t, List.map Kernel.profile (Kernel.drain_smp_registered ())))
@@ -88,8 +90,12 @@ let test_experiment_table_identical_when_armed () =
 
 (* --- accounting on hand-fed charges ------------------------------------ *)
 
+(* A bare profiler over its own clock and (unarmed) timeline. *)
+let mk_profile () =
+  Profile.create ~timeline:(Recorder.create ~perf:(Perf.create ()))
+
 let hand_charged () =
-  let pr = Profile.create ~perf:(Perf.create ()) in
+  let pr = mk_profile () in
   Profile.enable pr;
   Profile.charge_miss pr ~pid:3 ~seg:2 ~page:0x2000 ~kind:Profile.Dtlb
     ~cost:412170;
@@ -139,7 +145,7 @@ let test_folded_golden () =
     (Profile_export.folded [ hand_charged () ])
 
 let test_census () =
-  let pr = Profile.create ~perf:(Perf.create ()) in
+  let pr = mk_profile () in
   Profile.enable pr;
   Profile.set_tlb_capacity pr 256;
   Profile.note_tlb_census pr ~kernel:2 ~occupied:8;
@@ -162,7 +168,8 @@ let test_htab_sampling () =
     Kernel.boot ~machine:Machine.ppc604_185 ~policy:Policy.baseline ~seed:7 ()
   in
   let pr = Kernel.profile k in
-  Profile.enable ~sample_every:5_000 pr;
+  Profile.enable pr;
+  Memsys.arm_timeline (Kernel.memsys k) ~every:5_000;
   kernel_workload k;
   Alcotest.(check bool) "periodic samples recorded" true
     (Profile.samples pr <> []);
@@ -265,7 +272,7 @@ let test_boot_config_registry () =
   in
   let k, drained, again =
     Runner.armed
-      { Boot.plain with Boot.profile = Some 123 }
+      { Boot.plain with Boot.profile = true; timeline = 123 }
       (fun () ->
         let k = boot () in
         let drained = Kernel.drain_smp_registered () in
@@ -274,7 +281,7 @@ let test_boot_config_registry () =
   let pr = Kernel.profile k in
   Alcotest.(check bool) "armed boot enables" true (Profile.enabled pr);
   Alcotest.(check int) "armed boot samples at the configured cadence" 123
-    pr.Profile.sample_every;
+    (Recorder.every (Memsys.timeline (Kernel.memsys k)));
   Alcotest.(check bool) "armed boot collected" true
     (List.length drained = 1 && List.hd drained == k);
   Alcotest.(check int) "one drain empties the registry" 0 (List.length again);

@@ -77,6 +77,44 @@ let test_decimation () =
     (List.map (fun s -> s.Recorder.s_cycle) (Recorder.samples r));
   Alcotest.(check int) "cadence doubled per decimation" 80 (Recorder.every r)
 
+(* Reference model of retention: append, halving to the even indices
+   whenever [cap] samples are held. *)
+let decimation_model ~cap cycles =
+  List.fold_left
+    (fun kept c ->
+      let kept =
+        if List.length kept >= cap then
+          List.filteri (fun i _ -> i mod 2 = 0) kept
+        else kept
+      in
+      kept @ [ c ])
+    [] cycles
+
+let test_retention () =
+  let n = Recorder.default_cap + 904 in
+  let cycles = List.init n (fun i -> (i + 1) * 10) in
+  let run ?cap () =
+    let perf, r = mk () in
+    Recorder.enable ~every:10 ?cap r;
+    List.iter
+      (fun c ->
+        perf.Perf.cycles <- c;
+        Recorder.take_sample r)
+      cycles;
+    (r, List.map (fun s -> s.Recorder.s_cycle) (Recorder.samples r))
+  in
+  let unbounded, kept = run ~cap:max_int () in
+  Alcotest.(check (list int)) "unbounded: every sample kept" cycles kept;
+  Alcotest.(check int) "unbounded: cadence never doubles" 10
+    (Recorder.every unbounded);
+  let capped, kept = run () in
+  Alcotest.(check (list int)) "default cap: decimates as before"
+    (decimation_model ~cap:Recorder.default_cap cycles)
+    kept;
+  Alcotest.(check int) "default cap: one halving" 20 (Recorder.every capped);
+  Alcotest.(check int) "default cap: total counts every sample" n
+    (Recorder.total capped)
+
 let test_streaming_hook_sees_everything () =
   let perf, r = mk () in
   Recorder.enable ~every:10 ~cap:4 r;
@@ -175,6 +213,8 @@ let suite =
     Alcotest.test_case "cadence scheduling" `Quick test_cadence_scheduling;
     Alcotest.test_case "snapshot immutable" `Quick test_snapshot_immutable;
     Alcotest.test_case "decimation" `Quick test_decimation;
+    Alcotest.test_case "retention past the default cap" `Quick
+      test_retention;
     Alcotest.test_case "streaming hook sees everything" `Quick
       test_streaming_hook_sees_everything;
     Alcotest.test_case "gauge replace in place" `Quick

@@ -1,12 +1,19 @@
-(* The observability layer: event ring, histograms, timeline sampling,
+(* The observability layer: event ring, histograms, the timeline views,
    Chrome export, and the non-perturbation contract. *)
 open Ppc
 module Kernel = Kernel_sim.Kernel
 module Policy = Kernel_sim.Policy
+module Experiments = Mmu_tricks.Experiments
+module Profile_export = Mmu_tricks.Profile_export
+module Runner = Mmu_tricks.Runner
 module Trace_export = Mmu_tricks.Trace
 module Json = Mmu_tricks.Json
 
-let mk_trace () = Trace.create ~perf:(Perf.create ())
+(* A bare trace over its own clock and timeline recorder. *)
+let mk_trace () =
+  let perf = Perf.create () in
+  let timeline = Recorder.create ~perf in
+  (perf, timeline, Trace.create ~timeline)
 
 (* --- histograms ------------------------------------------------------- *)
 
@@ -55,10 +62,10 @@ let test_hist_percentile_merge () =
 (* --- the event ring --------------------------------------------------- *)
 
 let test_disabled_emits_nothing () =
-  let tr = mk_trace () in
-  Trace.emit tr Trace.Bat_hit ~a:1 ~b:2;
-  Trace.emit_htab_probe tr ~len:5 ~hit:true;
-  Trace.emit_tlb_service tr ~ea:0x1000 ~cost:40;
+  let _, _, tr = mk_trace () in
+  Trace.emit tr Trace.Bat_hit ~pid:0 ~a:1 ~b:2;
+  Trace.emit_htab_probe tr ~pid:0 ~len:5 ~hit:true;
+  Trace.emit_tlb_service tr ~pid:0 ~ea:0x1000 ~cost:40;
   Trace.emit_context_switch tr ~pid:3 ~cost:500;
   Alcotest.(check int) "no events" 0 (Trace.total tr);
   Alcotest.(check int) "no kind counts" 0 (Trace.kind_count tr Trace.Bat_hit);
@@ -69,11 +76,11 @@ let test_disabled_emits_nothing () =
     && Hist.is_empty (Trace.hist_ctxsw tr))
 
 let test_ring_wraparound () =
-  let tr = mk_trace () in
+  let perf, _, tr = mk_trace () in
   Trace.enable ~ring:8 tr;
   for i = 0 to 19 do
-    tr.Trace.perf.Perf.cycles <- i * 10;
-    Trace.emit tr Trace.Bat_hit ~a:i ~b:0
+    perf.Perf.cycles <- i * 10;
+    Trace.emit tr Trace.Bat_hit ~pid:0 ~a:i ~b:0
   done;
   Alcotest.(check int) "capacity" 8 (Trace.capacity tr);
   Alcotest.(check int) "total counts every emit" 20 (Trace.total tr);
@@ -91,53 +98,52 @@ let test_ring_wraparound () =
   Alcotest.(check int) "cycle stamps preserved" 120 (List.hd cycles)
 
 let test_event_payloads () =
-  let tr = mk_trace () in
+  let _, _, tr = mk_trace () in
   Trace.enable ~ring:16 tr;
-  Trace.set_current_pid tr 7;
-  Trace.emit tr Trace.Page_fault ~a:0xBEEF ~b:2;
-  Trace.emit_for tr Trace.Idle_prezero ~pid:0 ~a:42 ~b:1;
+  Trace.emit tr Trace.Page_fault ~pid:7 ~a:0xBEEF ~b:2;
+  Trace.emit tr Trace.Idle_prezero ~pid:0 ~a:42 ~b:1;
   match Trace.events tr with
   | [ e1; e2 ] ->
-      Alcotest.(check int) "emit uses current pid" 7 e1.Trace.e_pid;
+      Alcotest.(check int) "emit stamps the named pid" 7 e1.Trace.e_pid;
       Alcotest.(check int) "payload a" 0xBEEF e1.Trace.e_a;
-      Alcotest.(check int) "emit_for overrides pid" 0 e2.Trace.e_pid
+      Alcotest.(check int) "kernel work is pid 0" 0 e2.Trace.e_pid
   | l -> Alcotest.failf "expected 2 events, got %d" (List.length l)
 
+(* The trace's timeline is the timeline recorder's samples, taken by
+   [Memsys.charge]: the trace itself samples nothing. *)
 let test_sampling () =
-  let tr = mk_trace () in
-  Trace.set_sampling tr ~every:100;
-  Alcotest.(check bool)
-    "armed at cycles + every" true
-    (tr.Trace.next_sample = 100);
-  tr.Trace.perf.Perf.cycles <- 120;
-  Trace.take_sample tr;
-  tr.Trace.perf.Perf.cycles <- 250;
-  Trace.take_sample tr;
+  let m = Memsys.create ~machine:Machine.ppc604_185 ~perf:(Perf.create ()) in
+  let tr = Memsys.trace m in
+  Memsys.instructions m 150;
+  Alcotest.(check int) "no timeline until armed" 0
+    (List.length (Trace.samples tr));
+  Memsys.arm_timeline m ~every:100;
+  Memsys.instructions m 120;
+  Memsys.instructions m 130;
   (match Trace.samples tr with
   | [ (c1, _); (c2, s2) ] ->
-      Alcotest.(check int) "first sample cycle" 120 c1;
-      Alcotest.(check int) "second sample cycle" 250 c2;
-      Alcotest.(check int) "snapshot captured" 250 s2.Perf.cycles
+      Alcotest.(check int) "first sample at the first charge past 250" 270 c1;
+      Alcotest.(check int) "rescheduled from the actual cycle" 400 c2;
+      Alcotest.(check int) "snapshot captured" 400 s2.Perf.cycles
   | l -> Alcotest.failf "expected 2 samples, got %d" (List.length l));
-  Trace.set_sampling tr ~every:0;
-  Alcotest.(check bool)
-    "disarmed sampler never fires" true
-    (tr.Trace.next_sample = max_int)
+  Alcotest.(check int) "a view: the recorder holds the same samples" 2
+    (Recorder.length (Memsys.timeline m))
 
 (* --- exporters -------------------------------------------------------- *)
 
 let test_chrome_roundtrip () =
-  let tr = mk_trace () in
+  let perf, timeline, tr = mk_trace () in
   Trace.enable ~ring:64 tr;
-  tr.Trace.perf.Perf.cycles <- 1000;
-  Trace.emit tr Trace.Dtlb_miss ~a:0x4000_0000 ~b:0;
-  tr.Trace.perf.Perf.cycles <- 1200;
-  Trace.emit_tlb_service tr ~ea:0x4000_0000 ~cost:200;
+  Recorder.enable ~every:1000 ~cap:max_int timeline;
+  perf.Perf.cycles <- 1000;
+  Trace.emit tr Trace.Dtlb_miss ~pid:2 ~a:0x4000_0000 ~b:0;
+  perf.Perf.cycles <- 1200;
+  Trace.emit_tlb_service tr ~pid:2 ~ea:0x4000_0000 ~cost:200;
   Trace.emit_context_switch tr ~pid:2 ~cost:800;
-  Trace.take_sample tr;
-  tr.Trace.perf.Perf.cycles <- 2400;
-  tr.Trace.perf.Perf.dtlb_misses <- 5;
-  Trace.take_sample tr;
+  Recorder.take_sample timeline;
+  perf.Perf.cycles <- 2400;
+  perf.Perf.dtlb_misses <- 5;
+  Recorder.take_sample timeline;
   let doc = Trace_export.to_chrome ~mhz:100 ~name:"test" tr in
   let text = Json.to_string ~compact:true doc in
   match Json.of_string text with
@@ -164,9 +170,9 @@ let contains ~needle hay =
   n = 0 || at 0
 
 let test_summary_text () =
-  let tr = mk_trace () in
+  let _, _, tr = mk_trace () in
   Trace.enable ~ring:16 tr;
-  Trace.emit_htab_probe tr ~len:3 ~hit:true;
+  Trace.emit_htab_probe tr ~pid:0 ~len:3 ~hit:true;
   let s = Trace_export.summary tr in
   Alcotest.(check bool) "mentions the probe event" true
     (contains ~needle:"htab_probe" s);
@@ -207,14 +213,91 @@ let test_no_perturbation () =
   let traced = boot () in
   let tr = Kernel.trace traced in
   Trace.enable ~ring:1024 tr;
-  Trace.set_sampling tr ~every:50_000;
+  Memsys.arm_timeline (Kernel.memsys traced) ~every:50_000;
   drive traced;
   Alcotest.(check bool) "trace recorded something" true (Trace.total tr > 0);
+  Alcotest.(check bool) "and sampled a timeline" true
+    (Trace.samples tr <> []);
+  Alcotest.(check bool) "user faults belong to user tasks" true
+    (List.for_all
+       (fun e -> e.Trace.e_kind <> Trace.Page_fault || e.Trace.e_pid > 0)
+       (Trace.events tr));
   List.iter2
     (fun (name, a) (_, b) ->
       Alcotest.(check int) ("counter " ^ name ^ " unperturbed") a b)
     (Perf.fields (Kernel.perf plain))
     (Perf.fields (Kernel.perf traced))
+
+(* --- the two views of one timeline ---------------------------------
+
+   Trace and profile armed through the boot configuration share one
+   timeline cadence: the kernels' Perf timelines and htab occupancy
+   maps are views of the same recorder samples. *)
+
+let armed_run ?(timeline = 50_000) id =
+  Runner.armed
+    { Boot.plain with Boot.trace = true; profile = true; timeline }
+    (fun () ->
+      ignore ((Option.get (Experiments.find id)).Experiments.run ~seed:42 ());
+      Kernel.drain_smp_registered ())
+
+let test_views_share_samples () =
+  let kernels = armed_run "D1" in
+  Alcotest.(check bool) "kernels booted" true (kernels <> []);
+  List.iter
+    (fun k ->
+      let trace_cycles = List.map fst (Trace.samples (Kernel.trace k)) in
+      let profile_cycles =
+        List.map
+          (fun s -> s.Profile.h_cycle)
+          (Profile.samples (Kernel.profile k))
+      in
+      Alcotest.(check bool) "the timeline sampled" true (trace_cycles <> []);
+      Alcotest.(check (list int)) "trace and profile carry the same cycles"
+        trace_cycles profile_cycles)
+    kernels
+
+let member_list key j =
+  match Json.member key j with Some (Json.List l) -> l | _ -> []
+
+(* [experiment E2 --trace --profile --json]: the timeline runs for the
+   occupancy map, but the trace did not ask for it. *)
+let test_no_timeline_request () =
+  let kernels = armed_run ~timeline:100_000 "E2" in
+  let obs =
+    Trace_export.observability_json ~timelines:false
+      (List.map Kernel.trace kernels)
+  in
+  Alcotest.(check int) "no timelines exported" 0
+    (List.length (member_list "timelines" obs));
+  let occupancy =
+    List.map
+      (fun h -> List.length (member_list "samples" h))
+      (member_list "htab"
+         (Profile_export.to_json (List.map Kernel.profile kernels)))
+  in
+  Alcotest.(check (list int)) "occupancy still sampled" [ 268; 257; 255 ]
+    occupancy
+
+let test_no_htab_no_occupancy () =
+  let k =
+    Boot.with_config
+      { Boot.plain with Boot.profile = true; timeline = 10_000 }
+      (fun () ->
+        Kernel.boot ~machine:Machine.ppc603_133
+          ~policy:{ Policy.optimized with use_htab = false }
+          ~seed:7 ())
+  in
+  drive k;
+  let pr = Kernel.profile k in
+  Alcotest.(check bool) "the timeline sampled" true
+    (Recorder.length (Memsys.timeline (Kernel.memsys k)) > 0);
+  Alcotest.(check int) "no occupancy samples" 0
+    (List.length (Profile.samples pr));
+  Alcotest.(check bool) "no end-of-run snapshot" true
+    (Profile.snapshot_htab pr = None);
+  Alcotest.(check int) "no htab map exported" 0
+    (List.length (member_list "htab" (Profile_export.to_json [ pr ])))
 
 let suite =
   [ Alcotest.test_case "hist bucket boundaries" `Quick
@@ -230,4 +313,10 @@ let suite =
     Alcotest.test_case "chrome JSON round-trips" `Quick test_chrome_roundtrip;
     Alcotest.test_case "text summary" `Quick test_summary_text;
     Alcotest.test_case "tracing does not perturb counters" `Quick
-      test_no_perturbation ]
+      test_no_perturbation;
+    Alcotest.test_case "trace and profile views share samples" `Quick
+      test_views_share_samples;
+    Alcotest.test_case "no timeline request exports none" `Quick
+      test_no_timeline_request;
+    Alcotest.test_case "no htab exports no occupancy" `Quick
+      test_no_htab_no_occupancy ]
