@@ -31,15 +31,9 @@ let charge_list_check t =
    with the cache inhibited for the page, plain stores go straight to
    memory and the cache is untouched. *)
 let clear_page t ~source ~inhibited rpn =
-  let base = rpn lsl Addr.page_shift in
   Memsys.instructions t.memsys Kparams.clear_page_instr;
-  let lines = Addr.page_size / Addr.line_size in
-  for i = 0 to lines - 1 do
-    let pa = base + (i * Addr.line_size) in
-    if inhibited then
-      Memsys.data_ref t.memsys ~source ~inhibited:true ~write:true pa
-    else Memsys.dcbz t.memsys ~source pa
-  done
+  Memsys.zero_lines t.memsys ~source ~inhibited (rpn lsl Addr.page_shift)
+    ~lines:(Addr.page_size / Addr.line_size)
 
 let get_page t =
   (perf t).Perf.get_free_page_calls <-

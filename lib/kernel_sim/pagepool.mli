@@ -8,9 +8,10 @@
     (evicts live data), and clearing uncached without keeping the list
     (pure wasted idle work, measured to be performance-neutral).
 
-    All clearing costs are charged through {!Ppc.Memsys}.  Cached
-    clearing uses [dcbz] (allocate-and-zero, no memory fetch): cheap in
-    cycles but every line evicts someone else's — attributed to source
+    All clearing costs are charged through {!Ppc.Memsys}, one
+    {!Ppc.Memsys.zero_lines} call per page.  Cached clearing uses
+    [dcbz] (allocate-and-zero, no memory fetch): cheap in cycles but
+    every line evicts someone else's — attributed to source
     [Idle_clear] (idle) or [Kernel] (foreground demand clearing).
     Uncached clearing uses plain stores that bypass the cache entirely:
     slower per store (paid in idle time) but pollution-free. *)

@@ -155,13 +155,19 @@ let[@inline never] miss t ~source ~write base line =
   if t.locked then Bypass
   else fill t ~source ~write (base + fill_way t base) line
 
-let[@inline] access t ~source ~inhibited ~write pa =
+(* [n] references to one line: one set lookup, and the first
+   reference's result decides the rest.  Nothing between them can evict
+   the line, so a hit or a fill leaves [n - 1] hits and a locked miss
+   [n - 1] more locked misses; the tick advances by [n], and the stamp a
+   fill or hit writes is the last of the [n] ticks, where [n] calls
+   leave it. *)
+let[@inline] access_run t ~source ~inhibited ~write pa n =
   if inhibited then Bypass
   else begin
     let line = Addr.line_index pa in
     let base = set_of t line * t.n_ways in
     let i = hit_slot t base line in
-    t.tick <- t.tick + 1;
+    t.tick <- t.tick + n;
     if i >= 0 then begin
       t.stamps.(i) <- t.tick;
       if write then t.dirty.(i) <- true;
@@ -169,6 +175,9 @@ let[@inline] access t ~source ~inhibited ~write pa =
     end
     else miss t ~source ~write base line
   end
+
+let[@inline] access t ~source ~inhibited ~write pa =
+  access_run t ~source ~inhibited ~write pa 1
 
 let allocate_zero t ~source pa =
   let line = Addr.line_index pa in
@@ -181,6 +190,51 @@ let allocate_zero t ~source pa =
     Hit
   end
   else miss t ~source ~write:true base line
+
+(* Unlocked, every line of a clear ends resident, dirty and stamped with
+   its own tick; a fill takes [fill_way]'s victim, as [fill] would.  The
+   loop keeps the arrays, tick and counters in locals and builds no
+   result per line.  [unsafe_*] are in bounds as in [scan4]: [i] is a
+   way of the set at [base].  A locked cache takes the per-line path. *)
+let zero_lines t ~source pa ~lines =
+  let to_memory = ref 0 in
+  if t.locked then
+    for k = 0 to lines - 1 do
+      match allocate_zero t ~source (pa + (k * Addr.line_size)) with
+      | Bypass -> incr to_memory
+      | Hit | Miss _ -> ()
+    done
+  else begin
+    let line0 = Addr.line_index pa in
+    let tags = t.tags and dirty = t.dirty and stamps = t.stamps in
+    let fills = ref 0 and evictions = ref 0 and tick = ref t.tick in
+    for k = 0 to lines - 1 do
+      let line = line0 + k in
+      let base = set_of t line * t.n_ways in
+      let i = hit_slot t base line in
+      let i =
+        if i >= 0 then i
+        else begin
+          let i = base + fill_way t base in
+          if Array.unsafe_get tags i >= 0 then begin
+            incr evictions;
+            if Array.unsafe_get dirty i then incr to_memory
+          end;
+          incr fills;
+          Array.unsafe_set tags i line;
+          i
+        end
+      in
+      tick := !tick + 1;
+      Array.unsafe_set dirty i true;
+      Array.unsafe_set stamps i !tick
+    done;
+    t.tick <- !tick;
+    let src = source_index source in
+    t.allocs.(src) <- t.allocs.(src) + !fills;
+    t.evictions.(src) <- t.evictions.(src) + !evictions
+  end;
+  !to_memory
 
 let contains t pa =
   let line = Addr.line_index pa in
@@ -206,6 +260,23 @@ let dirty_lines t =
   let n = ref 0 in
   Array.iteri (fun i tag -> if tag >= 0 && t.dirty.(i) then incr n) t.tags;
   !n
+
+type raw = {
+  raw_tags : int array;
+  raw_dirty : bool array;
+  raw_stamps : int array;
+  raw_tick : int;
+  raw_allocs : int array;
+  raw_evictions : int array;
+}
+
+let raw t =
+  { raw_tags = Array.copy t.tags;
+    raw_dirty = Array.copy t.dirty;
+    raw_stamps = Array.copy t.stamps;
+    raw_tick = t.tick;
+    raw_allocs = Array.copy t.allocs;
+    raw_evictions = Array.copy t.evictions }
 
 let stats_allocations t source = t.allocs.(source_index source)
 let stats_evictions_caused_by t source = t.evictions.(source_index source)

@@ -13,7 +13,13 @@
     The cache can be {e locked} (§10.1's future-work proposal): while
     locked, hits behave normally but misses do not allocate, so the
     current contents cannot be displaced — what the paper suggests doing
-    for the idle task. *)
+    for the idle task.
+
+    Two run primitives simulate several references in one call and leave
+    exactly the state the single calls would: {!access_run}, [n]
+    references to one line with one set lookup (the PTE reads of §8,
+    four to a line), and {!zero_lines}, a page clear's consecutive
+    [dcbz]s (§9). *)
 
 (** Who performed an access; used only for attribution counters. *)
 type source =
@@ -62,6 +68,23 @@ val allocate_zero : t -> source:source -> Addr.pa -> result
     turns a non-resident dcbz into [Bypass] (the real instruction would
     stall to memory). *)
 
+val access_run :
+  t -> source:source -> inhibited:bool -> write:bool -> Addr.pa -> int -> result
+(** [access_run t ~source ~inhibited ~write pa n] is [n >= 1] calls of
+    [access t ~source ~inhibited ~write pa] with one set lookup, and
+    returns the first call's result: the other [n - 1] are hits after a
+    hit or a fill and bypasses after a bypass.  Cache state ends where
+    the [n] calls leave it: the tick advances by [n] (by none when
+    [inhibited]), the line's stamp is the last of those ticks, and the
+    allocation and eviction counters move once, on a fill. *)
+
+val zero_lines : t -> source:source -> Addr.pa -> lines:int -> int
+(** [zero_lines t ~source pa ~lines] is {!allocate_zero} on [lines]
+    consecutive lines from the one holding [pa], leaving the state the
+    [lines] calls leave.  Returns how many of them went to memory: fills
+    that wrote back a dirty victim in an unlocked cache, and non-resident
+    lines (each a [Bypass]) in a locked one, which fills nothing. *)
+
 val contains : t -> Addr.pa -> bool
 (** [contains t pa] — does the line holding [pa] currently reside in the
     cache (no LRU side effect)? *)
@@ -78,6 +101,19 @@ val occupancy : t -> int
 (** Valid lines. *)
 
 val dirty_lines : t -> int
+
+(** A copy of the cache's raw state, for tests that compare two caches
+    slot by slot. *)
+type raw = {
+  raw_tags : int array;  (** line index per slot, -1 when invalid *)
+  raw_dirty : bool array;
+  raw_stamps : int array;  (** LRU stamps; invalid slots keep stale ones *)
+  raw_tick : int;
+  raw_allocs : int array;  (** per {!source_index} *)
+  raw_evictions : int array;  (** per {!source_index} *)
+}
+
+val raw : t -> raw
 
 val stats_allocations : t -> source -> int
 (** Lines allocated (misses filled) on behalf of [source] since

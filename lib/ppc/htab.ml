@@ -23,6 +23,8 @@ type t = {
 
 let slots_per_pteg = 8
 let pte_bytes = 8
+let pteg_bytes = slots_per_pteg * pte_bytes
+let ptes_per_line = Addr.line_size / pte_bytes
 
 let g_bit = 1 lsl 3
 let m_bit = 1 lsl 4
@@ -43,6 +45,8 @@ let create ?(base_pa = 0x00100000) ~n_ptes () =
   let ptegs = n_ptes / slots_per_pteg in
   if ptegs <= 0 || ptegs land (ptegs - 1) <> 0 then
     invalid_arg "Htab.create: n_ptes/8 must be a positive power of two";
+  if base_pa land (pteg_bytes - 1) <> 0 then
+    invalid_arg "Htab.create: base_pa must be PTEG-aligned (64 bytes)";
   { ptegs; base = base_pa; words = Array.make (2 * n_ptes) (-1); cursor = 0 }
 
 let n_ptegs t = t.ptegs
@@ -57,28 +61,44 @@ let[@inline] hash1 t ~vsid ~page_index =
 
 let[@inline] hash2 t ~primary = Pte.hash_secondary ~n_ptegs:t.ptegs ~primary
 
-(* Search one PTEG for a matching tag, reporting each slot examined.
-   Returns the flat slot index, or -1.  Top-level recursion so the probe
-   loop is not a per-call closure allocation. *)
-let rec probe_scan (words : int array) (tag : int) base pa0
-    (on_ref : int -> unit) slot =
-  if slot >= slots_per_pteg then -1
+(* Report the first [m] slots of a PTEG as line runs: a PTEG is two
+   32-byte lines of four PTEs each ([create] aligns it), so at most two
+   runs, the second only when [m] passes the first line. *)
+let[@inline] pteg_runs t ~pteg m ~(on_run : Addr.pa -> int -> unit) =
+  let pa = t.base + (pteg * pteg_bytes) in
+  if m <= ptes_per_line then on_run pa m
   else begin
-    on_ref (pa0 + (slot * pte_bytes));
-    if words.(2 * (base + slot)) = tag then base + slot
-    else probe_scan words tag base pa0 on_ref (slot + 1)
+    on_run pa ptes_per_line;
+    on_run (pa + Addr.line_size) (m - ptes_per_line)
   end
 
-let search_pteg_slot t ~pteg ~tag ~on_ref =
-  let base = pteg * slots_per_pteg in
-  probe_scan t.words tag base (t.base + (base * pte_bytes)) on_ref 0
+(* The flat slot index of [tag] in the PTEG whose first slot is [base],
+   or -1.  Reads the words only: the caller reports the slots examined.
+   Top-level recursion so the probe loop is not a per-call closure
+   allocation. *)
+let rec find_tag (words : int array) (tag : int) base slot =
+  if slot >= slots_per_pteg then -1
+  else if words.(2 * (base + slot)) = tag then base + slot
+  else find_tag words tag base (slot + 1)
 
-let search_slot t ~vsid ~page_index ~on_ref =
+(* Slots a PTEG probe examined, given what it found: up to the hit, or
+   all eight. *)
+let[@inline] examined ~base i = if i < 0 then slots_per_pteg else i - base + 1
+
+(* Search one PTEG for a matching tag, reporting the slots examined.
+   Returns the flat slot index, or -1. *)
+let[@inline] search_pteg_slot t ~pteg ~tag ~on_run =
+  let base = pteg * slots_per_pteg in
+  let i = find_tag t.words tag base 0 in
+  pteg_runs t ~pteg (examined ~base i) ~on_run;
+  i
+
+let search_slot t ~vsid ~page_index ~on_run =
   let tag = tag_of ~vsid ~page_index in
   let p = hash1 t ~vsid ~page_index in
-  let i = search_pteg_slot t ~pteg:p ~tag ~on_ref in
+  let i = search_pteg_slot t ~pteg:p ~tag ~on_run in
   if i >= 0 then i
-  else search_pteg_slot t ~pteg:(hash2 t ~primary:p) ~tag ~on_ref
+  else search_pteg_slot t ~pteg:(hash2 t ~primary:p) ~tag ~on_run
 
 let[@inline] reference t i =
   let j = (2 * i) + 1 in
@@ -135,12 +155,20 @@ let probe_len t ~vsid ~page_index i =
     (i mod slots_per_pteg) + 1
   else slots_per_pteg + (i mod slots_per_pteg) + 1
 
+(* [search_slot] with each run expanded into its slots, for the
+   per-slot readers below (a closure per call: they allocate anyway). *)
+let search_slot_per_ref t ~vsid ~page_index ~on_ref =
+  search_slot t ~vsid ~page_index ~on_run:(fun pa n ->
+      for k = 0 to n - 1 do
+        on_ref (pa + (k * pte_bytes))
+      done)
+
 let search t ~vsid ~page_index ~on_ref =
-  let i = search_slot t ~vsid ~page_index ~on_ref in
+  let i = search_slot_per_ref t ~vsid ~page_index ~on_ref in
   if i < 0 then None else Some (decode t i)
 
 let search_counted t ~vsid ~page_index ~on_ref =
-  let i = search_slot t ~vsid ~page_index ~on_ref in
+  let i = search_slot_per_ref t ~vsid ~page_index ~on_ref in
   ( (if i < 0 then None else Some (decode t i)),
     probe_len t ~vsid ~page_index i )
 
@@ -152,16 +180,16 @@ type replacement =
 (* Find a reusable slot in a PTEG: the flat index of an entry with the
    same tag (update in place), else of the first invalid slot, else -1.
    Reports all eight references. *)
-let find_free t ~pteg ~tag ~on_ref =
+let find_free t ~pteg ~tag ~on_run =
   let base = pteg * slots_per_pteg in
   let free = ref (-1) in
   let same = ref (-1) in
   for i = base to base + slots_per_pteg - 1 do
-    on_ref (slot_pa t i);
     let stored = t.words.(2 * i) in
     if stored = tag then same := i
     else if stored < 0 && !free < 0 then free := i
   done;
+  pteg_runs t ~pteg slots_per_pteg ~on_run;
   if !same >= 0 then !same else !free
 
 let write_entry t i ~secondary ~vsid ~page_index ~rpn ~wimg ~protection
@@ -181,13 +209,13 @@ let arbitrary_victim ~rng ~primary ~secondary =
 
 (* The first slot of a PTEG whose R bit is clear, or -1.  Reports all
    eight references. *)
-let first_unreferenced t ~pteg ~on_ref =
+let first_unreferenced t ~pteg ~on_run =
   let base = pteg * slots_per_pteg in
   let found = ref (-1) in
   for i = base to base + slots_per_pteg - 1 do
-    on_ref (slot_pa t i);
     if !found < 0 && t.words.((2 * i) + 1) land r_bit = 0 then found := i
   done;
+  pteg_runs t ~pteg slots_per_pteg ~on_run;
   !found
 
 let clear_r_bits t ~pteg =
@@ -199,9 +227,9 @@ let clear_r_bits t ~pteg =
 (* Second-chance victim selection over the 16 candidate slots: an
    unreferenced entry if one exists, else strip every R bit and choose
    arbitrarily. *)
-let pick_victim_second_chance t ~rng ~primary ~secondary ~on_ref =
-  let i = first_unreferenced t ~pteg:primary ~on_ref in
-  let i = if i >= 0 then i else first_unreferenced t ~pteg:secondary ~on_ref in
+let pick_victim_second_chance t ~rng ~primary ~secondary ~on_run =
+  let i = first_unreferenced t ~pteg:primary ~on_run in
+  let i = if i >= 0 then i else first_unreferenced t ~pteg:secondary ~on_run in
   if i >= 0 then i
   else begin
     (* everyone was referenced: second chance for all *)
@@ -212,31 +240,29 @@ let pick_victim_second_chance t ~rng ~primary ~secondary ~on_ref =
 
 (* The first slot of a PTEG whose VSID [is_zombie] marks dead, or -1.
    Reports references up to and including that slot. *)
-let first_zombie t ~is_zombie ~pteg ~on_ref =
+let first_zombie t ~is_zombie ~pteg ~on_run =
   let base = pteg * slots_per_pteg in
   let found = ref (-1) in
   for i = base to base + slots_per_pteg - 1 do
-    if !found < 0 then begin
-      on_ref (slot_pa t i);
-      if is_zombie (vsid_of_tag t.words.(2 * i)) then found := i
-    end
+    if !found < 0 && is_zombie (vsid_of_tag t.words.(2 * i)) then found := i
   done;
+  pteg_runs t ~pteg (examined ~base !found) ~on_run;
   !found
 
 (* Zombie-aware victim selection: the first entry whose VSID the
    predicate marks dead; arbitrary if the 16 candidates are all live. *)
-let pick_victim_zombie t ~rng ~is_zombie ~primary ~secondary ~on_ref =
-  let i = first_zombie t ~is_zombie ~pteg:primary ~on_ref in
+let pick_victim_zombie t ~rng ~is_zombie ~primary ~secondary ~on_run =
+  let i = first_zombie t ~is_zombie ~pteg:primary ~on_run in
   let i =
-    if i >= 0 then i else first_zombie t ~is_zombie ~pteg:secondary ~on_ref
+    if i >= 0 then i else first_zombie t ~is_zombie ~pteg:secondary ~on_run
   in
   if i >= 0 then i else arbitrary_victim ~rng ~primary ~secondary
 
 let insert ?(policy = Arbitrary) ?(changed = false) t ~rng ~vsid ~page_index
-    ~rpn ~wimg ~protection ~on_ref =
+    ~rpn ~wimg ~protection ~on_run =
   let tag = tag_of ~vsid ~page_index in
   let p = hash1 t ~vsid ~page_index in
-  let i = find_free t ~pteg:p ~tag ~on_ref in
+  let i = find_free t ~pteg:p ~tag ~on_run in
   if i >= 0 then begin
     write_entry t i ~secondary:false ~vsid ~page_index ~rpn ~wimg ~protection
       ~changed;
@@ -244,7 +270,7 @@ let insert ?(policy = Arbitrary) ?(changed = false) t ~rng ~vsid ~page_index
   end
   else begin
     let s = hash2 t ~primary:p in
-    let i = find_free t ~pteg:s ~tag ~on_ref in
+    let i = find_free t ~pteg:s ~tag ~on_run in
     if i >= 0 then begin
       write_entry t i ~secondary:true ~vsid ~page_index ~rpn ~wimg
         ~protection ~changed;
@@ -257,40 +283,52 @@ let insert ?(policy = Arbitrary) ?(changed = false) t ~rng ~vsid ~page_index
         match policy with
         | Arbitrary -> arbitrary_victim ~rng ~primary:p ~secondary:s
         | Second_chance ->
-            pick_victim_second_chance t ~rng ~primary:p ~secondary:s ~on_ref
+            pick_victim_second_chance t ~rng ~primary:p ~secondary:s ~on_run
         | Prefer_zombie is_zombie ->
             pick_victim_zombie t ~rng ~is_zombie ~primary:p ~secondary:s
-              ~on_ref
+              ~on_run
       in
       let victim = t.words.(2 * i) in
-      on_ref (slot_pa t i);
+      on_run (slot_pa t i) 1;
       write_entry t i ~secondary:(i / slots_per_pteg = s) ~vsid ~page_index
         ~rpn ~wimg ~protection ~changed;
       victim
     end
   end
 
-let invalidate_page t ~vsid ~page_index ~on_ref =
-  let i = search_slot t ~vsid ~page_index ~on_ref in
+let invalidate_page t ~vsid ~page_index ~on_run =
+  let i = search_slot t ~vsid ~page_index ~on_run in
   if i < 0 then false
   else begin
     t.words.(2 * i) <- -1;
     true
   end
 
-let reclaim_zombies t ~is_zombie ~max_ptes ~on_ref =
+(* Runs end at line boundaries, and the table is whole PTEGs, so a run
+   never crosses the wrap back to slot 0.  Each run is reported before
+   its slots are cleared, which is the slot-by-slot order when
+   [per_slot] makes every run a single slot. *)
+let reclaim_zombies t ~is_zombie ~max_ptes ~per_slot ~on_run =
   let words = t.words in
   let total = capacity t in
   let reclaimed = ref 0 in
   let i = ref t.cursor in
-  for _ = 1 to min max_ptes total do
-    on_ref (slot_pa t !i);
-    let w0 = words.(2 * !i) in
-    if w0 >= 0 && is_zombie (vsid_of_tag w0) then begin
-      words.(2 * !i) <- -1;
-      incr reclaimed
-    end;
-    i := if !i + 1 = total then 0 else !i + 1
+  let left = ref (min max_ptes total) in
+  while !left > 0 do
+    let n =
+      if per_slot then 1
+      else Addr.imin !left (ptes_per_line - (!i land (ptes_per_line - 1)))
+    in
+    on_run (slot_pa t !i) n;
+    for j = !i to !i + n - 1 do
+      let w0 = words.(2 * j) in
+      if w0 >= 0 && is_zombie (vsid_of_tag w0) then begin
+        words.(2 * j) <- -1;
+        incr reclaimed
+      end
+    done;
+    left := !left - n;
+    i := if !i + n = total then 0 else !i + n
   done;
   t.cursor <- !i;
   !reclaimed

@@ -15,18 +15,29 @@
     and cold readers.
 
     The structure itself is policy-free: it reports which physical PTE
-    slots a search touched (via [on_ref]) so the MMU can drive them
-    through the data cache, and it exposes zombie accounting hooks so the
-    idle-task reclaim of §7 can be measured.  A "zombie" PTE is one whose
-    valid bit is still set but whose VSID belongs to a retired memory
-    context; the hardware cannot tell it from a live entry. *)
+    slots an operation read so the MMU can drive them through the data
+    cache, and it exposes zombie accounting hooks so the idle-task
+    reclaim of §7 can be measured.  A "zombie" PTE is one whose valid bit
+    is still set but whose VSID belongs to a retired memory context; the
+    hardware cannot tell it from a live entry.
+
+    {b Line runs.}  A 32-byte cache line holds four 8-byte PTEs and a
+    PTEG is two lines, so the searches, free-slot and victim scans,
+    precise flush and reclaim scan report their reads as runs:
+    [on_run pa n] stands for the [n] consecutive slots from the one at
+    [pa], with [1 <= n <= 4] and all [n] inside [pa]'s line, reported in
+    the order the slots are read.  Expanding every run into
+    [pa], [pa + 8], ... gives the per-slot sequence exactly.  {!search}
+    and {!search_counted} still report slot by slot. *)
 
 type t
 
 val create : ?base_pa:Addr.pa -> n_ptes:int -> unit -> t
 (** [create ~n_ptes ()] builds an empty table of [n_ptes] entries
     ([n_ptes / 8] PTEGs; must make a power of two).  [base_pa] locates the
-    table in physical memory for cache modeling (default [0x00100000]). *)
+    table in physical memory for cache modeling (default [0x00100000]);
+    it must be PTEG-aligned (a multiple of 64), so a PTEG is exactly two
+    line runs. *)
 
 val n_ptegs : t -> int
 
@@ -60,9 +71,11 @@ val search_counted :
     identical: [on_ref] sees the same addresses in the same order. *)
 
 val search_slot :
-  t -> vsid:int -> page_index:int -> on_ref:(Addr.pa -> unit) -> int
+  t -> vsid:int -> page_index:int -> on_run:(Addr.pa -> int -> unit) -> int
 (** [search] without the option: the flat slot index of the match, or
-    [-1].  Same references in the same order; allocates nothing. *)
+    [-1].  The same references in the same order, reported as line runs
+    (at most two per PTEG: a hit in slot 2 of the primary is one run of
+    3, a miss four runs of 4); allocates nothing. *)
 
 val decode : t -> int -> Pte.t
 (** [decode t i] is the entry in slot [i] decoded from its two words
@@ -119,7 +132,7 @@ val insert :
   rpn:int ->
   wimg:Pte.wimg ->
   protection:Pte.protection ->
-  on_ref:(Addr.pa -> unit) ->
+  on_run:(Addr.pa -> int -> unit) ->
   int
 (** [insert t ~rng ...] places a PTE, preferring an invalid slot in the
     primary PTEG, then in the secondary PTEG; when both groups are full a
@@ -129,26 +142,34 @@ val insert :
     updated in place.  The written entry has R set and C set to
     [changed] (default [false]) whichever way the slot was found.
     Returns the displaced entry's word 0 ({!vsid_of_tag} reads its VSID),
-    or [-1] when no valid entry was displaced.  Allocates nothing. *)
+    or [-1] when no valid entry was displaced.  Reports each PTEG's
+    free-slot scan as two runs of 4, a victim scan up to where it
+    stopped, and the victim's own read as a run of 1, every one before
+    the entry is written.  Allocates nothing. *)
 
 val invalidate_page :
-  t -> vsid:int -> page_index:int -> on_ref:(Addr.pa -> unit) -> bool
-(** [invalidate_page t ~vsid ~page_index ~on_ref] performs the precise
-    per-page flush: search both PTEGs and clear the valid bit if found.
-    Returns whether an entry was invalidated. *)
+  t -> vsid:int -> page_index:int -> on_run:(Addr.pa -> int -> unit) -> bool
+(** [invalidate_page t ~vsid ~page_index ~on_run] performs the precise
+    per-page flush: search both PTEGs (reported as {!search_slot} does)
+    and clear the valid bit if found.  Returns whether an entry was
+    invalidated. *)
 
 val reclaim_zombies :
   t ->
   is_zombie:(int -> bool) ->
   max_ptes:int ->
-  on_ref:(Addr.pa -> unit) ->
+  per_slot:bool ->
+  on_run:(Addr.pa -> int -> unit) ->
   int
-(** [reclaim_zombies t ~is_zombie ~max_ptes ~on_ref] is the idle-task
-    scan: examine up to [max_ptes] slots starting from a persistent
-    cursor, clearing the valid bit of every PTE whose VSID satisfies
-    [is_zombie] (read from word 0).  Returns the number reclaimed.  The
-    cursor survives across calls so repeated idle slices cover the whole
-    table. *)
+(** [reclaim_zombies t ~is_zombie ~max_ptes ~per_slot ~on_run] is the
+    idle-task scan: examine up to [max_ptes] slots starting from a
+    persistent cursor, clearing the valid bit of every PTE whose VSID
+    satisfies [is_zombie] (read from word 0).  Returns the number
+    reclaimed.  The cursor survives across calls so repeated idle slices
+    cover the whole table.  Each run is reported before any of its slots
+    is cleared; with [per_slot] every run is one slot, so each read is
+    reported before that slot's clear and after the previous slot's —
+    the order a recorder sampling mid-scan must see. *)
 
 val occupancy : t -> int
 (** Number of valid PTEs (live + zombie: what the hardware sees). *)

@@ -142,27 +142,35 @@ let[@inline] charge_writeback t dirty_writeback =
     charge t (writeback_cost t)
   end
 
-(* A data reference's charge for [r], with [instr] instruction cycles
-   riding on the cache-access cost.  Out of line: the callers inline a
-   hit themselves and call this for a miss or a bypass. *)
-let[@inline never] charge_data t ~instr (r : Cache.result) =
+(* The charge of [n] same-line data references whose first one had
+   result [r] (see [Cache.access_run]: the rest hit after a hit or a
+   fill and bypass after a bypass), with [instr] instruction cycles
+   riding on each.  At [n = 1] it is one reference's charge, the
+   write-back of a dirty victim a second charge as it always was. *)
+let[@inline] charge_run t ~instr (r : Cache.result) n =
   let p = t.perf in
   match r with
-  | Cache.Hit -> charge t (instr + Cost.cache_hit_cycles)
+  | Cache.Hit -> charge t (n * (instr + Cost.cache_hit_cycles))
   | Cache.Miss { dirty_writeback } ->
       p.Perf.dcache_misses <- p.Perf.dcache_misses + 1;
-      charge t (instr + t.machine.Machine.mem_latency);
+      charge t
+        ((n * instr) + t.machine.Machine.mem_latency
+        + ((n - 1) * Cost.cache_hit_cycles));
       charge_writeback t dirty_writeback
   | Cache.Bypass ->
-      p.Perf.dcache_bypasses <- p.Perf.dcache_bypasses + 1;
-      charge t (instr + t.machine.Machine.mem_latency)
+      p.Perf.dcache_bypasses <- p.Perf.dcache_bypasses + n;
+      charge t (n * (instr + t.machine.Machine.mem_latency))
+
+(* A data reference's miss or bypass charge, out of line: the callers
+   inline a hit themselves and call this for the rest. *)
+let[@inline never] charge_data t r = charge_run t ~instr:0 r 1
 
 let[@inline] data_ref t ~source ~inhibited ~write pa =
   let p = t.perf in
   p.Perf.dcache_accesses <- p.Perf.dcache_accesses + 1;
   match Cache.access t.dcache ~source ~inhibited ~write pa with
   | Cache.Hit -> charge t Cost.cache_hit_cycles
-  | (Cache.Miss _ | Cache.Bypass) as r -> charge_data t ~instr:0 r
+  | (Cache.Miss _ | Cache.Bypass) as r -> charge_data t r
 
 let inst_ref t pa =
   let p = t.perf in
@@ -176,6 +184,7 @@ let inst_ref t pa =
       p.Perf.icache_misses <- p.Perf.icache_misses + 1;
       charge t t.machine.Machine.mem_latency
 
+(* One [dcbz], as a page clear's per-line sequence charges it. *)
 let dcbz t ~source pa =
   let p = t.perf in
   p.Perf.dcache_accesses <- p.Perf.dcache_accesses + 1;
@@ -228,21 +237,58 @@ let[@inline] instructions_stall t ~instr ~stall:stall_cycles =
     charge t (instr + stall_cycles)
   end
 
-(* [instructions t instr; data_ref t ... pa] fused into one charge on
-   the cache-access cost — the per-slot cost of a software htab probe
-   (a few compare/branch instructions riding on the PTE load). *)
-let data_ref_instr t ~instr ~source ~inhibited ~write pa =
-  if sampling t then begin
-    instructions t instr;
+(* The references a run stands for, one by one, for while a recorder is
+   armed: each counts, charges its instructions and then its data
+   reference, so every sample sees the counters it always saw. *)
+let[@inline never] table_refs t ~instr ~source ~inhibited ~write pa n =
+  let p = t.perf in
+  for _ = 1 to n do
+    p.Perf.mem_refs <- p.Perf.mem_refs + 1;
+    if instr > 0 then instructions t instr;
     data_ref t ~source ~inhibited ~write pa
-  end
+  done
+
+(* Unarmed, the run's counters move by [n] at once and one charge
+   covers the lot: one set lookup, one deadline check. *)
+let[@inline] table_run t ~instr ~source ~inhibited ~write pa n =
+  if sampling t then table_refs t ~instr ~source ~inhibited ~write pa n
   else begin
-    t.perf.Perf.instructions <- t.perf.Perf.instructions + instr;
     let p = t.perf in
-    p.Perf.dcache_accesses <- p.Perf.dcache_accesses + 1;
-    match Cache.access t.dcache ~source ~inhibited ~write pa with
-    | Cache.Hit -> charge t (instr + Cost.cache_hit_cycles)
-    | (Cache.Miss _ | Cache.Bypass) as r -> charge_data t ~instr r
+    p.Perf.mem_refs <- p.Perf.mem_refs + n;
+    p.Perf.instructions <- p.Perf.instructions + (instr * n);
+    p.Perf.dcache_accesses <- p.Perf.dcache_accesses + n;
+    charge_run t ~instr
+      (Cache.access_run t.dcache ~source ~inhibited ~write pa n)
+      n
+  end
+
+let zero_lines t ~source ~inhibited pa ~lines =
+  if sampling t then
+    for k = 0 to lines - 1 do
+      let pa = pa + (k * Addr.line_size) in
+      if inhibited then data_ref t ~source ~inhibited:true ~write:true pa
+      else dcbz t ~source pa
+    done
+  else begin
+    let p = t.perf in
+    let latency = t.machine.Machine.mem_latency in
+    p.Perf.dcache_accesses <- p.Perf.dcache_accesses + lines;
+    if inhibited then begin
+      p.Perf.dcache_bypasses <- p.Perf.dcache_bypasses + lines;
+      charge t (lines * latency)
+    end
+    else begin
+      let to_memory = Cache.zero_lines t.dcache ~source pa ~lines in
+      if Cache.is_locked t.dcache then begin
+        p.Perf.dcache_bypasses <- p.Perf.dcache_bypasses + to_memory;
+        charge t
+          (((lines - to_memory) * Cost.dcbz_cycles) + (to_memory * latency))
+      end
+      else begin
+        p.Perf.dcache_writebacks <- p.Perf.dcache_writebacks + to_memory;
+        charge t ((lines * Cost.dcbz_cycles) + (to_memory * writeback_cost t))
+      end
+    end
   end
 
 let copy_lines t ~source ~src ~dst ~bytes =

@@ -15,7 +15,14 @@
     that differ only in cadence and retention: the flight {!recorder}
     and the {!timeline} whose samples the {!Trace} timeline and the
     {!Profile} occupancy map read.  Each charge tests the two deadlines
-    and nothing else. *)
+    and nothing else.
+
+    Fused charges and runs ({!instructions_stall}, {!table_run},
+    {!zero_lines}) simulate several charges in one call.  Unarmed, no
+    sample can fire inside a charge, so they move every counter by the
+    same totals with one charge; while {!sampling} they take the
+    historical sequence, every counter bumped just before its own
+    charge, so samples see what they always saw. *)
 
 type t
 
@@ -80,11 +87,6 @@ val data_ref :
 val inst_ref : t -> Addr.pa -> unit
 (** One instruction fetch reference: drives the I-cache. *)
 
-val dcbz : t -> source:Cache.source -> Addr.pa -> unit
-(** One [dcbz]: allocate-and-zero the line containing the address in the
-    D-cache without fetching it from memory.  Costs {!Cost.dcbz_cycles}
-    (plus any dirty write-back); pollutes by eviction, never by fetch. *)
-
 val prefetch : t -> source:Cache.source -> Addr.pa -> unit
 (** One [dcbt]-style prefetch hint (§10.2): brings the line in while
     execution continues — the fill is overlapped, so only
@@ -105,9 +107,9 @@ val stall : t -> int -> unit
 
 val sampling : t -> bool
 (** Whether either recorder is armed.  While true the fused charges
-    below take the historical charge-by-charge sequence, so sample
-    timing and contents are byte-identical to the unfused calls;
-    counters are identical either way. *)
+    and runs below take the historical charge-by-charge sequence, so
+    sample timing and contents are byte-identical to the unfused calls;
+    counters and cache state are identical either way. *)
 
 val instructions_stall : t -> instr:int -> stall:int -> unit
 (** [instructions_stall t ~instr ~stall] is
@@ -115,17 +117,35 @@ val instructions_stall : t -> instr:int -> stall:int -> unit
     deadline check) — the reload sequence's trap stall plus handler path
     length batched together. *)
 
-val data_ref_instr :
+val table_run :
   t ->
   instr:int ->
   source:Cache.source ->
   inhibited:bool ->
   write:bool ->
   Addr.pa ->
+  int ->
   unit
-(** [data_ref_instr t ~instr ...] is [instructions t instr] fused into
-    the following {!data_ref}'s charge — the software htab probe's
-    per-slot compare/branch cost riding on the PTE load. *)
+(** [table_run t ~instr ~source ~inhibited ~write pa n] is [n >= 1]
+    table references to the line holding [pa] (a PTEG search reads four
+    PTEs to a line), each one [mem_refs] count, [instr] instructions
+    (a software probe's compare and branch; [0] for the hardware
+    search) and a {!data_ref}.  Unarmed it is one call of
+    {!Cache.access_run} and one charge; while {!sampling} it is the
+    reference-by-reference sequence, every counter bumped just before
+    its own charge. *)
+
+val zero_lines :
+  t -> source:Cache.source -> inhibited:bool -> Addr.pa -> lines:int -> unit
+(** [zero_lines t ~source ~inhibited pa ~lines] clears [lines]
+    consecutive lines from the one holding [pa] (§9's clear_page).
+    Through the cache each line is a [dcbz]: allocate-and-zero without a
+    fetch, {!Cost.dcbz_cycles} plus any dirty write-back, polluting by
+    eviction (a locked cache sends a non-resident line to memory
+    instead).  With [inhibited] each line is an uncached store at the
+    memory latency, and the cache is untouched.  Unarmed it is one call
+    of {!Cache.zero_lines} and one charge; while {!sampling}, the
+    line-by-line sequence. *)
 
 val copy_lines : t -> source:Cache.source -> src:Addr.pa -> dst:Addr.pa -> bytes:int -> unit
 (** [copy_lines t ~source ~src ~dst ~bytes] models a block copy at

@@ -56,12 +56,12 @@ type t = {
   mutable is_kernel_vsid : int -> bool;
   mutable shadow : Shadow.t option;
   rng : Rng.t;
-  (* The [on_ref] callbacks the reload path hands to the htab and
-     page-table walkers, built once at [create] — partially applying the
-     helpers on every reload would allocate a closure per miss. *)
+  (* The callbacks the reload path hands to the page-table walker and
+     the htab, built once at [create] — partially applying the helpers
+     on every reload would allocate a closure per miss. *)
   mutable on_pt_ref : Addr.pa -> unit;
-  mutable on_htab_ref : Addr.pa -> unit;
-  mutable on_sw_htab_ref : Addr.pa -> unit;
+  mutable on_htab_run : Addr.pa -> int -> unit;
+  mutable on_sw_htab_run : Addr.pa -> int -> unit;
   (* [Htab.insert]'s [?policy], built once for the same reason: naming
      it at the call would allocate a [Some] per fill. *)
   mutable htab_policy : Htab.replacement option;
@@ -146,20 +146,19 @@ let pt_ref t pa =
   Memsys.data_ref t.memsys ~source:Cache.Page_table
     ~inhibited:t.knobs.cache_inhibit_pagetables ~write:false pa
 
-let htab_ref t pa =
-  (perf t).Perf.mem_refs <- (perf t).Perf.mem_refs + 1;
-  Memsys.data_ref t.memsys ~source:Cache.Htab
-    ~inhibited:t.knobs.cache_inhibit_pagetables ~write:false pa
+(* A line run of [n] PTE reads (see [Htab]). *)
+let[@inline] htab_run t pa n =
+  Memsys.table_run t.memsys ~instr:0 ~source:Cache.Htab
+    ~inhibited:t.knobs.cache_inhibit_pagetables ~write:false pa n
 
 (* Software examination of a PTE costs a few compare/branch instructions
-   on top of the memory reference; hardware search does not.  The two
-   charges ride in one fused call. *)
-let sw_htab_ref t pa =
-  (perf t).Perf.mem_refs <- (perf t).Perf.mem_refs + 1;
-  Memsys.data_ref_instr t.memsys ~instr:4 ~source:Cache.Htab
-    ~inhibited:t.knobs.cache_inhibit_pagetables ~write:false pa
+   on top of the memory reference; hardware search does not. *)
+let[@inline] sw_htab_run t pa n =
+  Memsys.table_run t.memsys ~instr:4 ~source:Cache.Htab
+    ~inhibited:t.knobs.cache_inhibit_pagetables ~write:false pa n
 
 let noop_ref (_ : Addr.pa) = ()
+let noop_run (_ : Addr.pa) (_ : int) = ()
 
 (* [Htab.insert]'s [?changed] for a store, a constant so passing it
    allocates nothing. *)
@@ -224,14 +223,16 @@ let create ?(htab_base_pa = 0x0030_0000) ?(cpus = 1) ~machine ~memsys ~knobs
       shadow = None;
       rng;
       on_pt_ref = noop_ref;
-      on_htab_ref = noop_ref;
-      on_sw_htab_ref = noop_ref;
+      on_htab_run = noop_run;
+      on_sw_htab_run = noop_run;
       htab_policy = None;
       pid = 0 }
   in
   t.on_pt_ref <- pt_ref t;
-  t.on_htab_ref <- htab_ref t;
-  t.on_sw_htab_ref <- sw_htab_ref t;
+  (* Two-argument closures, not partial applications: [Htab] calls them
+     through [caml_apply2], which then enters the body directly. *)
+  t.on_htab_run <- (fun pa n -> htab_run t pa n);
+  t.on_sw_htab_run <- (fun pa n -> sw_htab_run t pa n);
   t.htab_policy <-
     Some
       (match knobs.htab_replacement with
@@ -356,7 +357,7 @@ let walk_and_fill t ~vsid ~ea ~page_index ~store =
              else Pte.wimg_default)
           ~protection:
             (if r land r_writable <> 0 then Pte.Read_write else Pte.Read_only)
-          ~on_ref:t.on_htab_ref
+          ~on_run:t.on_htab_run
       in
       if victim >= 0 then begin
         (* the rejected design pays a software liveness check per
@@ -380,8 +381,8 @@ let walk_and_fill t ~vsid ~ea ~page_index ~store =
 let search_htab t h ~vsid ~page_index ~software =
   let p = perf t in
   p.Perf.htab_searches <- p.Perf.htab_searches + 1;
-  let on_ref = if software then t.on_sw_htab_ref else t.on_htab_ref in
-  let i = Htab.search_slot h ~vsid ~page_index ~on_ref in
+  let on_run = if software then t.on_sw_htab_run else t.on_htab_run in
+  let i = Htab.search_slot h ~vsid ~page_index ~on_run in
   if i >= 0 then p.Perf.htab_hits <- p.Perf.htab_hits + 1
   else p.Perf.htab_misses <- p.Perf.htab_misses + 1;
   let tr = trace t in
@@ -652,7 +653,7 @@ let flush_page_for_vsid t ~vsid ea =
       p.Perf.flush_pte_searches <- p.Perf.flush_pte_searches + 1;
       ignore
         (Htab.invalidate_page h ~vsid ~page_index:(Addr.page_index ea)
-           ~on_ref:t.on_htab_ref
+           ~on_run:t.on_htab_run
           : bool)
 
 let flush_page t ea =
@@ -751,9 +752,12 @@ let reclaim_zombies t ~max_ptes =
   match t.htab with
   | None -> 0
   | Some h ->
+      (* While a recorder samples, the scan charges and clears slot by
+         slot, so a sample's htab gauge sees each clear when it always
+         did. *)
       let reclaimed =
         Htab.reclaim_zombies h ~is_zombie:t.is_zombie ~max_ptes
-          ~on_ref:t.on_htab_ref
+          ~per_slot:(Memsys.sampling t.memsys) ~on_run:t.on_htab_run
       in
       let p = perf t in
       p.Perf.zombies_reclaimed <- p.Perf.zombies_reclaimed + reclaimed;

@@ -11,13 +11,15 @@
    cycles and which does allocate.
 
    [Htab.insert] is also gated on its own, under each replacement
-   policy, through free-slot fills, same-tag updates and evictions. *)
+   policy, through free-slot fills, same-tag updates and evictions, and
+   so are the idle task's zombie-reclaim scan and a demand-zero page
+   clear. *)
 open Ppc
 module Kernel = Kernel_sim.Kernel
 module Policy = Kernel_sim.Policy
 module Mm = Kernel_sim.Mm
 
-let no_ref (_ : Addr.pa) = ()
+let no_run (_ : Addr.pa) (_ : int) = ()
 let data_base = Mm.user_text_base + (16 lsl Addr.page_shift)
 let calls = 20_000
 let bound = 0.01
@@ -81,7 +83,7 @@ let words_per_insert policy =
     incr inserts;
     if
       Htab.insert ?policy ?changed h ~rng ~vsid ~page_index ~rpn:vsid
-        ~wimg:Pte.wimg_default ~protection:Pte.Read_write ~on_ref:no_ref
+        ~wimg:Pte.wimg_default ~protection:Pte.Read_write ~on_run:no_run
       >= 0
     then incr evictions
   in
@@ -102,6 +104,77 @@ let check_insert policy () =
   Alcotest.(check int) "eight evictions per PTEG pair" (512 * 8) evictions;
   if words >= bound then
     Alcotest.failf "%.4f minor words per insert (bound %.2f)" words bound
+
+(* Minor words per [Mmu.reclaim_zombies] call, at the idle task's chunk,
+   over a booted 604-185's htab holding a task's 512 live entries and
+   8,000 zombies: the timed calls sweep the table eight times, so the
+   first sweep clears zombies and the rest scan live entries.  With
+   [armed], the flight recorder is armed at a cadence that never comes
+   due, so the scan charges slot by slot and every run takes the
+   per-reference fallback. *)
+let words_per_reclaim ~armed =
+  let k =
+    Kernel.boot ~machine:Machine.ppc604_185 ~policy:Policy.optimized ~seed:42
+      ()
+  in
+  Kernel.switch_to k (Kernel.spawn k ~data_pages:512 ());
+  for i = 0 to 511 do
+    Kernel.touch k Mmu.Store (data_base + (i lsl Addr.page_shift))
+  done;
+  let mmu = Kernel.mmu k in
+  let h = Option.get (Mmu.htab mmu) in
+  let rng = Rng.create ~seed:7 in
+  for i = 0 to 7999 do
+    ignore
+      (Htab.insert h ~rng ~vsid:(0x700000 + i) ~page_index:0
+         ~rpn:i ~wimg:Pte.wimg_default ~protection:Pte.Read_write
+         ~on_run:no_run
+        : int)
+  done;
+  if armed then Recorder.enable (Kernel.recorder k) ~every:(1 lsl 50);
+  let chunk = Policy.optimized.Policy.reclaim_chunk in
+  let n = 8 * Htab.capacity h / chunk in
+  let reclaimed = ref 0 in
+  let words_before = Gc.minor_words () in
+  for _ = 1 to n do
+    reclaimed := !reclaimed + Mmu.reclaim_zombies mmu ~max_ptes:chunk
+  done;
+  let words = Gc.minor_words () -. words_before in
+  Alcotest.(check bool) "fallback taken iff armed" armed
+    (Memsys.sampling (Kernel.memsys k));
+  Alcotest.(check int) "the recorder never fired" 0
+    (Recorder.total (Kernel.recorder k));
+  Alcotest.(check bool) "zombies reclaimed" true (!reclaimed > 1000);
+  words /. float_of_int n
+
+let check_reclaim ~armed () =
+  let words = words_per_reclaim ~armed in
+  if words >= bound then
+    Alcotest.failf "%.4f minor words per reclaim scan (bound %.2f)" words
+      bound
+
+(* Minor words per demand-zero page clear: the 128 [dcbz]s of
+   [Pagepool]'s foreground clear, through the 604-185's D-cache, over
+   pages that evict each other's dirty lines. *)
+let check_page_clear () =
+  let k =
+    Kernel.boot ~machine:Machine.ppc604_185 ~policy:Policy.optimized ~seed:42
+      ()
+  in
+  let ms = Kernel.memsys k in
+  let p = Kernel.perf k in
+  let writebacks_before = p.Perf.dcache_writebacks in
+  let words_before = Gc.minor_words () in
+  for i = 0 to calls - 1 do
+    Memsys.zero_lines ms ~source:Cache.Kernel ~inhibited:false
+      ((0x400 + (i land 15)) lsl Addr.page_shift)
+      ~lines:(Addr.page_size / Addr.line_size)
+  done;
+  let words = (Gc.minor_words () -. words_before) /. float_of_int calls in
+  Alcotest.(check bool) "clears write back dirty victims" true
+    (p.Perf.dcache_writebacks > writebacks_before);
+  if words >= bound then
+    Alcotest.failf "%.4f minor words per page clear (bound %.2f)" words bound
 
 (* 8 pages stay in every TLB; 512 pages cycle through more sets than a
    2-way TLB of 128 (604) or 64 (603) entries holds. *)
@@ -125,4 +198,9 @@ let suite =
     Alcotest.test_case "htab insert (second chance)" `Quick
       (check_insert Htab.Second_chance);
     Alcotest.test_case "htab insert (prefer zombie)" `Quick
-      (check_insert (Htab.Prefer_zombie (fun vsid -> vsid land 0x800 <> 0))) ]
+      (check_insert (Htab.Prefer_zombie (fun vsid -> vsid land 0x800 <> 0)));
+    Alcotest.test_case "zombie reclaim scan" `Quick
+      (check_reclaim ~armed:false);
+    Alcotest.test_case "zombie reclaim scan (recorder armed)" `Quick
+      (check_reclaim ~armed:true);
+    Alcotest.test_case "demand-zero page clear" `Quick check_page_clear ]

@@ -49,7 +49,7 @@ let test_minimal_htab () =
     ignore
       (Htab.insert h ~rng ~vsid:i ~page_index:0 ~rpn:i
          ~wimg:Pte.wimg_default ~protection:Pte.Read_write
-         ~on_ref:(fun _ -> ())
+         ~on_run:(fun _ _ -> ())
         : int)
   done;
   Alcotest.(check int) "full but never over" 16 (Htab.occupancy h)

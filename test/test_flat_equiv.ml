@@ -212,6 +212,7 @@ let test_slot_accessors () =
 (* --- htab tag probe vs Pte.matches ---------------------------------- *)
 
 let no_ref (_ : Addr.pa) = ()
+let no_run (_ : Addr.pa) (_ : int) = ()
 
 (* The tag probe must reproduce [Pte.matches] exactly, including its
    behaviour on over-masked search keys: [write_entry] stores masked
@@ -223,7 +224,7 @@ let test_htab_tag_exactness () =
   let vsid = 0x123456 and page_index = 0xABC in
   ignore
     (Htab.insert h ~rng ~vsid ~page_index ~rpn:0x42 ~wimg:Pte.wimg_default ~protection:Pte.Read_write
-       ~on_ref:no_ref
+       ~on_run:no_run
       : int);
   let found ~vsid ~page_index =
     Htab.search h ~vsid ~page_index ~on_ref:no_ref <> None
@@ -256,13 +257,14 @@ let prop_htab_search_matches_linear_scan =
         (fun (vsid, page_index) ->
           ignore
             (Htab.insert h ~rng ~vsid ~page_index ~rpn:1 ~wimg:Pte.wimg_default ~protection:Pte.Read_only
-               ~on_ref:no_ref
+               ~on_run:no_run
               : int))
         keys;
       let probe_len_exact ~vsid ~page_index =
         let refs = ref 0 in
         let i =
-          Htab.search_slot h ~vsid ~page_index ~on_ref:(fun _ -> incr refs)
+          Htab.search_slot h ~vsid ~page_index ~on_run:(fun _ n ->
+              refs := !refs + n)
         in
         let hit, n = Htab.search_counted h ~vsid ~page_index ~on_ref:no_ref in
         n = !refs
@@ -547,7 +549,7 @@ type htab_op =
     }
   | H_search of key
   | H_invalidate of key
-  | H_reclaim of { zombie : int; max_ptes : int }
+  | H_reclaim of { zombie : int; max_ptes : int; per_slot : bool }
   | H_clear
 
 (* A random zombie predicate, named by an int so a counterexample
@@ -579,9 +581,10 @@ let htab_op_gen =
         (4, map (fun k -> H_search k) key_gen);
         (2, map (fun k -> H_invalidate k) key_gen);
         ( 1,
-          map2
-            (fun zombie max_ptes -> H_reclaim { zombie; max_ptes })
-            (int_bound 3) (int_bound 100) );
+          map3
+            (fun zombie max_ptes per_slot ->
+              H_reclaim { zombie; max_ptes; per_slot })
+            (int_bound 3) (int_bound 100) bool );
         (1, return H_clear) ])
 
 let key_print k = Printf.sprintf "(%#x,%d)" k.k_vsid k.k_page
@@ -594,8 +597,9 @@ let htab_op_print = function
         rpn wimg pp
   | H_search k -> "search" ^ key_print k
   | H_invalidate k -> "invalidate" ^ key_print k
-  | H_reclaim { zombie; max_ptes } ->
-      Printf.sprintf "reclaim z%d %d" zombie max_ptes
+  | H_reclaim { zombie; max_ptes; per_slot } ->
+      Printf.sprintf "reclaim z%d %d%s" zombie max_ptes
+        (if per_slot then " per-slot" else "")
   | H_clear -> "clear"
 
 let wimg_of_int b =
@@ -609,11 +613,17 @@ let protection_of_int = function
   | 1 -> Pte.Read_only
   | _ -> Pte.No_access
 
+(* A line run is 1 to 4 PTEs that all sit in one 32-byte line. *)
+let run_in_line pa n =
+  n >= 1 && n <= 4 && pa land 7 = 0
+  && Addr.line_index pa = Addr.line_index (pa + (8 * (n - 1)))
+
 (* Drive the two-word table and the boxed reference through one random
    stream.  After every operation both must have returned the same
    answer (slot and probe length, displaced VSID and page index,
-   invalidate verdict, reclaim count), reported the same [on_ref]
-   address sequence, drawn the same RNG values and hold equal decoded
+   invalidate verdict, reclaim count), reported the same address
+   sequence — the table's line runs expanded slot by slot, each run
+   inside one line — drawn the same RNG values and hold equal decoded
    entries in every slot. *)
 let prop_htab_matches_boxed_reference n_ptes ~count =
   QCheck.Test.make
@@ -628,7 +638,13 @@ let prop_htab_matches_boxed_reference n_ptes ~count =
       let rng_flat = Rng.create ~seed:n_ptes in
       let rng_ref = Rng.create ~seed:n_ptes in
       let refs_flat = ref [] and refs_ref = ref [] in
-      let on_flat pa = refs_flat := pa :: !refs_flat in
+      let runs_ok = ref true in
+      let on_flat pa n =
+        if not (run_in_line pa n) then runs_ok := false;
+        for k = 0 to n - 1 do
+          refs_flat := (pa + (8 * k)) :: !refs_flat
+        done
+      in
       let on_ref pa = refs_ref := pa :: !refs_ref in
       let same_entries () =
         let ok = ref true in
@@ -655,7 +671,7 @@ let prop_htab_matches_boxed_reference n_ptes ~count =
                 let v =
                   Htab.insert ~policy ~changed flat ~rng:rng_flat
                     ~vsid:key.k_vsid ~page_index:key.k_page ~rpn ~wimg
-                    ~protection ~on_ref:on_flat
+                    ~protection ~on_run:on_flat
                 in
                 match
                   Ref_htab.insert ~policy ~changed reference ~rng:rng_ref
@@ -669,7 +685,7 @@ let prop_htab_matches_boxed_reference n_ptes ~count =
                     && v land 0xFFFF = victim.Ref_htab.page_index)
             | H_search key ->
                 let vsid = key.k_vsid and page_index = key.k_page in
-                let i = Htab.search_slot flat ~vsid ~page_index ~on_ref:on_flat in
+                let i = Htab.search_slot flat ~vsid ~page_index ~on_run:on_flat in
                 let j =
                   Ref_htab.search_slot reference ~vsid ~page_index ~on_ref
                 in
@@ -678,12 +694,13 @@ let prop_htab_matches_boxed_reference n_ptes ~count =
                    = Ref_htab.probe_len reference ~vsid ~page_index j
             | H_invalidate key ->
                 Htab.invalidate_page flat ~vsid:key.k_vsid
-                  ~page_index:key.k_page ~on_ref:on_flat
+                  ~page_index:key.k_page ~on_run:on_flat
                 = Ref_htab.invalidate_page reference ~vsid:key.k_vsid
                     ~page_index:key.k_page ~on_ref
-            | H_reclaim { zombie; max_ptes } ->
+            | H_reclaim { zombie; max_ptes; per_slot } ->
                 let is_zombie = zombie_pred zombie in
-                Htab.reclaim_zombies flat ~is_zombie ~max_ptes ~on_ref:on_flat
+                Htab.reclaim_zombies flat ~is_zombie ~max_ptes ~per_slot
+                  ~on_run:on_flat
                 = Ref_htab.reclaim_zombies reference ~is_zombie ~max_ptes
                     ~on_ref
             | H_clear ->
@@ -691,7 +708,7 @@ let prop_htab_matches_boxed_reference n_ptes ~count =
                 Ref_htab.clear reference;
                 true
           in
-          same_answer
+          same_answer && !runs_ok
           && !refs_flat = !refs_ref
           && Rng.next (Rng.copy rng_flat) = Rng.next (Rng.copy rng_ref)
           && same_entries ())
@@ -1154,6 +1171,253 @@ let prop_cache_matches_reference geometry_name ~bytes ~ways =
               true)
         ops)
 
+(* --- run primitives vs the single calls they stand for ---------------- *)
+
+type run_op =
+  | R_run of {
+      key : int;
+      slot : int;
+      n : int;
+      write : bool;
+      instr : int;
+      inhibited : bool;
+    }
+  | R_clear of { line : int; lines : int; inhibited : bool }
+  | R_single of { key : int; write : bool; inhibited : bool }
+  | R_invalidate_all
+  | R_lock of bool
+
+type run_mode = Unlocked | Locked | Inhibited
+
+(* Keys crowd two sets per geometry, as in [cache_op_gen]; a run starts
+   at any PTE of its line that leaves room for its [n] PTEs.  Page
+   clears start on any line of the first few sets' worth of lines, so
+   they overlap the crowded sets and each other.  [Locked] streams
+   toggle the lock, [Inhibited] streams mark half their references
+   cache-inhibited, [Unlocked] streams do neither. *)
+let run_op_gen mode =
+  let inhibited =
+    if mode = Inhibited then QCheck.Gen.bool else QCheck.Gen.return false
+  in
+  QCheck.Gen.(
+    frequency
+      ([ ( 30,
+           int_range 1 4 >>= fun n ->
+           map
+             (fun (key, slot, (write, instr), inhibited) ->
+               R_run { key; slot; n; write; instr; inhibited })
+             (quad (int_bound 47) (int_bound (4 - n))
+                (pair bool (oneofl [ 0; 4 ]))
+                inhibited) );
+         ( 6,
+           map3
+             (fun line lines inhibited -> R_clear { line; lines; inhibited })
+             (int_bound 1023) (int_range 1 128) inhibited );
+         ( 20,
+           map3
+             (fun key write inhibited -> R_single { key; write; inhibited })
+             (int_bound 47) bool inhibited );
+         (1, return R_invalidate_all) ]
+      @ if mode = Locked then [ (3, map (fun b -> R_lock b) bool) ] else []))
+
+let run_op_print = function
+  | R_run { key; slot; n; write; instr; inhibited } ->
+      Printf.sprintf "run %d+%d x%d%s%s%s" key slot n
+        (if write then "W" else "R")
+        (if instr > 0 then "i" else "")
+        (if inhibited then "!" else "")
+  | R_clear { line; lines; inhibited } ->
+      Printf.sprintf "clear %d+%d%s" line lines
+        (if inhibited then "!" else "")
+  | R_single { key; write; inhibited } ->
+      Printf.sprintf "%d%s%s" key (if write then "W" else "R")
+        (if inhibited then "!" else "")
+  | R_invalidate_all -> "inv"
+  | R_lock b -> if b then "lock" else "unlock"
+
+let mode_name = function
+  | Unlocked -> "unlocked"
+  | Locked -> "locked"
+  | Inhibited -> "inhibited"
+
+(* Drive three memory systems over one random stream: [fused] through
+   the run primitives, unarmed; [fallback] through the same primitives
+   with the flight recorder armed at a cadence that never comes due, so
+   each takes its reference-by-reference path; [single] through the
+   single calls a run stands for ([mem_refs], the instructions, one
+   [data_ref] per PTE) and, for a page clear, one uncached store or one
+   [dcbz] per line, the [dcbz] charged from [Cache.allocate_zero]'s
+   result as [Cost] prices it.  Two bare caches check the primitives'
+   results the same way.  After every operation all three [Perf.fields]
+   must agree; every tenth operation and at the end, so must the raw
+   cache states: tags, dirty bits, stamps, tick and per-source
+   counters. *)
+let prop_runs_match_single_calls (machine : Machine.t) mode =
+  let geometry = machine.Machine.dcache in
+  QCheck.Test.make
+    ~name:
+      (Printf.sprintf "fused runs (%s %d-way, %s)"
+         (let b = geometry.Machine.cache_bytes in
+          if b >= 1024 then Printf.sprintf "%dK" (b / 1024)
+          else Printf.sprintf "%dB" b)
+         geometry.Machine.cache_ways (mode_name mode))
+    ~count:25
+    (QCheck.make
+       ~print:(fun l -> String.concat "; " (List.map run_op_print l))
+       (QCheck.Gen.list_size (QCheck.Gen.int_range 1 200) (run_op_gen mode)))
+    (fun ops ->
+      let memsys () =
+        let perf = Perf.create () in
+        (Memsys.create ~machine ~perf, perf)
+      in
+      let fused, p_fused = memsys ()
+      and fallback, p_fallback = memsys ()
+      and single, p_single = memsys () in
+      Recorder.enable (Memsys.recorder fallback) ~every:(1 lsl 50);
+      let cache () =
+        Cache.create ~bytes:geometry.Machine.cache_bytes
+          ~ways:geometry.Machine.cache_ways
+      in
+      let c_run = cache () and c_single = cache () in
+      let sets =
+        geometry.Machine.cache_bytes / Addr.line_size
+        / geometry.Machine.cache_ways
+      in
+      let line_pa k = (((k / 2) * sets) + (k land 1)) * Addr.line_size in
+      let latency = machine.Machine.mem_latency in
+      let single_dcbz pa =
+        let p = p_single in
+        p.Perf.dcache_accesses <- p.Perf.dcache_accesses + 1;
+        match
+          Cache.allocate_zero (Memsys.dcache single) ~source:Cache.Idle_clear
+            pa
+        with
+        | Cache.Hit -> Memsys.stall single Cost.dcbz_cycles
+        | Cache.Miss { dirty_writeback } ->
+            Memsys.stall single Cost.dcbz_cycles;
+            if dirty_writeback then begin
+              p.Perf.dcache_writebacks <- p.Perf.dcache_writebacks + 1;
+              Memsys.stall single (latency / 2)
+            end
+        | Cache.Bypass ->
+            p.Perf.dcache_bypasses <- p.Perf.dcache_bypasses + 1;
+            Memsys.stall single latency
+      in
+      let results_agree = ref true in
+      let agree b = if not b then results_agree := false in
+      let step = function
+        | R_run { key; slot; n; write; instr; inhibited } ->
+            let pa = line_pa key + (8 * slot) in
+            List.iter
+              (fun m ->
+                Memsys.table_run m ~instr ~source:Cache.Htab ~inhibited ~write
+                  pa n)
+              [ fused; fallback ];
+            for k = 0 to n - 1 do
+              p_single.Perf.mem_refs <- p_single.Perf.mem_refs + 1;
+              if instr > 0 then Memsys.instructions single instr;
+              Memsys.data_ref single ~source:Cache.Htab ~inhibited ~write
+                (pa + (8 * k))
+            done;
+            let r =
+              Cache.access_run c_run ~source:Cache.Htab ~inhibited ~write pa n
+            in
+            let rest =
+              match r with Cache.Bypass -> Cache.Bypass | _ -> Cache.Hit
+            in
+            for k = 0 to n - 1 do
+              agree
+                (Cache.access c_single ~source:Cache.Htab ~inhibited ~write
+                   (pa + (8 * k))
+                = if k = 0 then r else rest)
+            done
+        | R_clear { line; lines; inhibited } ->
+            let pa = line * Addr.line_size in
+            List.iter
+              (fun m ->
+                Memsys.zero_lines m ~source:Cache.Idle_clear ~inhibited pa
+                  ~lines)
+              [ fused; fallback ];
+            for k = 0 to lines - 1 do
+              let pa = pa + (k * Addr.line_size) in
+              if inhibited then
+                Memsys.data_ref single ~source:Cache.Idle_clear
+                  ~inhibited:true ~write:true pa
+              else single_dcbz pa
+            done;
+            if not inhibited then begin
+              let to_memory = ref 0 in
+              for k = 0 to lines - 1 do
+                match
+                  Cache.allocate_zero c_single ~source:Cache.Idle_clear
+                    (pa + (k * Addr.line_size))
+                with
+                | Cache.Miss { dirty_writeback = true } | Cache.Bypass ->
+                    incr to_memory
+                | Cache.Hit | Cache.Miss _ -> ()
+              done;
+              agree
+                (Cache.zero_lines c_run ~source:Cache.Idle_clear pa ~lines
+                = !to_memory)
+            end
+        | R_single { key; write; inhibited } ->
+            let pa = line_pa key + 4 in
+            List.iter
+              (fun m ->
+                Memsys.data_ref m ~source:Cache.User ~inhibited ~write pa)
+              [ fused; fallback; single ];
+            agree
+              (Cache.access c_run ~source:Cache.User ~inhibited ~write pa
+              = Cache.access c_single ~source:Cache.User ~inhibited ~write pa)
+        | R_invalidate_all ->
+            List.iter
+              (fun m -> Cache.invalidate_all (Memsys.dcache m))
+              [ fused; fallback; single ];
+            Cache.invalidate_all c_run;
+            Cache.invalidate_all c_single
+        | R_lock b ->
+            List.iter
+              (fun m -> Memsys.set_cache_locked m b)
+              [ fused; fallback; single ];
+            Cache.set_locked c_run b;
+            Cache.set_locked c_single b
+      in
+      let same_perf () =
+        let f = Perf.fields p_single in
+        Perf.fields p_fused = f && Perf.fields p_fallback = f
+      in
+      let same_caches () =
+        let r = Cache.raw (Memsys.dcache single) in
+        Cache.raw (Memsys.dcache fused) = r
+        && Cache.raw (Memsys.dcache fallback) = r
+        && Cache.raw c_run = Cache.raw c_single
+      in
+      let ok =
+        List.for_all Fun.id
+          (List.mapi
+             (fun i op ->
+               step op;
+               same_perf () && (i mod 10 <> 9 || same_caches ()))
+             ops)
+      in
+      ok && same_caches () && !results_agree
+      && Recorder.total (Memsys.recorder fallback) = 0
+      && Memsys.sampling fallback
+      && not (Memsys.sampling fused))
+
+(* Every D-cache geometry in [Machine.all] once, plus the generic scan's
+   3-way cache on the 604-185. *)
+let run_machines =
+  let seen = Hashtbl.create 8 in
+  List.filter
+    (fun (m : Machine.t) ->
+      let g = m.Machine.dcache in
+      let g = (g.Machine.cache_bytes, g.Machine.cache_ways) in
+      if Hashtbl.mem seen g then false else (Hashtbl.add seen g (); true))
+    Machine.all
+  @ [ { Machine.ppc604_185 with
+        dcache = { Machine.cache_bytes = 768; cache_ways = 3 } } ]
+
 let suite =
   [ Alcotest.test_case "flat slot accessors" `Quick test_slot_accessors;
     Alcotest.test_case "htab tag exactness" `Quick test_htab_tag_exactness;
@@ -1188,3 +1452,11 @@ let suite =
       test_linear_map_footprint;
     Alcotest.test_case "footprint: a booted 604-185 kernel" `Quick
       test_booted_kernel_footprint ]
+  @ List.concat_map
+      (fun machine ->
+        List.map
+          (fun mode ->
+            QCheck_alcotest.to_alcotest
+              (prop_runs_match_single_calls machine mode))
+          [ Unlocked; Locked; Inhibited ])
+      run_machines

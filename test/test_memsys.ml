@@ -67,8 +67,9 @@ let test_separate_caches () =
 
 (* One fixed sequence through every charging entry point: D-cache hits,
    misses and dirty write-backs, instruction fetches, plain and fused
-   instruction charges, a software htab probe and dcbz.  On the 604's
-   4-way, 256-set D-cache, addresses 8 KB apart share a set. *)
+   instruction charges, a software htab probe's line run and a dcbz
+   page clear.  On the 604's 4-way, 256-set D-cache, addresses 8 KB
+   apart share a set. *)
 let charge_sequence m =
   for i = 0 to 299 do
     (* six stored lines cycling through one set: every store misses and
@@ -79,10 +80,13 @@ let charge_sequence m =
     Memsys.inst_ref m (0xC0010000 + ((i mod 64) * Addr.line_size));
     Memsys.instructions m 7;
     Memsys.instructions_stall m ~instr:3 ~stall:5;
-    Memsys.data_ref_instr m ~instr:4 ~source:Cache.Htab ~inhibited:false
+    Memsys.table_run m ~instr:4 ~source:Cache.Htab ~inhibited:false
       ~write:false
-      (0x300100 + ((i mod 16) * 8));
-    Memsys.dcbz m ~source:Cache.Kernel (0x100040 + ((i mod 8) * 8192))
+      (0x300100 + ((i mod 16) * 8))
+      (1 + (i mod 4));
+    Memsys.zero_lines m ~source:Cache.Kernel ~inhibited:false
+      (0x100040 + ((i mod 8) * 8192))
+      ~lines:(1 + (i mod 3))
   done
 
 let timeline_every = 97

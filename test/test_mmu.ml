@@ -192,8 +192,11 @@ let test_changed_bit_set_eagerly () =
   | None -> Alcotest.fail "604 has an htab"
   | Some h ->
       let find pidx =
-        Htab.search h ~vsid:(user_vsid_base + 0) ~page_index:pidx
-          ~on_ref:(fun _ -> ())
+        let i =
+          Htab.search_slot h ~vsid:(user_vsid_base + 0) ~page_index:pidx
+            ~on_run:(fun _ _ -> ())
+        in
+        if i < 0 then None else Some (Htab.decode h i)
       in
       (match find 0x1800 with
       | Some pte ->
