@@ -10,6 +10,7 @@ module Mm = Kernel_sim.Mm
 module Config = Mmu_tricks.Config
 module System = Mmu_tricks.System
 module Metrics = Mmu_tricks.Metrics
+module Experiments = Mmu_tricks.Experiments
 module Lmbench = Workloads.Lmbench
 
 let say fmt = Printf.printf (fmt ^^ "\n%!")
@@ -43,8 +44,8 @@ let sec51 () =
 let sec52 () =
   header "sec 5.2 - VSID scatter and the hashed page table";
   let hot mult =
-    let s = Mmu_tricks.Tuning.score_multiplier ~procs:12 ~pages:200 ~seed:1 mult in
-    (s.Mmu_tricks.Tuning.full_ptegs, s.Mmu_tricks.Tuning.evictions)
+    let s = Experiments.vsid_score ~procs:12 ~pages:200 ~seed:1 mult in
+    (s.Experiments.full_ptegs, s.Experiments.evictions)
   in
   let f1, e1 = hot 1 and f897, e897 = hot 897 in
   say "12 identical processes, 200 pages each, hashed into 2048 PTEGs:";
@@ -144,4 +145,5 @@ let () =
   sec9 ();
   sec11 ();
   print_newline ();
-  say "Full tables: dune exec bench/main.exe   (see EXPERIMENTS.md)"
+  say "Full tables: dune exec bin/mmu_sim.exe -- experiment --jobs 4   (see \
+       EXPERIMENTS.md)"

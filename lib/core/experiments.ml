@@ -209,43 +209,57 @@ let e1 ?(seed = 42) () =
 
 (* ------------------------------------------------------------------ E2 *)
 
-let e2 ?(seed = 42) () =
-  let run multiplier =
-    let policy = Config.baseline_with_scatter_mult multiplier in
-    let k = Kernel.boot ~machine:Machine.ppc604_185 ~policy ~seed () in
-    let tasks = List.init 20 (fun _ -> Kernel.spawn k ~data_pages:320 ()) in
-    let data_base = Mm.user_text_base + (16 lsl Addr.page_shift) in
-    let perf =
-      Msr.perf k (fun () ->
-          for _ = 1 to 2 do
-            List.iter
-              (fun t ->
-                Kernel.switch_to k t;
-                for p = 0 to 319 do
-                  Kernel.touch k Mmu.Store
-                    (data_base + (p lsl Addr.page_shift))
-                done)
-              tasks
-          done)
-    in
-    let snap = System.snapshot k in
-    let hist = snap.System.htab_histogram in
-    let full_ptegs = if Array.length hist > 8 then hist.(8) else 0 in
-    ( Metrics.occupancy_pct ~occupancy:snap.System.htab_valid
-        ~capacity:snap.System.htab_capacity,
-      Metrics.htab_hit_rate perf,
-      perf.Perf.htab_evicts,
-      full_ptegs )
+(* The §5.2 measurement E2 and EX3 share: boot a baseline kernel whose
+   only varied policy is the VSID multiplier, touch [pages]-page working
+   sets of [procs] identically laid-out processes twice over, and read
+   the htab histogram.  A hot spot is a full PTEG (8/8 valid): only full
+   primary+overflow groups force evictions. *)
+
+type vsid_score = {
+  multiplier : int;
+  full_ptegs : int;
+  evictions : int;
+  occupancy_pct : float;
+  hit_rate : float;
+}
+
+let vsid_score ?(procs = 20) ?(pages = 320) ?(seed = 42) multiplier =
+  let policy = Config.baseline_with_scatter_mult multiplier in
+  let k = Kernel.boot ~machine:Machine.ppc604_185 ~policy ~seed () in
+  let tasks = List.init procs (fun _ -> Kernel.spawn k ~data_pages:pages ()) in
+  let data_base = Mm.user_text_base + (16 lsl Addr.page_shift) in
+  let perf =
+    Msr.perf k (fun () ->
+        for _ = 1 to 2 do
+          List.iter
+            (fun t ->
+              Kernel.switch_to k t;
+              for p = 0 to pages - 1 do
+                Kernel.touch k Mmu.Store (data_base + (p lsl Addr.page_shift))
+              done)
+            tasks
+        done)
   in
+  let snap = System.snapshot k in
+  let hist = snap.System.htab_histogram in
+  { multiplier;
+    full_ptegs = (if Array.length hist > 8 then hist.(8) else 0);
+    evictions = perf.Perf.htab_evicts;
+    occupancy_pct =
+      Metrics.occupancy_pct ~occupancy:snap.System.htab_valid
+        ~capacity:snap.System.htab_capacity;
+    hit_rate = Metrics.htab_hit_rate perf }
+
+let e2 ?seed () =
   let rows =
     List.map
       (fun (label, mult, paper) ->
-        let occ, hit, evicts, full = run mult in
+        let s = vsid_score ?seed mult in
         [ label;
-          Report.fmt_pct occ;
-          Printf.sprintf "%.1f%%" (100.0 *. hit);
-          Report.fmt_int evicts;
-          string_of_int full;
+          Report.fmt_pct s.occupancy_pct;
+          Printf.sprintf "%.1f%%" (100.0 *. s.hit_rate);
+          Report.fmt_int s.evictions;
+          string_of_int s.full_ptegs;
           paper ])
       [ ("naive (mult=1)", 1, "37% use");
         ("pid shifted (mult=16)", 16, "57% use");
@@ -262,6 +276,36 @@ let e2 ?(seed = 42) () =
       [ "32 MB of RAM caps live PTEs at ~43% of the 16384-entry htab in";
         "this simulation; the hot-spot signature (evictions, full PTEGs)";
         "is the mechanism being tuned away." ] }
+
+(* ----------------------------------------------------------------- EX3 *)
+
+(* The §5.2 method itself: "adjusting the constant until hot-spots
+   disappeared", as a ranking of candidate multipliers, fewest full
+   PTEGs then fewest evictions first. *)
+let vsid_sweep ?procs ?pages ?seed candidates =
+  let scores = List.map (vsid_score ?procs ?pages ?seed) candidates in
+  let rank s = (s.full_ptegs, s.evictions) in
+  { title = "VSID multiplier tuning sweep (the §5.2 histogram method)";
+    header =
+      [ "multiplier"; "full PTEGs (hot spots)"; "evictions"; "htab use";
+        "hit rate" ];
+    rows =
+      List.map
+        (fun s ->
+          [ string_of_int s.multiplier;
+            string_of_int s.full_ptegs;
+            Report.fmt_int s.evictions;
+            Report.fmt_pct s.occupancy_pct;
+            Report.fmt_pct (100.0 *. s.hit_rate) ])
+        (List.stable_sort (fun a b -> compare (rank a) (rank b)) scores);
+    notes =
+      [ "lower hot-spot and eviction counts are better; the paper's";
+        "authors adjusted the constant 'until hot-spots disappeared'." ] }
+
+(* small primes and odd composites, the powers of two that look
+   tempting and fail, and the historical 897 *)
+let ex3 ?seed () =
+  vsid_sweep ?seed [ 1; 3; 16; 17; 64; 97; 128; 171; 451; 897; 1024 ]
 
 (* ------------------------------------------------------------------ E3 *)
 
@@ -1278,6 +1322,14 @@ let long_horizon =
        20-bit wrap fires mid-run; the wrap-stress workload behind the \
        recorder's vsid-wrap detector" e20 ]
 
+(* EX3, the paper's tuning method rerun, is runnable by name too; it
+   stays out of default sweeps so the baselines keep 25 experiments. *)
+let runnable =
+  registry @ diagnostics @ long_horizon
+  @ [ spec "EX3" "VSID multiplier tuning sweep" "sec 5.2"
+        "the authors' histogram method over 11 candidate multipliers: \
+         full PTEGs, evictions, htab use, hit rate" ex3 ]
+
 (* Ids are the join key for baselines, CLI selection and results
    documents, and lookup is case-insensitive — a colliding id would
    silently shadow one experiment behind another (the drift the E17-E19
@@ -1298,12 +1350,12 @@ let check_unique specs =
       | None -> Hashtbl.add seen key s.id)
     specs
 
-let () = check_unique (registry @ diagnostics @ long_horizon)
+let () = check_unique runnable
 
 let find id =
   List.find_opt
     (fun s -> String.uppercase_ascii s.id = String.uppercase_ascii id)
-    (registry @ diagnostics @ long_horizon)
+    runnable
 
 let all = List.map (fun s -> (s.id, s.run)) registry
 

@@ -2,9 +2,9 @@
 
     Every table and measured claim of the paper is a function here
     returning a structured {!table} (title, header, rows, notes), so the
-    results can be consumed programmatically — the bench harness prints
-    them, tests probe them, and downstream users can rerun any experiment
-    against their own policies.
+    results can be consumed programmatically — [mmu_sim experiment]
+    prints them, tests probe them, and downstream users can rerun any
+    experiment against their own policies.
 
     All experiments are deterministic in [seed] (default 42).  Each boots
     its own kernel(s); expect hundreds of milliseconds to a few seconds
@@ -52,6 +52,27 @@ val e1 : ?seed:int -> unit -> table
 
 val e2 : ?seed:int -> unit -> table
 (** §5.2: VSID scatter vs htab hot spots. *)
+
+type vsid_score = {
+  multiplier : int;
+  full_ptegs : int;  (** PTEGs at 8/8 valid: the hot-spot count *)
+  evictions : int;  (** overflow evictions the workload suffered *)
+  occupancy_pct : float;  (** htab use achieved *)
+  hit_rate : float;  (** htab hit rate on TLB misses *)
+}
+
+val vsid_score : ?procs:int -> ?pages:int -> ?seed:int -> int -> vsid_score
+(** The measurement behind {!e2} and EX3: boot a baseline kernel
+    whose only varied policy is the VSID multiplier, run [procs]
+    identical-layout processes over [pages]-page working sets (defaults
+    20 x 320 on the 604/185) and score the htab histogram it leaves. *)
+
+val vsid_sweep :
+  ?procs:int -> ?pages:int -> ?seed:int -> int list -> table
+(** §5.2's method, rerun: score each candidate multiplier with
+    {!vsid_score} and rank them, fewest full PTEGs then fewest evictions
+    first.  EX3 is this sweep over 11 candidates at the E2
+    configuration; it runs by name only ({!find}), not in {!registry}. *)
 
 val e3 : ?seed:int -> unit -> table
 (** §6.1: fast reload handlers (context switch, pipe latency idle and
@@ -134,11 +155,11 @@ val d1 : ?seed:int -> unit -> table
 
     Every experiment as a first-class entry: id, short name, the paper
     section it reproduces, a one-line description, and the function.
-    The CLI, the bench harness, the parallel {!Runner} and
+    The CLI, the parallel {!Runner}, perfbench's [sweep] and
     [docs/EXPERIMENTS_GUIDE.md] are all driven from this list. *)
 
 type spec = {
-  id : string;  (** "T1".."T3", "E1".."E16", "EX1".."EX7" *)
+  id : string;  (** "T1".."T3", "E1".."E20", "EX1".."EX7", "D1", "D2" *)
   name : string;  (** short human title, without the id *)
   section : string;  (** paper section, e.g. "sec 5.1", or "extra" *)
   what : string;  (** one-line description of what it measures *)
@@ -158,18 +179,21 @@ val long_horizon : spec list
     [--requests] knob, so their tables are only comparable at a stated
     count. *)
 
+val runnable : spec list
+(** Every spec {!find} searches: [registry @ diagnostics @ long_horizon]
+    and EX3, the §5.2 multiplier sweep ({!vsid_sweep}), which is
+    excluded from default sweeps and baselines. *)
+
 val check_unique : spec list -> unit
 (** Reject duplicate experiment ids (case-insensitively, since {!find}
-    is case-insensitive).  Runs over
-    [registry @ diagnostics @ long_horizon] at module load, so a
+    is case-insensitive).  Runs over {!runnable} at module load, so a
     drafting slip like the historical E15-E17 double-booking fails the
     build instead of silently shadowing an experiment.
     @raise Invalid_argument naming both colliding ids. *)
 
 val find : string -> spec option
-(** Look up by id, case-insensitively, in {!registry}, {!diagnostics}
-    then {!long_horizon}. *)
+(** Look up by id, case-insensitively, in {!runnable}. *)
 
 val all : (string * (?seed:int -> unit -> table)) list
-(** [registry] as (id, run) pairs — the shape the bench harness and the
+(** [registry] as (id, run) pairs — the shape perfbench's [sweep] and the
     {!Runner} consume. *)

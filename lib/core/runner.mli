@@ -21,8 +21,8 @@
     {!Retried}.
 
     [jobs = 1] (the default) runs in-process with no fork, so the
-    runner is also the one code path the CLI and bench harness use for
-    serial runs (timeouts still apply, via SIGALRM). *)
+    runner is also the one code path the CLI uses for serial runs
+    (timeouts still apply, via SIGALRM). *)
 
 (** How a dead worker died. *)
 type wstat =

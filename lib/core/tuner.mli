@@ -18,7 +18,8 @@
 
 (** {1 Generic fan-out}
 
-    The primitive the legacy §5.2 {!Tuning} sweep is also built on. *)
+    The primitive {!evaluate} fans its (candidate x workload) cells
+    through. *)
 
 val fan_out :
   ?jobs:int ->

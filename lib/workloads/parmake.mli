@@ -7,7 +7,7 @@
     computation, exactly the multiprogrammed behaviour §9 leans on ("a
     lot of I/O happens that must be waited for").  Sweeping the jobserver
     width shows the wall-clock benefit of that overlap and where it
-    saturates (EX2 in the bench harness). *)
+    saturates (experiment EX2). *)
 
 module Kernel = Kernel_sim.Kernel
 
