@@ -78,16 +78,16 @@ let doc_of_json j =
   in
   Ok { d_seed; d_tolerance; d_tolerances; d_entries = entries }
 
-let load path =
+let load_with_json path =
   match In_channel.with_open_text path In_channel.input_all with
   | exception Sys_error msg -> Error msg
-  | text -> (
-      match Json.of_string text with
-      | Error e -> Error (path ^ ": " ^ e)
-      | Ok j -> (
-          match doc_of_json j with
-          | Error e -> Error (path ^ ": " ^ e)
-          | Ok d -> Ok d))
+  | text ->
+      Result.map_error
+        (fun e -> path ^ ": " ^ e)
+        (Result.bind (Json.of_string text) (fun j ->
+             Result.map (fun d -> (d, j)) (doc_of_json j)))
+
+let load path = Result.map fst (load_with_json path)
 
 (* -------------------------------------------------- numeric extraction *)
 

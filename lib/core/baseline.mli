@@ -40,6 +40,10 @@ val doc_of_json : Json.t -> (doc, string) result
 val load : string -> (doc, string) result
 (** Read and decode a results document from a file. *)
 
+val load_with_json : string -> (doc * Json.t, string) result
+(** {!load}, also returning the JSON the document was decoded from (for
+    the attribution and spans it may embed), parsed once. *)
+
 val numbers_of_cell : string -> float list
 (** Every numeric token in a rendered cell, in order: ["1.63/1.60"]
     yields [[1.63; 1.60]], ["-10% (219,000,000)"] yields

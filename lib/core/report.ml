@@ -55,7 +55,3 @@ let section title =
   print_endline (String.make 72 '=');
   print_endline title;
   print_endline (String.make 72 '=')
-
-let paper_vs ~label ~unit ~paper ~measured =
-  Printf.printf "  %-44s paper %10s %-5s measured %10s %s\n" label
-    (fmt_float paper) unit (fmt_float measured) unit

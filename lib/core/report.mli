@@ -28,6 +28,3 @@ val fmt_int : int -> string
 
 val section : string -> unit
 (** Print a section banner. *)
-
-val paper_vs : label:string -> unit:string -> paper:float -> measured:float -> unit
-(** One "paper says / we measure" comparison line. *)

@@ -166,12 +166,6 @@ let hist_to_json h =
               Json.List [ Json.Int lo; Json.Int hi; Json.Int n ])
             (Hist.buckets h))) ]
 
-let hists_to_json tr =
-  Json.Obj
-    [ ("htab_probe_len", hist_to_json (Trace.hist_probe tr));
-      ("tlb_service_cycles", hist_to_json (Trace.hist_tlb_service tr));
-      ("context_switch_cycles", hist_to_json (Trace.hist_ctxsw tr)) ]
-
 let timeline_to_json tr =
   match Trace.samples tr with
   | [] -> Json.Null
@@ -190,14 +184,6 @@ let timeline_to_json tr =
                     (Json.Int cycle
                     :: List.map (fun (_, v) -> Json.Int v) (Perf.fields snap)))
                 samples)) ]
-
-let kind_counts_json tr =
-  Json.Obj
-    (List.filter_map
-       (fun k ->
-         let n = Trace.kind_count tr k in
-         if n = 0 then None else Some (Trace.kind_name k, Json.Int n))
-       Trace.all_kinds)
 
 (* The per-run observability document embedded in experiment results:
    merged histograms and event counts over every kernel the run booted,

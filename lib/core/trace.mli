@@ -25,16 +25,10 @@ val hist_to_json : Hist.t -> Json.t
 (** Count/sum/max/mean, p50/p90/p99, and the non-empty buckets as
     [[lo, hi, count]] triples. *)
 
-val hists_to_json : Trace.t -> Json.t
-(** The trace's three latency histograms keyed by name. *)
-
 val timeline_to_json : Trace.t -> Json.t
 (** The sampled counter timeline as [{"fields": [...], "samples":
     [[cycle, v, ...], ...]}] with one column per {!Ppc.Perf} counter —
     [Null] when sampling never fired. *)
-
-val kind_counts_json : Trace.t -> Json.t
-(** Event totals by kind (wrap-immune), zero kinds omitted. *)
 
 val observability_json : timelines:bool -> Trace.t list -> Json.t
 (** The per-run document embedded in experiment results when tracing is

@@ -68,8 +68,6 @@ let us t = Cost.us_of_cycles ~mhz:t.k_machine.Machine.mhz (cycles t)
 let tasks t = t.k_tasks
 let current t = t.k_currents.(t.k_cpu)
 let cpus t = t.k_cpus
-let active_cpu t = t.k_cpu
-let current_on t ~cpu = t.k_currents.(cpu)
 
 (* Move the kernel's (and the MMU's) point of view to another CPU.
    Pure bookkeeping — no charge; at [cpus = 1] this is a no-op, so the

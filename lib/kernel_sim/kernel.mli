@@ -113,11 +113,6 @@ val current : t -> Task.t option
 
 val cpus : t -> int
 
-val active_cpu : t -> int
-(** The CPU whose point of view kernel paths currently execute from. *)
-
-val current_on : t -> cpu:int -> Task.t option
-
 val set_active_cpu : t -> int -> unit
 (** Move the kernel's (and MMU's) point of view to another CPU.  Pure
     bookkeeping, no charge; a no-op when already there.  The scheduler

@@ -16,10 +16,8 @@ let htab_pa = 0x0030_0000
 let htab_bytes = kb 128
 
 (* Everything the kernel image pins, rounded up: vectors, text, data,
-   htab, plus slack for boot-time allocations.  4 MB aligns with the BAT
-   block below. *)
+   htab, plus slack for boot-time allocations.  4 MB is one BAT block. *)
 let reserved_bytes = mb 4
-let bat_block_bytes = mb 4
 
 let off_syscall = 0x0000
 let off_sched = 0x4000

@@ -50,9 +50,6 @@ val reserved_bytes : int
 (** Physical memory reserved for the kernel image, htab and vectors —
     never handed to the frame allocator. *)
 
-val bat_block_bytes : int
-(** Size of the BAT block mapping kernel text+data+htab (4 MB). *)
-
 (** {1 Kernel code footprints}
 
     Each kernel path fetches instructions from its own region of kernel

@@ -20,9 +20,3 @@ let create ~pid ~mm =
 let task_struct_ea t = Kparams.task_struct_ea ~pid:t.pid
 
 let kstack_ea t = Kparams.kstack_ea ~pid:t.pid
-
-let is_ready t ~at_cycle =
-  match t.state with
-  | Ready -> true
-  | Blocked wake -> wake <= at_cycle
-  | Exited -> false

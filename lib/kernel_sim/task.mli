@@ -27,6 +27,3 @@ val task_struct_ea : t -> Addr.ea
 (** Kernel virtual address of this task's task_struct. *)
 
 val kstack_ea : t -> Addr.ea
-
-val is_ready : t -> at_cycle:int -> bool
-(** Ready now: [Ready], or [Blocked] with an expired wake time. *)

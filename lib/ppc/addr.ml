@@ -32,5 +32,3 @@ let round_up_pages bytes = (bytes + page_size - 1) lsr page_shift
 let[@inline always] imin a b =
   let d = a - b in
   b + (d land (d asr (Sys.int_size - 1)))
-
-let pp_ea fmt ea = Format.fprintf fmt "0x%08x" ea

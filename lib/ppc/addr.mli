@@ -81,6 +81,3 @@ val imin : int -> int -> int
 (** [imin a b] is [min a b] computed without a branch, for victim picks
     whose comparisons the host cannot predict.  Exact while [a - b] does
     not overflow, which stamps and way keys never approach. *)
-
-val pp_ea : Format.formatter -> ea -> unit
-(** Hexadecimal printer ([0x%08x]). *)

@@ -1,7 +1,7 @@
 type t = {
   cpus : int;
   requests : int option;
-  trace : bool;
+  trace : int;
   profile : bool;
   timeline : int;
   spans : bool;
@@ -12,7 +12,7 @@ type t = {
 let plain =
   { cpus = 1;
     requests = None;
-    trace = false;
+    trace = 0;
     profile = false;
     timeline = 0;
     spans = false;

@@ -15,7 +15,10 @@ type t = {
   requests : int option;
       (** server-experiment request count; [None] keeps the workload's
           default *)
-  trace : bool;  (** event tracing armed *)
+  trace : int;
+      (** event-ring capacity of the trace, in events ([<= 0]: not
+          armed; {!Trace.default_ring} is the usual size) — a size where
+          {!timeline} is a cadence *)
   profile : bool;  (** attribution profiling armed *)
   timeline : int;
       (** cadence in cycles of {!Memsys.timeline}, armed with unbounded

@@ -14,13 +14,6 @@ let source_index = function
   | Htab -> 3
   | Idle_clear -> 4
 
-let source_name = function
-  | User -> "user"
-  | Kernel -> "kernel"
-  | Page_table -> "page-table"
-  | Htab -> "htab"
-  | Idle_clear -> "idle-clear"
-
 type result =
   | Hit
   | Miss of { dirty_writeback : bool }
@@ -280,7 +273,3 @@ let raw t =
 
 let stats_allocations t source = t.allocs.(source_index source)
 let stats_evictions_caused_by t source = t.evictions.(source_index source)
-
-let reset_stats t =
-  Array.fill t.allocs 0 n_sources 0;
-  Array.fill t.evictions 0 n_sources 0

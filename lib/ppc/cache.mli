@@ -38,8 +38,6 @@ val n_sources : int
 
 val source_index : source -> int
 
-val source_name : source -> string
-
 (** Outcome of one reference. [dirty_writeback] is set when the access
     displaced a modified line, which costs a memory write. *)
 type result =
@@ -117,10 +115,8 @@ val raw : t -> raw
 
 val stats_allocations : t -> source -> int
 (** Lines allocated (misses filled) on behalf of [source] since
-    creation/reset. *)
+    creation. *)
 
 val stats_evictions_caused_by : t -> source -> int
 (** Valid lines evicted by allocations on behalf of [source] — the
     pollution measure of §8/§9. *)
-
-val reset_stats : t -> unit

@@ -111,8 +111,6 @@ let slug t =
   in
   String.map (fun c -> if c = ' ' then '-' else c) (String.trim s)
 
-let find_by_slug s = List.find_opt (fun m -> slug m = s) all
-
 let pp fmt t =
   let style =
     match t.reload with

@@ -87,8 +87,5 @@ val slug : t -> string
     [all] via this function, so adding a machine here is enough to make
     it selectable. *)
 
-val find_by_slug : string -> t option
-(** Inverse of {!slug} over {!all}. *)
-
 val pp : Format.formatter -> t -> unit
 (** One-line summary. *)

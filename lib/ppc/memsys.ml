@@ -88,7 +88,7 @@ let create ~machine ~perf =
   (* Arm what the boot configuration names, before the boot charges a
      cycle, so sample cadences start from cycle 0. *)
   let boot = Boot.current () in
-  if boot.Boot.trace then Trace.enable t.trace;
+  if boot.Boot.trace > 0 then Trace.enable ~ring:boot.Boot.trace t.trace;
   if boot.Boot.profile then Profile.enable profile;
   arm_timeline t ~every:boot.Boot.timeline;
   if boot.Boot.spans then Span.enable span;
@@ -110,7 +110,6 @@ let icache t = t.icache
 let dcache t = t.dcache
 
 let set_idle t b = t.idle <- b
-let in_idle t = t.idle
 
 (* The two recorders' dispatch, out of line: [charge] only calls it
    once the clock has reached either recorder's [next_sample]. *)
@@ -300,6 +299,3 @@ let copy_lines t ~source ~src ~dst ~bytes =
   done;
   (* one cycle per word moved *)
   instructions t (bytes / 4)
-
-let us_elapsed t =
-  Cost.us_of_cycles ~mhz:t.machine.Machine.mhz t.perf.Perf.cycles

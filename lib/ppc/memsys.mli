@@ -76,8 +76,6 @@ val dcache : t -> Cache.t
 val set_idle : t -> bool -> unit
 (** While set, all cycles charged also count as idle cycles. *)
 
-val in_idle : t -> bool
-
 val data_ref :
   t -> source:Cache.source -> inhibited:bool -> write:bool -> Addr.pa -> unit
 (** One data reference: drives the D-cache and charges cycles.  A store
@@ -152,6 +150,3 @@ val copy_lines : t -> source:Cache.source -> src:Addr.pa -> dst:Addr.pa -> bytes
     cache-line granularity: one read reference per source line and one
     write reference per destination line, plus one cycle per 4-byte word
     moved. *)
-
-val us_elapsed : t -> float
-(** Total cycles so far converted to microseconds at the machine clock. *)

@@ -63,9 +63,12 @@ val create : timeline:Recorder.t -> t
 (** A disabled trace stamping events from [timeline]'s cycle counter;
     {!samples} reads [timeline]. *)
 
+val default_ring : int
+(** The ring capacity {!enable} allocates without [?ring]: 65536 events. *)
+
 val enable : ?ring:int -> t -> unit
-(** Allocate the ring ([ring] events, default 65536; oldest events are
-    overwritten on wrap) and start recording. *)
+(** Allocate the ring ([ring] events, default {!default_ring}; oldest
+    events are overwritten on wrap) and start recording. *)
 
 val disable : t -> unit
 (** Stop recording; retained events stay readable. *)

@@ -236,7 +236,8 @@ let test_no_perturbation () =
 
 let armed_run ?(timeline = 50_000) id =
   Runner.armed
-    { Boot.plain with Boot.trace = true; profile = true; timeline }
+    { Boot.plain with
+      Boot.trace = Trace.default_ring; profile = true; timeline }
     (fun () ->
       ignore ((Option.get (Experiments.find id)).Experiments.run ~seed:42 ());
       Kernel.drain_smp_registered ())
