@@ -34,14 +34,17 @@ let watch_row tl =
     string_of_int (List.length tl.Flight.tl_incidents)
     ^ (if tl.Flight.tl_ended then " (done)" else "") ]
 
+(* One frame: [None] when there is no timeline to show yet (the file is
+   missing or holds no timeline line), else whether every run in it has
+   ended. *)
 let watch_render file =
   match Flight.read_file file with
   | Error m ->
       Printf.printf "waiting for %s (%s)\n" file m;
-      false
+      None
   | Ok [] ->
       Printf.printf "waiting for %s (no timeline lines yet)\n" file;
-      false
+      None
   | Ok tls ->
       Report.table
         ~header:
@@ -60,19 +63,19 @@ let watch_render file =
           (fun i -> Printf.printf "  %s\n" (Flight.describe_incident i))
           tail
       end;
-      List.for_all (fun tl -> tl.Flight.tl_ended) tls
+      Some (List.for_all (fun tl -> tl.Flight.tl_ended) tls)
 
 let run file interval once =
   if interval <= 0. then Error (`Msg "--interval must be positive")
-  else if once then begin
-    ignore (watch_render file : bool);
-    Ok ()
-  end
+  else if once then
+    match watch_render file with
+    | Some _ -> Ok ()
+    | None -> Error (`Msg ("no timeline in " ^ file))
   else begin
     let rec loop () =
       print_string "\027[2J\027[H";
       Printf.printf "mmu_sim watch: %s (ctrl-c to stop)\n\n" file;
-      let finished = watch_render file in
+      let finished = watch_render file = Some true in
       flush stdout;
       if finished then begin
         Printf.printf "\nall runs ended.\n";
@@ -106,7 +109,8 @@ let cmd =
       value & flag
       & info [ "once" ]
           ~doc:"Render one frame from the file's current contents and \
-                exit (no screen clearing; scriptable).")
+                exit (no screen clearing; scriptable).  Exits nonzero \
+                when the file is missing or holds no timeline line.")
   in
   Cmd.v
     (Cmd.info "watch"

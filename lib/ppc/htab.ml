@@ -61,44 +61,57 @@ let[@inline] hash1 t ~vsid ~page_index =
 
 let[@inline] hash2 t ~primary = Pte.hash_secondary ~n_ptegs:t.ptegs ~primary
 
-(* Report the first [m] slots of a PTEG as line runs: a PTEG is two
-   32-byte lines of four PTEs each ([create] aligns it), so at most two
-   runs, the second only when [m] passes the first line. *)
-let[@inline] pteg_runs t ~pteg m ~(on_run : Addr.pa -> int -> unit) =
-  let pa = t.base + (pteg * pteg_bytes) in
-  if m <= ptes_per_line then on_run pa m
-  else begin
-    on_run pa ptes_per_line;
-    on_run (pa + Addr.line_size) (m - ptes_per_line)
-  end
+(* Which line runs a probe read, defined once for every reader.  A
+   probe examines the primary PTEG's eight slots and then the
+   secondary's, in order, stopping at a hit; a PTEG is two 32-byte lines
+   of four PTEs ([create] aligns it).  So a probe that examined [len]
+   slots ([probe_len]) read [runs ~len] line runs, and run [k] is the
+   first [run_slots ~len k] slots of line [k] in that order.  A scan of
+   the first [m] slots of one PTEG is the probe of [m] slots from it.
+   Every size here is a power of two. *)
+let lines_per_pteg = slots_per_pteg / ptes_per_line
+
+let[@inline] runs ~len = (len + ptes_per_line - 1) / ptes_per_line
+
+let[@inline] run_slots ~len k =
+  Addr.imin ptes_per_line (len - (k * ptes_per_line))
+
+let[@inline] pteg_run_pa t ~primary k =
+  let pteg = if k < lines_per_pteg then primary else hash2 t ~primary in
+  t.base + (pteg * pteg_bytes)
+  + ((k land (lines_per_pteg - 1)) * Addr.line_size)
+
+let[@inline] run_pa t ~vsid ~page_index k =
+  pteg_run_pa t ~primary:(hash1 t ~vsid ~page_index) k
+
+let iter_runs t ~primary ~len ~(on_run : Addr.pa -> int -> unit) =
+  for k = 0 to runs ~len - 1 do
+    on_run (pteg_run_pa t ~primary k) (run_slots ~len k)
+  done
 
 (* The flat slot index of [tag] in the PTEG whose first slot is [base],
-   or -1.  Reads the words only: the caller reports the slots examined.
-   Top-level recursion so the probe loop is not a per-call closure
-   allocation. *)
-let rec find_tag (words : int array) (tag : int) base slot =
-  if slot >= slots_per_pteg then -1
-  else if words.(2 * (base + slot)) = tag then base + slot
-  else find_tag words tag base (slot + 1)
+   or -1: the eight word-0 reads unrolled, as [Tlb.find_slot] and
+   [Cache.scan4] unroll theirs.  [unsafe_get] is in bounds by
+   construction: [base] is a PTEG's first slot, so
+   [2 * (base + 7) < Array.length words]. *)
+let[@inline always] find_in_pteg (words : int array) (tag : int) base =
+  let w = 2 * base in
+  if Array.unsafe_get words w = tag then base
+  else if Array.unsafe_get words (w + 2) = tag then base + 1
+  else if Array.unsafe_get words (w + 4) = tag then base + 2
+  else if Array.unsafe_get words (w + 6) = tag then base + 3
+  else if Array.unsafe_get words (w + 8) = tag then base + 4
+  else if Array.unsafe_get words (w + 10) = tag then base + 5
+  else if Array.unsafe_get words (w + 12) = tag then base + 6
+  else if Array.unsafe_get words (w + 14) = tag then base + 7
+  else -1
 
-(* Slots a PTEG probe examined, given what it found: up to the hit, or
-   all eight. *)
-let[@inline] examined ~base i = if i < 0 then slots_per_pteg else i - base + 1
-
-(* Search one PTEG for a matching tag, reporting the slots examined.
-   Returns the flat slot index, or -1. *)
-let[@inline] search_pteg_slot t ~pteg ~tag ~on_run =
-  let base = pteg * slots_per_pteg in
-  let i = find_tag t.words tag base 0 in
-  pteg_runs t ~pteg (examined ~base i) ~on_run;
-  i
-
-let search_slot t ~vsid ~page_index ~on_run =
+let[@inline] find_slot t ~vsid ~page_index =
   let tag = tag_of ~vsid ~page_index in
   let p = hash1 t ~vsid ~page_index in
-  let i = search_pteg_slot t ~pteg:p ~tag ~on_run in
+  let i = find_in_pteg t.words tag (p * slots_per_pteg) in
   if i >= 0 then i
-  else search_pteg_slot t ~pteg:(hash2 t ~primary:p) ~tag ~on_run
+  else find_in_pteg t.words tag (hash2 t ~primary:p * slots_per_pteg)
 
 let[@inline] reference t i =
   let j = (2 * i) + 1 in
@@ -149,26 +162,32 @@ let decode t i =
    slot [k] of the primary PTEG, eight more for the secondary, all 16 on
    a miss.  (With a single PTEG both hashes name it and the first pass
    finds any hit, so a hit is always "primary".) *)
-let probe_len t ~vsid ~page_index i =
+let[@inline] probe_len t ~vsid ~page_index i =
   if i < 0 then 2 * slots_per_pteg
-  else if i / slots_per_pteg = hash1 t ~vsid ~page_index then
-    (i mod slots_per_pteg) + 1
-  else slots_per_pteg + (i mod slots_per_pteg) + 1
+  else
+    let slot = i land (slots_per_pteg - 1) in
+    if i / slots_per_pteg = hash1 t ~vsid ~page_index then slot + 1
+    else slots_per_pteg + slot + 1
 
-(* [search_slot] with each run expanded into its slots, for the
-   per-slot readers below (a closure per call: they allocate anyway). *)
-let search_slot_per_ref t ~vsid ~page_index ~on_ref =
-  search_slot t ~vsid ~page_index ~on_run:(fun pa n ->
-      for k = 0 to n - 1 do
-        on_ref (pa + (k * pte_bytes))
-      done)
+(* [find_slot] reporting every slot it read, run by run, for the
+   per-slot readers below. *)
+let find_slot_per_ref t ~vsid ~page_index ~on_ref =
+  let i = find_slot t ~vsid ~page_index in
+  let len = probe_len t ~vsid ~page_index i in
+  for k = 0 to runs ~len - 1 do
+    let pa = run_pa t ~vsid ~page_index k in
+    for s = 0 to run_slots ~len k - 1 do
+      on_ref (pa + (s * pte_bytes))
+    done
+  done;
+  i
 
 let search t ~vsid ~page_index ~on_ref =
-  let i = search_slot_per_ref t ~vsid ~page_index ~on_ref in
+  let i = find_slot_per_ref t ~vsid ~page_index ~on_ref in
   if i < 0 then None else Some (decode t i)
 
 let search_counted t ~vsid ~page_index ~on_ref =
-  let i = search_slot_per_ref t ~vsid ~page_index ~on_ref in
+  let i = find_slot_per_ref t ~vsid ~page_index ~on_ref in
   ( (if i < 0 then None else Some (decode t i)),
     probe_len t ~vsid ~page_index i )
 
@@ -189,7 +208,7 @@ let find_free t ~pteg ~tag ~on_run =
     if stored = tag then same := i
     else if stored < 0 && !free < 0 then free := i
   done;
-  pteg_runs t ~pteg slots_per_pteg ~on_run;
+  iter_runs t ~primary:pteg ~len:slots_per_pteg ~on_run;
   if !same >= 0 then !same else !free
 
 let write_entry t i ~secondary ~vsid ~page_index ~rpn ~wimg ~protection
@@ -215,7 +234,7 @@ let first_unreferenced t ~pteg ~on_run =
   for i = base to base + slots_per_pteg - 1 do
     if !found < 0 && t.words.((2 * i) + 1) land r_bit = 0 then found := i
   done;
-  pteg_runs t ~pteg slots_per_pteg ~on_run;
+  iter_runs t ~primary:pteg ~len:slots_per_pteg ~on_run;
   !found
 
 let clear_r_bits t ~pteg =
@@ -246,7 +265,9 @@ let first_zombie t ~is_zombie ~pteg ~on_run =
   for i = base to base + slots_per_pteg - 1 do
     if !found < 0 && is_zombie (vsid_of_tag t.words.(2 * i)) then found := i
   done;
-  pteg_runs t ~pteg (examined ~base !found) ~on_run;
+  iter_runs t ~primary:pteg
+    ~len:(if !found < 0 then slots_per_pteg else !found - base + 1)
+    ~on_run;
   !found
 
 (* Zombie-aware victim selection: the first entry whose VSID the
@@ -297,7 +318,9 @@ let insert ?(policy = Arbitrary) ?(changed = false) t ~rng ~vsid ~page_index
   end
 
 let invalidate_page t ~vsid ~page_index ~on_run =
-  let i = search_slot t ~vsid ~page_index ~on_run in
+  let i = find_slot t ~vsid ~page_index in
+  iter_runs t ~primary:(hash1 t ~vsid ~page_index)
+    ~len:(probe_len t ~vsid ~page_index i) ~on_run;
   if i < 0 then false
   else begin
     t.words.(2 * i) <- -1;

@@ -22,13 +22,16 @@
     hardware cannot tell it from a live entry.
 
     {b Line runs.}  A 32-byte cache line holds four 8-byte PTEs and a
-    PTEG is two lines, so the searches, free-slot and victim scans,
-    precise flush and reclaim scan report their reads as runs:
-    [on_run pa n] stands for the [n] consecutive slots from the one at
-    [pa], with [1 <= n <= 4] and all [n] inside [pa]'s line, reported in
-    the order the slots are read.  Expanding every run into
-    [pa], [pa + 8], ... gives the per-slot sequence exactly.  {!search}
-    and {!search_counted} still report slot by slot. *)
+    PTEG is two lines, so reads are reported as runs: [(pa, n)] stands
+    for the [n] consecutive slots from the one at [pa], with
+    [1 <= n <= 4] and all [n] inside [pa]'s line, in the order the slots
+    are read.  Expanding every run into [pa], [pa + 8], ... gives the
+    per-slot sequence exactly.  This module defines which runs a search
+    read ({!runs}, {!run_slots}, {!run_pa}); the probe itself,
+    {!find_slot}, reports nothing, and {!Mmu} charges the runs it
+    defines.  The free-slot and victim scans of {!insert}, the precise
+    flush and the reclaim scan report theirs through [on_run];
+    {!search} and {!search_counted} report slot by slot. *)
 
 type t
 
@@ -70,12 +73,26 @@ val search_counted :
     trace layer charges to its histogram).  Reference behaviour is
     identical: [on_ref] sees the same addresses in the same order. *)
 
-val search_slot :
-  t -> vsid:int -> page_index:int -> on_run:(Addr.pa -> int -> unit) -> int
-(** [search] without the option: the flat slot index of the match, or
-    [-1].  The same references in the same order, reported as line runs
-    (at most two per PTEG: a hit in slot 2 of the primary is one run of
-    3, a miss four runs of 4); allocates nothing. *)
+val find_slot : t -> vsid:int -> page_index:int -> int
+(** [find_slot t ~vsid ~page_index] is the flat slot index of the entry
+    for that key, or [-1]: the primary PTEG's eight slots, then the
+    secondary's, each scan unrolled.  A pure probe: it reports no read,
+    sets no bit and allocates nothing.  The slots it read are the runs
+    below, for the length {!probe_len} gives. *)
+
+val runs : len:int -> int
+(** [runs ~len] is the number of line runs a search that examined [len]
+    slots read: one per line it entered, four at most. *)
+
+val run_slots : len:int -> int -> int
+(** [run_slots ~len k] is how many slots run [k] ([0 <= k < runs ~len])
+    of that search read: four, or what is left of [len] for the last. *)
+
+val run_pa : t -> vsid:int -> page_index:int -> int -> Addr.pa
+(** [run_pa t ~vsid ~page_index k] is where run [k] of the search for
+    that key starts: line [k] of the primary PTEG's two lines followed
+    by the secondary's.  A hit in slot 2 of the primary is one run of 3,
+    a hit in slot 5 runs of 4 and 2, a miss four runs of 4. *)
 
 val decode : t -> int -> Pte.t
 (** [decode t i] is the entry in slot [i] decoded from its two words
@@ -150,7 +167,8 @@ val insert :
 val invalidate_page :
   t -> vsid:int -> page_index:int -> on_run:(Addr.pa -> int -> unit) -> bool
 (** [invalidate_page t ~vsid ~page_index ~on_run] performs the precise
-    per-page flush: search both PTEGs (reported as {!search_slot} does)
+    per-page flush: search both PTEGs (reporting the runs {!run_pa}
+    defines)
     and clear the valid bit if found.  Returns whether an entry was
     invalidated. *)
 

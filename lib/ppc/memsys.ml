@@ -135,34 +135,48 @@ let[@inline] charge t cycles =
    execution, so we charge half the memory latency. *)
 let writeback_cost t = t.machine.Machine.mem_latency / 2
 
-let[@inline] charge_writeback t dirty_writeback =
-  if dirty_writeback then begin
-    t.perf.Perf.dcache_writebacks <- t.perf.Perf.dcache_writebacks + 1;
-    charge t (writeback_cost t)
-  end
-
-(* The charge of [n] same-line data references whose first one had
-   result [r] (see [Cache.access_run]: the rest hit after a hit or a
-   fill and bypass after a bypass), with [instr] instruction cycles
-   riding on each.  At [n = 1] it is one reference's charge, the
-   write-back of a dirty victim a second charge as it always was. *)
-let[@inline] charge_run t ~instr (r : Cache.result) n =
+(* The cycle arithmetic of every data reference, once.  [n] same-line
+   references whose first one had result [r] (see [Cache.access_run]:
+   the rest hit after a hit or a fill and bypass after a bypass), with
+   [instr] instruction cycles riding on each: their cycles, short of a
+   dirty victim's write-back, with the miss and bypass counters
+   bumped. *)
+let[@inline] run_cycles t ~instr (r : Cache.result) n =
   let p = t.perf in
   match r with
-  | Cache.Hit -> charge t (n * (instr + Cost.cache_hit_cycles))
-  | Cache.Miss { dirty_writeback } ->
+  | Cache.Hit -> n * (instr + Cost.cache_hit_cycles)
+  | Cache.Miss _ ->
       p.Perf.dcache_misses <- p.Perf.dcache_misses + 1;
-      charge t
-        ((n * instr) + t.machine.Machine.mem_latency
-        + ((n - 1) * Cost.cache_hit_cycles));
-      charge_writeback t dirty_writeback
+      (n * instr) + t.machine.Machine.mem_latency
+      + ((n - 1) * Cost.cache_hit_cycles)
   | Cache.Bypass ->
       p.Perf.dcache_bypasses <- p.Perf.dcache_bypasses + n;
-      charge t (n * (instr + t.machine.Machine.mem_latency))
+      n * (instr + t.machine.Machine.mem_latency)
 
-(* A data reference's miss or bypass charge, out of line: the callers
-   inline a hit themselves and call this for the rest. *)
+(* The write-back a reference with result [r] owes, counted: nothing
+   unless its fill evicted a dirty line. *)
+let[@inline] writeback_cycles t (r : Cache.result) =
+  match r with
+  | Cache.Miss { dirty_writeback = true } ->
+      t.perf.Perf.dcache_writebacks <- t.perf.Perf.dcache_writebacks + 1;
+      writeback_cost t
+  | Cache.Hit | Cache.Miss _ | Cache.Bypass -> 0
+
+(* The same, charged.  A write-back stays a charge of its own, as it
+   always was, so a sample can still fall between the two. *)
+let[@inline] charge_writeback t r =
+  let wb = writeback_cycles t r in
+  if wb > 0 then charge t wb
+
+let[@inline] charge_run t ~instr r n =
+  charge t (run_cycles t ~instr r n);
+  charge_writeback t r
+
+(* A data reference's miss or bypass, out of line: the callers inline a
+   hit themselves and call these for the rest. *)
 let[@inline never] charge_data t r = charge_run t ~instr:0 r 1
+let[@inline never] data_cycles t r =
+  run_cycles t ~instr:0 r 1 + writeback_cycles t r
 
 let[@inline] data_ref t ~source ~inhibited ~write pa =
   let p = t.perf in
@@ -171,17 +185,26 @@ let[@inline] data_ref t ~source ~inhibited ~write pa =
   | Cache.Hit -> charge t Cost.cache_hit_cycles
   | (Cache.Miss _ | Cache.Bypass) as r -> charge_data t r
 
-let inst_ref t pa =
+let[@inline] data_ref_cycles t ~source ~inhibited ~write pa =
+  let p = t.perf in
+  p.Perf.dcache_accesses <- p.Perf.dcache_accesses + 1;
+  match Cache.access t.dcache ~source ~inhibited ~write pa with
+  | Cache.Hit -> Cost.cache_hit_cycles
+  | (Cache.Miss _ | Cache.Bypass) as r -> data_cycles t r
+
+let[@inline] inst_ref_cycles t pa =
   let p = t.perf in
   p.Perf.icache_accesses <- p.Perf.icache_accesses + 1;
   match
     Cache.access t.icache ~source:Cache.Kernel ~inhibited:false ~write:false
       pa
   with
-  | Cache.Hit -> charge t Cost.cache_hit_cycles
+  | Cache.Hit -> Cost.cache_hit_cycles
   | Cache.Miss _ | Cache.Bypass ->
       p.Perf.icache_misses <- p.Perf.icache_misses + 1;
-      charge t t.machine.Machine.mem_latency
+      t.machine.Machine.mem_latency
+
+let inst_ref t pa = charge t (inst_ref_cycles t pa)
 
 (* One [dcbz], as a page clear's per-line sequence charges it. *)
 let dcbz t ~source pa =
@@ -189,9 +212,9 @@ let dcbz t ~source pa =
   p.Perf.dcache_accesses <- p.Perf.dcache_accesses + 1;
   match Cache.allocate_zero t.dcache ~source pa with
   | Cache.Hit -> charge t Cost.dcbz_cycles
-  | Cache.Miss { dirty_writeback } ->
+  | Cache.Miss _ as r ->
       charge t Cost.dcbz_cycles;
-      charge_writeback t dirty_writeback
+      charge_writeback t r
   | Cache.Bypass ->
       (* locked cache: the zeroing goes to memory *)
       p.Perf.dcache_bypasses <- p.Perf.dcache_bypasses + 1;
@@ -208,9 +231,11 @@ let set_cache_locked t b =
   Cache.set_locked t.icache b;
   Cache.set_locked t.dcache b
 
-let[@inline] instructions t n =
+let[@inline] instructions_cycles t n =
   t.perf.Perf.instructions <- t.perf.Perf.instructions + n;
-  charge t n
+  n
+
+let[@inline] instructions t n = charge t (instructions_cycles t n)
 
 let[@inline] stall t n = charge t n
 
@@ -222,6 +247,10 @@ let[@inline] sampling t =
   t.timeline.Recorder.next_sample <> max_int
   || t.recorder.Recorder.next_sample <> max_int
 
+let[@inline] observed t =
+  Trace.enabled t.trace || Profile.enabled t.profile || Span.enabled t.span
+  || sampling t
+
 (* One fused trap charge: counters end up identical to
    [stall t stall; instructions t instr], with a single deadline check
    instead of two.  Used to batch the reload sequence's back-to-back
@@ -231,10 +260,8 @@ let[@inline] instructions_stall t ~instr ~stall:stall_cycles =
     if stall_cycles > 0 then stall t stall_cycles;
     if instr > 0 then instructions t instr
   end
-  else if instr + stall_cycles > 0 then begin
-    t.perf.Perf.instructions <- t.perf.Perf.instructions + instr;
-    charge t (instr + stall_cycles)
-  end
+  else if instr + stall_cycles > 0 then
+    charge t (instructions_cycles t instr + stall_cycles)
 
 (* The references a run stands for, one by one, for while a recorder is
    armed: each counts, charges its instructions and then its data
@@ -249,17 +276,17 @@ let[@inline never] table_refs t ~instr ~source ~inhibited ~write pa n =
 
 (* Unarmed, the run's counters move by [n] at once and one charge
    covers the lot: one set lookup, one deadline check. *)
+let[@inline] table_run_cycles t ~instr ~source ~inhibited ~write pa n =
+  let p = t.perf in
+  p.Perf.mem_refs <- p.Perf.mem_refs + n;
+  p.Perf.instructions <- p.Perf.instructions + (instr * n);
+  p.Perf.dcache_accesses <- p.Perf.dcache_accesses + n;
+  let r = Cache.access_run t.dcache ~source ~inhibited ~write pa n in
+  run_cycles t ~instr r n + writeback_cycles t r
+
 let[@inline] table_run t ~instr ~source ~inhibited ~write pa n =
   if sampling t then table_refs t ~instr ~source ~inhibited ~write pa n
-  else begin
-    let p = t.perf in
-    p.Perf.mem_refs <- p.Perf.mem_refs + n;
-    p.Perf.instructions <- p.Perf.instructions + (instr * n);
-    p.Perf.dcache_accesses <- p.Perf.dcache_accesses + n;
-    charge_run t ~instr
-      (Cache.access_run t.dcache ~source ~inhibited ~write pa n)
-      n
-  end
+  else charge t (table_run_cycles t ~instr ~source ~inhibited ~write pa n)
 
 let zero_lines t ~source ~inhibited pa ~lines =
   if sampling t then

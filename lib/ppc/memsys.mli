@@ -22,7 +22,16 @@
     sample can fire inside a charge, so they move every counter by the
     same totals with one charge; while {!sampling} they take the
     historical sequence, every counter bumped just before its own
-    charge, so samples see what they always saw. *)
+    charge, so samples see what they always saw.
+
+    The [_cycles] forms ({!data_ref_cycles}, {!inst_ref_cycles},
+    {!instructions_cycles}, {!table_run_cycles}) do everything their
+    charging form does except the charge: they touch the cache, bump
+    the counters and return the cycles, for a caller that sums several
+    and charges once ({!stall}).  Only an unobserved caller may, since
+    a sample could have fallen between the charges it sums.  Each
+    reference's cost arithmetic is written once and both forms use
+    it. *)
 
 type t
 
@@ -82,8 +91,16 @@ val data_ref :
     dirties its line; evicting a dirty line later costs a (half-latency,
     posted) write-back. *)
 
+val data_ref_cycles :
+  t -> source:Cache.source -> inhibited:bool -> write:bool -> Addr.pa -> int
+(** {!data_ref} returning its cycles uncharged, a dirty victim's
+    write-back included. *)
+
 val inst_ref : t -> Addr.pa -> unit
 (** One instruction fetch reference: drives the I-cache. *)
+
+val inst_ref_cycles : t -> Addr.pa -> int
+(** {!inst_ref} returning its cycles uncharged. *)
 
 val prefetch : t -> source:Cache.source -> Addr.pa -> unit
 (** One [dcbt]-style prefetch hint (§10.2): brings the line in while
@@ -99,6 +116,9 @@ val instructions : t -> int -> unit
     path-length accounting for code whose individual fetches are not
     simulated. *)
 
+val instructions_cycles : t -> int -> int
+(** {!instructions} returning its cycles uncharged. *)
+
 val stall : t -> int -> unit
 (** [stall t n] charges [n] raw cycles (trap overheads, fixed hardware
     costs). *)
@@ -108,6 +128,12 @@ val sampling : t -> bool
     and runs below take the historical charge-by-charge sequence, so
     sample timing and contents are byte-identical to the unfused calls;
     counters and cache state are identical either way. *)
+
+val observed : t -> bool
+(** Whether any instrument this module owns watches the machine: the
+    event trace, the profiler, request spans, or either recorder
+    ({!sampling}).  While none does, nothing reads a counter between
+    two charges, so a caller may sum [_cycles] forms into one. *)
 
 val instructions_stall : t -> instr:int -> stall:int -> unit
 (** [instructions_stall t ~instr ~stall] is
@@ -132,6 +158,17 @@ val table_run :
     {!Cache.access_run} and one charge; while {!sampling} it is the
     reference-by-reference sequence, every counter bumped just before
     its own charge. *)
+
+val table_run_cycles :
+  t ->
+  instr:int ->
+  source:Cache.source ->
+  inhibited:bool ->
+  write:bool ->
+  Addr.pa ->
+  int ->
+  int
+(** {!table_run}'s unarmed form returning its cycles uncharged. *)
 
 val zero_lines :
   t -> source:Cache.source -> inhibited:bool -> Addr.pa -> lines:int -> unit

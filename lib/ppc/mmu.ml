@@ -61,7 +61,6 @@ type t = {
      on every reload would allocate a closure per miss. *)
   mutable on_pt_ref : Addr.pa -> unit;
   mutable on_htab_run : Addr.pa -> int -> unit;
-  mutable on_sw_htab_run : Addr.pa -> int -> unit;
   (* [Htab.insert]'s [?policy], built once for the same reason: naming
      it at the call would allocate a [Some] per fill. *)
   mutable htab_policy : Htab.replacement option;
@@ -153,9 +152,12 @@ let[@inline] htab_run t pa n =
 
 (* Software examination of a PTE costs a few compare/branch instructions
    on top of the memory reference; hardware search does not. *)
-let[@inline] sw_htab_run t pa n =
-  Memsys.table_run t.memsys ~instr:4 ~source:Cache.Htab
-    ~inhibited:t.knobs.cache_inhibit_pagetables ~write:false pa n
+let[@inline] probe_instr (c : Reload_engine.costs) =
+  if c.Reload_engine.software_search then 4 else 0
+
+(* The handler prologue a backend runs on entry, fast generation. *)
+let[@inline] entry_instr (c : Reload_engine.costs) =
+  if c.Reload_engine.handler_on_entry then Cost.sw_reload_fast_instr else 0
 
 let noop_ref (_ : Addr.pa) = ()
 let noop_run (_ : Addr.pa) (_ : int) = ()
@@ -224,15 +226,13 @@ let create ?(htab_base_pa = 0x0030_0000) ?(cpus = 1) ~machine ~memsys ~knobs
       rng;
       on_pt_ref = noop_ref;
       on_htab_run = noop_run;
-      on_sw_htab_run = noop_run;
       htab_policy = None;
       pid = 0 }
   in
   t.on_pt_ref <- pt_ref t;
-  (* Two-argument closures, not partial applications: [Htab] calls them
+  (* A two-argument closure, not a partial application: [Htab] calls it
      through [caml_apply2], which then enters the body directly. *)
   t.on_htab_run <- (fun pa n -> htab_run t pa n);
-  t.on_sw_htab_run <- (fun pa n -> sw_htab_run t pa n);
   t.htab_policy <-
     Some
       (match knobs.htab_replacement with
@@ -378,25 +378,33 @@ let walk_and_fill t ~vsid ~ea ~page_index ~store =
   | Some _ | None -> ());
   r
 
-let search_htab t h ~vsid ~page_index ~software =
+(* A hit sets the entry's R bit, as the hardware does, and answers
+   from its word 1. *)
+let[@inline] htab_answer h i =
+  let w1 = Htab.reference h i in
+  pack ~rpn:(Htab.rpn w1) ~writable:(Htab.writable w1)
+    ~inhibited:(Htab.inhibited w1)
+  lor r_from_htab
+
+(* The search, charged run by run: the runs are the ones [Htab] defines
+   for where the probe stopped. *)
+let search_htab t h ~vsid ~page_index ~instr =
   let p = perf t in
   p.Perf.htab_searches <- p.Perf.htab_searches + 1;
-  let on_run = if software then t.on_sw_htab_run else t.on_htab_run in
-  let i = Htab.search_slot h ~vsid ~page_index ~on_run in
+  let i = Htab.find_slot h ~vsid ~page_index in
+  let len = Htab.probe_len h ~vsid ~page_index i in
+  for k = 0 to Htab.runs ~len - 1 do
+    Memsys.table_run t.memsys ~instr ~source:Cache.Htab
+      ~inhibited:t.knobs.cache_inhibit_pagetables ~write:false
+      (Htab.run_pa h ~vsid ~page_index k)
+      (Htab.run_slots ~len k)
+  done;
   if i >= 0 then p.Perf.htab_hits <- p.Perf.htab_hits + 1
   else p.Perf.htab_misses <- p.Perf.htab_misses + 1;
   let tr = trace t in
   if Trace.enabled tr then
-    Trace.emit_htab_probe tr ~pid:t.pid
-      ~len:(Htab.probe_len h ~vsid ~page_index i)
-      ~hit:(i >= 0);
-  if i < 0 then -1
-  else begin
-    let w1 = Htab.reference h i in
-    pack ~rpn:(Htab.rpn w1) ~writable:(Htab.writable w1)
-      ~inhibited:(Htab.inhibited w1)
-    lor r_from_htab
-  end
+    Trace.emit_htab_probe tr ~pid:t.pid ~len ~hit:(i >= 0);
+  if i < 0 then -1 else htab_answer h i
 
 let reload_handler t =
   handler t ~fast:Cost.sw_reload_fast_instr ~slow:Cost.sw_reload_slow_instr
@@ -404,9 +412,10 @@ let reload_handler t =
 
 (* The miss trap and the software fill, once every faster mechanism has
    missed.  A top-level function rather than a closure inside [reload],
-   which would be allocated on every reload whether it ran or not. *)
-let trap_and_fill t (c : Reload_engine.costs) ~batched ~vsid ~ea ~page_index
-    ~store =
+   which would be allocated on every reload whether it ran or not, and
+   out of line: the page-table walk calls the kernel's closure. *)
+let[@inline never] trap_and_fill t (c : Reload_engine.costs) ~batched ~vsid
+    ~ea ~page_index ~store =
   if batched then
     Memsys.instructions_stall t.memsys
       ~instr:
@@ -423,7 +432,9 @@ let trap_and_fill t (c : Reload_engine.costs) ~batched ~vsid ~ea ~page_index
 (* One generic reload sequence driven by the selected backend's cost
    row; the per-style branching lives in [Reload_engine.cost_table], not
    here.  Returns the packed translation (see [pack]), whose
-   [r_from_htab] bit says which structure produced it.
+   [r_from_htab] bit says which structure produced it.  This is the
+   stepwise sequence, charge by charge, for an observed miss (and for
+   the machines [straight_miss] does not serve).
 
    With the fast handlers selected and no recorder armed, the
    back-to-back charges of each trap (entry stall + handler path length
@@ -435,9 +446,7 @@ let reload t ~vsid ~ea ~store =
   let page_index = Addr.page_index ea in
   let c = Reload_engine.costs t.engine in
   let batched = t.knobs.fast_reload && not (Memsys.sampling t.memsys) in
-  let entry_instr =
-    if c.Reload_engine.handler_on_entry then Cost.sw_reload_fast_instr else 0
-  in
+  let entry_instr = entry_instr c in
   match t.htab with
   | None ->
       if batched then
@@ -461,10 +470,7 @@ let reload t ~vsid ~ea ~store =
         if c.Reload_engine.hash_setup_instr > 0 then
           Memsys.instructions t.memsys c.Reload_engine.hash_setup_instr
       end;
-      let r =
-        search_htab t h ~vsid ~page_index
-          ~software:c.Reload_engine.software_search
-      in
+      let r = search_htab t h ~vsid ~page_index ~instr:(probe_instr c) in
       if r >= 0 then r
       else trap_and_fill t c ~batched ~vsid ~ea ~page_index ~store
 
@@ -475,6 +481,12 @@ let[@inline] final_ref t kind pa ~inhibited ~source =
   | Fetch -> Memsys.inst_ref t.memsys pa
   | Load -> Memsys.data_ref t.memsys ~source ~inhibited ~write:false pa
   | Store -> Memsys.data_ref t.memsys ~source ~inhibited ~write:true pa
+
+let[@inline] final_ref_cycles t kind pa ~inhibited ~source =
+  match kind with
+  | Fetch -> Memsys.inst_ref_cycles t.memsys pa
+  | Load -> Memsys.data_ref_cycles t.memsys ~source ~inhibited ~write:false pa
+  | Store -> Memsys.data_ref_cycles t.memsys ~source ~inhibited ~write:true pa
 
 let[@inline] count_lookup t kind =
   let p = perf t in
@@ -495,10 +507,11 @@ let[@inline] count_miss t kind =
 let[@inline] source_of_ea ea =
   if Segment.is_kernel_ea ea then Cache.Kernel else Cache.User
 
-(* The TLB miss: everything below the [Tlb.lookup_slot] fast exit.
-   Kept out of [access_pa] so the hit path stays small. *)
-let access_miss t kind ea ~vsid ~vpn ~tlb ~source ~store =
-  count_miss t kind;
+(* A TLB miss charge by charge, every event, attribution, sample and
+   shadow comparison where it always was: the sequence for an observed
+   miss, and for the ones [straight_miss] does not serve (no htab, or
+   the slow handlers, whose state save interleaves data references). *)
+let[@inline never] stepwise_miss t kind ea ~vsid ~vpn ~tlb ~source ~store =
   let tr = trace t in
   let traced = Trace.enabled tr in
   let pr = profile t in
@@ -579,6 +592,86 @@ let access_miss t kind ea ~vsid ~vpn ~tlb ~source ~store =
       pa
     end
   end
+
+(* The cycles of a search's PTE reads, uncharged: one
+   [Memsys.table_run_cycles] per run [Htab] defines. *)
+let[@inline] probe_cycles t h ~vsid ~page_index ~len ~instr =
+  let cycles = ref 0 in
+  for k = 0 to Htab.runs ~len - 1 do
+    cycles :=
+      !cycles
+      + Memsys.table_run_cycles t.memsys ~instr ~source:Cache.Htab
+          ~inhibited:t.knobs.cache_inhibit_pagetables ~write:false
+          (Htab.run_pa h ~vsid ~page_index k)
+          (Htab.run_slots ~len k)
+  done;
+  !cycles
+
+(* An unobserved TLB miss with the fast handlers and an htab, as one
+   straight-line sequence (§6.1's handler rewrite, applied to the
+   simulator).  Nothing watches, so nothing can read the machine between
+   two charges: the trap entry, the PTE reads and the final reference
+   are summed into one charge.  The cache sees the stepwise sequence's
+   references in its order and every counter ends where the stepwise
+   sequence leaves it.  An htab miss still leaves through
+   [trap_and_fill]. *)
+let[@inline] straight_miss t h kind ea ~vsid ~vpn ~tlb ~source ~store =
+  let c = Reload_engine.costs t.engine in
+  let page_index = Addr.page_index ea in
+  let p = perf t in
+  p.Perf.htab_searches <- p.Perf.htab_searches + 1;
+  let i = Htab.find_slot h ~vsid ~page_index in
+  let pending =
+    Memsys.instructions_cycles t.memsys
+      (entry_instr c + c.Reload_engine.hash_setup_instr)
+    + c.Reload_engine.entry_stall_cycles
+    + probe_cycles t h ~vsid ~page_index
+        ~len:(Htab.probe_len h ~vsid ~page_index i)
+        ~instr:(probe_instr c)
+  in
+  let r =
+    if i >= 0 then begin
+      p.Perf.htab_hits <- p.Perf.htab_hits + 1;
+      htab_answer h i
+    end
+    else begin
+      p.Perf.htab_misses <- p.Perf.htab_misses + 1;
+      trap_and_fill t c ~batched:true ~vsid ~ea ~page_index ~store
+    end
+  in
+  if r < 0 then begin
+    Memsys.stall t.memsys pending;
+    -1
+  end
+  else begin
+    let rpn = r lsr 3 in
+    let inhibited = r land r_inhibited <> 0 in
+    let writable = r land r_writable <> 0 in
+    ignore (Tlb.insert_flat tlb ~vpn ~rpn ~inhibited ~writable : int);
+    if store && not writable then begin
+      Memsys.stall t.memsys pending;
+      -1
+    end
+    else begin
+      let pa = Addr.pa_of ~rpn ~ea in
+      Memsys.stall t.memsys
+        (pending + final_ref_cycles t kind pa ~inhibited ~source);
+      pa
+    end
+  end
+
+(* The TLB miss: everything below the [Tlb.lookup_slot] fast exit.
+   Kept out of [access_pa] so the hit path stays small.  One test picks
+   the sequence: while nothing observes the machine (no trace, profile,
+   spans, recorder or shadow) a miss the htab can serve with the fast
+   handlers takes the straight line, and any other the stepwise one. *)
+let[@inline never] access_miss t kind ea ~vsid ~vpn ~tlb ~source ~store =
+  count_miss t kind;
+  match (t.htab, t.shadow) with
+  | Some h, None when t.knobs.fast_reload && not (Memsys.observed t.memsys)
+    ->
+      straight_miss t h kind ea ~vsid ~vpn ~tlb ~source ~store
+  | _ -> stepwise_miss t kind ea ~vsid ~vpn ~tlb ~source ~store
 
 (* One access, returning the physical address or -1 on a fault.  This is
    the hot path: on a TLB hit (no shadow attached) it allocates nothing —

@@ -29,9 +29,11 @@ let bound = 0.01
    and has been touched (no fault is left for the timed loop).  With
    [flush], [Mmu.flush_page] drops each page from the TLB and the htab
    before its touch, so every touch misses both and the fill runs; the
-   flushes count in the words. *)
-let words_per_touch ?(policy = Policy.optimized) ?(flush = false) machine
-    ~pages =
+   flushes count in the words.  With [armed], the flight recorder is
+   armed at a cadence that never comes due, so every miss takes the
+   stepwise reload sequence instead of the straight line. *)
+let words_per_touch ?(policy = Policy.optimized) ?(flush = false)
+    ?(armed = false) machine ~pages =
   let k = Kernel.boot ~machine ~policy ~seed:42 () in
   Kernel.switch_to k (Kernel.spawn k ~data_pages:pages ());
   let eas =
@@ -43,6 +45,7 @@ let words_per_touch ?(policy = Policy.optimized) ?(flush = false) machine
     Array.init pages (fun i -> if i land 3 = 0 then Mmu.Store else Mmu.Load)
   in
   Array.iter (fun ea -> Kernel.touch k Mmu.Store ea) eas;
+  if armed then Recorder.enable (Kernel.recorder k) ~every:(1 lsl 50);
   let mmu = Kernel.mmu k in
   let perf = Kernel.perf k in
   let misses_before = perf.Perf.dtlb_misses in
@@ -56,10 +59,16 @@ let words_per_touch ?(policy = Policy.optimized) ?(flush = false) machine
   let words = Gc.minor_words () -. words_before in
   let misses = perf.Perf.dtlb_misses - misses_before in
   let fills = perf.Perf.htab_reloads - fills_before in
+  Alcotest.(check bool) "observed iff armed" armed
+    (Memsys.observed (Kernel.memsys k));
+  Alcotest.(check int) "the recorder never fired" 0
+    (Recorder.total (Kernel.recorder k));
   (words /. float_of_int calls, misses, fills)
 
-let check_loop ?policy ?(flush = false) machine ~pages ~reloads () =
-  let words, misses, fills = words_per_touch ?policy ~flush machine ~pages in
+let check_loop ?policy ?(flush = false) ?armed machine ~pages ~reloads () =
+  let words, misses, fills =
+    words_per_touch ?policy ~flush ?armed machine ~pages
+  in
   if reloads then
     Alcotest.(check bool) "every touch reloads" true (misses >= calls)
   else Alcotest.(check int) "no D-TLB misses" 0 misses;
@@ -203,4 +212,6 @@ let suite =
       (check_reclaim ~armed:false);
     Alcotest.test_case "zombie reclaim scan (recorder armed)" `Quick
       (check_reclaim ~armed:true);
-    Alcotest.test_case "demand-zero page clear" `Quick check_page_clear ]
+    Alcotest.test_case "demand-zero page clear" `Quick check_page_clear;
+    Alcotest.test_case "reload loop (604-185, recorder armed)" `Quick
+      (check_loop ~armed:true Machine.ppc604_185 ~pages:512 ~reloads:true) ]

@@ -214,6 +214,16 @@ let test_slot_accessors () =
 let no_ref (_ : Addr.pa) = ()
 let no_run (_ : Addr.pa) (_ : int) = ()
 
+(* A search: [Htab.find_slot]'s answer, with the line runs [Htab]
+   defines for where it stopped reported through [on_run]. *)
+let search_runs h ~vsid ~page_index ~on_run =
+  let i = Htab.find_slot h ~vsid ~page_index in
+  let len = Htab.probe_len h ~vsid ~page_index i in
+  for k = 0 to Htab.runs ~len - 1 do
+    on_run (Htab.run_pa h ~vsid ~page_index k) (Htab.run_slots ~len k)
+  done;
+  i
+
 (* The tag probe must reproduce [Pte.matches] exactly, including its
    behaviour on over-masked search keys: [write_entry] stores masked
    fields, so a VSID above 24 bits or a page index above 16 bits can
@@ -263,11 +273,15 @@ let prop_htab_search_matches_linear_scan =
       let probe_len_exact ~vsid ~page_index =
         let refs = ref 0 in
         let i =
-          Htab.search_slot h ~vsid ~page_index ~on_run:(fun _ n ->
+          search_runs h ~vsid ~page_index ~on_run:(fun _ n ->
               refs := !refs + n)
         in
-        let hit, n = Htab.search_counted h ~vsid ~page_index ~on_ref:no_ref in
-        n = !refs
+        let reported = ref 0 in
+        let hit, n =
+          Htab.search_counted h ~vsid ~page_index ~on_ref:(fun _ ->
+              incr reported)
+        in
+        n = !refs && n = !reported
         && match hit with None -> i < 0 | Some pte -> Htab.decode h i = pte
       in
       List.for_all
@@ -685,11 +699,17 @@ let prop_htab_matches_boxed_reference n_ptes ~count =
                     && v land 0xFFFF = victim.Ref_htab.page_index)
             | H_search key ->
                 let vsid = key.k_vsid and page_index = key.k_page in
-                let i = Htab.search_slot flat ~vsid ~page_index ~on_run:on_flat in
+                let i = search_runs flat ~vsid ~page_index ~on_run:on_flat in
+                let per_slot = ref [] in
+                ignore
+                  (Htab.search flat ~vsid ~page_index ~on_ref:(fun pa ->
+                       per_slot := pa :: !per_slot)
+                    : Pte.t option);
                 let j =
                   Ref_htab.search_slot reference ~vsid ~page_index ~on_ref
                 in
                 i = j
+                && !per_slot = !refs_flat
                 && Htab.probe_len flat ~vsid ~page_index i
                    = Ref_htab.probe_len reference ~vsid ~page_index j
             | H_invalidate key ->
@@ -1418,6 +1438,231 @@ let run_machines =
   @ [ { Machine.ppc604_185 with
         dcache = { Machine.cache_bytes = 768; cache_ways = 3 } } ]
 
+(* --- the straight-line reload vs the stepwise sequence -------------- *)
+
+(* Two MMUs on one machine, built at one seed behind identical page
+   tables, driven by one random stream of loads, stores, fetches and
+   precise flushes over more pages than the TLBs hold.  One runs
+   unobserved, so every miss the htab serves with the fast handlers
+   takes [Mmu]'s straight line; the other has its flight recorder armed
+   at a cadence that never comes due, so every miss takes the stepwise
+   sequence.  After every operation the two must agree on the answer,
+   on [Perf.fields], on both caches' raw states and on both TLBs'
+   contents, slot by slot; every hundredth operation and at the end, on
+   every htab entry too.
+
+   The stream is built to reach every case the straight line has: 24
+   pages share one primary PTEG (eight VSIDs, three page indices each),
+   so their PTEs fill the primary and secondary groups and the search
+   hits in all sixteen slots, and the eight that do not fit miss the
+   htab, fill it and evict.  One page in five is read-only and stores
+   go to them, and a few pages are unmapped.  A planted mutant that
+   charged a secondary-PTEG hit without the primary's eight reads
+   failed this test on every machine with an htab. *)
+let reload_vsid_base = 0x5A0
+
+let reload_equivalence ?(knobs = Mmu.default_knobs) (machine : Machine.t) ()
+    =
+  let n_ptegs = Machine.n_ptegs machine in
+  let vsid sr = reload_vsid_base + sr in
+  let target = 0x155 land (n_ptegs - 1) in
+  let colliding =
+    Array.init 24 (fun j ->
+        let sr = 1 + (j mod 8) in
+        let pidx =
+          ((target lxor vsid sr) land (n_ptegs - 1)) + (j / 8 * n_ptegs)
+        in
+        (sr lsl 28) lor (pidx lsl Addr.page_shift))
+  in
+  let stream = Rng.create ~seed:2024 in
+  let spread =
+    Array.init 300 (fun _ ->
+        ((1 + Rng.int stream 8) lsl 28)
+        lor (Rng.int stream 0x10000 lsl Addr.page_shift))
+  in
+  let pages = Array.append colliding spread in
+  let read_only ea = Addr.epn ea mod 5 = 2 in
+  let unmapped ea = Addr.epn ea mod 61 = 7 in
+  let walk ~on_ref ea =
+    let epn = Addr.epn ea in
+    on_ref (0x6000 + (((epn lsr 10) land 0x3FF) * 4));
+    on_ref (0x10_0000 + ((epn land 0x3FFF) * 4));
+    if unmapped ea then -1
+    else
+      Mmu.pack ~rpn:((epn * 7) land 0xFFFF) ~writable:(not (read_only ea))
+        ~inhibited:false
+  in
+  let mmu () =
+    let perf = Perf.create () in
+    let memsys = Memsys.create ~machine ~perf in
+    let m =
+      Mmu.create ~machine ~memsys ~knobs ~backing:{ Mmu.walk }
+        ~rng:(Rng.create ~seed:42) ()
+    in
+    Segment.load_user (Mmu.segments m) vsid;
+    (m, memsys, perf)
+  in
+  let straight, ms_straight, p_straight = mmu ()
+  and stepwise, ms_stepwise, p_stepwise = mmu () in
+  Recorder.enable (Memsys.recorder ms_stepwise) ~every:(1 lsl 50);
+  let tlb_contents m =
+    List.concat_map
+      (fun tlb ->
+        List.init (Tlb.capacity tlb) (fun i ->
+            ( Tlb.slot_vpn tlb i,
+              Tlb.slot_rpn tlb i,
+              Tlb.slot_inhibited tlb i,
+              Tlb.slot_writable tlb i )))
+      [ Mmu.itlb m; Mmu.dtlb m ]
+  in
+  let htab_entries m =
+    match Mmu.htab m with
+    | None -> []
+    | Some h -> List.init (Htab.capacity h) (Htab.decode h)
+  in
+  let fail i what =
+    Alcotest.failf "%s: op %d: %s differ" machine.Machine.name i what
+  in
+  (* which of the sixteen slots an htab-served reload found its PTE in,
+     and how many stores met a read-only page *)
+  let slots_hit = Array.make 16 false and ro_store_faults = ref 0 in
+  let ops = 3000 in
+  for i = 0 to ops - 1 do
+    let ea =
+      if Rng.int stream 5 < 2 then colliding.(Rng.int stream 24)
+      else pages.(Rng.int stream (Array.length pages))
+    in
+    let ea = ea lor (Rng.int stream (Addr.page_size / 4) * 4) in
+    let roll = Rng.int stream 100 in
+    if roll < 4 then begin
+      Mmu.flush_page straight ea;
+      Mmu.flush_page stepwise ea
+    end
+    else begin
+      let kind =
+        if roll < 50 then Mmu.Load
+        else if roll < 80 then Mmu.Store
+        else Mmu.Fetch
+      in
+      let tlb =
+        match kind with Mmu.Fetch -> Mmu.itlb straight | _ -> Mmu.dtlb straight
+      in
+      let vsid = Segment.vsid_for (Mmu.segments straight) ea in
+      let vpn = Addr.vpn_of ~vsid ~ea in
+      (match Mmu.htab straight with
+      | Some h when Tlb.peek_slot tlb vpn < 0 ->
+          let page_index = Addr.page_index ea in
+          let slot = Htab.find_slot h ~vsid ~page_index in
+          if slot >= 0 then
+            slots_hit.(Htab.probe_len h ~vsid ~page_index slot - 1) <- true
+      | _ -> ());
+      let pa = Mmu.access_pa straight kind ea in
+      if pa <> Mmu.access_pa stepwise kind ea then fail i "answers";
+      if pa < 0 && kind = Mmu.Store && read_only ea && not (unmapped ea) then
+        incr ro_store_faults
+    end;
+    if Perf.fields p_straight <> Perf.fields p_stepwise then fail i "counters";
+    if
+      Cache.raw (Memsys.dcache ms_straight)
+      <> Cache.raw (Memsys.dcache ms_stepwise)
+      || Cache.raw (Memsys.icache ms_straight)
+         <> Cache.raw (Memsys.icache ms_stepwise)
+    then fail i "caches";
+    if tlb_contents straight <> tlb_contents stepwise then fail i "TLBs";
+    if i mod 100 = 99 && htab_entries straight <> htab_entries stepwise then
+      fail i "htab entries"
+  done;
+  if htab_entries straight <> htab_entries stepwise then
+    fail ops "htab entries";
+  Alcotest.(check bool) "one side observed, the other not" true
+    (Memsys.observed ms_stepwise && not (Memsys.observed ms_straight));
+  Alcotest.(check int) "the recorder never fired" 0
+    (Recorder.total (Memsys.recorder ms_stepwise));
+  Alcotest.(check bool) "stores met read-only pages" true
+    (!ro_store_faults > 0);
+  Alcotest.(check bool) "fetches reloaded" true
+    (p_straight.Perf.itlb_misses > 0);
+  if Mmu.htab straight <> None then begin
+    Alcotest.(check (array bool)) "hits in every primary and secondary slot"
+      (Array.make 16 true) slots_hit;
+    Alcotest.(check bool) "htab misses filled and evicted" true
+      (p_straight.Perf.htab_misses > 0 && p_straight.Perf.htab_evicts > 0)
+  end
+
+(* The same through whole kernels: two booted at one seed, each with a
+   300-page task and its fork, run one random stream of [Kernel.touch]
+   loads, stores and fetches over the task's text and data pages, with
+   switches between the two tasks and precise single-page flushes.  The
+   second kernel's flight recorder is armed after boot at a cadence
+   that never comes due.  Stores to text pages meet read-only PTEs and
+   end in [Segfault]; the outcome of every operation, [Perf.fields],
+   both caches' raw states and the current TLBs must agree. *)
+let kernel_reload_equivalence ?(policy = Kernel_sim.Policy.optimized)
+    (machine : Machine.t) () =
+  let module Kernel = Kernel_sim.Kernel in
+  let text_base = Kernel_sim.Mm.user_text_base in
+  let text_pages = 16 and data_pages = 300 in
+  let boot () =
+    let k = Kernel.boot ~machine ~policy ~seed:42 () in
+    let parent = Kernel.spawn k ~text_pages ~data_pages () in
+    Kernel.switch_to k parent;
+    let child = Kernel.sys_fork k in
+    (k, [| parent; child |])
+  in
+  let plain, plain_tasks = boot () and armed, armed_tasks = boot () in
+  Recorder.enable (Kernel.recorder armed) ~every:(1 lsl 50);
+  let stream = Rng.create ~seed:77 in
+  let segfaults = ref 0 in
+  let state k =
+    let mmu = Kernel.mmu k and ms = Kernel.memsys k in
+    ( Perf.fields (Kernel.perf k),
+      (Cache.raw (Memsys.dcache ms), Cache.raw (Memsys.icache ms)),
+      List.concat_map
+        (fun tlb -> List.init (Tlb.capacity tlb) (Tlb.slot_vpn tlb))
+        [ Mmu.itlb mmu; Mmu.dtlb mmu ] )
+  in
+  for i = 0 to 1999 do
+    let roll = Rng.int stream 100 in
+    let task = Rng.int stream 2 in
+    let page = Rng.int stream (text_pages + data_pages) in
+    let ea =
+      text_base + (page lsl Addr.page_shift)
+      + (Rng.int stream (Addr.page_size / Addr.line_size) lsl Addr.line_shift)
+    in
+    let step k tasks =
+      match
+        if roll < 3 then Kernel.switch_to k tasks.(task)
+        else if roll < 6 then
+          match Kernel.current k with
+          | Some t -> Kernel.flush_range k ~mm:t.Kernel_sim.Task.mm ~ea ~pages:1
+          | None -> ()
+        else
+          Kernel.touch k
+            (if roll < 55 then Mmu.Load
+             else if roll < 85 then Mmu.Store
+             else Mmu.Fetch)
+            ea
+      with
+      | () -> true
+      | exception Kernel.Segfault _ -> false
+    in
+    let ok = step plain plain_tasks in
+    if ok <> step armed armed_tasks then
+      Alcotest.failf "%s: op %d: outcomes differ" machine.Machine.name i;
+    if not ok then incr segfaults;
+    if state plain <> state armed then
+      Alcotest.failf "%s: op %d: kernels differ" machine.Machine.name i
+  done;
+  let p = Kernel.perf plain in
+  Alcotest.(check bool) "one kernel observed, the other not" true
+    (Memsys.observed (Kernel.memsys armed)
+    && not (Memsys.observed (Kernel.memsys plain)));
+  Alcotest.(check int) "the recorder never fired" 0
+    (Recorder.total (Kernel.recorder armed));
+  Alcotest.(check bool) "TLB misses, faults and read-only stores" true
+    (p.Perf.dtlb_misses > 0 && p.Perf.itlb_misses > 0
+    && p.Perf.page_faults > 0 && !segfaults > 0)
+
 let suite =
   [ Alcotest.test_case "flat slot accessors" `Quick test_slot_accessors;
     Alcotest.test_case "htab tag exactness" `Quick test_htab_tag_exactness;
@@ -1460,3 +1705,27 @@ let suite =
               (prop_runs_match_single_calls machine mode))
           [ Unlocked; Locked; Inhibited ])
       run_machines
+  @ List.map
+      (fun (name, knobs, machine) ->
+        Alcotest.test_case
+          (Printf.sprintf "straight-line reload == stepwise (%s)" name)
+          `Quick
+          (reload_equivalence ~knobs machine))
+      (List.map (fun m -> (Machine.slug m, Mmu.default_knobs, m)) Machine.all
+      @ [ ( "603-133, no htab",
+            { Mmu.default_knobs with use_htab = false },
+            Machine.ppc603_133 );
+          ( "604-185, page tables inhibited",
+            { Mmu.default_knobs with cache_inhibit_pagetables = true },
+            Machine.ppc604_185 ) ])
+  @ List.map
+      (fun (name, policy, machine) ->
+        Alcotest.test_case
+          (Printf.sprintf "straight-line reload == stepwise, kernel (%s)" name)
+          `Quick
+          (kernel_reload_equivalence ~policy machine))
+      [ ("604-185", Kernel_sim.Policy.optimized, Machine.ppc604_185);
+        ("603-133", Kernel_sim.Policy.optimized, Machine.ppc603_133);
+        ( "603-133, no htab",
+          { Kernel_sim.Policy.optimized with use_htab = false },
+          Machine.ppc603_133 ) ]

@@ -223,18 +223,16 @@ let test_base_must_be_pteg_aligned () =
         (fun () -> ignore (Htab.create ~base_pa ~n_ptes:64 () : Htab.t)))
     [ 0x100020; 0x100008; 0x300001 ]
 
-(* The runs a search reports: a hit in primary slot [k] is one run of
-   [k + 1] when it stays in the first line, two when it does not; a
-   miss reads both PTEGs whole, four runs of four. *)
+(* The runs [Htab] defines for a search: a hit in primary slot [k] is
+   one run of [k + 1] when it stays in the first line, two when it does
+   not; a miss reads both PTEGs whole, four runs of four. *)
 let test_search_line_runs () =
   let h = Htab.create ~base_pa:0x300000 ~n_ptes:1024 () in
   let runs_of vsid =
-    let runs = ref [] in
-    ignore
-      (Htab.search_slot h ~vsid ~page_index:0
-         ~on_run:(fun pa n -> runs := (pa, n) :: !runs)
-        : int);
-    List.rev !runs
+    let i = Htab.find_slot h ~vsid ~page_index:0 in
+    let len = Htab.probe_len h ~vsid ~page_index:0 i in
+    List.init (Htab.runs ~len) (fun k ->
+        (Htab.run_pa h ~vsid ~page_index:0 k, Htab.run_slots ~len k))
   in
   let vsids = colliding_vsids h 6 in
   List.iter (fun vsid -> ignore (insert h ~vsid ~page_index:0 : int)) vsids;

@@ -193,8 +193,7 @@ let test_changed_bit_set_eagerly () =
   | Some h ->
       let find pidx =
         let i =
-          Htab.search_slot h ~vsid:(user_vsid_base + 0) ~page_index:pidx
-            ~on_run:(fun _ _ -> ())
+          Htab.find_slot h ~vsid:(user_vsid_base + 0) ~page_index:pidx
         in
         if i < 0 then None else Some (Htab.decode h i)
       in
