@@ -55,6 +55,14 @@ let renumber_runs next lines =
       | _ -> l)
     lines
 
+(* A run that did not pass exits 1, as [check] does, with the message
+   laid out as cmdliner lays out an error; 124 stays cmdliner's usage
+   error. *)
+let fail msg =
+  prerr_endline
+    ("mmu_sim: " ^ String.concat "\n         " (String.split_on_char '\n' msg));
+  exit 1
+
 let run names seed cpus jobs timeout retries strict shadow csv json out traced
     timeline profiled spanned sample_every record record_every detect_file
     requests =
@@ -274,34 +282,32 @@ let run names seed cpus jobs timeout retries strict shadow csv json out traced
         unclean;
       flush stderr
     end;
-    if hard <> [] then
-      Error
-        (`Msg
+    let failure =
+      if hard <> [] then
+        Some
           (String.concat "; "
-             (List.map
-                (fun (id, o) -> id ^ ": " ^ Runner.describe o)
-                hard)))
-    else if divergent <> [] then
-      Error
-        (`Msg
+             (List.map (fun (id, o) -> id ^ ": " ^ Runner.describe o) hard))
+      else if divergent <> [] then
+        Some
           (Printf.sprintf
              "shadow: fast path diverged from the reference MMU in %s \
               (reports above)"
-             (String.concat ", "
-                (List.map fst divergent))))
-    else if strict && degraded <> [] then
-      Error
-        (`Msg
+             (String.concat ", " (List.map fst divergent)))
+      else if strict && degraded <> [] then
+        Some
           (Printf.sprintf
              "--strict: %d experiment(s) needed supervision (see table above)"
-             (List.length degraded)))
-    else if strict && incidents <> [] then
-      Error
-        (`Msg
+             (List.length degraded))
+      else if strict && incidents <> [] then
+        Some
           (Printf.sprintf
              "--strict: %d flight-recorder incident(s) fired (see stderr)"
-             (List.length incidents)))
-    else Ok ()
+             (List.length incidents))
+      else None
+    in
+    match failure with
+    | None -> Ok ()
+    | Some msg -> fail msg
   end
 
 let experiment_id =

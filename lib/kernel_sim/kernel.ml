@@ -422,6 +422,17 @@ let flush_whole_mm t ~mm =
 
 (* --- processes -------------------------------------------------------- *)
 
+(* The trace's record of an address-space edit: [kind] is [Vma_map] or
+   [Vma_unmap], owned by the address space's pid.  Called wherever the
+   kernel adds or removes a vma. *)
+let trace_vma t kind mm (v : Mm.vma) =
+  Trace.emit (trace t) kind ~pid:(Mm.pid mm) ~a:v.Mm.va_start
+    ~b:v.Mm.va_pages
+
+let add_vma t mm v =
+  Mm.add_vma mm v;
+  trace_vma t Trace.Vma_map mm v
+
 let standard_vmas ~text_pages ~data_pages ~stack_pages =
   [ { Mm.va_start = Mm.user_text_base; va_pages = text_pages;
       va_writable = false; va_backing = Mm.Anonymous };
@@ -439,10 +450,9 @@ let spawn t ?(text_pages = 16) ?(data_pages = 16) ?(stack_pages = 8) () =
   let pid = t.next_pid in
   t.next_pid <- t.next_pid + 1;
   let mm =
-    Mm.create ~trace:(trace t) ~physmem:t.k_physmem ~vsid_alloc:t.k_vsid ~pid
-      ()
+    Mm.create ~physmem:t.k_physmem ~vsid_alloc:t.k_vsid ~pid ()
   in
-  List.iter (Mm.add_vma mm) (standard_vmas ~text_pages ~data_pages ~stack_pages);
+  List.iter (add_vma t mm) (standard_vmas ~text_pages ~data_pages ~stack_pages);
   let task = Task.create ~pid ~mm in
   t.k_tasks <- task :: t.k_tasks;
   task
@@ -545,7 +555,7 @@ let sys_map_framebuffer t ~pages =
     ~instrs:(Kparams.mmap_base_cost + (pages * Kparams.mmap_per_page))
     ~data:(current_task_refs t);
   let ea = Mm.framebuffer_base in
-  Mm.add_vma mm
+  add_vma t mm
     { Mm.va_start = ea; va_pages = pages; va_writable = true;
       va_backing = Mm.Phys_window framebuffer_rpn };
   task.Task.maps_framebuffer <- true;
@@ -769,7 +779,7 @@ let sys_mmap t ~pages ~writable =
     ~instrs:(Kparams.mmap_base_cost + (pages * Kparams.mmap_per_page))
     ~data:(current_task_refs t);
   let ea = Mm.alloc_mmap_range mm ~pages in
-  Mm.add_vma mm
+  add_vma t mm
     { Mm.va_start = ea; va_pages = pages; va_writable = writable;
       va_backing = Mm.Anonymous };
   (* New mappings for this range must be the only ones visible: flush the
@@ -785,6 +795,7 @@ let sys_munmap t ~ea ~pages =
   (match Mm.remove_vma mm ~start:ea with
   | None -> invalid_arg "Kernel.sys_munmap: no vma at address"
   | Some vma ->
+      trace_vma t Trace.Vma_unmap mm vma;
       if vma.Mm.va_pages <> pages then
         invalid_arg "Kernel.sys_munmap: size mismatch";
       match vma.Mm.va_backing with
@@ -813,7 +824,7 @@ let sys_mmap_file t file ~from_page ~pages ~writable =
     ~instrs:(Kparams.mmap_base_cost + (pages * Kparams.mmap_per_page))
     ~data:(current_task_refs t);
   let ea = Mm.alloc_mmap_range mm ~pages in
-  Mm.add_vma mm
+  add_vma t mm
     { Mm.va_start = ea; va_pages = pages; va_writable = writable;
       va_backing = Mm.File_pages (file, from_page) };
   flush_range t ~mm ~ea ~pages;
@@ -850,10 +861,9 @@ let sys_fork t =
   let pid = t.next_pid in
   t.next_pid <- t.next_pid + 1;
   let cmm =
-    Mm.create ~trace:(trace t) ~physmem:t.k_physmem ~vsid_alloc:t.k_vsid ~pid
-      ()
+    Mm.create ~physmem:t.k_physmem ~vsid_alloc:t.k_vsid ~pid ()
   in
-  List.iter (fun vma -> Mm.add_vma cmm vma) (Mm.vmas pmm);
+  List.iter (add_vma t cmm) (Mm.vmas pmm);
   let cpt = Mm.pagetable cmm in
   let ppt = Mm.pagetable pmm in
   (* Copy-on-write: both sides reference the same frame read-only; the
@@ -903,7 +913,7 @@ let sys_exec t ~text_pages ~data_pages ~stack_pages =
   flush_whole_mm t ~mm;
   release_address_space t mm;
   Mm.reset_vmas mm;
-  List.iter (Mm.add_vma mm)
+  List.iter (add_vma t mm)
     (standard_vmas ~text_pages ~data_pages ~stack_pages);
   task.Task.code_cursor <- Mm.user_text_base;
   syscall_ret t

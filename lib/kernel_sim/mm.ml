@@ -21,7 +21,6 @@ type t = {
   (* bitmask of CPUs this address space has run on — the conservative
      shootdown target set, like Linux's mm_cpumask; never narrowed *)
   mutable mm_cpumask : int;
-  mm_trace : Trace.t option;
 }
 
 let user_text_base = 0x01800000
@@ -29,7 +28,7 @@ let user_mmap_base = 0x40000000
 let user_stack_top = 0x80000000
 let framebuffer_base = 0x60000000
 
-let create ?trace ~physmem ~vsid_alloc ~pid () =
+let create ~physmem ~vsid_alloc ~pid () =
   let ctx = Vsid_alloc.new_context vsid_alloc ~pid in
   let ctx_pa =
     Kparams.kernel_phys_of_virt (Kparams.task_struct_ea ~pid)
@@ -39,8 +38,7 @@ let create ?trace ~physmem ~vsid_alloc ~pid () =
     pt = Pagetable.create ~physmem ~ctx_pa;
     mm_vmas = [];
     mmap_cursor = user_mmap_base;
-    mm_cpumask = 0;
-    mm_trace = trace }
+    mm_cpumask = 0 }
 
 let pid t = t.mm_pid
 let ctx t = t.mm_ctx
@@ -62,23 +60,13 @@ let add_vma t v =
     invalid_arg "Mm.add_vma: malformed vma";
   if List.exists (overlaps v) t.mm_vmas then
     invalid_arg "Mm.add_vma: overlapping vma";
-  t.mm_vmas <- v :: t.mm_vmas;
-  match t.mm_trace with
-  | Some tr when Trace.enabled tr ->
-      Trace.emit tr Trace.Vma_map ~pid:t.mm_pid ~a:v.va_start
-        ~b:v.va_pages
-  | Some _ | None -> ()
+  t.mm_vmas <- v :: t.mm_vmas
 
 let remove_vma t ~start =
   match List.partition (fun v -> v.va_start = start) t.mm_vmas with
   | [], _ -> None
   | v :: _, rest ->
       t.mm_vmas <- rest;
-      (match t.mm_trace with
-      | Some tr when Trace.enabled tr ->
-          Trace.emit tr Trace.Vma_unmap ~pid:t.mm_pid ~a:v.va_start
-            ~b:v.va_pages
-      | Some _ | None -> ());
       Some v
 
 let grow_vma t ~start ~extra_pages =

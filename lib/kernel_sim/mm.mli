@@ -44,15 +44,8 @@ val framebuffer_base : Addr.ea
     segment, so a dedicated BAT or segment policy can target it). *)
 
 val create :
-  ?trace:Trace.t ->
-  physmem:Physmem.t ->
-  vsid_alloc:Vsid_alloc.t ->
-  pid:int ->
-  unit ->
-  t
-(** Allocates the pgd and issues a live context id.  When [trace] is
-    given, vma map/unmap events are emitted to it (only while tracing is
-    enabled). *)
+  physmem:Physmem.t -> vsid_alloc:Vsid_alloc.t -> pid:int -> unit -> t
+(** Allocates the pgd and issues a live context id. *)
 
 val pid : t -> int
 val ctx : t -> int

@@ -251,18 +251,6 @@ let[@inline] observed t =
   Trace.enabled t.trace || Profile.enabled t.profile || Span.enabled t.span
   || sampling t
 
-(* One fused trap charge: counters end up identical to
-   [stall t stall; instructions t instr], with a single deadline check
-   instead of two.  Used to batch the reload sequence's back-to-back
-   stall + handler-instruction charges. *)
-let[@inline] instructions_stall t ~instr ~stall:stall_cycles =
-  if sampling t then begin
-    if stall_cycles > 0 then stall t stall_cycles;
-    if instr > 0 then instructions t instr
-  end
-  else if instr + stall_cycles > 0 then
-    charge t (instructions_cycles t instr + stall_cycles)
-
 (* The references a run stands for, one by one, for while a recorder is
    armed: each counts, charges its instructions and then its data
    reference, so every sample sees the counters it always saw. *)

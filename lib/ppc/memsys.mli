@@ -17,21 +17,22 @@
     {!Profile} occupancy map read.  Each charge tests the two deadlines
     and nothing else.
 
-    Fused charges and runs ({!instructions_stall}, {!table_run},
-    {!zero_lines}) simulate several charges in one call.  Unarmed, no
-    sample can fire inside a charge, so they move every counter by the
-    same totals with one charge; while {!sampling} they take the
-    historical sequence, every counter bumped just before its own
-    charge, so samples see what they always saw.
+    Fused runs ({!table_run}, {!zero_lines}) simulate several charges
+    in one call.  Unarmed, no sample can fire inside a charge, so they
+    move every counter by the same totals with one charge; while
+    {!sampling} they take the historical sequence, every counter bumped
+    just before its own charge, so samples see what they always saw.
 
     The [_cycles] forms ({!data_ref_cycles}, {!inst_ref_cycles},
     {!instructions_cycles}, {!table_run_cycles}) do everything their
     charging form does except the charge: they touch the cache, bump
     the counters and return the cycles, for a caller that sums several
     and charges once ({!stall}).  Only an unobserved caller may, since
-    a sample could have fallen between the charges it sums.  Each
-    reference's cost arithmetic is written once and both forms use
-    it. *)
+    a sample, event or attribution could have fallen between the
+    charges it sums: [Mmu]'s TLB miss is one sequence that takes the
+    charging forms while {!observed} and sums the [_cycles] forms
+    otherwise.  Each reference's cost arithmetic is written once and
+    both forms use it. *)
 
 type t
 
@@ -134,12 +135,6 @@ val observed : t -> bool
     event trace, the profiler, request spans, or either recorder
     ({!sampling}).  While none does, nothing reads a counter between
     two charges, so a caller may sum [_cycles] forms into one. *)
-
-val instructions_stall : t -> instr:int -> stall:int -> unit
-(** [instructions_stall t ~instr ~stall] is
-    [stall t stall; instructions t instr] fused into one charge (one
-    deadline check) — the reload sequence's trap stall plus handler path
-    length batched together. *)
 
 val table_run :
   t ->

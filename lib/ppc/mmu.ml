@@ -155,10 +155,6 @@ let[@inline] htab_run t pa n =
 let[@inline] probe_instr (c : Reload_engine.costs) =
   if c.Reload_engine.software_search then 4 else 0
 
-(* The handler prologue a backend runs on entry, fast generation. *)
-let[@inline] entry_instr (c : Reload_engine.costs) =
-  if c.Reload_engine.handler_on_entry then Cost.sw_reload_fast_instr else 0
-
 let noop_ref (_ : Addr.pa) = ()
 let noop_run (_ : Addr.pa) (_ : int) = ()
 
@@ -166,17 +162,42 @@ let noop_run (_ : Addr.pa) (_ : int) = ()
    allocates nothing. *)
 let changed_true = Some true
 
-(* Handler path length: fast assembly vs original C with state save. *)
-let handler t ~fast ~slow ~slow_stack_refs =
-  if t.knobs.fast_reload then Memsys.instructions t.memsys fast
-  else begin
-    Memsys.instructions t.memsys slow;
-    for i = 0 to slow_stack_refs - 1 do
-      Memsys.data_ref t.memsys ~source:Cache.Kernel ~inhibited:false
-        ~write:true
-        (handler_stack_pa + (i * Addr.line_size))
-    done
+(* One step of a TLB miss: charged now while [observed], so every
+   sample, event and attribution sees each charge land in turn, else
+   returned as cycles the miss owes to its one charge. *)
+let[@inline] step t ~observed cycles =
+  if observed then begin
+    if cycles > 0 then Memsys.stall t.memsys cycles;
+    0
   end
+  else cycles
+
+(* The original C handler: its path length, then the state save's stack
+   references, each with its own charges while observed (a dirty
+   victim's write-back is a second one).  Out of line, beside the fast
+   handler's one step. *)
+let[@inline never] slow_handler t ~observed ~instr ~stack_refs =
+  let owed =
+    ref (step t ~observed (Memsys.instructions_cycles t.memsys instr))
+  in
+  for i = 0 to stack_refs - 1 do
+    let pa = handler_stack_pa + (i * Addr.line_size) in
+    if observed then
+      Memsys.data_ref t.memsys ~source:Cache.Kernel ~inhibited:false
+        ~write:true pa
+    else
+      owed :=
+        !owed
+        + Memsys.data_ref_cycles t.memsys ~source:Cache.Kernel
+            ~inhibited:false ~write:true pa
+  done;
+  !owed
+
+(* Handler path length: fast assembly vs original C with state save. *)
+let[@inline] handler t ~observed ~fast ~slow ~slow_stack_refs =
+  if t.knobs.fast_reload then
+    step t ~observed (Memsys.instructions_cycles t.memsys fast)
+  else slow_handler t ~observed ~instr:slow ~stack_refs:slow_stack_refs
 
 let create ?(htab_base_pa = 0x0030_0000) ?(cpus = 1) ~machine ~memsys ~knobs
     ~backing ~rng () =
@@ -339,9 +360,11 @@ let walk_and_fill t ~vsid ~ea ~page_index ~store =
   let r = t.backing.walk ~on_ref:t.on_pt_ref ea in
   (match t.htab with
   | Some h when r >= 0 ->
-      handler t ~fast:Cost.htab_insert_fast_instr
-        ~slow:Cost.htab_insert_slow_instr
-        ~slow_stack_refs:Cost.htab_insert_slow_stack_refs;
+      ignore
+        (handler t ~observed:true ~fast:Cost.htab_insert_fast_instr
+           ~slow:Cost.htab_insert_slow_instr
+           ~slow_stack_refs:Cost.htab_insert_slow_stack_refs
+          : int);
       let p = perf t in
       p.Perf.htab_reloads <- p.Perf.htab_reloads + 1;
       (* "we updated the page-table PTE dirty/modified bits when we
@@ -386,93 +409,21 @@ let[@inline] htab_answer h i =
     ~inhibited:(Htab.inhibited w1)
   lor r_from_htab
 
-(* The search, charged run by run: the runs are the ones [Htab] defines
-   for where the probe stopped. *)
-let search_htab t h ~vsid ~page_index ~instr =
-  let p = perf t in
-  p.Perf.htab_searches <- p.Perf.htab_searches + 1;
-  let i = Htab.find_slot h ~vsid ~page_index in
-  let len = Htab.probe_len h ~vsid ~page_index i in
-  for k = 0 to Htab.runs ~len - 1 do
-    Memsys.table_run t.memsys ~instr ~source:Cache.Htab
-      ~inhibited:t.knobs.cache_inhibit_pagetables ~write:false
-      (Htab.run_pa h ~vsid ~page_index k)
-      (Htab.run_slots ~len k)
-  done;
-  if i >= 0 then p.Perf.htab_hits <- p.Perf.htab_hits + 1
-  else p.Perf.htab_misses <- p.Perf.htab_misses + 1;
-  let tr = trace t in
-  if Trace.enabled tr then
-    Trace.emit_htab_probe tr ~pid:t.pid ~len ~hit:(i >= 0);
-  if i < 0 then -1 else htab_answer h i
-
-let reload_handler t =
-  handler t ~fast:Cost.sw_reload_fast_instr ~slow:Cost.sw_reload_slow_instr
+let[@inline] reload_handler t ~observed =
+  handler t ~observed ~fast:Cost.sw_reload_fast_instr
+    ~slow:Cost.sw_reload_slow_instr
     ~slow_stack_refs:Cost.sw_reload_slow_stack_refs
 
 (* The miss trap and the software fill, once every faster mechanism has
-   missed.  A top-level function rather than a closure inside [reload],
-   which would be allocated on every reload whether it ran or not, and
-   out of line: the page-table walk calls the kernel's closure. *)
-let[@inline never] trap_and_fill t (c : Reload_engine.costs) ~batched ~vsid
-    ~ea ~page_index ~store =
-  if batched then
-    Memsys.instructions_stall t.memsys
-      ~instr:
-        (if c.Reload_engine.handler_on_miss then Cost.sw_reload_fast_instr
-         else 0)
-      ~stall:c.Reload_engine.miss_trap_cycles
-  else begin
-    if c.Reload_engine.miss_trap_cycles > 0 then
-      Memsys.stall t.memsys c.Reload_engine.miss_trap_cycles;
-    if c.Reload_engine.handler_on_miss then reload_handler t
-  end;
+   missed.  Each step charges as it goes, observed or not: the fill
+   charges its page-table loads itself.  Out of line: the page-table
+   walk calls the kernel's closure. *)
+let[@inline never] trap_and_fill t (c : Reload_engine.costs) ~vsid ~ea
+    ~page_index ~store =
+  ignore (step t ~observed:true c.Reload_engine.miss_trap_cycles : int);
+  if c.Reload_engine.handler_on_miss then
+    ignore (reload_handler t ~observed:true : int);
   walk_and_fill t ~vsid ~ea ~page_index ~store
-
-(* One generic reload sequence driven by the selected backend's cost
-   row; the per-style branching lives in [Reload_engine.cost_table], not
-   here.  Returns the packed translation (see [pack]), whose
-   [r_from_htab] bit says which structure produced it.  This is the
-   stepwise sequence, charge by charge, for an observed miss (and for
-   the machines [straight_miss] does not serve).
-
-   With the fast handlers selected and no recorder armed, the
-   back-to-back charges of each trap (entry stall + handler path length
-   + hash setup; miss trap + fill handler) are batched into one
-   [Memsys.instructions_stall] each — counter-identical, fewer deadline
-   checks.  The slow-handler generation keeps the charge-by-charge
-   sequence: its state save interleaves data references. *)
-let reload t ~vsid ~ea ~store =
-  let page_index = Addr.page_index ea in
-  let c = Reload_engine.costs t.engine in
-  let batched = t.knobs.fast_reload && not (Memsys.sampling t.memsys) in
-  let entry_instr = entry_instr c in
-  match t.htab with
-  | None ->
-      if batched then
-        Memsys.instructions_stall t.memsys ~instr:entry_instr
-          ~stall:c.Reload_engine.entry_stall_cycles
-      else begin
-        if c.Reload_engine.entry_stall_cycles > 0 then
-          Memsys.stall t.memsys c.Reload_engine.entry_stall_cycles;
-        if c.Reload_engine.handler_on_entry then reload_handler t
-      end;
-      trap_and_fill t c ~batched ~vsid ~ea ~page_index ~store
-  | Some h ->
-      if batched then
-        Memsys.instructions_stall t.memsys
-          ~instr:(entry_instr + c.Reload_engine.hash_setup_instr)
-          ~stall:c.Reload_engine.entry_stall_cycles
-      else begin
-        if c.Reload_engine.entry_stall_cycles > 0 then
-          Memsys.stall t.memsys c.Reload_engine.entry_stall_cycles;
-        if c.Reload_engine.handler_on_entry then reload_handler t;
-        if c.Reload_engine.hash_setup_instr > 0 then
-          Memsys.instructions t.memsys c.Reload_engine.hash_setup_instr
-      end;
-      let r = search_htab t h ~vsid ~page_index ~instr:(probe_instr c) in
-      if r >= 0 then r
-      else trap_and_fill t c ~batched ~vsid ~ea ~page_index ~store
 
 (* --- the access path -------------------------------------------------- *)
 
@@ -481,12 +432,6 @@ let[@inline] final_ref t kind pa ~inhibited ~source =
   | Fetch -> Memsys.inst_ref t.memsys pa
   | Load -> Memsys.data_ref t.memsys ~source ~inhibited ~write:false pa
   | Store -> Memsys.data_ref t.memsys ~source ~inhibited ~write:true pa
-
-let[@inline] final_ref_cycles t kind pa ~inhibited ~source =
-  match kind with
-  | Fetch -> Memsys.inst_ref_cycles t.memsys pa
-  | Load -> Memsys.data_ref_cycles t.memsys ~source ~inhibited ~write:false pa
-  | Store -> Memsys.data_ref_cycles t.memsys ~source ~inhibited ~write:true pa
 
 let[@inline] count_lookup t kind =
   let p = perf t in
@@ -507,36 +452,54 @@ let[@inline] count_miss t kind =
 let[@inline] source_of_ea ea =
   if Segment.is_kernel_ea ea then Cache.Kernel else Cache.User
 
-(* A TLB miss charge by charge, every event, attribution, sample and
-   shadow comparison where it always was: the sequence for an observed
-   miss, and for the ones [straight_miss] does not serve (no htab, or
-   the slow handlers, whose state save interleaves data references). *)
-let[@inline never] stepwise_miss t kind ea ~vsid ~vpn ~tlb ~source ~store =
-  let tr = trace t in
-  let traced = Trace.enabled tr in
+(* One line run of a search's PTE reads as a step. *)
+let[@inline] run_step t ~observed ~instr pa n =
+  let inhibited = t.knobs.cache_inhibit_pagetables in
+  if observed then begin
+    Memsys.table_run t.memsys ~instr ~source:Cache.Htab ~inhibited
+      ~write:false pa n;
+    0
+  end
+  else
+    Memsys.table_run_cycles t.memsys ~instr ~source:Cache.Htab ~inhibited
+      ~write:false pa n
+
+(* The final reference as a step. *)
+let[@inline] final_step t ~observed kind pa ~inhibited ~source =
+  if observed then begin
+    final_ref t kind pa ~inhibited ~source;
+    0
+  end
+  else
+    match kind with
+    | Fetch -> Memsys.inst_ref_cycles t.memsys pa
+    | Load ->
+        Memsys.data_ref_cycles t.memsys ~source ~inhibited ~write:false pa
+    | Store ->
+        Memsys.data_ref_cycles t.memsys ~source ~inhibited ~write:true pa
+
+(* A miss's last step: the shadow comparison while observed, else the
+   one charge of everything it owed. *)
+let[@inline] settle t ~observed ~owed kind ea ~pa ~inhibited ~answered =
+  if observed then shadow_check t kind ea ~pa ~inhibited ~answered
+  else Memsys.stall t.memsys owed
+
+(* Which structure produced a packed translation, as the shadow names
+   it. *)
+let[@inline] answered_by r =
+  if r land r_from_htab <> 0 then Shadow.Htab else Shadow.Page_table
+
+(* The observed miss's hooks, out of line beside it.  Observation only:
+   no cycles, no cache traffic, no RNG.
+
+   Attribution: the full reload service cost is charged to the owning
+   (pid, segment) under the TLB kind, and a reload that also missed the
+   htab is charged again under the htab kind.  The same cost lands on
+   the request the CPU is serving, with the htab-missing subset
+   tagged. *)
+let[@inline never] attribute_reload t kind ea ~cost ~htab_missed =
   let pr = profile t in
-  let profiling = Profile.enabled pr in
-  let sp = span t in
-  let spanning = Span.enabled sp in
-  let miss_start =
-    if traced || profiling || spanning then (perf t).Perf.cycles else 0
-  in
-  let htab_misses_before =
-    if profiling || spanning then (perf t).Perf.htab_misses else 0
-  in
-  if traced then
-    Trace.emit tr
-      (match kind with
-      | Fetch -> Trace.Itlb_miss
-      | Load | Store -> Trace.Dtlb_miss)
-      ~pid:t.pid ~a:ea ~b:0;
-  let reloaded = reload t ~vsid ~ea ~store in
-  (* Attribution: the full reload service cost is charged to the
-     owning (pid, segment) under the TLB kind; a reload that also
-     missed the htab is charged again under the htab kind.
-     Observation only — no cycles, no cache traffic, no RNG. *)
-  if profiling then begin
-    let cost = (perf t).Perf.cycles - miss_start in
+  if Profile.enabled pr then begin
     let pid = t.pid in
     let seg = Addr.sr_index ea in
     let page = Addr.page_base ea in
@@ -546,132 +509,130 @@ let[@inline never] stepwise_miss t kind ea ~vsid ~vpn ~tlb ~source ~store =
       | Load | Store -> Profile.Dtlb
     in
     Profile.charge_miss pr ~pid ~seg ~page ~kind:mk ~cost;
-    if (perf t).Perf.htab_misses > htab_misses_before then
+    if htab_missed then
       Profile.charge_miss pr ~pid ~seg ~page ~kind:Profile.Htab_miss ~cost
   end;
-  (* Span attribution: the same service cost lands on the request the
-     CPU is serving, with the htab-missing subset tagged. *)
-  if spanning then
-    Span.charge_reload sp
-      ~cost:((perf t).Perf.cycles - miss_start)
-      ~htab_missed:((perf t).Perf.htab_misses > htab_misses_before);
-  if reloaded < 0 then begin
-    shadow_check t kind ea ~pa:(-1) ~inhibited:false
-      ~answered:Shadow.No_translation;
-    -1
-  end
-  else begin
-    let rpn = reloaded lsr 3 in
-    let inhibited = reloaded land r_inhibited <> 0 in
-    let writable = reloaded land r_writable <> 0 in
-    let answered =
-      if reloaded land r_from_htab <> 0 then Shadow.Htab else Shadow.Page_table
-    in
-    let victim_vpn = Tlb.insert_flat tlb ~vpn ~rpn ~inhibited ~writable in
-    if traced then begin
-      if victim_vpn >= 0 then
-        Trace.emit tr Trace.Tlb_evict ~pid:t.pid ~a:victim_vpn
-          ~b:(Addr.vsid_of_vpn victim_vpn);
-      Trace.emit_tlb_service tr ~pid:t.pid ~ea
-        ~cost:((perf t).Perf.cycles - miss_start)
-    end;
-    (* kernel-vs-user slot census, taken while the TLB contents
-       are freshest (right after the fill) *)
-    if profiling then
-      Profile.note_tlb_census pr
-        ~kernel:(kernel_tlb_entries t ~is_kernel_vsid:t.is_kernel_vsid)
-        ~occupied:(tlb_occupancy t);
-    if store && not writable then begin
-      shadow_check t kind ea ~pa:(-1) ~inhibited:false ~answered;
-      -1
-    end
-    else begin
-      let pa = Addr.pa_of ~rpn ~ea in
-      final_ref t kind pa ~inhibited ~source;
-      shadow_check t kind ea ~pa ~inhibited ~answered;
-      pa
-    end
-  end
+  Span.charge_reload (span t) ~cost ~htab_missed
 
-(* The cycles of a search's PTE reads, uncharged: one
-   [Memsys.table_run_cycles] per run [Htab] defines. *)
-let[@inline] probe_cycles t h ~vsid ~page_index ~len ~instr =
-  let cycles = ref 0 in
-  for k = 0 to Htab.runs ~len - 1 do
-    cycles :=
-      !cycles
-      + Memsys.table_run_cycles t.memsys ~instr ~source:Cache.Htab
-          ~inhibited:t.knobs.cache_inhibit_pagetables ~write:false
-          (Htab.run_pa h ~vsid ~page_index k)
-          (Htab.run_slots ~len k)
-  done;
-  !cycles
+(* The TLB fill's events, and the kernel-vs-user slot census, taken
+   while the TLB contents are freshest. *)
+let[@inline never] note_tlb_fill t ea ~victim_vpn ~cost =
+  let tr = trace t in
+  if Trace.enabled tr then begin
+    if victim_vpn >= 0 then
+      Trace.emit tr Trace.Tlb_evict ~pid:t.pid ~a:victim_vpn
+        ~b:(Addr.vsid_of_vpn victim_vpn);
+    Trace.emit_tlb_service tr ~pid:t.pid ~ea ~cost
+  end;
+  let pr = profile t in
+  if Profile.enabled pr then
+    Profile.note_tlb_census pr
+      ~kernel:(kernel_tlb_entries t ~is_kernel_vsid:t.is_kernel_vsid)
+      ~occupied:(tlb_occupancy t)
 
-(* An unobserved TLB miss with the fast handlers and an htab, as one
-   straight-line sequence (§6.1's handler rewrite, applied to the
-   simulator).  Nothing watches, so nothing can read the machine between
-   two charges: the trap entry, the PTE reads and the final reference
-   are summed into one charge.  The cache sees the stepwise sequence's
-   references in its order and every counter ends where the stepwise
-   sequence leaves it.  An htab miss still leaves through
-   [trap_and_fill]. *)
-let[@inline] straight_miss t h kind ea ~vsid ~vpn ~tlb ~source ~store =
+(* The TLB miss, written once: the trap entry and its handler, the hash
+   setup and the PTE line runs [Htab] defines for the probe, the fill
+   on an htab miss, the TLB insert and the final reference, each step
+   driven by the backend's cost row ([Reload_engine.cost_table]), for
+   both handler generations.  [access_miss] compiles it twice.
+
+   Observed, each step charges as it goes, and the trace, profile, span
+   and shadow hooks run between the charges; an armed recorder samples
+   the charge-by-charge order, reference by reference.
+   Unobserved, nothing can read the machine between two charges, so
+   each step adds its cycles to [owed] and the miss charges them once
+   (§6.1's straight-line handler, applied to the simulator): the caches
+   see the same references in the same order, and every counter ends
+   where the observed sequence leaves it.  The fill after an htab miss
+   charges as it goes either way.
+
+   Each hook tests [observed] itself, never a flag bound from it: once
+   [observed] is a constant, ocamlopt folds the former away but keeps a
+   test of the latter, and with it the hook's call. *)
+let[@inline] miss t kind ea ~observed ~vsid ~vpn ~tlb ~source ~store =
   let c = Reload_engine.costs t.engine in
-  let page_index = Addr.page_index ea in
   let p = perf t in
-  p.Perf.htab_searches <- p.Perf.htab_searches + 1;
-  let i = Htab.find_slot h ~vsid ~page_index in
-  let pending =
-    Memsys.instructions_cycles t.memsys
-      (entry_instr c + c.Reload_engine.hash_setup_instr)
-    + c.Reload_engine.entry_stall_cycles
-    + probe_cycles t h ~vsid ~page_index
-        ~len:(Htab.probe_len h ~vsid ~page_index i)
-        ~instr:(probe_instr c)
-  in
+  let miss_start = if observed then p.Perf.cycles else 0 in
+  let htab_misses_before = if observed then p.Perf.htab_misses else 0 in
+  if observed then
+    Trace.emit (trace t)
+      (match kind with
+      | Fetch -> Trace.Itlb_miss
+      | Load | Store -> Trace.Dtlb_miss)
+      ~pid:t.pid ~a:ea ~b:0;
+  let page_index = Addr.page_index ea in
+  let owed = ref (step t ~observed c.Reload_engine.entry_stall_cycles) in
+  if c.Reload_engine.handler_on_entry then
+    owed := !owed + reload_handler t ~observed;
   let r =
-    if i >= 0 then begin
-      p.Perf.htab_hits <- p.Perf.htab_hits + 1;
-      htab_answer h i
-    end
-    else begin
-      p.Perf.htab_misses <- p.Perf.htab_misses + 1;
-      trap_and_fill t c ~batched:true ~vsid ~ea ~page_index ~store
-    end
+    match t.htab with
+    | None -> trap_and_fill t c ~vsid ~ea ~page_index ~store
+    | Some h ->
+        owed :=
+          !owed
+          + step t ~observed
+              (Memsys.instructions_cycles t.memsys
+                 c.Reload_engine.hash_setup_instr);
+        p.Perf.htab_searches <- p.Perf.htab_searches + 1;
+        let i = Htab.find_slot h ~vsid ~page_index in
+        let len = Htab.probe_len h ~vsid ~page_index i in
+        for k = 0 to Htab.runs ~len - 1 do
+          owed :=
+            !owed
+            + run_step t ~observed ~instr:(probe_instr c)
+                (Htab.run_pa h ~vsid ~page_index k)
+                (Htab.run_slots ~len k)
+        done;
+        if i >= 0 then p.Perf.htab_hits <- p.Perf.htab_hits + 1
+        else p.Perf.htab_misses <- p.Perf.htab_misses + 1;
+        if observed then
+          Trace.emit_htab_probe (trace t) ~pid:t.pid ~len ~hit:(i >= 0);
+        if i >= 0 then htab_answer h i
+        else trap_and_fill t c ~vsid ~ea ~page_index ~store
   in
+  if observed then
+    attribute_reload t kind ea
+      ~cost:(p.Perf.cycles - miss_start)
+      ~htab_missed:(p.Perf.htab_misses > htab_misses_before);
   if r < 0 then begin
-    Memsys.stall t.memsys pending;
+    settle t ~observed ~owed:!owed kind ea ~pa:(-1) ~inhibited:false
+      ~answered:Shadow.No_translation;
     -1
   end
   else begin
     let rpn = r lsr 3 in
     let inhibited = r land r_inhibited <> 0 in
     let writable = r land r_writable <> 0 in
-    ignore (Tlb.insert_flat tlb ~vpn ~rpn ~inhibited ~writable : int);
+    let victim_vpn = Tlb.insert_flat tlb ~vpn ~rpn ~inhibited ~writable in
+    if observed then
+      note_tlb_fill t ea ~victim_vpn ~cost:(p.Perf.cycles - miss_start);
     if store && not writable then begin
-      Memsys.stall t.memsys pending;
+      settle t ~observed ~owed:!owed kind ea ~pa:(-1) ~inhibited:false
+        ~answered:(answered_by r);
       -1
     end
     else begin
       let pa = Addr.pa_of ~rpn ~ea in
-      Memsys.stall t.memsys
-        (pending + final_ref_cycles t kind pa ~inhibited ~source);
+      let owed = !owed + final_step t ~observed kind pa ~inhibited ~source in
+      settle t ~observed ~owed kind ea ~pa ~inhibited ~answered:(answered_by r);
       pa
     end
   end
 
-(* The TLB miss: everything below the [Tlb.lookup_slot] fast exit.
-   Kept out of [access_pa] so the hit path stays small.  One test picks
-   the sequence: while nothing observes the machine (no trace, profile,
-   spans, recorder or shadow) a miss the htab can serve with the fast
-   handlers takes the straight line, and any other the stepwise one. *)
+let[@inline never] observed_miss t kind ea ~vsid ~vpn ~tlb ~source ~store =
+  miss t kind ea ~observed:true ~vsid ~vpn ~tlb ~source ~store
+
+(* Everything below the [Tlb.lookup_slot] fast exit, kept out of
+   [access_pa] so the hit path stays small.  One test picks the
+   instance: [observed_miss] while anything observes the machine
+   (trace, profile, spans, either recorder, or a shadow), else the
+   plain one, inlined here with its hooks folded away. *)
 let[@inline never] access_miss t kind ea ~vsid ~vpn ~tlb ~source ~store =
   count_miss t kind;
-  match (t.htab, t.shadow) with
-  | Some h, None when t.knobs.fast_reload && not (Memsys.observed t.memsys)
-    ->
-      straight_miss t h kind ea ~vsid ~vpn ~tlb ~source ~store
-  | _ -> stepwise_miss t kind ea ~vsid ~vpn ~tlb ~source ~store
+  match t.shadow with
+  | None when not (Memsys.observed t.memsys) ->
+      miss t kind ea ~observed:false ~vsid ~vpn ~tlb ~source ~store
+  | Some _ | None -> observed_miss t kind ea ~vsid ~vpn ~tlb ~source ~store
 
 (* One access, returning the physical address or -1 on a fault.  This is
    the hot path: on a TLB hit (no shadow attached) it allocates nothing —

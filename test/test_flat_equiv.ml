@@ -1438,31 +1438,85 @@ let run_machines =
   @ [ { Machine.ppc604_185 with
         dcache = { Machine.cache_bytes = 768; cache_ways = 3 } } ]
 
-(* --- the straight-line reload vs the stepwise sequence -------------- *)
+(* --- the plain miss vs the observed miss ------------------------------ *)
+
+(* [Mmu]'s TLB miss is one sequence compiled twice: a plain instance
+   that sums every step's cycles into one charge, and an observed one
+   that charges step by step and runs the instruments' hooks.  Each
+   case below runs two copies of one machine side by side, one plain
+   and one watched, and requires them to agree.  The watcher is one of
+   these, alone: *)
+type watch =
+  | Recorder  (** the flight recorder, at a cadence that never comes due *)
+  | Traced  (** the event trace *)
+  | Spanned  (** request spans, one request open throughout *)
+  | Shadowed  (** a shadow checker *)
+
+let watch_name = function
+  | Recorder -> "recorder"
+  | Traced -> "traced"
+  | Spanned -> "spanned"
+  | Shadowed -> "shadowed"
+
+let observed mmu =
+  Memsys.observed (Mmu.memsys mmu) || Option.is_some (Mmu.shadow mmu)
+
+(* Arm [w] on [mmu]'s machine, binding the spans' request to [pids];
+   returns the check that the watcher saw the run. *)
+let watch w mmu ~pids =
+  let ms = Mmu.memsys mmu in
+  match w with
+  | Recorder ->
+      Recorder.enable (Memsys.recorder ms) ~every:(1 lsl 50);
+      fun () ->
+        Alcotest.(check int) "the recorder never fired" 0
+          (Recorder.total (Memsys.recorder ms))
+  | Traced ->
+      let tr = Memsys.trace ms in
+      Trace.enable tr;
+      fun () ->
+        Alcotest.(check bool) "the trace saw the misses" true
+          (Trace.kind_count tr Trace.Dtlb_miss > 0
+          && Trace.kind_count tr Trace.Itlb_miss > 0
+          && Trace.kind_count tr Trace.Tlb_reload > 0)
+  | Spanned ->
+      let sp = Memsys.span ms in
+      Span.enable sp;
+      let rid = Span.request_begin sp ~cls:0 ~arrival:0 in
+      List.iter (fun pid -> Span.bind_pid sp ~pid ~rid) pids;
+      Span.set_current_request sp rid;
+      fun () ->
+        Alcotest.(check bool) "the request was charged reloads" true
+          ((Span.request sp rid).Span.q_reloads > 0)
+  | Shadowed ->
+      let sh = Shadow.create () in
+      Mmu.attach_shadow mmu sh;
+      fun () ->
+        Alcotest.(check int) "no divergence" 0 (Shadow.total_divergences sh);
+        Alcotest.(check bool) "accesses cross-checked" true
+          (Shadow.checks sh > 0)
 
 (* Two MMUs on one machine, built at one seed behind identical page
    tables, driven by one random stream of loads, stores, fetches and
    precise flushes over more pages than the TLBs hold.  One runs
-   unobserved, so every miss the htab serves with the fast handlers
-   takes [Mmu]'s straight line; the other has its flight recorder armed
-   at a cadence that never comes due, so every miss takes the stepwise
-   sequence.  After every operation the two must agree on the answer,
-   on [Perf.fields], on both caches' raw states and on both TLBs'
-   contents, slot by slot; every hundredth operation and at the end, on
-   every htab entry too.
+   unobserved, so every miss takes the plain instance; the other is
+   watched, so every miss takes the observed one.  After every
+   operation the two must agree on the answer, on [Perf.fields], on
+   both caches' raw states and on both TLBs' contents, slot by slot;
+   every hundredth operation and at the end, on every htab entry too.
 
-   The stream is built to reach every case the straight line has: 24
-   pages share one primary PTEG (eight VSIDs, three page indices each),
-   so their PTEs fill the primary and secondary groups and the search
-   hits in all sixteen slots, and the eight that do not fit miss the
-   htab, fill it and evict.  One page in five is read-only and stores
-   go to them, and a few pages are unmapped.  A planted mutant that
-   charged a secondary-PTEG hit without the primary's eight reads
-   failed this test on every machine with an htab. *)
+   The stream is built to reach every case the sequence has: 24 pages
+   share one primary PTEG (eight VSIDs, three page indices each), so
+   their PTEs fill the primary and secondary groups and the search hits
+   in all sixteen slots, and the eight that do not fit miss the htab,
+   fill it and evict.  One page in five is read-only and stores go to
+   them, and a few pages are unmapped.  A planted mutant that charged a
+   secondary-PTEG hit without the primary's eight reads failed this
+   test on every machine with an htab. *)
 let reload_vsid_base = 0x5A0
 
-let reload_equivalence ?(knobs = Mmu.default_knobs) (machine : Machine.t) ()
-    =
+let reload_equivalence ?(knobs = Mmu.default_knobs) ?(watched_by = Recorder)
+    (machine : Machine.t) () =
   let n_ptegs = Machine.n_ptegs machine in
   let vsid sr = reload_vsid_base + sr in
   let target = 0x155 land (n_ptegs - 1) in
@@ -1502,9 +1556,9 @@ let reload_equivalence ?(knobs = Mmu.default_knobs) (machine : Machine.t) ()
     Segment.load_user (Mmu.segments m) vsid;
     (m, memsys, perf)
   in
-  let straight, ms_straight, p_straight = mmu ()
-  and stepwise, ms_stepwise, p_stepwise = mmu () in
-  Recorder.enable (Memsys.recorder ms_stepwise) ~every:(1 lsl 50);
+  let plain, ms_plain, p_plain = mmu ()
+  and watched, ms_watched, p_watched = mmu () in
+  let saw = watch watched_by watched ~pids:[] in
   let tlb_contents m =
     List.concat_map
       (fun tlb ->
@@ -1535,8 +1589,8 @@ let reload_equivalence ?(knobs = Mmu.default_knobs) (machine : Machine.t) ()
     let ea = ea lor (Rng.int stream (Addr.page_size / 4) * 4) in
     let roll = Rng.int stream 100 in
     if roll < 4 then begin
-      Mmu.flush_page straight ea;
-      Mmu.flush_page stepwise ea
+      Mmu.flush_page plain ea;
+      Mmu.flush_page watched ea
     end
     else begin
       let kind =
@@ -1545,60 +1599,57 @@ let reload_equivalence ?(knobs = Mmu.default_knobs) (machine : Machine.t) ()
         else Mmu.Fetch
       in
       let tlb =
-        match kind with Mmu.Fetch -> Mmu.itlb straight | _ -> Mmu.dtlb straight
+        match kind with Mmu.Fetch -> Mmu.itlb plain | _ -> Mmu.dtlb plain
       in
-      let vsid = Segment.vsid_for (Mmu.segments straight) ea in
+      let vsid = Segment.vsid_for (Mmu.segments plain) ea in
       let vpn = Addr.vpn_of ~vsid ~ea in
-      (match Mmu.htab straight with
+      (match Mmu.htab plain with
       | Some h when Tlb.peek_slot tlb vpn < 0 ->
           let page_index = Addr.page_index ea in
           let slot = Htab.find_slot h ~vsid ~page_index in
           if slot >= 0 then
             slots_hit.(Htab.probe_len h ~vsid ~page_index slot - 1) <- true
       | _ -> ());
-      let pa = Mmu.access_pa straight kind ea in
-      if pa <> Mmu.access_pa stepwise kind ea then fail i "answers";
+      let pa = Mmu.access_pa plain kind ea in
+      if pa <> Mmu.access_pa watched kind ea then fail i "answers";
       if pa < 0 && kind = Mmu.Store && read_only ea && not (unmapped ea) then
         incr ro_store_faults
     end;
-    if Perf.fields p_straight <> Perf.fields p_stepwise then fail i "counters";
+    if Perf.fields p_plain <> Perf.fields p_watched then fail i "counters";
     if
-      Cache.raw (Memsys.dcache ms_straight)
-      <> Cache.raw (Memsys.dcache ms_stepwise)
-      || Cache.raw (Memsys.icache ms_straight)
-         <> Cache.raw (Memsys.icache ms_stepwise)
+      Cache.raw (Memsys.dcache ms_plain)
+      <> Cache.raw (Memsys.dcache ms_watched)
+      || Cache.raw (Memsys.icache ms_plain)
+         <> Cache.raw (Memsys.icache ms_watched)
     then fail i "caches";
-    if tlb_contents straight <> tlb_contents stepwise then fail i "TLBs";
-    if i mod 100 = 99 && htab_entries straight <> htab_entries stepwise then
+    if tlb_contents plain <> tlb_contents watched then fail i "TLBs";
+    if i mod 100 = 99 && htab_entries plain <> htab_entries watched then
       fail i "htab entries"
   done;
-  if htab_entries straight <> htab_entries stepwise then
-    fail ops "htab entries";
+  if htab_entries plain <> htab_entries watched then fail ops "htab entries";
   Alcotest.(check bool) "one side observed, the other not" true
-    (Memsys.observed ms_stepwise && not (Memsys.observed ms_straight));
-  Alcotest.(check int) "the recorder never fired" 0
-    (Recorder.total (Memsys.recorder ms_stepwise));
+    (observed watched && not (observed plain));
+  saw ();
   Alcotest.(check bool) "stores met read-only pages" true
     (!ro_store_faults > 0);
-  Alcotest.(check bool) "fetches reloaded" true
-    (p_straight.Perf.itlb_misses > 0);
-  if Mmu.htab straight <> None then begin
+  Alcotest.(check bool) "fetches reloaded" true (p_plain.Perf.itlb_misses > 0);
+  if Mmu.htab plain <> None then begin
     Alcotest.(check (array bool)) "hits in every primary and secondary slot"
       (Array.make 16 true) slots_hit;
     Alcotest.(check bool) "htab misses filled and evicted" true
-      (p_straight.Perf.htab_misses > 0 && p_straight.Perf.htab_evicts > 0)
+      (p_plain.Perf.htab_misses > 0 && p_plain.Perf.htab_evicts > 0)
   end
 
 (* The same through whole kernels: two booted at one seed, each with a
    300-page task and its fork, run one random stream of [Kernel.touch]
    loads, stores and fetches over the task's text and data pages, with
    switches between the two tasks and precise single-page flushes.  The
-   second kernel's flight recorder is armed after boot at a cadence
-   that never comes due.  Stores to text pages meet read-only PTEs and
-   end in [Segfault]; the outcome of every operation, [Perf.fields],
-   both caches' raw states and the current TLBs must agree. *)
+   second kernel is watched from after its boot.  Stores to text pages
+   meet read-only PTEs and end in [Segfault]; the outcome of every
+   operation, [Perf.fields], both caches' raw states and the current
+   TLBs must agree, and at the end every htab entry. *)
 let kernel_reload_equivalence ?(policy = Kernel_sim.Policy.optimized)
-    (machine : Machine.t) () =
+    ?(watched_by = Recorder) (machine : Machine.t) () =
   let module Kernel = Kernel_sim.Kernel in
   let text_base = Kernel_sim.Mm.user_text_base in
   let text_pages = 16 and data_pages = 300 in
@@ -1609,8 +1660,11 @@ let kernel_reload_equivalence ?(policy = Kernel_sim.Policy.optimized)
     let child = Kernel.sys_fork k in
     (k, [| parent; child |])
   in
-  let plain, plain_tasks = boot () and armed, armed_tasks = boot () in
-  Recorder.enable (Kernel.recorder armed) ~every:(1 lsl 50);
+  let plain, plain_tasks = boot () and watched, watched_tasks = boot () in
+  let pids =
+    List.map (fun t -> t.Kernel_sim.Task.pid) (Array.to_list watched_tasks)
+  in
+  let saw = watch watched_by (Kernel.mmu watched) ~pids in
   let stream = Rng.create ~seed:77 in
   let segfaults = ref 0 in
   let state k =
@@ -1647,21 +1701,44 @@ let kernel_reload_equivalence ?(policy = Kernel_sim.Policy.optimized)
       | exception Kernel.Segfault _ -> false
     in
     let ok = step plain plain_tasks in
-    if ok <> step armed armed_tasks then
+    if ok <> step watched watched_tasks then
       Alcotest.failf "%s: op %d: outcomes differ" machine.Machine.name i;
     if not ok then incr segfaults;
-    if state plain <> state armed then
+    if state plain <> state watched then
       Alcotest.failf "%s: op %d: kernels differ" machine.Machine.name i
   done;
+  let htab_entries k =
+    match Mmu.htab (Kernel.mmu k) with
+    | None -> []
+    | Some h -> List.init (Htab.capacity h) (Htab.decode h)
+  in
+  if htab_entries plain <> htab_entries watched then
+    Alcotest.failf "%s: htab entries differ" machine.Machine.name;
   let p = Kernel.perf plain in
   Alcotest.(check bool) "one kernel observed, the other not" true
-    (Memsys.observed (Kernel.memsys armed)
-    && not (Memsys.observed (Kernel.memsys plain)));
-  Alcotest.(check int) "the recorder never fired" 0
-    (Recorder.total (Kernel.recorder armed));
+    (observed (Kernel.mmu watched) && not (observed (Kernel.mmu plain)));
+  saw ();
   Alcotest.(check bool) "TLB misses, faults and read-only stores" true
     (p.Perf.dtlb_misses > 0 && p.Perf.itlb_misses > 0
     && p.Perf.page_faults > 0 && !segfaults > 0)
+
+(* Every machine, plus the 603 without an htab and the 604 with
+   cache-inhibited page tables. *)
+let reload_machines =
+  List.map (fun m -> (Machine.slug m, Mmu.default_knobs, m)) Machine.all
+  @ [ ( "603-133, no htab",
+        { Mmu.default_knobs with use_htab = false },
+        Machine.ppc603_133 );
+      ( "604-185, page tables inhibited",
+        { Mmu.default_knobs with cache_inhibit_pagetables = true },
+        Machine.ppc604_185 ) ]
+
+let reload_kernels =
+  [ ("604-185", Kernel_sim.Policy.optimized, Machine.ppc604_185);
+    ("603-133", Kernel_sim.Policy.optimized, Machine.ppc603_133);
+    ( "603-133, no htab",
+      { Kernel_sim.Policy.optimized with use_htab = false },
+      Machine.ppc603_133 ) ]
 
 let suite =
   [ Alcotest.test_case "flat slot accessors" `Quick test_slot_accessors;
@@ -1711,21 +1788,30 @@ let suite =
           (Printf.sprintf "straight-line reload == stepwise (%s)" name)
           `Quick
           (reload_equivalence ~knobs machine))
-      (List.map (fun m -> (Machine.slug m, Mmu.default_knobs, m)) Machine.all
-      @ [ ( "603-133, no htab",
-            { Mmu.default_knobs with use_htab = false },
-            Machine.ppc603_133 );
-          ( "604-185, page tables inhibited",
-            { Mmu.default_knobs with cache_inhibit_pagetables = true },
-            Machine.ppc604_185 ) ])
+      reload_machines
   @ List.map
       (fun (name, policy, machine) ->
         Alcotest.test_case
           (Printf.sprintf "straight-line reload == stepwise, kernel (%s)" name)
           `Quick
           (kernel_reload_equivalence ~policy machine))
-      [ ("604-185", Kernel_sim.Policy.optimized, Machine.ppc604_185);
-        ("603-133", Kernel_sim.Policy.optimized, Machine.ppc603_133);
-        ( "603-133, no htab",
-          { Kernel_sim.Policy.optimized with use_htab = false },
-          Machine.ppc603_133 ) ]
+      reload_kernels
+  @ List.concat_map
+      (fun watched_by ->
+        List.map
+          (fun (name, knobs, machine) ->
+            Alcotest.test_case
+              (Printf.sprintf "plain miss == %s miss (%s)"
+                 (watch_name watched_by) name)
+              `Quick
+              (reload_equivalence ~knobs ~watched_by machine))
+          reload_machines
+        @ List.map
+            (fun (name, policy, machine) ->
+              Alcotest.test_case
+                (Printf.sprintf "plain miss == %s miss, kernel (%s)"
+                   (watch_name watched_by) name)
+                `Quick
+                (kernel_reload_equivalence ~policy ~watched_by machine))
+            reload_kernels)
+      [ Traced; Spanned; Shadowed ]

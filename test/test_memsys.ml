@@ -66,8 +66,8 @@ let test_separate_caches () =
   Alcotest.(check int) "dcache miss" 1 p.Perf.dcache_misses
 
 (* One fixed sequence through every charging entry point: D-cache hits,
-   misses and dirty write-backs, instruction fetches, plain and fused
-   instruction charges, a software htab probe's line run and a dcbz
+   misses and dirty write-backs, instruction fetches, instruction
+   charges, a trap stall, a software htab probe's line run and a dcbz
    page clear.  On the 604's 4-way, 256-set D-cache, addresses 8 KB
    apart share a set. *)
 let charge_sequence m =
@@ -79,7 +79,8 @@ let charge_sequence m =
     Memsys.data_ref m ~source:Cache.User ~inhibited:false ~write:false 0x80020;
     Memsys.inst_ref m (0xC0010000 + ((i mod 64) * Addr.line_size));
     Memsys.instructions m 7;
-    Memsys.instructions_stall m ~instr:3 ~stall:5;
+    Memsys.stall m 5;
+    Memsys.instructions m 3;
     Memsys.table_run m ~instr:4 ~source:Cache.Htab ~inhibited:false
       ~write:false
       (0x300100 + ((i mod 16) * 8))
