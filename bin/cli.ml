@@ -110,26 +110,27 @@ let jobs_term =
   Arg.(
     value & opt int 1
     & info [ "j"; "jobs" ] ~docv:"N"
-        ~doc:"Worker processes (experiments fork and run in parallel; \
-              results are merged in registry order, byte-identical to a \
-              serial run).")
+        ~doc:"Child processes alive at once: each experiment runs in a \
+              forked child of its own, the next starting as soon as one \
+              exits; results are merged in registry order, byte-identical \
+              to a serial run. 1 runs in-process.")
 
 let timeout_term =
   Arg.(
     value & opt float 0.
     & info [ "timeout" ] ~docv:"SECS"
         ~doc:"Per-experiment wall-clock budget in seconds (0 disables). A \
-              forked worker that goes this long without delivering a \
-              result is killed and the hung experiment reported as timed \
-              out; serial runs abort the attempt via SIGALRM.")
+              child still running this long after it was forked is \
+              killed and its experiment reported as timed out; serial \
+              runs abort the attempt via SIGALRM.")
 
 let retries_term =
   Arg.(
     value & opt int Runner.default_retries
     & info [ "retries" ] ~docv:"N"
-        ~doc:"Retry budget for experiments lost to a crashed, hung or \
-              corrupt worker: re-forked first, run serially in-parent on \
-              the final attempt.")
+        ~doc:"Retry budget for an experiment whose child crashed, hung or \
+              exited without a result: re-forked while retries remain, \
+              run serially in-parent on the final attempt.")
 
 let shadow_term =
   Arg.(
@@ -141,7 +142,7 @@ let shadow_term =
               stderr and make the exit status nonzero. Checking is \
               observation-only — counters and results are byte-identical \
               to an unshadowed run — and composes with --jobs: each \
-              worker ships its verdict over the runner's result pipe.")
+              child ships its verdict over the runner's result pipe.")
 
 let sample_every_term =
   Arg.(
@@ -242,3 +243,11 @@ let write_json ?compact path j =
 
 (* How watch and replay print a metric. *)
 let fmt_metric = Printf.sprintf "%.4g"
+
+(* A run-time verdict that did not pass exits 1, as [check] does, with
+   the message laid out as cmdliner lays out an error; 124 stays
+   cmdliner's usage error. *)
+let fail msg =
+  prerr_endline
+    ("mmu_sim: " ^ String.concat "\n         " (String.split_on_char '\n' msg));
+  exit 1

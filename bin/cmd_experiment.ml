@@ -55,14 +55,6 @@ let renumber_runs next lines =
       | _ -> l)
     lines
 
-(* A run that did not pass exits 1, as [check] does, with the message
-   laid out as cmdliner lays out an error; 124 stays cmdliner's usage
-   error. *)
-let fail msg =
-  prerr_endline
-    ("mmu_sim: " ^ String.concat "\n         " (String.split_on_char '\n' msg));
-  exit 1
-
 let run names seed cpus jobs timeout retries strict shadow csv json out traced
     timeline profiled spanned sample_every record record_every detect_file
     requests =
@@ -94,9 +86,9 @@ let run names seed cpus jobs timeout retries strict shadow csv json out traced
       else List.map (fun s -> s.Experiments.id) Experiments.registry
     in
     (* One job streams every timeline line to disk as it is taken, so
-       [mmu_sim watch] can tail the file while the run is live; workers
-       buffer theirs, ship them with the result, and the supervisor
-       writes the file. *)
+       [mmu_sim watch] can tail the file while the run is live; forked
+       children buffer theirs, ship them with the result, and the
+       supervisor writes the file. *)
     let jobs = min (Runner.clamp_jobs jobs) (List.length ids) in
     let live = if jobs <= 1 then Option.map open_out record else None in
     let flight_buf = ref [] in
@@ -402,7 +394,7 @@ let cmd =
                 experiments run. Recording is observation-only — counters \
                 and tables are byte-identical to an unrecorded run. At one \
                 job every line is written as it is taken, so \
-                $(b,mmu_sim watch) can tail the file; parallel workers \
+                $(b,mmu_sim watch) can tail the file; forked children \
                 ship their lines over the runner's result pipe and the \
                 file is written when the run ends.")
   in
@@ -441,16 +433,17 @@ let cmd =
        ~man:
          [ `S Manpage.s_description;
            `P
-             "Experiments run under a supervising parent: worker exit \
-              statuses are inspected, experiments lost to a crashed or \
-              hung worker are retried within --retries, and every attempt \
-              is bounded by --timeout. Experiments that never produce a \
-              table are listed in a failure table on stderr (and under a \
+             "Experiments run under a supervising parent, each in a \
+              forked child of its own: child exit statuses are \
+              inspected, an experiment lost to a crashed or hung child \
+              is retried within --retries, and every attempt is bounded \
+              by --timeout. Experiments that never produce a table are \
+              listed in a failure table on stderr (and under a \
               \"failures\" key in the --json document) and make the exit \
-              status nonzero; --strict also fails runs that needed \
-              retries. $(b,MMU_SIM_FAULT)=kill:<id>|exit:<id>[:n]|\
-              raise:<id>|hang:<id> injects deterministic faults for \
-              testing the supervision paths." ])
+              status 1; --strict also fails runs that needed retries. \
+              $(b,MMU_SIM_FAULT)=kill:<id>|exit:<id>[:n]|raise:<id>|\
+              hang:<id> injects deterministic faults for testing the \
+              supervision paths." ])
     Term.(
       term_result
         (const run $ names $ seed_term $ cpus_term $ jobs_term

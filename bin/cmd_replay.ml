@@ -89,10 +89,9 @@ let run file perfetto mhz detect_file strict =
             List.fold_left (fun a (_, i) -> a + List.length i) 0 runs
           in
           if strict && total_incidents > 0 then
-            Error
-              (`Msg
-                (Printf.sprintf "--strict: %d incident(s) in the timeline"
-                   total_incidents))
+            fail
+              (Printf.sprintf "--strict: %d incident(s) in the timeline"
+                 total_incidents)
           else Ok ())
 
 let cmd =
@@ -131,7 +130,7 @@ let cmd =
     Arg.(
       value & flag
       & info [ "strict" ]
-          ~doc:"Exit nonzero if any incident is present (or, with \
+          ~doc:"Exit 1 if any incident is present (or, with \
                 --detect, re-fires).")
   in
   Cmd.v

@@ -112,10 +112,9 @@ let run wl_names axis_specs smoke jobs seed timeout retries rounds json
     | Some s ->
         let label = Tuner.label_of (parse_assignment s) in
         if Tuner.on_front result label then
-          Error
-            (`Msg
-              (Printf.sprintf
-                 "--expect-dominated: %s sits ON the Pareto front" label))
+          fail
+            (Printf.sprintf "--expect-dominated: %s sits ON the Pareto front"
+               label)
         else begin
           info "tuner: %s is dominated, as expected\n" label;
           Ok ()
@@ -171,7 +170,7 @@ let cmd =
       value
       & opt (some string) None
       & info [ "expect-dominated" ] ~docv:"KEY=VAL[,KEY=VAL...]"
-          ~doc:"Evaluate this extra candidate and exit nonzero if it \
+          ~doc:"Evaluate this extra candidate and exit 1 if it \
                 lands ON the Pareto front — the CI proof that a known-bad \
                 policy is actually dominated and flagged.")
   in

@@ -70,7 +70,7 @@ let run file interval once =
   else if once then
     match watch_render file with
     | Some _ -> Ok ()
-    | None -> Error (`Msg ("no timeline in " ^ file))
+    | None -> fail ("no timeline in " ^ file)
   else begin
     let rec loop () =
       print_string "\027[2J\027[H";
@@ -109,7 +109,7 @@ let cmd =
       value & flag
       & info [ "once" ]
           ~doc:"Render one frame from the file's current contents and \
-                exit (no screen clearing; scriptable).  Exits nonzero \
+                exit (no screen clearing; scriptable).  Exits 1 \
                 when the file is missing or holds no timeline line.")
   in
   Cmd.v

@@ -47,7 +47,7 @@ let rec describe = function
 
    MMU_SIM_FAULT holds a comma-separated list of deterministic faults,
    each targeting one experiment id, applied at the moment the
-   experiment is about to run (in the worker for forked runs, in-process
+   experiment is about to run (in its child for forked runs, in-process
    for serial ones):
 
      kill:<id>        the hosting process SIGKILLs itself
@@ -99,7 +99,7 @@ module Fault = struct
           with Unix.Unix_error (Unix.EINTR, _, _) -> ()
         done
 
-  (* Drop every fault aimed at [id] from the environment, so workers
+  (* Drop every fault aimed at [id] from the environment, so children
      forked from now on (and in-process retries) run it clean. *)
   let disarm id =
     match Sys.getenv_opt fault_env with
@@ -118,7 +118,7 @@ end
 (* ------------------------------------------------- payload collection *)
 
 (* Per-experiment observability payloads are produced in whatever
-   process hosts the experiment — a forked worker or the parent — by
+   process hosts the experiment — its forked child or the parent — by
    this hook, called right after each attempt with the experiment's id.
    The payload is marshalled over the same pipe as the result, which is
    what lets every instrument keep [--jobs N]: the data is drained where
@@ -184,9 +184,9 @@ let attempt_timed ~timeout ~seed id f =
     o
   end
 
-(* The one place job-count bounds live: at least one worker, and no more
-   than [max_jobs] — forking beyond that wins nothing for a suite of a
-   few dozen experiments and risks fd exhaustion on big machines. *)
+(* The one place job-count bounds live: at least one child alive, and no
+   more than [max_jobs] — forking beyond that wins nothing for a suite of
+   a few dozen experiments and risks fd exhaustion on big machines. *)
 let min_jobs = 1
 let max_jobs = 16
 let clamp_jobs n = max min_jobs (min n max_jobs)
@@ -215,23 +215,24 @@ let default_jobs () =
 
 type job = string * (?seed:int -> unit -> Experiments.table)
 
-(* Parent-side view of one forked worker. *)
-type worker = {
-  w_pid : int;
-  w_fd : Unix.file_descr;
-  w_slice : (int * job) list;  (* dealt experiments, in delivery order *)
-  w_buf : Buffer.t;  (* bytes read but not yet framed *)
-  mutable w_deadline : float;  (* absolute; infinity = no timeout *)
-  mutable w_eof : bool;
-  mutable w_timed_out : bool;
-  mutable w_err : string option;  (* marshal decode error, if any *)
+(* Parent-side view of one forked child, which runs exactly one
+   experiment. *)
+type child = {
+  c_pid : int;
+  c_fd : Unix.file_descr;
+  c_buf : Buffer.t;  (* the frame, as read so far *)
+  c_deadline : float;  (* fork time + timeout; infinity = no timeout *)
+  c_index : int;  (* position in the input *)
+  c_tries : int;  (* retries already spent on this experiment *)
+  c_job : job;
+  mutable c_eof : bool;
+  mutable c_timed_out : bool;
 }
 
-(* One pipe per worker; workers marshal each (index, id, outcome) as it
-   completes and flush, so every finished experiment survives a later
-   crash of its worker.  Results are small (a table of strings), so a
-   worker never fills the pipe buffer faster than the parent drains. *)
-let spawn ~seed ~timeout slice =
+(* Fork one child for one attempt: it marshals exactly one
+   (outcome, payload) frame down its pipe and exits, so a finished
+   experiment survives anything that happens to the child afterwards. *)
+let spawn ~seed ~timeout (i, tries, ((id, f) as job)) =
   flush stdout;
   flush stderr;
   let rfd, wfd = Unix.pipe () in
@@ -239,58 +240,28 @@ let spawn ~seed ~timeout slice =
   | 0 ->
       Unix.close rfd;
       let oc = Unix.out_channel_of_descr wfd in
-      List.iter
-        (fun (i, (id, f)) ->
-          let r = attempt ~seed id f in
-          let p = collect id in
-          Marshal.to_channel oc (i, id, r, p) [];
-          flush oc)
-        slice;
-      close_out oc;
+      (try
+         let o = attempt ~seed id f in
+         let p = collect id in
+         Marshal.to_channel oc (o, p) [];
+         close_out oc
+       with _ -> ());
       (* _exit: skip at_exit (inherited buffers, test reporters) *)
       Unix._exit 0
   | pid ->
       Unix.close wfd;
       {
-        w_pid = pid;
-        w_fd = rfd;
-        w_slice = slice;
-        w_buf = Buffer.create 256;
-        w_deadline =
+        c_pid = pid;
+        c_fd = rfd;
+        c_buf = Buffer.create 256;
+        c_deadline =
           (if timeout > 0.0 then Unix.gettimeofday () +. timeout else infinity);
-        w_eof = false;
-        w_timed_out = false;
-        w_err = None;
+        c_index = i;
+        c_tries = tries;
+        c_job = job;
+        c_eof = false;
+        c_timed_out = false;
       }
-
-(* Extract complete marshal frames from [w]'s buffer.  A header or
-   payload that fails to decode is transport corruption, not a result:
-   record it and stop consuming — the supervisor kills the worker and
-   requeues whatever it never delivered. *)
-let drain_frames w ~on_frame =
-  let data = Buffer.contents w.w_buf in
-  let len = String.length data in
-  let b = Bytes.unsafe_of_string data in
-  let pos = ref 0 in
-  let stop = ref false in
-  while not !stop do
-    if w.w_err <> None || len - !pos < Marshal.header_size then stop := true
-    else
-      match Marshal.total_size b !pos with
-      | exception Failure msg -> w.w_err <- Some msg
-      | total when len - !pos < total -> stop := true
-      | total -> (
-          match
-            (Marshal.from_bytes b !pos : int * string * outcome * Json.t option)
-          with
-          | exception Failure msg -> w.w_err <- Some msg
-          | frame ->
-              on_frame frame;
-              pos := !pos + total)
-  done;
-  Buffer.clear w.w_buf;
-  if w.w_err = None && !pos < len then
-    Buffer.add_substring w.w_buf data !pos (len - !pos)
 
 let kill_quietly pid =
   try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ()
@@ -299,120 +270,96 @@ let rec waitpid_retry pid =
   try snd (Unix.waitpid [] pid)
   with Unix.Unix_error (Unix.EINTR, _, _) -> waitpid_retry pid
 
-(* Run [indexed] across [jobs] forked workers, supervising the pipes
-   with select.  Returns the delivered results plus, for every
-   experiment a worker failed to deliver, the (index, job, provisional
-   outcome) triple the caller may retry. *)
-let forked_round ~jobs ~timeout ~seed indexed =
-  let workers =
-    List.init jobs (fun w ->
-        spawn ~seed ~timeout
-          (List.filteri (fun k _ -> k mod jobs = w) indexed))
+(* Why a child that delivered no complete frame lost its experiment. *)
+let cause ~timeout c status =
+  if c.c_timed_out then Timed_out timeout
+  else
+    match status with
+    | Unix.WSIGNALED s | Unix.WSTOPPED s -> Crashed (Signaled s)
+    | Unix.WEXITED 0 -> Failed "worker exited before delivering a result"
+    | Unix.WEXITED n -> Crashed (Exited n)
+
+(* Run [selected] in forked children, one per experiment and at most
+   [jobs] alive, starting the next queued experiment whenever a child
+   is reaped.  A lost experiment is disarmed and requeued until its
+   last retry, which runs serially in this process under SIGALRM once
+   the pool has drained, so a systematically crashing experiment
+   cannot take a healthy one down with it. *)
+let pool ~jobs ~timeout ~retries ~seed selected =
+  let results = Array.make (List.length selected) None in
+  let queue = Queue.create () in
+  List.iteri (fun i job -> Queue.add (i, 0, job) queue) selected;
+  let record c (o, p) =
+    results.(c.c_index) <-
+      Some (fst c.c_job, (if c.c_tries = 0 then o else Retried (c.c_tries, o)), p)
   in
-  let delivered : (int, string * outcome * Json.t option) Hashtbl.t =
-    Hashtbl.create 37
+  let reap c =
+    Unix.close c.c_fd;
+    let status = waitpid_retry c.c_pid in
+    match
+      (Marshal.from_string (Buffer.contents c.c_buf) 0
+        : outcome * Json.t option)
+    with
+    | frame -> record c frame
+    | exception (Failure _ | Invalid_argument _) ->
+        if c.c_tries >= retries then record c (cause ~timeout c status, None)
+        else begin
+          (* requeued, or on its last retry left unrecorded for the
+             parent to run below *)
+          Fault.disarm (fst c.c_job);
+          if c.c_tries + 1 < retries then
+            Queue.add (c.c_index, c.c_tries + 1, c.c_job) queue
+        end
   in
-  let active = ref (List.filter (fun w -> w.w_slice <> []) workers) in
-  (* workers dealt an empty slice just exit; reap them at the end *)
-  let finished = ref [] in
+  let running = ref [] in
   let chunk = Bytes.create 65536 in
-  while !active <> [] do
+  while !running <> [] || not (Queue.is_empty queue) do
+    while List.length !running < jobs && not (Queue.is_empty queue) do
+      running := spawn ~seed ~timeout (Queue.pop queue) :: !running
+    done;
     let now = Unix.gettimeofday () in
-    let tmo =
-      if timeout <= 0.0 then -1.0
-      else
-        List.fold_left
-          (fun acc w -> Float.min acc (Float.max 0.0 (w.w_deadline -. now)))
-          60.0 !active
+    let wait =
+      List.fold_left (fun acc c -> Float.min acc (c.c_deadline -. now))
+        infinity !running
     in
     let readable, _, _ =
-      try Unix.select (List.map (fun w -> w.w_fd) !active) [] [] tmo
+      try
+        Unix.select
+          (List.map (fun c -> c.c_fd) !running)
+          [] []
+          (if wait = infinity then -1.0 else Float.max 0.0 wait)
       with Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
     in
-    List.iter
-      (fun w ->
-        if List.mem w.w_fd readable then
-          match Unix.read w.w_fd chunk 0 (Bytes.length chunk) with
-          | 0 -> w.w_eof <- true
-          | n ->
-              Buffer.add_subbytes w.w_buf chunk 0 n;
-              drain_frames w ~on_frame:(fun (i, id, r, p) ->
-                  Hashtbl.replace delivered i (id, r, p);
-                  if timeout > 0.0 then
-                    w.w_deadline <- Unix.gettimeofday () +. timeout);
-              if w.w_err <> None then begin
-                (* corrupt stream: the worker can no longer be trusted *)
-                kill_quietly w.w_pid;
-                w.w_eof <- true
-              end
-          | exception Unix.Unix_error _ -> w.w_eof <- true)
-      !active;
-    (* deadline enforcement: a worker that has gone [timeout] without
-       delivering is hung on its current experiment — kill it and let
-       the retry ladder deal with the slice *)
     let now = Unix.gettimeofday () in
     List.iter
-      (fun w ->
-        if
-          (not w.w_eof)
-          && now >= w.w_deadline
-          && List.exists
-               (fun (i, _) -> not (Hashtbl.mem delivered i))
-               w.w_slice
-        then begin
-          kill_quietly w.w_pid;
-          w.w_timed_out <- true;
-          w.w_eof <- true
+      (fun c ->
+        if List.mem c.c_fd readable then begin
+          match Unix.read c.c_fd chunk 0 (Bytes.length chunk) with
+          | 0 -> c.c_eof <- true
+          | n -> Buffer.add_subbytes c.c_buf chunk 0 n
+          | exception Unix.Unix_error _ -> c.c_eof <- true
+        end;
+        if (not c.c_eof) && now >= c.c_deadline then begin
+          kill_quietly c.c_pid;
+          c.c_timed_out <- true
         end)
-      !active;
-    let eof, still = List.partition (fun w -> w.w_eof) !active in
-    finished := eof @ !finished;
-    active := still
+      !running;
+    let over, live =
+      List.partition (fun c -> c.c_eof || c.c_timed_out) !running
+    in
+    running := live;
+    List.iter reap over
   done;
-  let lost =
-    List.concat_map
-      (fun w ->
-        Unix.close w.w_fd;
-        let status = waitpid_retry w.w_pid in
-        let undelivered =
-          List.filter (fun (i, _) -> not (Hashtbl.mem delivered i)) w.w_slice
-        in
-        match undelivered with
-        | [] -> []
-        | first :: rest ->
-            let head_cause, tail_cause =
-              match (w.w_err, w.w_timed_out, status) with
-              | Some msg, _, _ ->
-                  let c = Failed ("worker result stream corrupt: " ^ msg) in
-                  (c, c)
-              | None, true, _ ->
-                  (* the first undelivered experiment is the hung one;
-                     the rest were collateral of the kill *)
-                  (Timed_out timeout, Crashed (Signaled Sys.sigkill))
-              | None, false, Unix.WSIGNALED s | None, false, Unix.WSTOPPED s
-                ->
-                  let c = Crashed (Signaled s) in
-                  (c, c)
-              | None, false, Unix.WEXITED 0 ->
-                  let c = Failed "worker exited before delivering a result" in
-                  (c, c)
-              | None, false, Unix.WEXITED n ->
-                  let c = Crashed (Exited n) in
-                  (c, c)
-            in
-            (fst first, snd first, head_cause)
-            :: List.map (fun (i, job) -> (i, job, tail_cause)) rest)
-      !finished
-  in
-  (* reap the empty-slice workers too *)
-  List.iter
-    (fun w ->
-      if w.w_slice = [] then begin
-        Unix.close w.w_fd;
-        ignore (waitpid_retry w.w_pid)
-      end)
-    workers;
-  (Hashtbl.fold (fun i r acc -> (i, r) :: acc) delivered [], lost)
+  List.mapi
+    (fun i (id, f) ->
+      match results.(i) with
+      | Some r -> r
+      | None ->
+          (* lost on its last forked try: the final retry runs here *)
+          let o = attempt_timed ~timeout ~seed id f in
+          let p = collect id in
+          (id, Retried (retries, o), p))
+    selected
 
 (* ---------------------------------------------------------------- run *)
 
@@ -445,60 +392,7 @@ let run_collect ?(jobs = 1) ?(seed = 42) ?(timeout = 0.0)
   let retries = max 0 retries in
   let jobs = max min_jobs (min (clamp_jobs jobs) (List.length selected)) in
   if jobs <= 1 then run_serial ~timeout ~retries ~seed selected
-  else begin
-    let indexed = List.mapi (fun i x -> (i, x)) selected in
-    let results : (int, string * outcome * Json.t option) Hashtbl.t =
-      Hashtbl.create 37
-    in
-    let record ~round (i, (id, o, p)) =
-      Hashtbl.replace results i
-        (id, (if round = 0 then o else Retried (round, o)), p)
-    in
-    let delivered, lost = forked_round ~jobs ~timeout ~seed indexed in
-    List.iter (record ~round:0) delivered;
-    (* The retry ladder: each lost experiment is first re-forked (fresh
-       workers over just the orphaned slice), and on the final attempt
-       run serially in-parent so a systematically crashing worker
-       cannot take healthy siblings down with it again. *)
-    let rec retry attempt lost =
-      match lost with
-      | [] -> ()
-      | lost when attempt > retries ->
-          List.iter
-            (fun (i, (id, _), cause) ->
-              Hashtbl.replace results i
-                ( id,
-                  (if retries = 0 then cause else Retried (retries, cause)),
-                  None ))
-            lost
-      | lost ->
-          List.iter (fun (_, (id, _), _) -> Fault.disarm id) lost;
-          let pairs = List.map (fun (i, p, _) -> (i, p)) lost in
-          if attempt < retries then begin
-            let jobs' = min jobs (List.length pairs) in
-            let delivered, lost' =
-              forked_round ~jobs:jobs' ~timeout ~seed pairs
-            in
-            List.iter (record ~round:attempt) delivered;
-            retry (attempt + 1) lost'
-          end
-          else
-            (* last resort: serially, in this process, under SIGALRM *)
-            List.iter
-              (fun (i, (id, f)) ->
-                let o = attempt_timed ~timeout ~seed id f in
-                let p = collect id in
-                record ~round:attempt (i, (id, o, p)))
-              pairs
-    in
-    retry 1 lost;
-    List.map
-      (fun (i, (id, _)) ->
-        match Hashtbl.find_opt results i with
-        | Some r -> r
-        | None -> (id, Failed "worker exited before delivering a result", None))
-      indexed
-  end
+  else pool ~jobs ~timeout ~retries ~seed selected
 
 let run ?jobs ?seed ?timeout ?retries selected =
   List.map

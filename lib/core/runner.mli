@@ -2,29 +2,30 @@
 
     Every experiment is deterministic in its seed and boots its own
     isolated kernel, so a run of the suite is embarrassingly parallel:
-    fork N workers, deal the experiments round-robin, marshal each
-    finished {!Experiments.table} back over a pipe, and merge in
-    registry order.  The merged output is byte-identical to a serial
-    run — parallelism changes wall-clock only, never results.
+    fork one child per experiment, at most N alive at a time, start the
+    next experiment whenever a child is reaped, marshal each finished
+    {!Experiments.table} back over the child's pipe as one frame, and
+    merge in input order.  The merged output is byte-identical to a
+    serial run — parallelism changes wall-clock only, never results.
 
-    The parent is a supervisor, not just a collector.  It drains the
-    worker pipes with [select] under per-experiment deadlines, inspects
-    every [waitpid] status, and distinguishes the ways a result can
-    fail to arrive: the experiment raised ({!Failed}), the worker died
-    under it ({!Crashed} with the exit status or fatal signal), it blew
-    its wall-clock budget and was killed ({!Timed_out}), or the result
-    stream was corrupt (a {!Failed} carrying the decode error).
-    Experiments a dead worker never delivered are retried — first by
-    re-forking fresh workers over just the orphaned slice, then, on the
-    final attempt, serially in the parent under a SIGALRM deadline —
-    within a bounded budget; outcomes recovered that way are wrapped in
-    {!Retried}.
+    The parent is a supervisor, not just a collector.  It reads every
+    child's pipe to EOF with [select], killing a child at its deadline
+    (fork time + timeout), and distinguishes the ways a result can fail
+    to arrive: the experiment raised ({!Failed}), its child died under
+    it ({!Crashed} with the exit status or fatal signal), it blew its
+    wall-clock budget and was killed ({!Timed_out}), or its child
+    exited cleanly without a complete frame ({!Failed}).  A child hosts
+    one experiment, so a dead child loses only that one.  A lost
+    experiment is retried within a bounded budget — re-forked while
+    retries remain, and on the final attempt run in the parent under a
+    SIGALRM deadline once the pool has drained; outcomes recovered that
+    way are wrapped in {!Retried}.
 
     [jobs = 1] (the default) runs in-process with no fork, so the
     runner is also the one code path the CLI uses for serial runs
     (timeouts still apply, via SIGALRM). *)
 
-(** How a dead worker died. *)
+(** How a dead child died. *)
 type wstat =
   | Exited of int  (** [_exit]/[exit] with this status (never 0 here) *)
   | Signaled of int  (** fatal signal, in OCaml's [Sys] numbering *)
@@ -33,9 +34,9 @@ type outcome =
   | Done of Experiments.table
   | Failed of string
       (** the experiment raised (the exception text crossed the pipe),
-          or its worker's result stream was corrupt *)
+          or its child exited cleanly without delivering a result *)
   | Crashed of wstat
-      (** the hosting worker died before delivering this experiment *)
+      (** the hosting child died before delivering this experiment *)
   | Timed_out of float
       (** the experiment exceeded the wall-clock budget (seconds) and
           its host was killed / the in-process attempt aborted *)
@@ -55,9 +56,9 @@ val collect_hook : (string -> Json.t option) ref
 (** Per-experiment payload collector, called with the experiment id in
     whatever process hosted the attempt, immediately after it finished.
     The payload rides the existing result pipe back to the supervisor,
-    which is what lets every instrument keep [--jobs N]: each worker
+    which is what lets every instrument keep [--jobs N]: each child
     drains the kernel registry and ships the digest, instead of the data
-    dying with the child.  The default hook returns [None]; hook
+    dying with it.  The default hook returns [None]; hook
     exceptions are swallowed (a broken collector must not fail the
     experiment).  The hook runs after {e every} attempt, so on a retried
     experiment only the final attempt's payload survives. *)
@@ -95,25 +96,26 @@ val run :
     [(id, fn)] pair and returns [(id, outcome)] in the input's order
     (payloads from {!collect_hook}, if any, are dropped — use
     {!run_collect} to keep them).
-    [jobs] is clamped to [1 .. length selected].  An experiment that
-    raises becomes [Failed] (in-process or in a worker) rather than
-    aborting the batch.
+    [jobs] bounds the children alive at once and is clamped to
+    [1 .. length selected]; each experiment runs in a child of its own.
+    An experiment that raises becomes [Failed] (in-process or in a
+    child) rather than aborting the batch.
 
     [timeout] (seconds, default [0.] = unlimited) bounds each single
-    experiment attempt: a forked worker that goes that long without
-    delivering is SIGKILLed and its hung experiment reported
-    {!Timed_out}; in-process attempts are aborted by SIGALRM.
+    experiment attempt: a child still running that long after it was
+    forked is SIGKILLed and its experiment reported {!Timed_out};
+    in-process attempts are aborted by SIGALRM.
 
-    [retries] (default {!default_retries}) bounds how many times the
-    undelivered experiments of a crashed, hung or corrupt worker are
-    re-run — re-forked first, serially in-parent on the last attempt.
-    With the budget exhausted the provisional failure ([Crashed],
-    [Timed_out] or [Failed]) is returned, wrapped in {!Retried} when
-    any retry was attempted. *)
+    [retries] (default {!default_retries}) bounds how many times an
+    experiment whose child crashed, hung or exited without a result is
+    re-run — requeued into the pool first, serially in-parent on the
+    last attempt.  With no retries the failure ([Crashed], [Timed_out]
+    or [Failed]) is returned as is; otherwise the last attempt's
+    outcome is, wrapped in {!Retried}. *)
 
 val default_retries : int
-(** Retry budget used when [?retries] is omitted (2: one re-fork round,
-    one serial in-parent round). *)
+(** Retry budget used when [?retries] is omitted (2: one re-forked
+    attempt, then one serial in-parent attempt). *)
 
 val default_jobs : unit -> int
 (** Number of online cores, probed via [getconf _NPROCESSORS_ONLN] and
@@ -126,8 +128,8 @@ val max_jobs : int
 
 val clamp_jobs : int -> int
 (** Clamp a requested job count to [min_jobs .. max_jobs] — the single
-    authority on worker-count bounds ([run] additionally never forks
-    more workers than it has experiments). *)
+    authority on worker-count bounds ([run] additionally never keeps
+    more children alive than it has experiments). *)
 
 val fault_env : string
 (** ["MMU_SIM_FAULT"] — deterministic fault injection for testing the

@@ -333,9 +333,9 @@ let with_fault spec f =
 let tables_of results =
   List.map (fun (id, o) -> (id, Runner.table_of_outcome o)) results
 
-(* One worker _exit(3)s mid-slice and another is SIGKILLed mid-slice;
-   the supervisor must retry the lost experiments and converge on
-   results byte-identical to a serial run at the same seed. *)
+(* One child _exit(3)s and another is SIGKILLed while others are in
+   flight; the supervisor must retry the lost experiments and converge
+   on results byte-identical to a serial run at the same seed. *)
 let test_runner_worker_death_retried () =
   let work =
     List.init 8 (fun i ->
@@ -364,8 +364,8 @@ let test_runner_worker_death_retried () =
    structured Crashed outcome instead of a generic failure string. *)
 let test_runner_crash_surfaces_status () =
   let work = List.init 4 (fun i -> fake (Printf.sprintf "C%d" i) [ [ "v" ] ]) in
-  (* jobs=2 deals round-robin: C0,C2 to worker 0 and C1,C3 to worker 1,
-     so the two faults land on different workers *)
+  (* every experiment runs in a child of its own, so each fault kills
+     the child hosting its target *)
   with_fault "kill:C1,exit:C2:7" (fun () ->
       let r = Runner.run ~jobs:2 ~retries:0 ~seed:5 work in
       (match List.assoc "C1" r with
@@ -376,7 +376,7 @@ let test_runner_crash_surfaces_status () =
       | Runner.Crashed (Runner.Exited 7) -> ()
       | o -> Alcotest.fail ("C2: " ^ Runner.describe o))
 
-(* A hung worker is cut off by the deadline; the hung experiment is
+(* A hung child is cut off by its deadline; the hung experiment is
    retried (fault disarmed) and still matches the serial run. *)
 let test_runner_hang_timeout_retried () =
   let work = List.init 4 (fun i -> fake (Printf.sprintf "H%d" i) [ [ "v" ] ]) in
@@ -414,6 +414,29 @@ let test_runner_raise_not_retried () =
           Alcotest.(check bool) "carries the injected text" true
             (String.length m > 0)
       | o -> Alcotest.fail ("R1: " ^ Runner.describe o))
+
+(* A dead child loses only its own experiment: with no retries, the
+   fault's target is the one failure and its siblings, whichever child
+   slot they ran in, are delivered untouched. *)
+let test_runner_dead_child_loses_only_its_own () =
+  let work = List.init 4 (fun i -> fake (Printf.sprintf "L%d" i) [ [ "v" ] ]) in
+  let only victim lost r =
+    List.iter
+      (fun (id, o) ->
+        match o with
+        | Runner.Done _ when id <> victim -> ()
+        | o when id = victim && lost o -> ()
+        | o -> Alcotest.fail (id ^ ": " ^ Runner.describe o))
+      r
+  in
+  with_fault "kill:L0" (fun () ->
+      only "L0"
+        (function Runner.Crashed (Runner.Signaled _) -> true | _ -> false)
+        (Runner.run ~jobs:2 ~retries:0 ~seed:6 work));
+  with_fault "hang:L1" (fun () ->
+      only "L1"
+        (function Runner.Timed_out _ -> true | _ -> false)
+        (Runner.run ~jobs:2 ~timeout:0.3 ~retries:0 ~seed:6 work))
 
 let test_outcome_helpers () =
   let t = mk_table [ [ "1" ] ] in
@@ -493,4 +516,6 @@ let suite =
     Alcotest.test_case "runner raise not retried" `Quick
       test_runner_raise_not_retried;
     Alcotest.test_case "runner outcome helpers" `Quick test_outcome_helpers;
-    Alcotest.test_case "registry metadata" `Quick test_registry_metadata ]
+    Alcotest.test_case "registry metadata" `Quick test_registry_metadata;
+    Alcotest.test_case "runner dead child loses only its own" `Quick
+      test_runner_dead_child_loses_only_its_own ]

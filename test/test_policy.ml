@@ -43,10 +43,13 @@ let test_paper_default_constants () =
 
 (* The extraction itself: the mechanism modules must no longer hardcode
    the decisions.  Sources are build deps of the test (see test/dune),
-   so they are readable relative to the test's working directory. *)
+   so they sit beside the test executable in the build tree, wherever
+   it is run from. *)
 
 let read_source rel =
-  In_channel.with_open_text rel In_channel.input_all
+  In_channel.with_open_text
+    (Filename.concat (Filename.dirname Sys.executable_name) rel)
+    In_channel.input_all
 
 let contains hay needle =
   let nh = String.length hay and nn = String.length needle in
