@@ -8,7 +8,6 @@ module Kernel = Kernel_sim.Kernel
 module Policy = Kernel_sim.Policy
 module Mm = Kernel_sim.Mm
 module Config = Mmu_tricks.Config
-module System = Mmu_tricks.System
 module Metrics = Mmu_tricks.Metrics
 module Experiments = Mmu_tricks.Experiments
 module Lmbench = Workloads.Lmbench
@@ -69,13 +68,13 @@ let sec6 () =
     done;
     (* force re-walks: invalidate the TLBs, touch again *)
     Mmu.invalidate_tlbs (Kernel.mmu k);
-    let _, d =
-      System.measure k (fun () ->
+    let cycles =
+      Workloads.Measure.cycles k (fun () ->
           for i = 0 to 199 do
             Kernel.touch k Mmu.Load (data + (i * Addr.page_size))
           done)
     in
-    float_of_int d.Perf.cycles /. 200.0
+    float_of_int cycles /. 200.0
   in
   say "cycles per re-touch after a full TLB flush (200 warm pages):";
   say "  603, htab emulation, C handlers:   %5.0f"

@@ -826,9 +826,7 @@ let e20 ?(seed = 42) () =
         in
         if counter_based then
           Kernel.age_address_spaces k ~contexts:(Va.ctx_space - requests);
-        let before = Perf.snapshot (Kernel.perf k) in
-        let hist, _ = Sv.run k ~params in
-        let perf = Perf.diff ~after:(Perf.snapshot (Kernel.perf k)) ~before in
+        let (hist, _), perf = Msr.region k (fun () -> Sv.run k ~params) in
         let wraps = Va.wraps (Kernel.vsid_alloc k) in
         let pc p = Cost.us_of_cycles ~mhz (Hist.percentile hist p) in
         [ label;

@@ -3,6 +3,7 @@ module Kernel = Kernel_sim.Kernel
 module Policy = Kernel_sim.Policy
 module Mm = Kernel_sim.Mm
 module Pipe = Kernel_sim.Pipe
+module Measure = Workloads.Measure
 
 type personality = {
   p_name : string;
@@ -116,14 +117,14 @@ let bench_null p k machine =
     syscall p k
   done;
   let iters = 400 in
-  let _, d =
-    System.measure k (fun () ->
+  let d =
+    Measure.cycles k (fun () ->
         for _ = 1 to iters do
           syscall p k
         done)
   in
   Kernel.sys_exit k;
-  Cost.us_of_cycles ~mhz:(mhz machine) d.Perf.cycles /. float_of_int iters
+  Cost.us_of_cycles ~mhz:(mhz machine) d /. float_of_int iters
 
 let bench_ctxsw p k machine =
   let tasks = Array.init 2 (fun _ -> Kernel.spawn k ()) in
@@ -134,8 +135,8 @@ let bench_ctxsw p k machine =
       tiny_body k)
     tasks;
   let rounds = 50 in
-  let _, d =
-    System.measure k (fun () ->
+  let d =
+    Measure.cycles k (fun () ->
         for _ = 1 to rounds do
           Array.iter
             (fun task ->
@@ -145,8 +146,8 @@ let bench_ctxsw p k machine =
         done)
   in
   Kernel.switch_to k tasks.(0);
-  let _, overhead =
-    System.measure k (fun () ->
+  let overhead =
+    Measure.cycles k (fun () ->
         for _ = 1 to rounds * 2 do
           tiny_body k
         done)
@@ -157,7 +158,7 @@ let bench_ctxsw p k machine =
       Kernel.sys_exit k)
     tasks;
   Cost.us_of_cycles ~mhz:(mhz machine)
-    (d.Perf.cycles - overhead.Perf.cycles)
+    (d - overhead)
   /. float_of_int (rounds * 2)
 
 let bench_pipe_lat p k machine =
@@ -176,8 +177,8 @@ let bench_pipe_lat p k machine =
     round ()
   done;
   let rounds = 60 in
-  let _, d =
-    System.measure k (fun () ->
+  let d =
+    Measure.cycles k (fun () ->
         for _ = 1 to rounds do
           round ()
         done)
@@ -186,7 +187,7 @@ let bench_pipe_lat p k machine =
   Kernel.sys_exit k;
   Kernel.switch_to k b;
   Kernel.sys_exit k;
-  Cost.us_of_cycles ~mhz:(mhz machine) d.Perf.cycles
+  Cost.us_of_cycles ~mhz:(mhz machine) d
   /. float_of_int (rounds * 2)
 
 let bench_pipe_bw p k machine =
@@ -203,8 +204,8 @@ let bench_pipe_bw p k machine =
     move ()
   done;
   let chunks = 96 in
-  let _, d =
-    System.measure k (fun () ->
+  let d =
+    Measure.cycles k (fun () ->
         for _ = 1 to chunks do
           move ()
         done)
@@ -213,7 +214,7 @@ let bench_pipe_bw p k machine =
   Kernel.sys_exit k;
   Kernel.switch_to k b;
   Kernel.sys_exit k;
-  Cost.mb_per_s ~bytes:(chunks * chunk) ~mhz:(mhz machine) ~cycles:d.Perf.cycles
+  Cost.mb_per_s ~bytes:(chunks * chunk) ~mhz:(mhz machine) ~cycles:d
 
 let measure_row ~machine p ?(seed = 42) () =
   let fresh () = Kernel.boot ~machine ~policy:p.p_policy ~seed () in

@@ -1,16 +1,7 @@
 open Ppc
 module Kernel = Kernel_sim.Kernel
-module Policy = Kernel_sim.Policy
 module Pagepool = Kernel_sim.Pagepool
 module Physmem = Kernel_sim.Physmem
-
-let boot ~machine ~policy ?(seed = 42) () =
-  Kernel.boot ~machine ~policy ~seed ()
-
-let measure k f =
-  let before = Perf.snapshot (Kernel.perf k) in
-  let result = f () in
-  (result, Perf.diff ~after:(Perf.snapshot (Kernel.perf k)) ~before)
 
 type snapshot = {
   tlb_valid : int;

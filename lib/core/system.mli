@@ -1,19 +1,9 @@
-(** Convenience layer: boot a configured system, measure regions, snapshot
-    MMU state.
+(** Snapshot a booted system's MMU state.
 
-    [Kernel_sim.Kernel] is the full API; this module packages the
-    boot-measure-snapshot cycle every experiment repeats. *)
+    Boot with {!Kernel_sim.Kernel.boot} and measure a region with
+    {!Workloads.Measure.region}; this module adds the snapshot. *)
 
-open Ppc
 module Kernel = Kernel_sim.Kernel
-module Policy = Kernel_sim.Policy
-
-val boot : machine:Machine.t -> policy:Policy.t -> ?seed:int -> unit -> Kernel.t
-(** Boot a system (alias of {!Kernel.boot}). *)
-
-val measure : Kernel.t -> (unit -> 'a) -> 'a * Perf.t
-(** [measure k f] runs [f] and returns its result with the counter deltas
-    it caused. *)
 
 (** A point-in-time picture of the MMU structures. *)
 type snapshot = {

@@ -111,9 +111,9 @@ let kbuild ?(params = kbuild_default) () =
   { w_name = "kbuild";
     w_eval =
       (fun ~policy ~seed ->
-        let k = System.boot ~machine ~policy ~seed () in
-        let (), perf =
-          System.measure k (fun () -> Workloads.Kbuild.run k ~params)
+        let k = Kernel_sim.Kernel.boot ~machine ~policy ~seed () in
+        let perf =
+          Workloads.Measure.perf k (fun () -> Workloads.Kbuild.run k ~params)
         in
         let snap = System.snapshot k in
         [ translation_metric perf;
@@ -130,9 +130,9 @@ let server ?params model =
   { w_name = "server-" ^ Workloads.Server.model_name model;
     w_eval =
       (fun ~policy ~seed ->
-        let k = System.boot ~machine ~policy ~seed () in
+        let k = Kernel_sim.Kernel.boot ~machine ~policy ~seed () in
         let (hist, _), perf =
-          System.measure k (fun () -> Workloads.Server.run k ~params)
+          Workloads.Measure.region k (fun () -> Workloads.Server.run k ~params)
         in
         let snap = System.snapshot k in
         [ translation_metric perf;

@@ -788,19 +788,23 @@ let sys_mmap t ~pages ~writable =
   syscall_ret t;
   ea
 
+(* A rejected munmap changes nothing: the start and the size are checked
+   before the syscall window opens, so the vma, its pages and the span's
+   syscall depth all stay as they were. *)
 let sys_munmap t ~ea ~pages =
-  syscall_entry t;
   let task = require_current t in
   let mm = task.Task.mm in
-  (match Mm.remove_vma mm ~start:ea with
+  (match List.find_opt (fun v -> v.Mm.va_start = ea) (Mm.vmas mm) with
   | None -> invalid_arg "Kernel.sys_munmap: no vma at address"
-  | Some vma ->
-      trace_vma t Trace.Vma_unmap mm vma;
-      if vma.Mm.va_pages <> pages then
-        invalid_arg "Kernel.sys_munmap: size mismatch";
-      match vma.Mm.va_backing with
-      | Mm.Phys_window _ -> drop_framebuffer t task
-      | Mm.Anonymous | Mm.File_pages _ -> ());
+  | Some vma when vma.Mm.va_pages <> pages ->
+      invalid_arg "Kernel.sys_munmap: size mismatch"
+  | Some _ -> ());
+  syscall_entry t;
+  let vma = Option.get (Mm.remove_vma mm ~start:ea) in
+  trace_vma t Trace.Vma_unmap mm vma;
+  (match vma.Mm.va_backing with
+  | Mm.Phys_window _ -> drop_framebuffer t task
+  | Mm.Anonymous | Mm.File_pages _ -> ());
   run_path t ~off:Kparams.off_mm ~instrs:Kparams.munmap_base_cost
     ~data:(current_task_refs t);
   let pt = Mm.pagetable mm in

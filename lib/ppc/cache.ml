@@ -254,22 +254,5 @@ let dirty_lines t =
   Array.iteri (fun i tag -> if tag >= 0 && t.dirty.(i) then incr n) t.tags;
   !n
 
-type raw = {
-  raw_tags : int array;
-  raw_dirty : bool array;
-  raw_stamps : int array;
-  raw_tick : int;
-  raw_allocs : int array;
-  raw_evictions : int array;
-}
-
-let raw t =
-  { raw_tags = Array.copy t.tags;
-    raw_dirty = Array.copy t.dirty;
-    raw_stamps = Array.copy t.stamps;
-    raw_tick = t.tick;
-    raw_allocs = Array.copy t.allocs;
-    raw_evictions = Array.copy t.evictions }
-
 let stats_allocations t source = t.allocs.(source_index source)
 let stats_evictions_caused_by t source = t.evictions.(source_index source)

@@ -100,19 +100,6 @@ val occupancy : t -> int
 
 val dirty_lines : t -> int
 
-(** A copy of the cache's raw state, for tests that compare two caches
-    slot by slot. *)
-type raw = {
-  raw_tags : int array;  (** line index per slot, -1 when invalid *)
-  raw_dirty : bool array;
-  raw_stamps : int array;  (** LRU stamps; invalid slots keep stale ones *)
-  raw_tick : int;
-  raw_allocs : int array;  (** per {!source_index} *)
-  raw_evictions : int array;  (** per {!source_index} *)
-}
-
-val raw : t -> raw
-
 val stats_allocations : t -> source -> int
 (** Lines allocated (misses filled) on behalf of [source] since
     creation. *)

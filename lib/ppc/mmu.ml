@@ -81,7 +81,7 @@ let handler_stack_pa = 0x0000_8000
 let test_skip_tlb_invalidations = ref 0
 
 (* Test-only fault injection for the SMP paths: a nonzero value makes
-   [shootdown_page] charge the full IPI round but skip the remote TLB
+   a shootdown round charge in full but skip the remote TLB
    invalidations — the stale-remote-TLB bug class.  Positive = skip that
    many shootdown rounds then disarm; negative = skip every one. *)
 let test_skip_shootdowns = ref 0
@@ -720,76 +720,57 @@ let invalidate_tlbs t =
 
 (* --- cross-CPU shootdowns --------------------------------------------- *)
 
-(* One shootdown round for a single page: the initiator posts an IPI to
-   every CPU in [targets] (a bitmask of remote CPUs), each remote runs
-   the handler and invalidates the page in its own TLBs, and the
-   initiator spins for the acknowledgements.  All charges land on the
-   shared serialized clock.  A zero [targets] is a complete no-op — the
-   [cpus = 1] hot path never reaches any of this. *)
-let shootdown_page t ~vsid ~targets ea =
-  if targets <> 0 then begin
-    let p = perf t in
-    p.Perf.tlb_shootdowns <- p.Perf.tlb_shootdowns + 1;
-    let vpn = Addr.vpn_of ~vsid ~ea in
-    (* test-only stale-remote-TLB injection: costs still charged *)
-    let skip = !test_skip_shootdowns <> 0 in
-    if !test_skip_shootdowns > 0 then decr test_skip_shootdowns;
-    for cpu = 0 to t.n_cpus - 1 do
-      if targets land (1 lsl cpu) <> 0 then begin
-        p.Perf.ipis_sent <- p.Perf.ipis_sent + 1;
-        Memsys.stall t.memsys Cost.ipi_send_cycles;
-        Memsys.instructions t.memsys Cost.ipi_handler_instr;
-        Memsys.stall t.memsys tlbie_cycles;
-        if not skip then begin
-          Tlb.invalidate_page t.itlbs.(cpu) vpn;
-          Tlb.invalidate_page t.dtlbs.(cpu) vpn
-        end;
-        p.Perf.remote_tlb_invalidates <- p.Perf.remote_tlb_invalidates + 1;
-        Memsys.stall t.memsys Cost.ipi_ack_wait_cycles
-      end
-    done;
-    note_flush t ~what:"shootdown-page" ~vsid ~ea
-  end
-
-(* Batched shootdown for a whole precise-flush range: one IPI round
-   covers every page in [pages] (a list of (vsid, ea) pairs, so ranges
-   crossing a segment boundary still work).  Each remote CPU pays the
-   IPI send / handler / ack-wait costs once and a [tlbie] per page,
-   instead of a full round per page as [shootdown_page] charges.
+(* One shootdown round: the initiator posts an IPI to every CPU in
+   [targets] (a bitmask of remote CPUs); each remote pays the IPI send,
+   the handler and, per page in [pages] (a list of (vsid, ea) pairs, so
+   ranges crossing a segment boundary still work), a [tlbie] and the
+   invalidation of its own TLBs; the initiator then spins for the
+   acknowledgement.  All charges land on the shared serialized clock.
    Counter shape: one [tlb_shootdowns] round, [ipis_sent] once per
-   remote CPU, a [remote_tlb_invalidates] per (cpu, page), and
-   [shootdown_batch_pages] counts the pages the round covered. *)
+   remote CPU and a [remote_tlb_invalidates] per (cpu, page). *)
+let shootdown_round t ~what ~targets pages =
+  let p = perf t in
+  p.Perf.tlb_shootdowns <- p.Perf.tlb_shootdowns + 1;
+  (* test-only stale-remote-TLB injection: costs still charged *)
+  let skip = !test_skip_shootdowns <> 0 in
+  if !test_skip_shootdowns > 0 then decr test_skip_shootdowns;
+  for cpu = 0 to t.n_cpus - 1 do
+    if targets land (1 lsl cpu) <> 0 then begin
+      p.Perf.ipis_sent <- p.Perf.ipis_sent + 1;
+      Memsys.stall t.memsys Cost.ipi_send_cycles;
+      Memsys.instructions t.memsys Cost.ipi_handler_instr;
+      List.iter
+        (fun (vsid, ea) ->
+          let vpn = Addr.vpn_of ~vsid ~ea in
+          Memsys.stall t.memsys tlbie_cycles;
+          if not skip then begin
+            Tlb.invalidate_page t.itlbs.(cpu) vpn;
+            Tlb.invalidate_page t.dtlbs.(cpu) vpn
+          end;
+          p.Perf.remote_tlb_invalidates <- p.Perf.remote_tlb_invalidates + 1)
+        pages;
+      Memsys.stall t.memsys Cost.ipi_ack_wait_cycles
+    end
+  done;
+  List.iter (fun (vsid, ea) -> note_flush t ~what ~vsid ~ea) pages
+
+(* A round for a single page.  A zero [targets] is a complete no-op —
+   the [cpus = 1] hot path never reaches any of this. *)
+let shootdown_page t ~vsid ~targets ea =
+  if targets <> 0 then
+    shootdown_round t ~what:"shootdown-page" ~targets [ (vsid, ea) ]
+
+(* Batched shootdown for a whole precise-flush range: one round covers
+   every page, so each remote CPU pays the IPI send / handler / ack-wait
+   costs once and a [tlbie] per page, instead of a full round per page
+   as [shootdown_page] charges.  [shootdown_batch_pages] counts the
+   pages the round covered. *)
 let shootdown_range t ~targets pages =
   if targets <> 0 && pages <> [] then begin
     let p = perf t in
-    p.Perf.tlb_shootdowns <- p.Perf.tlb_shootdowns + 1;
     p.Perf.shootdown_batch_pages <-
       p.Perf.shootdown_batch_pages + List.length pages;
-    (* test-only stale-remote-TLB injection: costs still charged *)
-    let skip = !test_skip_shootdowns <> 0 in
-    if !test_skip_shootdowns > 0 then decr test_skip_shootdowns;
-    for cpu = 0 to t.n_cpus - 1 do
-      if targets land (1 lsl cpu) <> 0 then begin
-        p.Perf.ipis_sent <- p.Perf.ipis_sent + 1;
-        Memsys.stall t.memsys Cost.ipi_send_cycles;
-        Memsys.instructions t.memsys Cost.ipi_handler_instr;
-        List.iter
-          (fun (vsid, ea) ->
-            let vpn = Addr.vpn_of ~vsid ~ea in
-            Memsys.stall t.memsys tlbie_cycles;
-            if not skip then begin
-              Tlb.invalidate_page t.itlbs.(cpu) vpn;
-              Tlb.invalidate_page t.dtlbs.(cpu) vpn
-            end;
-            p.Perf.remote_tlb_invalidates <-
-              p.Perf.remote_tlb_invalidates + 1)
-          pages;
-        Memsys.stall t.memsys Cost.ipi_ack_wait_cycles
-      end
-    done;
-    List.iter
-      (fun (vsid, ea) -> note_flush t ~what:"shootdown-range" ~vsid ~ea)
-      pages
+    shootdown_round t ~what:"shootdown-range" ~targets pages
   end
 
 (* Invalidate every TLB on every CPU — the §7 escape hatch the VSID

@@ -254,8 +254,9 @@ val test_skip_tlb_invalidations : int ref
     default) for correct operation. *)
 
 val test_skip_shootdowns : int ref
-(** Test-only fault injection for SMP: while nonzero, {!shootdown_page}
-    charges the full IPI round but {e skips} the remote TLB
+(** Test-only fault injection for SMP: while nonzero, a shootdown round
+    ({!shootdown_page} or {!shootdown_range}) charges in full but
+    {e skips} the remote TLB
     invalidations — the stale-remote-TLB bug class the cross-CPU shadow
     checking exists to catch.  Positive values count down (skip the next
     [n] shootdown rounds); [-1] skips all.  Leave at [0] (the default)

@@ -39,206 +39,93 @@ type t = {
 }
 
 let create () =
-  { cycles = 0;
-    idle_cycles = 0;
-    instructions = 0;
-    mem_refs = 0;
-    itlb_lookups = 0;
-    itlb_misses = 0;
-    dtlb_lookups = 0;
-    dtlb_misses = 0;
-    htab_searches = 0;
-    htab_hits = 0;
-    htab_misses = 0;
-    htab_reloads = 0;
-    htab_evicts = 0;
-    htab_evicts_live = 0;
-    htab_evicts_zombie = 0;
-    icache_accesses = 0;
-    icache_misses = 0;
-    dcache_accesses = 0;
-    dcache_misses = 0;
-    dcache_bypasses = 0;
-    dcache_writebacks = 0;
-    page_faults = 0;
-    flush_pte_searches = 0;
-    flush_context_resets = 0;
-    context_switches = 0;
-    syscalls = 0;
-    zombies_reclaimed = 0;
-    pages_cleared_idle = 0;
-    prezeroed_hits = 0;
-    get_free_page_calls = 0;
-    ipis_sent = 0;
-    tlb_shootdowns = 0;
-    shootdowns_deferred = 0;
-    remote_tlb_invalidates = 0;
-    shootdown_batch_pages = 0;
-    work_steals = 0;
+  { cycles = 0; idle_cycles = 0; instructions = 0; mem_refs = 0;
+    itlb_lookups = 0; itlb_misses = 0; dtlb_lookups = 0; dtlb_misses = 0;
+    htab_searches = 0; htab_hits = 0; htab_misses = 0; htab_reloads = 0;
+    htab_evicts = 0; htab_evicts_live = 0; htab_evicts_zombie = 0;
+    icache_accesses = 0; icache_misses = 0; dcache_accesses = 0;
+    dcache_misses = 0; dcache_bypasses = 0; dcache_writebacks = 0;
+    page_faults = 0; flush_pte_searches = 0; flush_context_resets = 0;
+    context_switches = 0; syscalls = 0; zombies_reclaimed = 0;
+    pages_cleared_idle = 0; prezeroed_hits = 0; get_free_page_calls = 0;
+    ipis_sent = 0; tlb_shootdowns = 0; shootdowns_deferred = 0;
+    remote_tlb_invalidates = 0; shootdown_batch_pages = 0; work_steals = 0;
     vsid_wraps = 0 }
 
-let reset t =
-  t.cycles <- 0;
-  t.idle_cycles <- 0;
-  t.instructions <- 0;
-  t.mem_refs <- 0;
-  t.itlb_lookups <- 0;
-  t.itlb_misses <- 0;
-  t.dtlb_lookups <- 0;
-  t.dtlb_misses <- 0;
-  t.htab_searches <- 0;
-  t.htab_hits <- 0;
-  t.htab_misses <- 0;
-  t.htab_reloads <- 0;
-  t.htab_evicts <- 0;
-  t.htab_evicts_live <- 0;
-  t.htab_evicts_zombie <- 0;
-  t.icache_accesses <- 0;
-  t.icache_misses <- 0;
-  t.dcache_accesses <- 0;
-  t.dcache_misses <- 0;
-  t.dcache_bypasses <- 0;
-  t.dcache_writebacks <- 0;
-  t.page_faults <- 0;
-  t.flush_pte_searches <- 0;
-  t.flush_context_resets <- 0;
-  t.context_switches <- 0;
-  t.syscalls <- 0;
-  t.zombies_reclaimed <- 0;
-  t.pages_cleared_idle <- 0;
-  t.prezeroed_hits <- 0;
-  t.get_free_page_calls <- 0;
-  t.ipis_sent <- 0;
-  t.tlb_shootdowns <- 0;
-  t.shootdowns_deferred <- 0;
-  t.remote_tlb_invalidates <- 0;
-  t.shootdown_batch_pages <- 0;
-  t.work_steals <- 0;
-  t.vsid_wraps <- 0
+(* Every counter as (name, read, write), in declaration order: the one
+   list [reset], [diff], [fields] and [pp] walk.  The exhaustiveness
+   tests check it against the record's arity, so a counter added to the
+   type but not here fails loudly instead of silently dropping out of
+   timelines. *)
+let counters : (string * (t -> int) * (t -> int -> unit)) list =
+  [ ("cycles", (fun t -> t.cycles), fun t v -> t.cycles <- v);
+    ("idle_cycles", (fun t -> t.idle_cycles), fun t v -> t.idle_cycles <- v);
+    ("instructions", (fun t -> t.instructions), fun t v -> t.instructions <- v);
+    ("mem_refs", (fun t -> t.mem_refs), fun t v -> t.mem_refs <- v);
+    ("itlb_lookups", (fun t -> t.itlb_lookups), fun t v -> t.itlb_lookups <- v);
+    ("itlb_misses", (fun t -> t.itlb_misses), fun t v -> t.itlb_misses <- v);
+    ("dtlb_lookups", (fun t -> t.dtlb_lookups), fun t v -> t.dtlb_lookups <- v);
+    ("dtlb_misses", (fun t -> t.dtlb_misses), fun t v -> t.dtlb_misses <- v);
+    ("htab_searches", (fun t -> t.htab_searches),
+     fun t v -> t.htab_searches <- v);
+    ("htab_hits", (fun t -> t.htab_hits), fun t v -> t.htab_hits <- v);
+    ("htab_misses", (fun t -> t.htab_misses), fun t v -> t.htab_misses <- v);
+    ("htab_reloads", (fun t -> t.htab_reloads), fun t v -> t.htab_reloads <- v);
+    ("htab_evicts", (fun t -> t.htab_evicts), fun t v -> t.htab_evicts <- v);
+    ("htab_evicts_live", (fun t -> t.htab_evicts_live),
+     fun t v -> t.htab_evicts_live <- v);
+    ("htab_evicts_zombie", (fun t -> t.htab_evicts_zombie),
+     fun t v -> t.htab_evicts_zombie <- v);
+    ("icache_accesses", (fun t -> t.icache_accesses),
+     fun t v -> t.icache_accesses <- v);
+    ("icache_misses", (fun t -> t.icache_misses),
+     fun t v -> t.icache_misses <- v);
+    ("dcache_accesses", (fun t -> t.dcache_accesses),
+     fun t v -> t.dcache_accesses <- v);
+    ("dcache_misses", (fun t -> t.dcache_misses),
+     fun t v -> t.dcache_misses <- v);
+    ("dcache_bypasses", (fun t -> t.dcache_bypasses),
+     fun t v -> t.dcache_bypasses <- v);
+    ("dcache_writebacks", (fun t -> t.dcache_writebacks),
+     fun t v -> t.dcache_writebacks <- v);
+    ("page_faults", (fun t -> t.page_faults), fun t v -> t.page_faults <- v);
+    ("flush_pte_searches", (fun t -> t.flush_pte_searches),
+     fun t v -> t.flush_pte_searches <- v);
+    ("flush_context_resets", (fun t -> t.flush_context_resets),
+     fun t v -> t.flush_context_resets <- v);
+    ("context_switches", (fun t -> t.context_switches),
+     fun t v -> t.context_switches <- v);
+    ("syscalls", (fun t -> t.syscalls), fun t v -> t.syscalls <- v);
+    ("zombies_reclaimed", (fun t -> t.zombies_reclaimed),
+     fun t v -> t.zombies_reclaimed <- v);
+    ("pages_cleared_idle", (fun t -> t.pages_cleared_idle),
+     fun t v -> t.pages_cleared_idle <- v);
+    ("prezeroed_hits", (fun t -> t.prezeroed_hits),
+     fun t v -> t.prezeroed_hits <- v);
+    ("get_free_page_calls", (fun t -> t.get_free_page_calls),
+     fun t v -> t.get_free_page_calls <- v);
+    ("ipis_sent", (fun t -> t.ipis_sent), fun t v -> t.ipis_sent <- v);
+    ("tlb_shootdowns", (fun t -> t.tlb_shootdowns),
+     fun t v -> t.tlb_shootdowns <- v);
+    ("shootdowns_deferred", (fun t -> t.shootdowns_deferred),
+     fun t v -> t.shootdowns_deferred <- v);
+    ("remote_tlb_invalidates", (fun t -> t.remote_tlb_invalidates),
+     fun t v -> t.remote_tlb_invalidates <- v);
+    ("shootdown_batch_pages", (fun t -> t.shootdown_batch_pages),
+     fun t v -> t.shootdown_batch_pages <- v);
+    ("work_steals", (fun t -> t.work_steals), fun t v -> t.work_steals <- v);
+    ("vsid_wraps", (fun t -> t.vsid_wraps), fun t v -> t.vsid_wraps <- v) ]
 
-let snapshot t =
-  { cycles = t.cycles;
-    idle_cycles = t.idle_cycles;
-    instructions = t.instructions;
-    mem_refs = t.mem_refs;
-    itlb_lookups = t.itlb_lookups;
-    itlb_misses = t.itlb_misses;
-    dtlb_lookups = t.dtlb_lookups;
-    dtlb_misses = t.dtlb_misses;
-    htab_searches = t.htab_searches;
-    htab_hits = t.htab_hits;
-    htab_misses = t.htab_misses;
-    htab_reloads = t.htab_reloads;
-    htab_evicts = t.htab_evicts;
-    htab_evicts_live = t.htab_evicts_live;
-    htab_evicts_zombie = t.htab_evicts_zombie;
-    icache_accesses = t.icache_accesses;
-    icache_misses = t.icache_misses;
-    dcache_accesses = t.dcache_accesses;
-    dcache_misses = t.dcache_misses;
-    dcache_bypasses = t.dcache_bypasses;
-    dcache_writebacks = t.dcache_writebacks;
-    page_faults = t.page_faults;
-    flush_pte_searches = t.flush_pte_searches;
-    flush_context_resets = t.flush_context_resets;
-    context_switches = t.context_switches;
-    syscalls = t.syscalls;
-    zombies_reclaimed = t.zombies_reclaimed;
-    pages_cleared_idle = t.pages_cleared_idle;
-    prezeroed_hits = t.prezeroed_hits;
-    get_free_page_calls = t.get_free_page_calls;
-    ipis_sent = t.ipis_sent;
-    tlb_shootdowns = t.tlb_shootdowns;
-    shootdowns_deferred = t.shootdowns_deferred;
-    remote_tlb_invalidates = t.remote_tlb_invalidates;
-    shootdown_batch_pages = t.shootdown_batch_pages;
-    work_steals = t.work_steals;
-    vsid_wraps = t.vsid_wraps }
+let snapshot t = { t with cycles = t.cycles }
+
+let reset t = List.iter (fun (_, _, set) -> set t 0) counters
 
 let diff ~after ~before =
-  { cycles = after.cycles - before.cycles;
-    idle_cycles = after.idle_cycles - before.idle_cycles;
-    instructions = after.instructions - before.instructions;
-    mem_refs = after.mem_refs - before.mem_refs;
-    itlb_lookups = after.itlb_lookups - before.itlb_lookups;
-    itlb_misses = after.itlb_misses - before.itlb_misses;
-    dtlb_lookups = after.dtlb_lookups - before.dtlb_lookups;
-    dtlb_misses = after.dtlb_misses - before.dtlb_misses;
-    htab_searches = after.htab_searches - before.htab_searches;
-    htab_hits = after.htab_hits - before.htab_hits;
-    htab_misses = after.htab_misses - before.htab_misses;
-    htab_reloads = after.htab_reloads - before.htab_reloads;
-    htab_evicts = after.htab_evicts - before.htab_evicts;
-    htab_evicts_live = after.htab_evicts_live - before.htab_evicts_live;
-    htab_evicts_zombie = after.htab_evicts_zombie - before.htab_evicts_zombie;
-    icache_accesses = after.icache_accesses - before.icache_accesses;
-    icache_misses = after.icache_misses - before.icache_misses;
-    dcache_accesses = after.dcache_accesses - before.dcache_accesses;
-    dcache_misses = after.dcache_misses - before.dcache_misses;
-    dcache_bypasses = after.dcache_bypasses - before.dcache_bypasses;
-    dcache_writebacks = after.dcache_writebacks - before.dcache_writebacks;
-    page_faults = after.page_faults - before.page_faults;
-    flush_pte_searches = after.flush_pte_searches - before.flush_pte_searches;
-    flush_context_resets =
-      after.flush_context_resets - before.flush_context_resets;
-    context_switches = after.context_switches - before.context_switches;
-    syscalls = after.syscalls - before.syscalls;
-    zombies_reclaimed = after.zombies_reclaimed - before.zombies_reclaimed;
-    pages_cleared_idle = after.pages_cleared_idle - before.pages_cleared_idle;
-    prezeroed_hits = after.prezeroed_hits - before.prezeroed_hits;
-    get_free_page_calls =
-      after.get_free_page_calls - before.get_free_page_calls;
-    ipis_sent = after.ipis_sent - before.ipis_sent;
-    tlb_shootdowns = after.tlb_shootdowns - before.tlb_shootdowns;
-    shootdowns_deferred = after.shootdowns_deferred - before.shootdowns_deferred;
-    remote_tlb_invalidates = after.remote_tlb_invalidates - before.remote_tlb_invalidates;
-    shootdown_batch_pages =
-      after.shootdown_batch_pages - before.shootdown_batch_pages;
-    work_steals = after.work_steals - before.work_steals;
-    vsid_wraps = after.vsid_wraps - before.vsid_wraps }
+  let d = create () in
+  List.iter (fun (_, get, set) -> set d (get after - get before)) counters;
+  d
 
-(* Every counter as (name, value), in declaration order.  The
-   exhaustiveness test checks this list against the record's arity, so a
-   counter added to the type but forgotten here (or in snapshot/diff/
-   reset) fails loudly instead of silently dropping out of timelines. *)
-let fields t =
-  [ ("cycles", t.cycles);
-    ("idle_cycles", t.idle_cycles);
-    ("instructions", t.instructions);
-    ("mem_refs", t.mem_refs);
-    ("itlb_lookups", t.itlb_lookups);
-    ("itlb_misses", t.itlb_misses);
-    ("dtlb_lookups", t.dtlb_lookups);
-    ("dtlb_misses", t.dtlb_misses);
-    ("htab_searches", t.htab_searches);
-    ("htab_hits", t.htab_hits);
-    ("htab_misses", t.htab_misses);
-    ("htab_reloads", t.htab_reloads);
-    ("htab_evicts", t.htab_evicts);
-    ("htab_evicts_live", t.htab_evicts_live);
-    ("htab_evicts_zombie", t.htab_evicts_zombie);
-    ("icache_accesses", t.icache_accesses);
-    ("icache_misses", t.icache_misses);
-    ("dcache_accesses", t.dcache_accesses);
-    ("dcache_misses", t.dcache_misses);
-    ("dcache_bypasses", t.dcache_bypasses);
-    ("dcache_writebacks", t.dcache_writebacks);
-    ("page_faults", t.page_faults);
-    ("flush_pte_searches", t.flush_pte_searches);
-    ("flush_context_resets", t.flush_context_resets);
-    ("context_switches", t.context_switches);
-    ("syscalls", t.syscalls);
-    ("zombies_reclaimed", t.zombies_reclaimed);
-    ("pages_cleared_idle", t.pages_cleared_idle);
-    ("prezeroed_hits", t.prezeroed_hits);
-    ("get_free_page_calls", t.get_free_page_calls);
-    ("ipis_sent", t.ipis_sent);
-    ("tlb_shootdowns", t.tlb_shootdowns);
-    ("shootdowns_deferred", t.shootdowns_deferred);
-    ("remote_tlb_invalidates", t.remote_tlb_invalidates);
-    ("shootdown_batch_pages", t.shootdown_batch_pages);
-    ("work_steals", t.work_steals);
-    ("vsid_wraps", t.vsid_wraps) ]
+let fields t = List.map (fun (name, get, _) -> (name, get t)) counters
 
 let tlb_misses t = t.itlb_misses + t.dtlb_misses
 let tlb_lookups t = t.itlb_lookups + t.dtlb_lookups
@@ -246,43 +133,10 @@ let cache_misses t = t.icache_misses + t.dcache_misses
 let busy_cycles t = t.cycles - t.idle_cycles
 
 let pp fmt t =
-  let field name v = if v <> 0 then Format.fprintf fmt "  %-22s %d@," name v in
   Format.fprintf fmt "@[<v>perf counters:@,";
-  field "cycles" t.cycles;
-  field "idle_cycles" t.idle_cycles;
-  field "instructions" t.instructions;
-  field "mem_refs" t.mem_refs;
-  field "itlb_lookups" t.itlb_lookups;
-  field "itlb_misses" t.itlb_misses;
-  field "dtlb_lookups" t.dtlb_lookups;
-  field "dtlb_misses" t.dtlb_misses;
-  field "htab_searches" t.htab_searches;
-  field "htab_hits" t.htab_hits;
-  field "htab_misses" t.htab_misses;
-  field "htab_reloads" t.htab_reloads;
-  field "htab_evicts" t.htab_evicts;
-  field "htab_evicts_live" t.htab_evicts_live;
-  field "htab_evicts_zombie" t.htab_evicts_zombie;
-  field "icache_accesses" t.icache_accesses;
-  field "icache_misses" t.icache_misses;
-  field "dcache_accesses" t.dcache_accesses;
-  field "dcache_misses" t.dcache_misses;
-  field "dcache_bypasses" t.dcache_bypasses;
-  field "dcache_writebacks" t.dcache_writebacks;
-  field "page_faults" t.page_faults;
-  field "flush_pte_searches" t.flush_pte_searches;
-  field "flush_context_resets" t.flush_context_resets;
-  field "context_switches" t.context_switches;
-  field "syscalls" t.syscalls;
-  field "zombies_reclaimed" t.zombies_reclaimed;
-  field "pages_cleared_idle" t.pages_cleared_idle;
-  field "prezeroed_hits" t.prezeroed_hits;
-  field "get_free_page_calls" t.get_free_page_calls;
-  field "ipis_sent" t.ipis_sent;
-  field "tlb_shootdowns" t.tlb_shootdowns;
-  field "shootdowns_deferred" t.shootdowns_deferred;
-  field "remote_tlb_invalidates" t.remote_tlb_invalidates;
-  field "shootdown_batch_pages" t.shootdown_batch_pages;
-  field "work_steals" t.work_steals;
-  field "vsid_wraps" t.vsid_wraps;
+  List.iter
+    (fun (name, get, _) ->
+      let v = get t in
+      if v <> 0 then Format.fprintf fmt "  %-22s %d@," name v)
+    counters;
   Format.fprintf fmt "@]"

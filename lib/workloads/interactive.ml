@@ -23,10 +23,9 @@ type result = {
   wall_us : float;
 }
 
-let measure ~machine ~policy ?(params = default_params) ?(seed = 42) () =
-  let p = params in
-  let k = Kernel.boot ~machine ~policy ~seed () in
-  let before = Perf.snapshot (Kernel.perf k) in
+(* The editor and the background compile under [Sched]; returns the
+   keystrokes' wake-to-done response times in cycles. *)
+let run k ~params:p =
   let sched = Sched.create k in
   let rng = Kernel.rng k in
   (* the editor: think, wake, burst, measure wake-to-done *)
@@ -88,9 +87,13 @@ let measure ~machine ~policy ?(params = default_params) ?(seed = 42) () =
       end
       else Sched.Yield);
   Sched.run sched;
-  let perf = Perf.diff ~after:(Perf.snapshot (Kernel.perf k)) ~before in
+  !responses
+
+let measure ~machine ~policy ?(params = default_params) ?(seed = 42) () =
+  let k = Kernel.boot ~machine ~policy ~seed () in
+  let responses, perf = Measure.region k (fun () -> run k ~params) in
   let mhz = machine.Machine.mhz in
-  let rs = List.map float_of_int !responses in
+  let rs = List.map float_of_int responses in
   let n = float_of_int (max 1 (List.length rs)) in
   { perf;
     mean_response_us =

@@ -1,10 +1,12 @@
 open Ppc
 module Kernel = Kernel_sim.Kernel
 
-let perf k f =
+let region k f =
   let before = Perf.snapshot (Kernel.perf k) in
-  f ();
-  Perf.diff ~after:(Perf.snapshot (Kernel.perf k)) ~before
+  let result = f () in
+  (result, Perf.diff ~after:(Kernel.perf k) ~before)
+
+let perf k f = snd (region k f)
 
 let cycles k f = (perf k f).Perf.cycles
 

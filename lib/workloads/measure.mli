@@ -2,6 +2,11 @@
 
 open Ppc
 
+val region : Kernel_sim.Kernel.t -> (unit -> 'a) -> 'a * Perf.t
+(** [region k f] runs [f] and returns its result with the counter deltas
+    it caused: the one measured region every workload and experiment
+    uses. *)
+
 val perf : Kernel_sim.Kernel.t -> (unit -> unit) -> Perf.t
 (** [perf k f] runs [f] and returns the counter deltas it caused. *)
 

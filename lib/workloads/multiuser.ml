@@ -124,9 +124,9 @@ let run k ~params:p =
 
 let measure ~machine ~policy ?(params = default_params) ?(seed = 42) () =
   let k = Kernel.boot ~machine ~policy ~seed () in
-  let before = Perf.snapshot (Kernel.perf k) in
-  let keystroke_cycles, utility_cycles = run k ~params in
-  let perf = Perf.diff ~after:(Perf.snapshot (Kernel.perf k)) ~before in
+  let (keystroke_cycles, utility_cycles), perf =
+    Measure.region k (fun () -> run k ~params)
+  in
   let mhz = machine.Machine.mhz in
   { perf;
     busy_us = Cost.us_of_cycles ~mhz (Perf.busy_cycles perf);

@@ -126,9 +126,7 @@ let run k ~params:p =
 
 let measure ~machine ~policy ~params ?(seed = 42) () =
   let k = Kernel.boot ~machine ~policy ~seed () in
-  let before = Perf.snapshot (Kernel.perf k) in
-  run k ~params;
-  let perf = Perf.diff ~after:(Perf.snapshot (Kernel.perf k)) ~before in
+  let perf = Measure.perf k (fun () -> run k ~params) in
   let mhz = machine.Machine.mhz in
   { perf;
     wall_us = Cost.us_of_cycles ~mhz perf.Perf.cycles;

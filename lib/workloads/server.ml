@@ -256,9 +256,7 @@ let measure ~machine ~policy ?(params = default_params) ?(seed = 42) ?label
   if Recorder.enabled rcd then
     Recorder.set_label rcd
       (match label with Some l -> l | None -> model_name params.model);
-  let before = Perf.snapshot (Kernel.perf k) in
-  let hist, kind_hists = run k ~params in
-  let perf = Perf.diff ~after:(Perf.snapshot (Kernel.perf k)) ~before in
+  let (hist, kind_hists), perf = Measure.region k (fun () -> run k ~params) in
   let mhz = machine.Machine.mhz in
   { perf;
     wall_us = Cost.us_of_cycles ~mhz perf.Perf.cycles;

@@ -98,7 +98,7 @@ let test_report_formats () =
 
 let test_system_snapshot () =
   let k =
-    System.boot ~machine:Machine.ppc604_185 ~policy:Config.optimized ()
+    Kernel.boot ~machine:Machine.ppc604_185 ~policy:Config.optimized ()
   in
   let s = System.snapshot k in
   Alcotest.(check int) "tlb capacity 256" 256 s.System.tlb_capacity;
@@ -115,7 +115,7 @@ let test_system_snapshot () =
 
 let test_snapshot_no_htab () =
   let k =
-    System.boot ~machine:Machine.ppc603_133
+    Kernel.boot ~machine:Machine.ppc603_133
       ~policy:Config.optimized_no_htab ()
   in
   let s = System.snapshot k in
@@ -126,7 +126,7 @@ let test_all_presets_boot_and_run () =
   List.iter
     (fun (name, policy) ->
       let k =
-        System.boot ~machine:Machine.ppc604_185 ~policy ~seed:1 ()
+        Kernel.boot ~machine:Machine.ppc604_185 ~policy ~seed:1 ()
       in
       let t = Kernel.spawn k () in
       Kernel.switch_to k t;

@@ -1268,10 +1268,10 @@ let mode_name = function
    [data_ref] per PTE) and, for a page clear, one uncached store or one
    [dcbz] per line, the [dcbz] charged from [Cache.allocate_zero]'s
    result as [Cost] prices it.  Two bare caches check the primitives'
-   results the same way.  After every operation all three [Perf.fields]
-   must agree; every tenth operation and at the end, so must the raw
-   cache states: tags, dirty bits, stamps, tick and per-source
-   counters. *)
+   results the same way.  After every operation all three [Perf.t]
+   records must be equal; every tenth operation and at the end, so must
+   the [Cache.t] values: tags, dirty bits, stamps, tick, lock and
+   per-source counters. *)
 let prop_runs_match_single_calls (machine : Machine.t) mode =
   let geometry = machine.Machine.dcache in
   QCheck.Test.make
@@ -1402,15 +1402,11 @@ let prop_runs_match_single_calls (machine : Machine.t) mode =
             Cache.set_locked c_run b;
             Cache.set_locked c_single b
       in
-      let same_perf () =
-        let f = Perf.fields p_single in
-        Perf.fields p_fused = f && Perf.fields p_fallback = f
-      in
+      let same_perf () = p_fused = p_single && p_fallback = p_single in
       let same_caches () =
-        let r = Cache.raw (Memsys.dcache single) in
-        Cache.raw (Memsys.dcache fused) = r
-        && Cache.raw (Memsys.dcache fallback) = r
-        && Cache.raw c_run = Cache.raw c_single
+        let d = Memsys.dcache single in
+        Memsys.dcache fused = d && Memsys.dcache fallback = d
+        && c_run = c_single
       in
       let ok =
         List.for_all Fun.id
@@ -1501,9 +1497,11 @@ let watch w mmu ~pids =
    precise flushes over more pages than the TLBs hold.  One runs
    unobserved, so every miss takes the plain instance; the other is
    watched, so every miss takes the observed one.  After every
-   operation the two must agree on the answer, on [Perf.fields], on
-   both caches' raw states and on both TLBs' contents, slot by slot;
-   every hundredth operation and at the end, on every htab entry too.
+   operation the two must agree on the answer and be equal, compared
+   structurally in place, in their [Perf.t], both [Cache.t] and both
+   [Tlb.t] (contents, LRU stamps and tick); every hundredth operation
+   and at the end, in their [Htab.t] too (every slot's two words and
+   the reclaim cursor).
 
    The stream is built to reach every case the sequence has: 24 pages
    share one primary PTEG (eight VSIDs, three page indices each), so
@@ -1559,21 +1557,6 @@ let reload_equivalence ?(knobs = Mmu.default_knobs) ?(watched_by = Recorder)
   let plain, ms_plain, p_plain = mmu ()
   and watched, ms_watched, p_watched = mmu () in
   let saw = watch watched_by watched ~pids:[] in
-  let tlb_contents m =
-    List.concat_map
-      (fun tlb ->
-        List.init (Tlb.capacity tlb) (fun i ->
-            ( Tlb.slot_vpn tlb i,
-              Tlb.slot_rpn tlb i,
-              Tlb.slot_inhibited tlb i,
-              Tlb.slot_writable tlb i )))
-      [ Mmu.itlb m; Mmu.dtlb m ]
-  in
-  let htab_entries m =
-    match Mmu.htab m with
-    | None -> []
-    | Some h -> List.init (Htab.capacity h) (Htab.decode h)
-  in
   let fail i what =
     Alcotest.failf "%s: op %d: %s differ" machine.Machine.name i what
   in
@@ -1615,18 +1598,17 @@ let reload_equivalence ?(knobs = Mmu.default_knobs) ?(watched_by = Recorder)
       if pa < 0 && kind = Mmu.Store && read_only ea && not (unmapped ea) then
         incr ro_store_faults
     end;
-    if Perf.fields p_plain <> Perf.fields p_watched then fail i "counters";
+    if p_plain <> p_watched then fail i "counters";
     if
-      Cache.raw (Memsys.dcache ms_plain)
-      <> Cache.raw (Memsys.dcache ms_watched)
-      || Cache.raw (Memsys.icache ms_plain)
-         <> Cache.raw (Memsys.icache ms_watched)
+      Memsys.dcache ms_plain <> Memsys.dcache ms_watched
+      || Memsys.icache ms_plain <> Memsys.icache ms_watched
     then fail i "caches";
-    if tlb_contents plain <> tlb_contents watched then fail i "TLBs";
-    if i mod 100 = 99 && htab_entries plain <> htab_entries watched then
+    if Mmu.itlb plain <> Mmu.itlb watched || Mmu.dtlb plain <> Mmu.dtlb watched
+    then fail i "TLBs";
+    if i mod 100 = 99 && Mmu.htab plain <> Mmu.htab watched then
       fail i "htab entries"
   done;
-  if htab_entries plain <> htab_entries watched then fail ops "htab entries";
+  if Mmu.htab plain <> Mmu.htab watched then fail ops "htab entries";
   Alcotest.(check bool) "one side observed, the other not" true
     (observed watched && not (observed plain));
   saw ();
@@ -1646,8 +1628,9 @@ let reload_equivalence ?(knobs = Mmu.default_knobs) ?(watched_by = Recorder)
    switches between the two tasks and precise single-page flushes.  The
    second kernel is watched from after its boot.  Stores to text pages
    meet read-only PTEs and end in [Segfault]; the outcome of every
-   operation, [Perf.fields], both caches' raw states and the current
-   TLBs must agree, and at the end every htab entry. *)
+   operation must agree, and after it the two kernels' [Perf.t], both
+   [Cache.t] and the current [Tlb.t] must be equal, and at the end
+   their [Htab.t]. *)
 let kernel_reload_equivalence ?(policy = Kernel_sim.Policy.optimized)
     ?(watched_by = Recorder) (machine : Machine.t) () =
   let module Kernel = Kernel_sim.Kernel in
@@ -1669,11 +1652,11 @@ let kernel_reload_equivalence ?(policy = Kernel_sim.Policy.optimized)
   let segfaults = ref 0 in
   let state k =
     let mmu = Kernel.mmu k and ms = Kernel.memsys k in
-    ( Perf.fields (Kernel.perf k),
-      (Cache.raw (Memsys.dcache ms), Cache.raw (Memsys.icache ms)),
-      List.concat_map
-        (fun tlb -> List.init (Tlb.capacity tlb) (Tlb.slot_vpn tlb))
-        [ Mmu.itlb mmu; Mmu.dtlb mmu ] )
+    ( Kernel.perf k,
+      Memsys.dcache ms,
+      Memsys.icache ms,
+      Mmu.itlb mmu,
+      Mmu.dtlb mmu )
   in
   for i = 0 to 1999 do
     let roll = Rng.int stream 100 in
@@ -1707,12 +1690,7 @@ let kernel_reload_equivalence ?(policy = Kernel_sim.Policy.optimized)
     if state plain <> state watched then
       Alcotest.failf "%s: op %d: kernels differ" machine.Machine.name i
   done;
-  let htab_entries k =
-    match Mmu.htab (Kernel.mmu k) with
-    | None -> []
-    | Some h -> List.init (Htab.capacity h) (Htab.decode h)
-  in
-  if htab_entries plain <> htab_entries watched then
+  if Mmu.htab (Kernel.mmu plain) <> Mmu.htab (Kernel.mmu watched) then
     Alcotest.failf "%s: htab entries differ" machine.Machine.name;
   let p = Kernel.perf plain in
   Alcotest.(check bool) "one kernel observed, the other not" true

@@ -423,6 +423,48 @@ let test_user_run_faults_text () =
   Alcotest.(check bool) "instructions charged" true
     ((Kernel.perf k).Perf.instructions >= 800)
 
+(* A munmap whose size does not match the vma is rejected before it
+   changes anything: the vma is still found and its pages still map. *)
+let test_munmap_wrong_size_keeps_vma () =
+  let k = boot () in
+  let t = Kernel.spawn k () in
+  Kernel.switch_to k t;
+  let ea = Kernel.sys_mmap k ~pages:4 ~writable:true in
+  Kernel.touch k Mmu.Store ea;
+  (match Kernel.sys_munmap k ~ea ~pages:3 with
+  | exception Invalid_argument _ -> ()
+  | () -> Alcotest.fail "wrong-size munmap must fail");
+  Alcotest.(check bool) "vma still found" true
+    (Option.is_some (Mm.find_vma t.Task.mm ea));
+  Kernel.touch k Mmu.Load ea;
+  Kernel.sys_munmap k ~ea ~pages:4;
+  Alcotest.(check bool) "right-size munmap removes it" true
+    (Option.is_none (Mm.find_vma t.Task.mm ea))
+
+(* Neither munmap error opens the span's syscall window, so the next
+   syscall's window opens and closes and its cost lands on the
+   request. *)
+let test_rejected_munmap_keeps_spans_balanced () =
+  let k = boot () in
+  let t = Kernel.spawn k () in
+  Kernel.switch_to k t;
+  let ea = Kernel.sys_mmap k ~pages:4 ~writable:true in
+  let sp = Kernel.span k in
+  Span.enable sp;
+  let rid = Span.request_begin sp ~cls:0 ~arrival:(Kernel.cycles k) in
+  Span.set_current_request sp rid;
+  List.iter
+    (fun (ea, pages) ->
+      match Kernel.sys_munmap k ~ea ~pages with
+      | exception Invalid_argument _ -> ()
+      | () -> Alcotest.fail "munmap must be rejected")
+    [ (ea, 3); (ea + Addr.page_size, 1) ];
+  Kernel.sys_null k;
+  let q = Span.request sp rid in
+  Alcotest.(check int) "one syscall window, the null syscall's" 1
+    q.Span.q_syscalls;
+  Alcotest.(check bool) "its cost charged" true (q.Span.q_syscall_cost > 0)
+
 let suite =
   [ Alcotest.test_case "boot programs BATs" `Quick test_boot_bat;
     Alcotest.test_case "boot without BATs" `Quick test_boot_no_bat;
@@ -462,4 +504,8 @@ let suite =
     Alcotest.test_case "idle reclaim clears zombies (§7)" `Quick
       test_idle_reclaim_clears_zombies;
     Alcotest.test_case "user_run faults text" `Quick
-      test_user_run_faults_text ]
+      test_user_run_faults_text;
+    Alcotest.test_case "wrong-size munmap keeps the vma" `Quick
+      test_munmap_wrong_size_keeps_vma;
+    Alcotest.test_case "rejected munmaps keep the syscall window balanced"
+      `Quick test_rejected_munmap_keeps_spans_balanced ]

@@ -9,7 +9,12 @@
    TLB/htab entries may linger physically valid, but "their VSIDs will
    not match any VSIDs used by any process so incorrect matches won't be
    made".  A bug in VSID recycling, flush cutoffs, htab eviction or TLB
-   invalidation shows up here as a stale translation. *)
+   invalidation shows up here as a stale translation.
+
+   At 2 and 4 CPUs the stream also migrates the current task and runs
+   threads that touch and unmap from another CPU, so a skipped or
+   mis-targeted shootdown leaves a stale remote TLB entry that a later
+   access on that CPU meets. *)
 
 open Ppc
 module Kernel = Kernel_sim.Kernel
@@ -30,6 +35,9 @@ type op =
   | Op_exec
   | Op_fork_child_writes of int  (* COW: fork, child stores, child exits *)
   | Op_map_framebuffer
+  | Op_migrate of int     (* SMP: the current task moves to another CPU *)
+  | Op_thread of int      (* SMP: a thread of the current task touches and
+                             unmaps from another CPU *)
 
 let op_of_int n =
   match n mod 14 with
@@ -44,6 +52,13 @@ let op_of_int n =
   | 13 -> Op_map_framebuffer
   | _ -> assert false
 
+(* The SMP stream: one op in six crosses CPUs, alternately a migrate and
+   a thread. *)
+let smp_op_of_int n =
+  if n mod 6 <> 5 then op_of_int n
+  else if n mod 12 = 5 then Op_migrate (n / 12)
+  else Op_thread (n / 12)
+
 let check_consistency k task =
   let mmu = Kernel.mmu k in
   let ok = ref true in
@@ -53,16 +68,24 @@ let check_consistency k task =
       | None -> ok := false);
   !ok
 
-let run_ops ~machine ~policy ops =
+let run_ops ~cpus ~machine ~policy ops =
   (* shadow on: every translation made along the way is also
      cross-checked against the reference MMU, for free *)
-  let k = Kernel.boot ~machine ~policy ~seed:11 ~shadow:true () in
+  let k = Kernel.boot ~machine ~policy ~seed:11 ~shadow:true ~cpus () in
   let a = Kernel.spawn k () in
   let b = Kernel.spawn k () in
   Kernel.switch_to k a;
   let live_maps = ref [] in
   let consistent = ref true in
   let current () = Option.get (Kernel.current k) in
+  let cpu = ref 0 in
+  let other_cpu salt = (!cpu + 1 + (salt mod (cpus - 1))) mod cpus in
+  (* a real access, so a stale TLB entry on this CPU would answer it *)
+  let segfaults ea =
+    match Kernel.touch k Mmu.Load ea with
+    | exception Kernel.Segfault _ -> true
+    | () -> false
+  in
   let touch_in_vmas salt =
     let task = current () in
     let vmas = Mm.vmas task.Task.mm in
@@ -138,7 +161,37 @@ let run_ops ~machine ~policy ops =
           Kernel.touch k Mmu.Store ea;
           Kernel.touch k Mmu.Store (ea + (31 * 4096))
         end
+    | Op_migrate salt ->
+        let task = current () in
+        cpu := other_cpu salt;
+        Kernel.set_active_cpu k !cpu;
+        Kernel.switch_to k task
+    | Op_thread salt ->
+        (* the thread shares the owner's address space: what it unmaps
+           on its CPU must be gone on the owner's too, by shootdown or
+           by the lazy reset's segment reload *)
+        let owner = current () and home = !cpu in
+        Kernel.set_active_cpu k (other_cpu salt);
+        let thread = Kernel.spawn_thread k ~peer:owner in
+        Kernel.switch_to k thread;
+        touch_in_vmas salt;
+        let shared (o, _, _) = o.Task.mm == owner.Task.mm in
+        let unmapped =
+          match List.rev (List.filter shared !live_maps) with
+          | ((_, ea, pages) as m) :: _ ->
+              Kernel.sys_munmap k ~ea ~pages;
+              live_maps := List.filter (fun m' -> m' != m) !live_maps;
+              if not (segfaults ea) then consistent := false;
+              Some ea
+          | [] -> None
+        in
+        if not (check_consistency k thread) then consistent := false;
+        Kernel.set_active_cpu k home;
+        Option.iter
+          (fun ea -> if not (segfaults ea) then consistent := false)
+          unmapped
   in
+  let op_of_int = if cpus = 1 then op_of_int else smp_op_of_int in
   List.iter
     (fun n ->
       apply (op_of_int n);
@@ -154,10 +207,12 @@ let run_ops ~machine ~policy ops =
   | None -> consistent := false);
   !consistent
 
-let prop ~name ~machine ~policy =
+let prop_on ~cpus ~name ~machine ~policy =
   QCheck.Test.make ~name ~count:15
     QCheck.(list_of_size (Gen.return 60) (int_bound 1_000_000))
-    (fun ops -> run_ops ~machine ~policy ops)
+    (fun ops -> run_ops ~cpus ~machine ~policy ops)
+
+let prop = prop_on ~cpus:1
 
 let suite =
   [ QCheck_alcotest.to_alcotest
@@ -187,3 +242,17 @@ let suite =
          ~policy:
            { Config.optimized_idle_lock with
              Kernel_sim.Policy.cache_preload = true }) ]
+  @ List.concat_map
+      (fun cpus ->
+        [ QCheck_alcotest.to_alcotest
+            (prop_on ~cpus
+               ~name:(Printf.sprintf "oracle: optimized on 604, %d CPUs" cpus)
+               ~machine:Machine.ppc604_185 ~policy:Policy.optimized);
+          QCheck_alcotest.to_alcotest
+            (prop_on ~cpus
+               ~name:
+                 (Printf.sprintf "oracle: precise flushing on 604, %d CPUs"
+                    cpus)
+               ~machine:Machine.ppc604_185
+               ~policy:Config.optimized_precise_flush) ])
+      [ 2; 4 ]

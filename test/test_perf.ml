@@ -109,6 +109,41 @@ let test_pp_no_crash () =
   Alcotest.(check bool) "mentions cycles" true
     (String.length s > 0)
 
+(* [pp] prints the nonzero counters and nothing else: one
+   "  name value" line each, in [fields] order, under the header. *)
+let test_pp_nonzero_in_order () =
+  let p = Perf.create () in
+  p.Perf.cycles <- 123;
+  p.Perf.htab_evicts_zombie <- 4;
+  p.Perf.dtlb_misses <- 7;
+  p.Perf.vsid_wraps <- 1;
+  let lines =
+    String.split_on_char '\n' (Format.asprintf "%a" Perf.pp p)
+    |> List.filter (fun l -> l <> "")
+  in
+  let expected =
+    List.filter_map
+      (fun (name, v) ->
+        if v = 0 then None else Some (Printf.sprintf "  %-22s %d" name v))
+      (Perf.fields p)
+  in
+  Alcotest.(check (list string))
+    "header, then one line per nonzero counter" ("perf counters:" :: expected)
+    lines;
+  Alcotest.(check int) "four counters printed" 4 (List.length expected)
+
+(* A live record serves as [after] as well as its snapshot does. *)
+let test_diff_live_after () =
+  let p = Perf.create () in
+  fill_distinct p;
+  let before = Perf.snapshot p in
+  p.Perf.cycles <- p.Perf.cycles + 50;
+  p.Perf.vsid_wraps <- p.Perf.vsid_wraps + 2;
+  Alcotest.(check (list (pair string int)))
+    "diff of the live record = diff of its snapshot"
+    (Perf.fields (Perf.diff ~after:(Perf.snapshot p) ~before))
+    (Perf.fields (Perf.diff ~after:p ~before))
+
 let suite =
   [ Alcotest.test_case "create zeroed" `Quick test_create_zero;
     Alcotest.test_case "snapshot/diff" `Quick test_snapshot_diff;
@@ -123,4 +158,8 @@ let suite =
       test_diff_self_zero;
     Alcotest.test_case "reset covers every counter" `Quick
       test_reset_covers_all;
-    Alcotest.test_case "pretty printer" `Quick test_pp_no_crash ]
+    Alcotest.test_case "pretty printer" `Quick test_pp_no_crash;
+    Alcotest.test_case "pp prints exactly the nonzero counters" `Quick
+      test_pp_nonzero_in_order;
+    Alcotest.test_case "diff of a live record = diff of its snapshot" `Quick
+      test_diff_live_after ]
