@@ -1180,7 +1180,7 @@ let d2 ?(seed = 42) () =
   let generations = 4 in
   for _ = 1 to generations do
     (* A replaces the shared image on CPU 0: whole-mm precise flush,
-       one shootdown round per mapped page to CPU 1 *)
+       one shootdown round to CPU 1 covering every mapped page *)
     Kernel.set_active_cpu k 0;
     Kernel.sys_exec k ~text_pages ~data_pages ~stack_pages;
     Kernel.user_run k ~instrs:500;

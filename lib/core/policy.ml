@@ -199,12 +199,7 @@ let knobs =
           ("fifo", Ppc.Tlb.Fifo);
           ("random", Ppc.Tlb.Rand) ]
       (fun p -> p.Kpolicy.tlb_replacement)
-      (fun p v -> { p with Kpolicy.tlb_replacement = v });
-    bknob "shootdown_batch" ~origin:"kernel_sim/kernel.ml (precise flushes)"
-      ~section:"smp"
-      ~doc:"one IPI round per precise flush range vs the legacy per page"
-      (fun p -> p.Kpolicy.shootdown_batch)
-      (fun p v -> { p with Kpolicy.shootdown_batch = v }) ]
+      (fun p v -> { p with Kpolicy.tlb_replacement = v }) ]
 
 let find_knob key = List.find_opt (fun k -> k.key = key) knobs
 

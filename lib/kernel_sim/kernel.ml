@@ -298,29 +298,55 @@ let stack_refs t n =
       List.init n (fun i ->
           (true, Task.kstack_ea task + (i * Addr.line_size mod 1024)))
 
-(* set once timer_tick is defined below; syscall entry is where the
-   kernel notices a pending tick *)
-let tick_hook : (t -> unit) ref = ref (fun _ -> ())
+(* One §6.1 entry path — the syscall entry, the context switch and the
+   timer interrupt: the hand-tuned fast path's [fast] instructions, or
+   the original C path's [slow] plus [slow_stack_refs] lines of stack
+   save/restore after the path's own [data] references. *)
+let entry_path t ~off ~fast ~slow ~slow_stack_refs ~data =
+  if t.k_policy.Policy.fast_paths then run_path t ~off ~instrs:fast ~data
+  else
+    run_path t ~off ~instrs:slow ~data:(data @ stack_refs t slow_stack_refs)
 
-let syscall_entry t =
-  !tick_hook t;
+let timer_tick t =
+  t.next_tick <- t.k_perf.Perf.cycles + Kparams.timer_tick_cycles;
+  entry_path t ~off:Kparams.off_sched ~fast:Kparams.tick_fast
+    ~slow:Kparams.tick_slow ~slow_stack_refs:Kparams.tick_slow_stack_refs
+    ~data:(current_task_refs t);
+  if t.k_policy.Policy.cache_preload then
+    match t.k_currents.(t.k_cpu) with
+    | None -> ()
+    | Some task ->
+        let ts = Kparams.kernel_phys_of_virt (Task.task_struct_ea task) in
+        for i = 0 to 1 do
+          Memsys.prefetch t.k_memsys ~source:Cache.Kernel
+            (ts + (i * Addr.line_size))
+        done
+
+(* The clock ticks no matter what the workload is doing; checked at the
+   operation boundaries (syscalls, user references, idle turns). *)
+let[@inline] maybe_tick t =
+  if t.k_perf.Perf.cycles >= t.next_tick then timer_tick t
+
+(* The syscall boundary, written once.  Every [sys_*] makes its checks
+   first and only then enters here, so a rejected call charges nothing
+   and opens no window.  Entering notices a pending tick, counts the
+   call, opens the current request's span window (stamped before the
+   entry path charges, so the window covers all of it), charges the
+   entry path and runs [body]; the window closes whether [body] returns
+   or raises. *)
+let syscall t body =
+  maybe_tick t;
   t.k_perf.Perf.syscalls <- t.k_perf.Perf.syscalls + 1;
-  (* span attribution: stamp the kernel-entry cycle before the entry
-     path charges, so the request's syscall window covers all of it *)
-  Span.syscall_begin (span t);
-  let fast = t.k_policy.Policy.fast_paths in
-  let instrs =
-    if fast then Kparams.syscall_fast else Kparams.syscall_slow
-  in
-  let extra =
-    if fast then [] else stack_refs t Kparams.syscall_slow_stack_refs
-  in
-  run_path t ~off:Kparams.off_syscall ~instrs
-    ~data:(current_task_refs t @ extra)
-
-(* The matching syscall return, called at the end of every [sys_*] body:
-   closes the current request's syscall window. *)
-let syscall_ret t = Span.syscall_end (span t)
+  let sp = span t in
+  Span.syscall_begin sp;
+  Fun.protect
+    ~finally:(fun () -> Span.syscall_end sp)
+    (fun () ->
+      entry_path t ~off:Kparams.off_syscall ~fast:Kparams.syscall_fast
+        ~slow:Kparams.syscall_slow
+        ~slow_stack_refs:Kparams.syscall_slow_stack_refs
+        ~data:(current_task_refs t);
+      body ())
 
 (* --- flushing --------------------------------------------------------- *)
 
@@ -381,23 +407,16 @@ let flush_page_mm t ~mm ~targets pea =
   Mmu.flush_page_for_vsid t.k_mmu ~vsid pea;
   if targets <> 0 then Mmu.shootdown_page t.k_mmu ~vsid ~targets pea
 
-(* Precise flush of one range with the shootdowns batched: flush every
-   page locally while collecting the (vsid, ea) pairs, then one IPI
-   round covers the whole range on each remote CPU.  The legacy
-   round-per-page behavior stays available as the [shootdown_batch]
-   policy knob (off), so the tuner can price the difference.  At
-   [targets = 0] — always, at one CPU — both paths charge byte-identical
-   costs. *)
+(* Precise flush of a set of pages: flush each page locally, then one
+   IPI round covers them all on each remote CPU.  At [targets = 0] —
+   always, at one CPU — nothing is collected and no round runs. *)
 let precise_flush_pages t ~mm ~targets ~each =
-  if targets <> 0 && t.k_policy.Policy.shootdown_batch then begin
-    let flushed = ref [] in
-    each (fun pea ->
-        let vsid = vsid_of_ea t ~mm pea in
-        Mmu.flush_page_for_vsid t.k_mmu ~vsid pea;
-        flushed := (vsid, pea) :: !flushed);
-    Mmu.shootdown_range t.k_mmu ~targets (List.rev !flushed)
-  end
-  else each (fun pea -> flush_page_mm t ~mm ~targets pea)
+  let flushed = ref [] in
+  each (fun pea ->
+      let vsid = vsid_of_ea t ~mm pea in
+      Mmu.flush_page_for_vsid t.k_mmu ~vsid pea;
+      if targets <> 0 then flushed := (vsid, pea) :: !flushed);
+  Mmu.shootdown_range t.k_mmu ~targets (List.rev !flushed)
 
 let precise_flush_range t ~mm ~ea ~pages =
   let targets = remote_targets t mm in
@@ -479,21 +498,18 @@ let framebuffer_bat_index = 2
 let switch_to t task =
   let switch_start = t.k_perf.Perf.cycles in
   t.k_perf.Perf.context_switches <- t.k_perf.Perf.context_switches + 1;
-  let fast = t.k_policy.Policy.fast_paths in
-  let instrs = if fast then Kparams.switch_fast else Kparams.switch_slow in
-  let extra =
-    if fast then [] else stack_refs t Kparams.switch_slow_stack_refs
+  let outgoing =
+    match t.k_currents.(t.k_cpu) with
+    | Some old -> [ (true, Task.task_struct_ea old) ]
+    | None -> []
   in
-  let data =
-    (false, Kparams.runqueue_ea)
-    :: (false, Task.task_struct_ea task)
-    :: (true, Task.kstack_ea task)
-    :: ((match t.k_currents.(t.k_cpu) with
-        | Some old -> [ (true, Task.task_struct_ea old) ]
-        | None -> [])
-       @ extra)
-  in
-  run_path t ~off:Kparams.off_sched ~instrs ~data;
+  entry_path t ~off:Kparams.off_sched ~fast:Kparams.switch_fast
+    ~slow:Kparams.switch_slow ~slow_stack_refs:Kparams.switch_slow_stack_refs
+    ~data:
+      ((false, Kparams.runqueue_ea)
+      :: (false, Task.task_struct_ea task)
+      :: (true, Task.kstack_ea task)
+      :: outgoing);
   load_user_segments t task.Task.mm;
   (* §5.1's proposal: the frame-buffer BAT belongs to the process and is
      switched with it. *)
@@ -546,50 +562,6 @@ let drop_framebuffer t task =
     if t.k_policy.Policy.bat_framebuffer then
       Bat.clear (Mmu.dbat t.k_mmu) ~index:framebuffer_bat_index
   end
-
-let sys_map_framebuffer t ~pages =
-  syscall_entry t;
-  let task = require_current t in
-  let mm = task.Task.mm in
-  run_path t ~off:Kparams.off_mm
-    ~instrs:(Kparams.mmap_base_cost + (pages * Kparams.mmap_per_page))
-    ~data:(current_task_refs t);
-  let ea = Mm.framebuffer_base in
-  add_vma t mm
-    { Mm.va_start = ea; va_pages = pages; va_writable = true;
-      va_backing = Mm.Phys_window framebuffer_rpn };
-  task.Task.maps_framebuffer <- true;
-  if t.k_policy.Policy.bat_framebuffer then
-    Bat.set (Mmu.dbat t.k_mmu) ~index:framebuffer_bat_index ~base_ea:ea
-      ~length:(4 * 1024 * 1024) ~phys_base:framebuffer_phys_base;
-  syscall_ret t;
-  ea
-
-let timer_tick t =
-  t.next_tick <- t.k_perf.Perf.cycles + Kparams.timer_tick_cycles;
-  let fast = t.k_policy.Policy.fast_paths in
-  let instrs = if fast then Kparams.tick_fast else Kparams.tick_slow in
-  let extra =
-    if fast then [] else stack_refs t Kparams.tick_slow_stack_refs
-  in
-  run_path t ~off:Kparams.off_sched ~instrs
-    ~data:(current_task_refs t @ extra);
-  if t.k_policy.Policy.cache_preload then
-    match t.k_currents.(t.k_cpu) with
-    | None -> ()
-    | Some task ->
-        let ts = Kparams.kernel_phys_of_virt (Task.task_struct_ea task) in
-        for i = 0 to 1 do
-          Memsys.prefetch t.k_memsys ~source:Cache.Kernel
-            (ts + (i * Addr.line_size))
-        done
-
-(* The clock ticks no matter what the workload is doing; checked at the
-   operation boundaries (syscalls, user references, idle turns). *)
-let[@inline] maybe_tick t =
-  if t.k_perf.Perf.cycles >= t.next_tick then timer_tick t
-
-let () = tick_hook := maybe_tick
 
 (* --- idle task -------------------------------------------------------- *)
 
@@ -767,30 +739,50 @@ let user_run t ~instrs =
 
 (* --- syscalls --------------------------------------------------------- *)
 
-let sys_null t =
-  syscall_entry t;
-  syscall_ret t
+let sys_null t = syscall t ignore
 
-let sys_mmap t ~pages ~writable =
-  syscall_entry t;
-  let task = require_current t in
-  let mm = task.Task.mm in
+(* What every mapping call does first: the mm path, charged per page,
+   then the new vma. *)
+let map_vma t mm ~ea ~pages ~writable backing =
   run_path t ~off:Kparams.off_mm
     ~instrs:(Kparams.mmap_base_cost + (pages * Kparams.mmap_per_page))
     ~data:(current_task_refs t);
-  let ea = Mm.alloc_mmap_range mm ~pages in
   add_vma t mm
     { Mm.va_start = ea; va_pages = pages; va_writable = writable;
-      va_backing = Mm.Anonymous };
-  (* New mappings for this range must be the only ones visible: flush the
-     range from TLB and htab (the expensive part §7 attacks). *)
-  flush_range t ~mm ~ea ~pages;
-  syscall_ret t;
-  ea
+      va_backing = backing }
+
+(* An mmap anywhere in the arena, of any backing.  The range is chosen
+   before the call enters, so a full arena is a rejected call. *)
+let mmap t ~pages ~writable backing =
+  let mm = (require_current t).Task.mm in
+  let ea = Mm.alloc_mmap_range mm ~pages in
+  syscall t (fun () ->
+      map_vma t mm ~ea ~pages ~writable backing;
+      (* New mappings for this range must be the only ones visible: flush
+         the range from TLB and htab (the expensive part §7 attacks). *)
+      flush_range t ~mm ~ea ~pages;
+      ea)
+
+let sys_mmap t ~pages ~writable = mmap t ~pages ~writable Mm.Anonymous
+
+let sys_mmap_file t file ~from_page ~pages ~writable =
+  mmap t ~pages ~writable (Mm.File_pages (file, from_page))
+
+let sys_map_framebuffer t ~pages =
+  let task = require_current t in
+  let ea = Mm.framebuffer_base in
+  syscall t (fun () ->
+      map_vma t task.Task.mm ~ea ~pages ~writable:true
+        (Mm.Phys_window framebuffer_rpn);
+      task.Task.maps_framebuffer <- true;
+      if t.k_policy.Policy.bat_framebuffer then
+        Bat.set (Mmu.dbat t.k_mmu) ~index:framebuffer_bat_index ~base_ea:ea
+          ~length:(4 * 1024 * 1024) ~phys_base:framebuffer_phys_base;
+      ea)
 
 (* A rejected munmap changes nothing: the start and the size are checked
-   before the syscall window opens, so the vma, its pages and the span's
-   syscall depth all stay as they were. *)
+   before the call enters, so the vma, its pages and the span's syscall
+   depth all stay as they were. *)
 let sys_munmap t ~ea ~pages =
   let task = require_current t in
   let mm = task.Task.mm in
@@ -799,41 +791,25 @@ let sys_munmap t ~ea ~pages =
   | Some vma when vma.Mm.va_pages <> pages ->
       invalid_arg "Kernel.sys_munmap: size mismatch"
   | Some _ -> ());
-  syscall_entry t;
-  let vma = Option.get (Mm.remove_vma mm ~start:ea) in
-  trace_vma t Trace.Vma_unmap mm vma;
-  (match vma.Mm.va_backing with
-  | Mm.Phys_window _ -> drop_framebuffer t task
-  | Mm.Anonymous | Mm.File_pages _ -> ());
-  run_path t ~off:Kparams.off_mm ~instrs:Kparams.munmap_base_cost
-    ~data:(current_task_refs t);
-  let pt = Mm.pagetable mm in
-  for i = 0 to pages - 1 do
-    let pea = ea + (i lsl Addr.page_shift) in
-    let w = Pagetable.unmap pt ~ea:pea in
-    if w >= 0 then begin
-      Memsys.instructions t.k_memsys Kparams.munmap_per_mapped_page;
-      charge_pt_update t pt ~ea:pea;
-      release_frame t w
-    end
-  done;
-  flush_range t ~mm ~ea ~pages;
-  syscall_ret t
-
-let sys_mmap_file t file ~from_page ~pages ~writable =
-  syscall_entry t;
-  let task = require_current t in
-  let mm = task.Task.mm in
-  run_path t ~off:Kparams.off_mm
-    ~instrs:(Kparams.mmap_base_cost + (pages * Kparams.mmap_per_page))
-    ~data:(current_task_refs t);
-  let ea = Mm.alloc_mmap_range mm ~pages in
-  add_vma t mm
-    { Mm.va_start = ea; va_pages = pages; va_writable = writable;
-      va_backing = Mm.File_pages (file, from_page) };
-  flush_range t ~mm ~ea ~pages;
-  syscall_ret t;
-  ea
+  syscall t (fun () ->
+      let vma = Option.get (Mm.remove_vma mm ~start:ea) in
+      trace_vma t Trace.Vma_unmap mm vma;
+      (match vma.Mm.va_backing with
+      | Mm.Phys_window _ -> drop_framebuffer t task
+      | Mm.Anonymous | Mm.File_pages _ -> ());
+      run_path t ~off:Kparams.off_mm ~instrs:Kparams.munmap_base_cost
+        ~data:(current_task_refs t);
+      let pt = Mm.pagetable mm in
+      for i = 0 to pages - 1 do
+        let pea = ea + (i lsl Addr.page_shift) in
+        let w = Pagetable.unmap pt ~ea:pea in
+        if w >= 0 then begin
+          Memsys.instructions t.k_memsys Kparams.munmap_per_mapped_page;
+          charge_pt_update t pt ~ea:pea;
+          release_frame t w
+        end
+      done;
+      flush_range t ~mm ~ea ~pages)
 
 (* The data vma is the one starting right after the text vma. *)
 let data_vma_start mm =
@@ -841,64 +817,65 @@ let data_vma_start mm =
   | Some text -> text.Mm.va_start + (text.Mm.va_pages lsl Addr.page_shift)
   | None -> invalid_arg "Kernel.sys_brk: no text vma"
 
+(* The vma grows before the call enters, so a growth that would collide
+   with a neighbour (the stack, say) is a rejected call. *)
 let sys_brk t ~pages =
-  syscall_entry t;
-  let task = require_current t in
-  let mm = task.Task.mm in
-  run_path t ~off:Kparams.off_mm ~instrs:Kparams.mmap_base_cost
-    ~data:(current_task_refs t);
-  let start = data_vma_start mm in
-  let grown = Mm.grow_vma mm ~start ~extra_pages:pages in
-  let old_end =
-    grown.Mm.va_start + ((grown.Mm.va_pages - pages) lsl Addr.page_shift)
+  let mm = (require_current t).Task.mm in
+  let grown =
+    Mm.grow_vma mm ~start:(data_vma_start mm) ~extra_pages:pages
   in
-  flush_range t ~mm ~ea:old_end ~pages;
-  syscall_ret t;
-  grown.Mm.va_start + (grown.Mm.va_pages lsl Addr.page_shift)
+  let new_break =
+    grown.Mm.va_start + (grown.Mm.va_pages lsl Addr.page_shift)
+  in
+  syscall t (fun () ->
+      run_path t ~off:Kparams.off_mm ~instrs:Kparams.mmap_base_cost
+        ~data:(current_task_refs t);
+      flush_range t ~mm ~ea:(new_break - (pages lsl Addr.page_shift)) ~pages;
+      new_break)
 
 let sys_fork t =
-  syscall_entry t;
   let parent = require_current t in
-  let pmm = parent.Task.mm in
-  run_path t ~off:Kparams.off_exec ~instrs:Kparams.fork_base
-    ~data:(current_task_refs t);
-  let pid = t.next_pid in
-  t.next_pid <- t.next_pid + 1;
-  let cmm =
-    Mm.create ~physmem:t.k_physmem ~vsid_alloc:t.k_vsid ~pid ()
-  in
-  List.iter (add_vma t cmm) (Mm.vmas pmm);
-  let cpt = Mm.pagetable cmm in
-  let ppt = Mm.pagetable pmm in
-  (* Copy-on-write: both sides reference the same frame read-only; the
-     first store to either copy breaks the sharing. *)
-  Pagetable.iter ppt (fun ea w ->
-      Memsys.instructions t.k_memsys Kparams.fork_per_page;
-      if Pagetable.shared w then begin
-        Pagetable.map cpt ~physmem:t.k_physmem ~ea w;
-        charge_pt_update t cpt ~ea
-      end
-      else begin
-        let downgraded = Pagetable.share_cow w in
-        Pagetable.map ppt ~physmem:t.k_physmem ~ea downgraded;
-        Pagetable.map cpt ~physmem:t.k_physmem ~ea downgraded;
-        charge_pt_update t cpt ~ea;
-        let rpn = Pagetable.rpn w in
-        let refs =
-          match Hashtbl.find_opt t.cow_refs rpn with
-          | Some n -> n + 1
-          | None -> 2
-        in
-        Hashtbl.replace t.cow_refs rpn refs
-      end);
-  (* The parent's writable translations are now stale: flush its whole
-     context (real fork flushed the parent's TLB for the same reason). *)
-  flush_whole_mm t ~mm:pmm;
-  let child = Task.create ~pid ~mm:cmm in
-  child.Task.code_cursor <- parent.Task.code_cursor;
-  t.k_tasks <- child :: t.k_tasks;
-  syscall_ret t;
-  child
+  syscall t (fun () ->
+      let pmm = parent.Task.mm in
+      run_path t ~off:Kparams.off_exec ~instrs:Kparams.fork_base
+        ~data:(current_task_refs t);
+      let pid = t.next_pid in
+      t.next_pid <- t.next_pid + 1;
+      let cmm =
+        Mm.create ~physmem:t.k_physmem ~vsid_alloc:t.k_vsid ~pid ()
+      in
+      List.iter (add_vma t cmm) (Mm.vmas pmm);
+      let cpt = Mm.pagetable cmm in
+      let ppt = Mm.pagetable pmm in
+      (* Copy-on-write: both sides reference the same frame read-only;
+         the first store to either copy breaks the sharing. *)
+      Pagetable.iter ppt (fun ea w ->
+          Memsys.instructions t.k_memsys Kparams.fork_per_page;
+          if Pagetable.shared w then begin
+            Pagetable.map cpt ~physmem:t.k_physmem ~ea w;
+            charge_pt_update t cpt ~ea
+          end
+          else begin
+            let downgraded = Pagetable.share_cow w in
+            Pagetable.map ppt ~physmem:t.k_physmem ~ea downgraded;
+            Pagetable.map cpt ~physmem:t.k_physmem ~ea downgraded;
+            charge_pt_update t cpt ~ea;
+            let rpn = Pagetable.rpn w in
+            let refs =
+              match Hashtbl.find_opt t.cow_refs rpn with
+              | Some n -> n + 1
+              | None -> 2
+            in
+            Hashtbl.replace t.cow_refs rpn refs
+          end);
+      (* The parent's writable translations are now stale: flush its
+         whole context (real fork flushed the parent's TLB for the same
+         reason). *)
+      flush_whole_mm t ~mm:pmm;
+      let child = Task.create ~pid ~mm:cmm in
+      child.Task.code_cursor <- parent.Task.code_cursor;
+      t.k_tasks <- child :: t.k_tasks;
+      child)
 
 let release_address_space t mm =
   Pagetable.unmap_all (Mm.pagetable mm) (fun w ->
@@ -906,143 +883,119 @@ let release_address_space t mm =
       release_frame t w)
 
 let sys_exec t ~text_pages ~data_pages ~stack_pages =
-  syscall_entry t;
   let task = require_current t in
-  let mm = task.Task.mm in
-  run_path t ~off:Kparams.off_exec ~instrs:Kparams.exec_base
-    ~data:(current_task_refs t);
-  (* The old image's translations must all die: the classic whole-mm
-     flush. *)
-  drop_framebuffer t task;
-  flush_whole_mm t ~mm;
-  release_address_space t mm;
-  Mm.reset_vmas mm;
-  List.iter (add_vma t mm)
-    (standard_vmas ~text_pages ~data_pages ~stack_pages);
-  task.Task.code_cursor <- Mm.user_text_base;
-  syscall_ret t
+  syscall t (fun () ->
+      let mm = task.Task.mm in
+      run_path t ~off:Kparams.off_exec ~instrs:Kparams.exec_base
+        ~data:(current_task_refs t);
+      (* The old image's translations must all die: the classic whole-mm
+         flush. *)
+      drop_framebuffer t task;
+      flush_whole_mm t ~mm;
+      release_address_space t mm;
+      Mm.reset_vmas mm;
+      List.iter (add_vma t mm)
+        (standard_vmas ~text_pages ~data_pages ~stack_pages);
+      task.Task.code_cursor <- Mm.user_text_base)
 
 let sys_exit t =
-  syscall_entry t;
   let task = require_current t in
-  run_path t ~off:Kparams.off_sched ~instrs:Kparams.proc_exit
-    ~data:(current_task_refs t);
-  let mm = task.Task.mm in
-  drop_framebuffer t task;
-  if not (lazy_flush_available t) then flush_whole_mm t ~mm;
-  release_address_space t mm;
-  Mm.destroy mm ~physmem:t.k_physmem ~vsid_alloc:t.k_vsid
-    ~free_frame:(fun _ -> () (* frames already released above *));
-  task.Task.state <- Task.Exited;
-  t.k_tasks <- List.filter (fun other -> other != task) t.k_tasks;
-  t.k_currents.(t.k_cpu) <- None;
-  syscall_ret t
+  syscall t (fun () ->
+      run_path t ~off:Kparams.off_sched ~instrs:Kparams.proc_exit
+        ~data:(current_task_refs t);
+      let mm = task.Task.mm in
+      drop_framebuffer t task;
+      if not (lazy_flush_available t) then flush_whole_mm t ~mm;
+      release_address_space t mm;
+      Mm.destroy mm ~physmem:t.k_physmem ~vsid_alloc:t.k_vsid
+        ~free_frame:(fun _ -> () (* frames already released above *));
+      task.Task.state <- Task.Exited;
+      t.k_tasks <- List.filter (fun other -> other != task) t.k_tasks;
+      t.k_currents.(t.k_cpu) <- None)
 
-(* --- pipes ------------------------------------------------------------ *)
+(* --- copies between user and kernel ---------------------------------- *)
+
+(* One line of a copy: [to_kernel] reads the user line through the MMU
+   (faulting it in) and writes the kernel line; otherwise the kernel
+   line is read and the user line written. *)
+let copy_line t ~to_kernel ~user ~kernel =
+  if to_kernel then begin
+    touch t Mmu.Load user;
+    kaccess t Mmu.Store kernel
+  end
+  else begin
+    kaccess t Mmu.Load kernel;
+    touch t Mmu.Store user
+  end
 
 let new_pipe t =
   let index = t.next_pipe in
   t.next_pipe <- t.next_pipe + 1;
   Pipe.create ~index
 
-let copy_user_kernel t ~user ~kernel ~bytes ~to_kernel =
-  let lines = (bytes + Addr.line_size - 1) / Addr.line_size in
-  Memsys.instructions t.k_memsys (bytes / 4 * Kparams.copy_cycles_per_word);
-  for i = 0 to lines - 1 do
-    let off = i * Addr.line_size in
-    let kea = kernel + (off land (Pipe.capacity - 1)) in
-    if to_kernel then begin
-      touch t Mmu.Load (user + off);
-      kaccess t Mmu.Store kea
-    end
-    else begin
-      kaccess t Mmu.Load kea;
-      touch t Mmu.Store (user + off)
-    end
-  done
+(* A pipe write ([to_kernel]) or read: the bytes the pipe accepts or
+   holds move between [buf] and the pipe's kernel buffer a line at a
+   time.  Returns the bytes moved. *)
+let pipe_op t pipe ~buf ~bytes ~to_kernel =
+  syscall t (fun () ->
+      run_path t ~off:Kparams.off_pipe ~instrs:Kparams.pipe_op
+        ~data:(current_task_refs t);
+      let n = (if to_kernel then Pipe.write else Pipe.read) pipe ~bytes in
+      if n > 0 then begin
+        let kernel = Kparams.pipe_buf_ea ~index:(Pipe.index pipe) in
+        Memsys.instructions t.k_memsys (n / 4 * Kparams.copy_cycles_per_word);
+        for i = 0 to ((n + Addr.line_size - 1) / Addr.line_size) - 1 do
+          let off = i * Addr.line_size in
+          copy_line t ~to_kernel ~user:(buf + off)
+            ~kernel:(kernel + (off land (Pipe.capacity - 1)))
+        done
+      end;
+      n)
 
 let sys_pipe_write t pipe ~buf ~bytes =
-  syscall_entry t;
-  run_path t ~off:Kparams.off_pipe ~instrs:Kparams.pipe_op
-    ~data:(current_task_refs t);
-  let n = Pipe.write pipe ~bytes in
-  if n > 0 then
-    copy_user_kernel t ~user:buf
-      ~kernel:(Kparams.pipe_buf_ea ~index:(Pipe.index pipe))
-      ~bytes:n ~to_kernel:true;
-  syscall_ret t;
-  n
+  pipe_op t pipe ~buf ~bytes ~to_kernel:true
 
 let sys_pipe_read t pipe ~buf ~bytes =
-  syscall_entry t;
-  run_path t ~off:Kparams.off_pipe ~instrs:Kparams.pipe_op
-    ~data:(current_task_refs t);
-  let n = Pipe.read pipe ~bytes in
-  if n > 0 then
-    copy_user_kernel t ~user:buf
-      ~kernel:(Kparams.pipe_buf_ea ~index:(Pipe.index pipe))
-      ~bytes:n ~to_kernel:false;
-  syscall_ret t;
-  n
+  pipe_op t pipe ~buf ~bytes ~to_kernel:false
 
-(* --- file reads ------------------------------------------------------- *)
-
-(* Shared body of the waiting and non-waiting reads: [on_cold] decides
-   what a cold page costs the caller. *)
-let file_read_body t file ~from_page ~pages ~buf ~on_cold =
-  syscall_entry t;
-  run_path t ~off:Kparams.off_vfs ~instrs:Kparams.read_op
-    ~data:(current_task_refs t);
-  for p = 0 to pages - 1 do
-    match Vfs.page_frame t.k_vfs file ~page:(from_page + p) with
-    | None -> raise Pagetable.Out_of_frames
-    | Some (rpn, cold) ->
-        if cold then on_cold ();
-        let kea = Kparams.kernel_virt_of_phys (rpn lsl Addr.page_shift) in
-        let lines = Addr.page_size / Addr.line_size in
-        Memsys.instructions t.k_memsys
-          ((Addr.page_size / 4 * Kparams.copy_cycles_per_word)
-          + Kparams.vfs_per_page);
-        for i = 0 to lines - 1 do
-          let off = i * Addr.line_size in
-          kaccess t Mmu.Load (kea + off);
-          touch t Mmu.Store (buf + (p * Addr.page_size) + off)
-        done
-  done;
-  syscall_ret t
+(* The page-cache copy behind file reads and writes ([to_kernel]): whole
+   pages between the file's cache frames and [buf], a line at a time.
+   [on_cold] decides what a cold page costs the caller. *)
+let page_cache_copy t file ~from_page ~pages ~buf ~to_kernel ~on_cold =
+  syscall t (fun () ->
+      run_path t ~off:Kparams.off_vfs ~instrs:Kparams.read_op
+        ~data:(current_task_refs t);
+      for p = 0 to pages - 1 do
+        match Vfs.page_frame t.k_vfs file ~page:(from_page + p) with
+        | None -> raise Pagetable.Out_of_frames
+        | Some (rpn, cold) ->
+            if cold then on_cold ();
+            let kea = Kparams.kernel_virt_of_phys (rpn lsl Addr.page_shift) in
+            let user = buf + (p * Addr.page_size) in
+            Memsys.instructions t.k_memsys
+              ((Addr.page_size / 4 * Kparams.copy_cycles_per_word)
+              + Kparams.vfs_per_page);
+            for i = 0 to (Addr.page_size / Addr.line_size) - 1 do
+              let off = i * Addr.line_size in
+              copy_line t ~to_kernel ~user:(user + off) ~kernel:(kea + off)
+            done
+      done)
 
 let sys_file_read t file ~from_page ~pages ~buf =
-  file_read_body t file ~from_page ~pages ~buf ~on_cold:(fun () ->
-      idle_for t ~cycles:disk_wait_cycles)
+  page_cache_copy t file ~from_page ~pages ~buf ~to_kernel:false
+    ~on_cold:(fun () -> idle_for t ~cycles:disk_wait_cycles)
 
 let sys_file_read_async t file ~from_page ~pages ~buf =
   let cold = ref 0 in
-  file_read_body t file ~from_page ~pages ~buf ~on_cold:(fun () -> incr cold);
+  page_cache_copy t file ~from_page ~pages ~buf ~to_kernel:false
+    ~on_cold:(fun () -> incr cold);
   !cold
 
+(* A fresh page-cache frame needs no disk read before being overwritten:
+   the data is copied user -> cache and written behind. *)
 let sys_file_write t file ~from_page ~pages ~buf =
-  syscall_entry t;
-  run_path t ~off:Kparams.off_vfs ~instrs:Kparams.read_op
-    ~data:(current_task_refs t);
-  for p = 0 to pages - 1 do
-    match Vfs.page_frame t.k_vfs file ~page:(from_page + p) with
-    | None -> raise Pagetable.Out_of_frames
-    | Some (rpn, _cold) ->
-        (* a fresh page-cache frame needs no disk read before being
-           overwritten; the data is copied user -> cache and written
-           behind *)
-        let kea = Kparams.kernel_virt_of_phys (rpn lsl Addr.page_shift) in
-        let lines = Addr.page_size / Addr.line_size in
-        Memsys.instructions t.k_memsys
-          ((Addr.page_size / 4 * Kparams.copy_cycles_per_word)
-          + Kparams.vfs_per_page);
-        for i = 0 to lines - 1 do
-          let off = i * Addr.line_size in
-          touch t Mmu.Load (buf + (p * Addr.page_size) + off);
-          kaccess t Mmu.Store (kea + off)
-        done
-  done;
-  syscall_ret t
+  page_cache_copy t file ~from_page ~pages ~buf ~to_kernel:true
+    ~on_cold:ignore
 
 (* --- measurement helpers ---------------------------------------------- *)
 

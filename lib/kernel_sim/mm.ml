@@ -93,9 +93,29 @@ let find_vma t ea = find_vma_in ea t.mm_vmas
 
 let vmas t = t.mm_vmas
 
+(* Bump the cursor while the range there is free.  munmap gives no
+   address space back to the cursor, so when its range would overlap a
+   vma or pass the stack top, take the lowest free range at or above
+   [user_mmap_base] instead: first fit over the vmas' ends. *)
 let alloc_mmap_range t ~pages =
-  let ea = t.mmap_cursor in
-  t.mmap_cursor <- t.mmap_cursor + (pages lsl Addr.page_shift);
+  if pages <= 0 then invalid_arg "Mm.alloc_mmap_range: pages";
+  let len = pages lsl Addr.page_shift in
+  let fits ea =
+    ea >= user_mmap_base
+    && ea + len <= user_stack_top
+    && List.for_all
+         (fun v -> ea >= vma_end v || v.va_start >= ea + len)
+         t.mm_vmas
+  in
+  let ea =
+    if fits t.mmap_cursor then t.mmap_cursor
+    else
+      let starts = user_mmap_base :: List.map vma_end t.mm_vmas in
+      match List.find_opt fits (List.sort compare starts) with
+      | Some ea -> ea
+      | None -> invalid_arg "Mm.alloc_mmap_range: mmap window full"
+  in
+  t.mmap_cursor <- ea + len;
   ea
 
 let reset_vmas t =

@@ -83,7 +83,12 @@ val find_vma : t -> Addr.ea -> vma option
 val vmas : t -> vma list
 
 val alloc_mmap_range : t -> pages:int -> Addr.ea
-(** Bump-allocate an address range in the mmap arena (no vma is added). *)
+(** Choose a free range of [pages] in the mmap arena (no vma is added):
+    the next range at the bump cursor while it is free, else the lowest
+    free range at or above {!user_mmap_base} (first fit), so address
+    space that munmap freed is reused.
+    @raise Invalid_argument if [pages <= 0] or no range below
+    {!user_stack_top} fits. *)
 
 val reset_vmas : t -> unit
 (** Drop every vma and rewind the mmap arena — the address-space reset of

@@ -25,7 +25,6 @@ type t = {
   cache_preload : bool;
   htab_replacement : [ `Arbitrary | `Second_chance | `Zombie_aware ];
   tlb_replacement : Ppc.Tlb.replacement;
-  shootdown_batch : bool;
 }
 
 let flush_cutoff_pages = 20
@@ -57,8 +56,7 @@ let baseline =
     idle_cache_lock = false;
     cache_preload = false;
     htab_replacement = `Arbitrary;
-    tlb_replacement = Ppc.Tlb.Lru;
-    shootdown_batch = true }
+    tlb_replacement = Ppc.Tlb.Lru }
 
 let optimized =
   { bat_kernel_mapping = true;
@@ -81,8 +79,7 @@ let optimized =
     idle_cache_lock = false;
     cache_preload = false;
     htab_replacement = `Arbitrary;
-    tlb_replacement = Ppc.Tlb.Lru;
-    shootdown_batch = true }
+    tlb_replacement = Ppc.Tlb.Lru }
 
 let mmu_knobs t =
   { Ppc.Mmu.use_htab = t.use_htab;
@@ -134,6 +131,5 @@ let describe t =
       | Ppc.Tlb.Lru -> []
       | Ppc.Tlb.Fifo -> [ "tlb-fifo" ]
       | Ppc.Tlb.Rand -> [ "tlb-random" ])
-    @ (if t.shootdown_batch then [] else [ "per-page-shootdown" ])
   in
   String.concat "," parts

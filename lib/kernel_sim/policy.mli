@@ -71,10 +71,6 @@ type t = {
   tlb_replacement : Ppc.Tlb.replacement;
       (** TLB victim selection: {!Ppc.Tlb.Lru} is the 603/604 hardware;
           FIFO and random are ablations for the tuner. *)
-  shootdown_batch : bool;
-      (** SMP: batch a precise range flush's cross-CPU shootdowns into
-          one IPI round per remote CPU (true) versus the legacy round
-          per page (false).  No effect at one CPU. *)
 }
 
 val baseline : t

@@ -31,7 +31,8 @@ let bound = 0.01
    before its touch, so every touch misses both and the fill runs; the
    flushes count in the words.  With [armed], the flight recorder is
    armed at a cadence that never comes due, so every miss takes the
-   stepwise reload sequence instead of the straight line. *)
+   observed instance of the one miss sequence ([Mmu.miss
+   ~observed:true], charge by charge) instead of the plain one. *)
 let words_per_touch ?(policy = Policy.optimized) ?(flush = false)
     ?(armed = false) machine ~pages =
   let k = Kernel.boot ~machine ~policy ~seed:42 () in

@@ -465,6 +465,141 @@ let test_rejected_munmap_keeps_spans_balanced () =
     q.Span.q_syscalls;
   Alcotest.(check bool) "its cost charged" true (q.Span.q_syscall_cost > 0)
 
+(* Every rejected call is rejected before it enters: it adds no cycle,
+   counts no syscall and leaves the request's span window closed, so the
+   next null syscall's window records exactly that call's cost.  Each
+   case arms its call on a fresh kernel, with or without a current
+   task. *)
+let test_rejected_calls_charge_nothing () =
+  let heap_to_stack_pages =
+    (Mm.user_stack_top - (8 lsl Addr.page_shift) - data_base)
+    lsr Addr.page_shift
+  in
+  let cases =
+    [ ( "brk into the stack", true,
+        fun k () -> ignore (Kernel.sys_brk k ~pages:heap_to_stack_pages) );
+      ( "wrong-size munmap", true,
+        fun k ->
+          let ea = Kernel.sys_mmap k ~pages:4 ~writable:true in
+          fun () -> Kernel.sys_munmap k ~ea ~pages:3 );
+      ( "mmap larger than the mmap window", true,
+        fun k () ->
+          ignore (Kernel.sys_mmap k ~pages:(1 lsl 18) ~writable:true) );
+      ( "mmap with no task", false,
+        fun k () -> ignore (Kernel.sys_mmap k ~pages:1 ~writable:true) );
+      ( "mmap_file with no task", false,
+        fun k ->
+          let file = Vfs.create_file (Kernel.vfs k) ~name:"f" ~pages:1 in
+          fun () ->
+            ignore
+              (Kernel.sys_mmap_file k file ~from_page:0 ~pages:1
+                 ~writable:false) );
+      ( "map_framebuffer with no task", false,
+        fun k () -> ignore (Kernel.sys_map_framebuffer k ~pages:32) );
+      ( "brk with no task", false,
+        fun k () -> ignore (Kernel.sys_brk k ~pages:1) );
+      ("fork with no task", false, fun k () -> ignore (Kernel.sys_fork k));
+      ( "exec with no task", false,
+        fun k () ->
+          Kernel.sys_exec k ~text_pages:4 ~data_pages:4 ~stack_pages:2 );
+      ("exit with no task", false, fun k () -> Kernel.sys_exit k) ]
+  in
+  List.iter
+    (fun (name, with_task, arm) ->
+      let k = boot () in
+      if with_task then Kernel.switch_to k (Kernel.spawn k ());
+      let call = arm k in
+      let sp = Kernel.span k in
+      Span.enable sp;
+      let rid = Span.request_begin sp ~cls:0 ~arrival:(Kernel.cycles k) in
+      Span.set_current_request sp rid;
+      let cycles0 = Kernel.cycles k in
+      let calls0 = (Kernel.perf k).Perf.syscalls in
+      (match call () with
+      | exception Invalid_argument _ -> ()
+      | () -> Alcotest.fail (name ^ ": must be rejected"));
+      Alcotest.(check int) (name ^ ": no cycle charged") cycles0
+        (Kernel.cycles k);
+      Alcotest.(check int) (name ^ ": no syscall counted") calls0
+        (Kernel.perf k).Perf.syscalls;
+      Kernel.sys_null k;
+      let q = Span.request sp rid in
+      Alcotest.(check int) (name ^ ": one window, the null syscall's") 1
+        q.Span.q_syscalls;
+      Alcotest.(check int) (name ^ ": it records the null syscall's cost")
+        (Kernel.cycles k - cycles0) q.Span.q_syscall_cost)
+    cases
+
+(* A call that raises inside its body still closes its window: the
+   window records the call's cost up to the raise, and the next null
+   syscall's window records its own. *)
+let test_raising_calls_close_the_window () =
+  let cases =
+    [ ( "pipe write from an unmapped buffer",
+        (fun _ -> ()),
+        fun k ->
+          let p = Kernel.new_pipe k in
+          match Kernel.sys_pipe_write k p ~buf:0x30000000 ~bytes:100 with
+          | exception Kernel.Segfault _ -> ()
+          | _ -> Alcotest.fail "expected a segfault" );
+      ( "cold file read with no free frame",
+        (fun k ->
+          while Kernel_sim.Physmem.alloc (Kernel.physmem k) <> None do
+            ()
+          done),
+        fun k ->
+          let file = Vfs.create_file (Kernel.vfs k) ~name:"f" ~pages:1 in
+          match
+            Kernel.sys_file_read k file ~from_page:0 ~pages:1 ~buf:data_base
+          with
+          | exception Kernel_sim.Pagetable.Out_of_frames -> ()
+          | () -> Alcotest.fail "expected Out_of_frames" ) ]
+  in
+  List.iter
+    (fun (name, setup, call) ->
+      let k = boot () in
+      Kernel.switch_to k (Kernel.spawn k ());
+      setup k;
+      let sp = Kernel.span k in
+      Span.enable sp;
+      let rid = Span.request_begin sp ~cls:0 ~arrival:(Kernel.cycles k) in
+      Span.set_current_request sp rid;
+      let cycles0 = Kernel.cycles k in
+      call k;
+      let raised = (Span.request sp rid).Span.q_syscall_cost in
+      Alcotest.(check int) (name ^ ": its window closed on its cost")
+        (Kernel.cycles k - cycles0) raised;
+      let cycles1 = Kernel.cycles k in
+      Kernel.sys_null k;
+      let q = Span.request sp rid in
+      Alcotest.(check int) (name ^ ": two windows") 2 q.Span.q_syscalls;
+      Alcotest.(check int) (name ^ ": the null syscall's cost recorded")
+        (Kernel.cycles k - cycles1)
+        (q.Span.q_syscall_cost - raised))
+    cases
+
+(* munmap gives its address space back: a task that maps 24 pages,
+   touches the first and the last and unmaps them, 12,000 times (288,000
+   pages, more than the 1 GB mmap window holds), never runs out, and past
+   the window's end the arena starts again from its base. *)
+let test_mmap_window_is_reused () =
+  let k = boot () in
+  let t = Kernel.spawn k () in
+  Kernel.switch_to k t;
+  let pages = 24 in
+  let stack_start = Mm.user_stack_top - (8 lsl Addr.page_shift) in
+  let from_base = ref 0 in
+  for _ = 1 to 12_000 do
+    let ea = Kernel.sys_mmap k ~pages ~writable:true in
+    if ea = Mm.user_mmap_base then incr from_base;
+    if ea < Mm.user_mmap_base || ea + (pages lsl Addr.page_shift) > stack_start
+    then Alcotest.failf "range at 0x%x leaves the mmap window" ea;
+    Kernel.touch k Mmu.Store ea;
+    Kernel.touch k Mmu.Store (ea + ((pages - 1) lsl Addr.page_shift));
+    Kernel.sys_munmap k ~ea ~pages
+  done;
+  Alcotest.(check int) "the arena restarted from its base once" 2 !from_base
+
 let suite =
   [ Alcotest.test_case "boot programs BATs" `Quick test_boot_bat;
     Alcotest.test_case "boot without BATs" `Quick test_boot_no_bat;
@@ -508,4 +643,10 @@ let suite =
     Alcotest.test_case "wrong-size munmap keeps the vma" `Quick
       test_munmap_wrong_size_keeps_vma;
     Alcotest.test_case "rejected munmaps keep the syscall window balanced"
-      `Quick test_rejected_munmap_keeps_spans_balanced ]
+      `Quick test_rejected_munmap_keeps_spans_balanced;
+    Alcotest.test_case "rejected calls charge nothing and open no window"
+      `Quick test_rejected_calls_charge_nothing;
+    Alcotest.test_case "a raising call closes its window" `Quick
+      test_raising_calls_close_the_window;
+    Alcotest.test_case "munmap returns address space to the mmap window"
+      `Quick test_mmap_window_is_reused ]

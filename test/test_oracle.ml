@@ -122,8 +122,7 @@ let run_ops ~cpus ~machine ~policy ops =
             live_maps :=
               List.filter (fun (_, e, _) -> e <> ea) !live_maps;
             (* the unmapped range must be unreachable immediately *)
-            if Mmu.probe (Kernel.mmu k) Mmu.Load ea <> None then
-              consistent := false
+            if not (segfaults ea) then consistent := false
         | _ -> ()
       end
     | Op_switch ->
@@ -152,9 +151,7 @@ let run_ops ~cpus ~machine ~policy ops =
         if task.Task.maps_framebuffer then begin
           (* unmap it: the aperture (and any dedicated BAT) must die *)
           Kernel.sys_munmap k ~ea:Mm.framebuffer_base ~pages:32;
-          if
-            Mmu.probe (Kernel.mmu k) Mmu.Load Mm.framebuffer_base <> None
-          then consistent := false
+          if not (segfaults Mm.framebuffer_base) then consistent := false
         end
         else begin
           let ea = Kernel.sys_map_framebuffer k ~pages:32 in

@@ -37,9 +37,7 @@ let test_paper_default_constants () =
   Alcotest.(check int) "pre-zeroed list capped at 64 pages"
     Kpolicy.prezero_list_pages p.Kpolicy.prezero_list_limit;
   Alcotest.(check bool) "LRU TLB replacement (the 603/604 hardware)" true
-    (p.Kpolicy.tlb_replacement = Ppc.Tlb.Lru);
-  Alcotest.(check bool) "shootdowns batched per flush range" true
-    p.Kpolicy.shootdown_batch
+    (p.Kpolicy.tlb_replacement = Ppc.Tlb.Lru)
 
 (* The extraction itself: the mechanism modules must no longer hardcode
    the decisions.  Sources are build deps of the test (see test/dune),
@@ -93,7 +91,7 @@ let test_mechanism_modules_do_not_hardcode () =
 (* --- catalog + string get/set --------------------------------------- *)
 
 let test_catalog_shape () =
-  Alcotest.(check int) "22 knobs" 22 (List.length Policy.catalog);
+  Alcotest.(check int) "21 knobs" 21 (List.length Policy.catalog);
   Alcotest.(check (list string)) "knob_keys is the catalog order"
     (List.map (fun k -> k.Policy.ki_key) Policy.catalog)
     Policy.knob_keys;
@@ -121,7 +119,7 @@ let test_set_rejects_garbage () =
   expect_error "non-integer multiplier"
     (Policy.set p "vsid_multiplier" "banana");
   expect_error "bad enum" (Policy.set p "tlb_replacement" "clairvoyant");
-  expect_error "bad bool" (Policy.set p "shootdown_batch" "maybe")
+  expect_error "bad bool" (Policy.set p "lazy_flush" "maybe")
 
 let test_apply_kv () =
   let p = ok (Policy.apply_kv Policy.paper_default "vsid_multiplier=64") in

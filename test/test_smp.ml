@@ -108,9 +108,9 @@ let test_cross_cpu_shootdowns () =
     (p.Perf.tlb_shootdowns > 0);
   Alcotest.(check bool) "remote TLBs invalidated" true
     (p.Perf.remote_tlb_invalidates > 0);
-  (* batched shootdowns (the default): one IPI round covers a whole
-     range, so invalidates can outnumber IPIs — but every round sent at
-     least one IPI and covered at least one page *)
+  (* batched shootdowns: one IPI round covers a whole range, so
+     invalidates can outnumber IPIs — but every round sent at least one
+     IPI and covered at least one page *)
   Alcotest.(check bool) "every round rode an IPI" true
     (p.Perf.ipis_sent >= p.Perf.tlb_shootdowns);
   Alcotest.(check bool) "rounds cover their pages" true
@@ -122,32 +122,6 @@ let test_cross_cpu_shootdowns () =
   Alcotest.(check int) "per-CPU dtlb misses partition the total"
     p.Perf.dtlb_misses
     (Mmu.cpu_dtlb_misses mmu ~cpu:0 + Mmu.cpu_dtlb_misses mmu ~cpu:1)
-
-(* The legacy per-page shootdown is still available as a policy knob,
-   and batching must strictly reduce IPI traffic on the same workload
-   while invalidating the same set of remote translations. *)
-let test_shootdown_batching_knob () =
-  let run policy =
-    let k = Kernel.boot ~machine:Machine.ppc604_185 ~policy ~seed:5
-        ~cpus:2 () in
-    exec_across_cpus k;
-    Kernel.perf k
-  in
-  let batched = run Config.optimized_precise_flush in
-  let legacy =
-    run { Config.optimized_precise_flush with Policy.shootdown_batch = false }
-  in
-  (* legacy: a full round per page, so every invalidate rode its own IPI *)
-  Alcotest.(check bool) "legacy invalidates each rode an IPI" true
-    (legacy.Perf.ipis_sent >= legacy.Perf.remote_tlb_invalidates);
-  Alcotest.(check int) "legacy counts no batch pages" 0
-    legacy.Perf.shootdown_batch_pages;
-  Alcotest.(check bool) "batching sends fewer IPIs" true
-    (batched.Perf.ipis_sent < legacy.Perf.ipis_sent);
-  Alcotest.(check bool) "batching issues fewer rounds" true
-    (batched.Perf.tlb_shootdowns < legacy.Perf.tlb_shootdowns);
-  Alcotest.(check bool) "batching costs fewer cycles" true
-    (batched.Perf.cycles < legacy.Perf.cycles)
 
 (* The same workload under the shadow checker: clean when shootdowns
    run, divergent when the fault injection skips them — the stale
@@ -249,8 +223,6 @@ let suite =
     Alcotest.test_case "idle CPUs steal work" `Quick test_idle_steal;
     Alcotest.test_case "cross-CPU exec shoots down" `Quick
       test_cross_cpu_shootdowns;
-    Alcotest.test_case "shootdown batching vs per-page knob" `Quick
-      test_shootdown_batching_knob;
     Alcotest.test_case "skipped shootdowns caught by shadow" `Quick
       test_skip_shootdown_caught;
     Alcotest.test_case "lazy reset defers shootdowns" `Quick
