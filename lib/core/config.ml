@@ -19,7 +19,6 @@ let optimized_no_htab = { optimized with Policy.use_htab = false }
 let optimized_precise_flush =
   { optimized with
     Policy.vsid_source = Vsid_alloc.Pid_based;
-    lazy_flush = false;
     flush_cutoff = None;
     idle_zombie_reclaim = false }
 

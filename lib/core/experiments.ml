@@ -962,7 +962,6 @@ let ex5 ?(seed = 42) () =
           fast_reload = true;
           fast_paths = true;
           vsid_source = Kernel_sim.Vsid_alloc.Context_counter;
-          lazy_flush = true;
           flush_cutoff = Some Policy.flush_cutoff_pages } );
       ("+ idle reclaim + page clearing", Policy.optimized) ]
   in

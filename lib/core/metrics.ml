@@ -17,8 +17,6 @@ let idle_fraction p = ratio p.Perf.idle_cycles p.Perf.cycles
 let wall_us ~machine p =
   Cost.us_of_cycles ~mhz:machine.Machine.mhz p.Perf.cycles
 
-let wall_s ~machine p = wall_us ~machine p /. 1e6
-
 let occupancy_pct ~occupancy ~capacity =
   if capacity = 0 then 0.0
   else 100.0 *. float_of_int occupancy /. float_of_int capacity

@@ -26,8 +26,6 @@ val idle_fraction : Perf.t -> float
 
 val wall_us : machine:Machine.t -> Perf.t -> float
 
-val wall_s : machine:Machine.t -> Perf.t -> float
-
 val occupancy_pct : occupancy:int -> capacity:int -> float
 
 val pct_change : from_v:float -> to_v:float -> float

@@ -1,6 +1,6 @@
-(* The first-class policy layer: every hardcoded MM decision the
-   mechanism layers used to read in place, as one declarative catalog of
-   named knobs over [Kernel_sim.Policy.t] — string get/set for the CLI
+(* The first-class policy layer: every MM decision a workload varies,
+   as one declarative catalog of named knobs over
+   [Kernel_sim.Policy.t] — string get/set for the CLI
    ([--policy KEY=VALUE]), JSON round-trip for policy files and results
    documents, and the origin/section table the docs and tuner render. *)
 
@@ -47,14 +47,14 @@ let bknob key ~origin ~section ~doc get set =
     set =
       (fun p s -> Result.map (set p) (parse_bool key s)) }
 
-let iknob ?min key ~origin ~section ~doc get set =
+let iknob key ~origin ~section ~doc get set =
   { key;
     kind = Kint;
     origin;
     section;
     doc;
     get = (fun p -> string_of_int (get p));
-    set = (fun p s -> Result.map (set p) (parse_int ?min key s)) }
+    set = (fun p s -> Result.map (set p) (parse_int key s)) }
 
 let eknob key ~origin ~section ~doc ~values get set =
   { key;
@@ -86,10 +86,6 @@ let knobs =
       ~doc:"map kernel text/data/htab with a BAT register instead of PTEs"
       (fun p -> p.Kpolicy.bat_kernel_mapping)
       (fun p v -> { p with Kpolicy.bat_kernel_mapping = v });
-    bknob "bat_io_mapping" ~origin:"kernel_sim/kernel.ml (boot)"
-      ~section:"5.1" ~doc:"also BAT-map I/O space (measured to not matter)"
-      (fun p -> p.Kpolicy.bat_io_mapping)
-      (fun p v -> { p with Kpolicy.bat_io_mapping = v });
     bknob "bat_framebuffer" ~origin:"kernel_sim/kernel.ml (switch_to)"
       ~section:"5.1"
       ~doc:"per-process frame-buffer BAT switched at context-switch time"
@@ -119,10 +115,6 @@ let knobs =
       ~doc:"on 603-style machines, search the htab before the page tables"
       (fun p -> p.Kpolicy.use_htab)
       (fun p v -> { p with Kpolicy.use_htab = v });
-    bknob "lazy_flush" ~origin:"kernel_sim/kernel.ml (flush paths)"
-      ~section:"7" ~doc:"retire VSIDs instead of scrubbing TLB+htab entries"
-      (fun p -> p.Kpolicy.lazy_flush)
-      (fun p v -> { p with Kpolicy.lazy_flush = v });
     { key = "flush_cutoff";
       kind = Kint_or_none;
       origin = "kernel_sim/kernel.ml (flush_range)";
@@ -146,14 +138,6 @@ let knobs =
       ~section:"7" ~doc:"idle task scans the htab invalidating zombie PTEs"
       (fun p -> p.Kpolicy.idle_zombie_reclaim)
       (fun p v -> { p with Kpolicy.idle_zombie_reclaim = v });
-    iknob "reclaim_interval" ~origin:"kernel_sim/kparams.ml (extracted)"
-      ~section:"7" ~doc:"reclaim scan every this-many idle slices (16)"
-      (fun p -> p.Kpolicy.reclaim_interval)
-      (fun p v -> { p with Kpolicy.reclaim_interval = v });
-    iknob "reclaim_chunk" ~origin:"kernel_sim/kparams.ml (extracted)"
-      ~section:"7" ~doc:"htab slots examined per reclaim scan (64)"
-      (fun p -> p.Kpolicy.reclaim_chunk)
-      (fun p v -> { p with Kpolicy.reclaim_chunk = v });
     eknob "idle_clearing" ~origin:"kernel_sim/pagepool.ml" ~section:"9"
       ~doc:"what the idle task does with free pages"
       ~values:
@@ -166,10 +150,6 @@ let knobs =
       ~doc:"hand idle-cleared pages to get_free_page via the pre-zeroed list"
       (fun p -> p.Kpolicy.idle_clear_list)
       (fun p v -> { p with Kpolicy.idle_clear_list = v });
-    iknob "prezero_list_limit" ~origin:"kernel_sim/pagepool.ml (extracted)"
-      ~section:"9" ~doc:"pre-zeroed list depth cap (64)"
-      (fun p -> p.Kpolicy.prezero_list_limit)
-      (fun p v -> { p with Kpolicy.prezero_list_limit = v });
     bknob "cache_inhibit_pagetables" ~origin:"ppc/mmu.ml" ~section:"8"
       ~doc:"keep page-table and htab references out of the data cache"
       (fun p -> p.Kpolicy.cache_inhibit_pagetables)

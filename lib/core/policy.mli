@@ -1,14 +1,14 @@
 (** The first-class policy layer.
 
-    Every MM decision the mechanism layers used to hardcode — the VSID
-    scatter multiplier, the precise-vs-lazy flush cutoff, the
-    zombie-reclaim cadence, the pre-zero list depth, the TLB and htab
-    replacement choices, the fast/slow path-length selection, SMP
-    shootdown batching — is a named knob over {!Kernel_sim.Policy.t}
-    here, with a uniform string get/set (the CLI's [--policy KEY=VALUE]),
-    a JSON round-trip (policy files, tuner documents) that rejects
-    unknown keys, and the origin/paper-section catalog the docs and the
-    {!Tuner} render.
+    Every MM decision a workload varies — the VSID source and scatter
+    multiplier, the precise-vs-lazy flush cutoff, the TLB and htab
+    replacement choices, the fast/slow path-length selection — is a
+    named knob over {!Kernel_sim.Policy.t} here, with a uniform string
+    get/set (the CLI's [--policy KEY=VALUE]), a JSON round-trip (policy
+    files, tuner documents) that rejects unknown keys, and the
+    origin/paper-section catalog the docs and the {!Tuner} render.  The
+    idle task's reclaim cadence and pre-zero depth are constants in
+    {!Kernel_sim.Policy}, not knobs.
 
     The type is an alias, not a wrapper: a policy built here threads
     through {!Kernel_sim.Kernel.boot} unchanged, and

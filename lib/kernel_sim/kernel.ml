@@ -97,8 +97,7 @@ let remote_targets t mm =
 (* --- boot ------------------------------------------------------------- *)
 
 let lazy_flush_available t =
-  t.k_policy.Policy.lazy_flush
-  && Vsid_alloc.source t.k_vsid = Vsid_alloc.Context_counter
+  Vsid_alloc.source t.k_vsid = Vsid_alloc.Context_counter
 
 let max_cpus = 30
 
@@ -158,8 +157,7 @@ let boot ~machine ~policy ?(seed = 42) ?shadow ?cpus () =
       k_vsid = vsid;
       k_pagepool =
         Pagepool.create ~physmem ~memsys ~clearing:policy.Policy.idle_clearing
-          ~use_list:policy.Policy.idle_clear_list
-          ~list_limit:policy.Policy.prezero_list_limit ();
+          ~use_list:policy.Policy.idle_clear_list ();
       k_vfs = Vfs.create ~physmem;
       k_rng = rng;
       kernel_pt;
@@ -205,11 +203,6 @@ let boot ~machine ~policy ?(seed = 42) ?shadow ?cpus () =
       Bat.set (Mmu.dbat_of mmu ~cpu) ~index:0 ~base_ea:Kparams.kernel_base
         ~length ~phys_base:0
     end;
-    if policy.Policy.bat_io_mapping then
-      (* I/O space: present for fidelity; no benchmark touches it, matching
-         the paper's finding that it does not matter. *)
-      Bat.set (Mmu.dbat_of mmu ~cpu) ~index:1 ~base_ea:0xF0000000
-        ~length:(128 * 1024) ~phys_base:0x10000000;
     (* Kernel segment registers hold fixed VSIDs, loaded once. *)
     Segment.load_kernel (Mmu.segments_of mmu ~cpu) (fun sr ->
         Vsid_alloc.kernel_vsid ~sr)
@@ -516,7 +509,7 @@ let switch_to t task =
   if t.k_policy.Policy.bat_framebuffer then begin
     if task.Task.maps_framebuffer then
       Bat.set (Mmu.dbat t.k_mmu) ~index:framebuffer_bat_index
-        ~base_ea:Mm.framebuffer_base ~length:(4 * 1024 * 1024)
+        ~base_ea:Mm.framebuffer_base ~length:Mm.framebuffer_bytes
         ~phys_base:framebuffer_phys_base
     else Bat.clear (Mmu.dbat t.k_mmu) ~index:framebuffer_bat_index
   end;
@@ -566,11 +559,10 @@ let drop_framebuffer t task =
 (* --- idle task -------------------------------------------------------- *)
 
 (* One turn around the idle loop.  The loop itself polls the scheduler
-   (a few dozen instructions); every [reclaim_interval]-th turn scans a
-   chunk of the htab for zombie PTEs (§7) — the policy sets the cadence
-   and chunk, throttled so a sweep of the whole table takes many idle
-   windows, as a background scavenger should — and otherwise one free
-   page is cleared if clearing is configured (§9). *)
+   (a few dozen instructions); every 16th turn scans a 64-slot chunk of
+   the htab for zombie PTEs (§7) — throttled so a sweep of the whole
+   table takes many idle windows, as a background scavenger should — and
+   otherwise one free page is cleared if clearing is configured (§9). *)
 let idle_slice t =
   maybe_tick t;
   Memsys.set_idle t.k_memsys true;
@@ -580,11 +572,10 @@ let idle_slice t =
   t.idle_count <- t.idle_count + 1;
   if
     t.k_policy.Policy.idle_zombie_reclaim
-    && t.idle_count mod t.k_policy.Policy.reclaim_interval = 0
+    && t.idle_count mod Policy.reclaim_interval_slices = 0
   then
     ignore
-      (Mmu.reclaim_zombies t.k_mmu
-         ~max_ptes:t.k_policy.Policy.reclaim_chunk
+      (Mmu.reclaim_zombies t.k_mmu ~max_ptes:Policy.reclaim_chunk_ptes
         : int)
   else ignore (Pagepool.idle_clear_one t.k_pagepool : bool);
   if t.k_policy.Policy.idle_cache_lock then
@@ -768,16 +759,22 @@ let sys_mmap t ~pages ~writable = mmap t ~pages ~writable Mm.Anonymous
 let sys_mmap_file t file ~from_page ~pages ~writable =
   mmap t ~pages ~writable (Mm.File_pages (file, from_page))
 
+(* The aperture must be unmapped, and the mapping must fit in it, before
+   the call enters. *)
 let sys_map_framebuffer t ~pages =
   let task = require_current t in
   let ea = Mm.framebuffer_base in
+  if pages <= 0 || pages lsl Addr.page_shift > Mm.framebuffer_bytes then
+    invalid_arg "Kernel.sys_map_framebuffer: pages";
+  if not (Mm.range_free task.Task.mm ~ea ~pages) then
+    invalid_arg "Kernel.sys_map_framebuffer: aperture already mapped";
   syscall t (fun () ->
       map_vma t task.Task.mm ~ea ~pages ~writable:true
         (Mm.Phys_window framebuffer_rpn);
       task.Task.maps_framebuffer <- true;
       if t.k_policy.Policy.bat_framebuffer then
         Bat.set (Mmu.dbat t.k_mmu) ~index:framebuffer_bat_index ~base_ea:ea
-          ~length:(4 * 1024 * 1024) ~phys_base:framebuffer_phys_base;
+          ~length:Mm.framebuffer_bytes ~phys_base:framebuffer_phys_base;
       ea)
 
 (* A rejected munmap changes nothing: the start and the size are checked

@@ -86,8 +86,8 @@ val segment_load_cycles : int
 (** Loading the 12 user segment registers on a switch. *)
 
 val fault_service : int
-(** Demand-fault service (C) on top of {!Cost.page_fault_instr}'s MMU
-    portion: vma lookup, allocation bookkeeping. *)
+(** The (C) demand-fault service path, excluding the memory references
+    it performs: vma lookup, allocation bookkeeping. *)
 
 val mmap_base_cost : int
 (** mmap syscall body: vma creation, bookkeeping. *)

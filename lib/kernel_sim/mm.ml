@@ -27,6 +27,8 @@ let user_text_base = 0x01800000
 let user_mmap_base = 0x40000000
 let user_stack_top = 0x80000000
 let framebuffer_base = 0x60000000
+let framebuffer_bytes = 4 * 1024 * 1024
+let framebuffer_end = framebuffer_base + framebuffer_bytes
 
 let create ~physmem ~vsid_alloc ~pid () =
   let ctx = Vsid_alloc.new_context vsid_alloc ~pid in
@@ -93,24 +95,37 @@ let find_vma t ea = find_vma_in ea t.mm_vmas
 
 let vmas t = t.mm_vmas
 
-(* Bump the cursor while the range there is free.  munmap gives no
-   address space back to the cursor, so when its range would overlap a
-   vma or pass the stack top, take the lowest free range at or above
-   [user_mmap_base] instead: first fit over the vmas' ends. *)
+let range_free t ~ea ~pages =
+  let len = pages lsl Addr.page_shift in
+  List.for_all (fun v -> ea >= vma_end v || v.va_start >= ea + len) t.mm_vmas
+
+(* Bump the cursor while the range there is free, stepping over the
+   frame-buffer aperture, which is taken whether or not it is mapped.
+   munmap gives no address space back to the cursor, so when its range
+   would overlap a vma or pass the stack top, take the lowest free range
+   at or above [user_mmap_base] instead: first fit over the ends of the
+   vmas and of the aperture. *)
 let alloc_mmap_range t ~pages =
   if pages <= 0 then invalid_arg "Mm.alloc_mmap_range: pages";
   let len = pages lsl Addr.page_shift in
+  let clear_of_aperture ea =
+    ea >= framebuffer_end || ea + len <= framebuffer_base
+  in
   let fits ea =
     ea >= user_mmap_base
     && ea + len <= user_stack_top
-    && List.for_all
-         (fun v -> ea >= vma_end v || v.va_start >= ea + len)
-         t.mm_vmas
+    && clear_of_aperture ea
+    && range_free t ~ea ~pages
+  in
+  let cursor =
+    if clear_of_aperture t.mmap_cursor then t.mmap_cursor else framebuffer_end
   in
   let ea =
-    if fits t.mmap_cursor then t.mmap_cursor
+    if fits cursor then cursor
     else
-      let starts = user_mmap_base :: List.map vma_end t.mm_vmas in
+      let starts =
+        user_mmap_base :: framebuffer_end :: List.map vma_end t.mm_vmas
+      in
       match List.find_opt fits (List.sort compare starts) with
       | Some ea -> ea
       | None -> invalid_arg "Mm.alloc_mmap_range: mmap window full"

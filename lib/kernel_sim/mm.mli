@@ -43,6 +43,9 @@ val framebuffer_base : Addr.ea
 (** [0x60000000]: where the frame-buffer aperture is mapped (its own
     segment, so a dedicated BAT or segment policy can target it). *)
 
+val framebuffer_bytes : int
+(** 4 MB, the aperture's size (and its BAT block's). *)
+
 val create :
   physmem:Physmem.t -> vsid_alloc:Vsid_alloc.t -> pid:int -> unit -> t
 (** Allocates the pgd and issues a live context id. *)
@@ -82,11 +85,16 @@ val find_vma : t -> Addr.ea -> vma option
 
 val vmas : t -> vma list
 
+val range_free : t -> ea:Addr.ea -> pages:int -> bool
+(** No vma overlaps the [pages] pages from [ea]. *)
+
 val alloc_mmap_range : t -> pages:int -> Addr.ea
 (** Choose a free range of [pages] in the mmap arena (no vma is added):
     the next range at the bump cursor while it is free, else the lowest
     free range at or above {!user_mmap_base} (first fit), so address
-    space that munmap freed is reused.
+    space that munmap freed is reused.  The frame-buffer aperture
+    ({!framebuffer_base}, {!framebuffer_bytes}) is never chosen: the
+    cursor steps over it and first fit starts again at its end.
     @raise Invalid_argument if [pages <= 0] or no range below
     {!user_stack_top} fits. *)
 

@@ -5,17 +5,15 @@ type t = {
   memsys : Memsys.t;
   clearing : Policy.idle_clearing;
   use_list : bool;
-  list_limit : int;
   prezeroed : int Queue.t;
   mutable prezeroed_len : int;
 }
 
-let create ~physmem ~memsys ~clearing ~use_list ~list_limit () =
+let create ~physmem ~memsys ~clearing ~use_list () =
   { physmem;
     memsys;
     clearing;
     use_list;
-    list_limit;
     prezeroed = Queue.create ();
     prezeroed_len = 0 }
 
@@ -64,7 +62,7 @@ let idle_clear_one t =
   match t.clearing with
   | Policy.Clear_off -> false
   | (Policy.Clear_cached | Policy.Clear_uncached) as mode ->
-      if t.use_list && t.prezeroed_len >= t.list_limit then false
+      if t.use_list && t.prezeroed_len >= Policy.prezero_list_pages then false
       else begin
         match Physmem.alloc t.physmem with
         | None -> false

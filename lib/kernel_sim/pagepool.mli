@@ -23,12 +23,9 @@ val create :
   memsys:Ppc.Memsys.t ->
   clearing:Policy.idle_clearing ->
   use_list:bool ->
-  list_limit:int ->
   unit ->
   t
-(** [list_limit] caps the pre-zeroed list ({!Policy.t}'s
-    [prezero_list_limit] supplies it — there is deliberately no default
-    here, so the policy layer owns the constant). *)
+(** The pre-zeroed list holds at most {!Policy.prezero_list_pages}. *)
 
 val get_page : t -> int option
 (** A frame with undefined contents (page-cache use); never consults the

@@ -5,20 +5,15 @@ type idle_clearing =
 
 type t = {
   bat_kernel_mapping : bool;
-  bat_io_mapping : bool;
   vsid_source : Vsid_alloc.id_source;
   vsid_multiplier : int;
   fast_reload : bool;
   fast_paths : bool;
   use_htab : bool;
-  lazy_flush : bool;
   flush_cutoff : int option;
   idle_zombie_reclaim : bool;
-  reclaim_interval : int;
-  reclaim_chunk : int;
   idle_clearing : idle_clearing;
   idle_clear_list : bool;
-  prezero_list_limit : int;
   cache_inhibit_pagetables : bool;
   bat_framebuffer : bool;
   idle_cache_lock : bool;
@@ -30,27 +25,22 @@ type t = {
 let flush_cutoff_pages = 20
 
 (* The zombie-reclaim cadence and pre-zero list depth the paper's idle
-   task settled on (previously hardcoded in [Kparams] and [Pagepool]). *)
+   task settled on: constants, not knobs. *)
 let reclaim_interval_slices = 16
 let reclaim_chunk_ptes = 64
 let prezero_list_pages = 64
 
 let baseline =
   { bat_kernel_mapping = false;
-    bat_io_mapping = false;
     vsid_source = Vsid_alloc.Pid_based;
     vsid_multiplier = 1;
     fast_reload = false;
     fast_paths = false;
     use_htab = true;
-    lazy_flush = false;
     flush_cutoff = None;
     idle_zombie_reclaim = false;
-    reclaim_interval = reclaim_interval_slices;
-    reclaim_chunk = reclaim_chunk_ptes;
     idle_clearing = Clear_off;
     idle_clear_list = false;
-    prezero_list_limit = prezero_list_pages;
     cache_inhibit_pagetables = false;
     bat_framebuffer = false;
     idle_cache_lock = false;
@@ -60,20 +50,15 @@ let baseline =
 
 let optimized =
   { bat_kernel_mapping = true;
-    bat_io_mapping = false;
     vsid_source = Vsid_alloc.Context_counter;
     vsid_multiplier = Vsid_alloc.scatter_multiplier;
     fast_reload = true;
     fast_paths = true;
     use_htab = true;
-    lazy_flush = true;
     flush_cutoff = Some flush_cutoff_pages;
     idle_zombie_reclaim = true;
-    reclaim_interval = reclaim_interval_slices;
-    reclaim_chunk = reclaim_chunk_ptes;
     idle_clearing = Clear_uncached;
     idle_clear_list = true;
-    prezero_list_limit = prezero_list_pages;
     cache_inhibit_pagetables = false;
     bat_framebuffer = false;
     idle_cache_lock = false;
@@ -90,35 +75,24 @@ let mmu_knobs t =
 
 let describe t =
   let flag name b = if b then [ name ] else [] in
+  let counter = t.vsid_source = Vsid_alloc.Context_counter in
   let parts =
     flag "bat" t.bat_kernel_mapping
-    @ flag "bat-io" t.bat_io_mapping
-    @ (match t.vsid_source with
-      | Vsid_alloc.Pid_based -> [ "vsid-pid" ]
-      | Vsid_alloc.Context_counter -> [ "vsid-ctr" ])
+    @ [ (if counter then "vsid-ctr" else "vsid-pid") ]
     @ [ Printf.sprintf "mult=%d" t.vsid_multiplier ]
     @ flag "fast-reload" t.fast_reload
     @ flag "fast-paths" t.fast_paths
     @ flag "htab" t.use_htab
-    @ flag "lazy" t.lazy_flush
+    @ flag "lazy" counter
     @ (match t.flush_cutoff with
       | None -> []
       | Some n -> [ Printf.sprintf "cutoff=%d" n ])
     @ flag "reclaim" t.idle_zombie_reclaim
-    @ (if t.reclaim_interval <> reclaim_interval_slices then
-         [ Printf.sprintf "reclaim-every=%d" t.reclaim_interval ]
-       else [])
-    @ (if t.reclaim_chunk <> reclaim_chunk_ptes then
-         [ Printf.sprintf "reclaim-chunk=%d" t.reclaim_chunk ]
-       else [])
     @ (match t.idle_clearing with
       | Clear_off -> []
       | Clear_cached -> [ "clear-cached" ]
       | Clear_uncached -> [ "clear-uncached" ])
     @ flag "clear-list" t.idle_clear_list
-    @ (if t.prezero_list_limit <> prezero_list_pages then
-         [ Printf.sprintf "prezero-limit=%d" t.prezero_list_limit ]
-       else [])
     @ flag "pt-uncached" t.cache_inhibit_pagetables
     @ flag "fb-bat" t.bat_framebuffer
     @ flag "idle-lock" t.idle_cache_lock

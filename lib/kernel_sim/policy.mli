@@ -16,11 +16,10 @@ type t = {
   bat_kernel_mapping : bool;
       (** §5.1: map kernel text/data (and the htab) with a BAT register
           instead of PTEs. *)
-  bat_io_mapping : bool;
-      (** §5.1: also BAT-map I/O space (measured to not matter). *)
   vsid_source : Vsid_alloc.id_source;
-      (** §7: PID-derived VSIDs vs the context counter enabling lazy
-          flushes. *)
+      (** §7: PID-derived VSIDs, or the context counter, which makes
+          flushing lazy: a flush retires the VSID instead of scrubbing
+          TLB+htab entries. *)
   vsid_multiplier : int;
       (** §5.2: the scatter constant (1 = naive, 897 = tuned). *)
   fast_reload : bool;
@@ -31,26 +30,16 @@ type t = {
   use_htab : bool;
       (** §6.2: on 603-style machines, keep using the htab (true) or walk
           the Linux page tables directly (false).  Ignored on 604s. *)
-  lazy_flush : bool;
-      (** §7: retire VSIDs instead of scrubbing TLB+htab entries. *)
   flush_cutoff : int option;
       (** §7: range flushes above this many pages become whole-context
-          VSID resets (requires [lazy_flush]); [None] = always precise.
-          The paper settled on 20 pages. *)
+          VSID resets (requires counter VSIDs); [None] = always
+          precise.  The paper settled on 20 pages. *)
   idle_zombie_reclaim : bool;
       (** §7: idle task scans the htab invalidating zombie PTEs. *)
-  reclaim_interval : int;
-      (** §7: run a reclaim scan every this-many idle slices (the paper's
-          cadence is every 16th slice). *)
-  reclaim_chunk : int;
-      (** §7: htab slots examined per reclaim scan (64). *)
   idle_clearing : idle_clearing;
   idle_clear_list : bool;
       (** §9: hand idle-cleared pages to [get_free_page] via the
           pre-zeroed list. *)
-  prezero_list_limit : int;
-      (** §9: cap on the pre-zeroed list depth — idle stops clearing once
-          this many pages are banked (64). *)
   cache_inhibit_pagetables : bool;
       (** §8: keep page-table and htab references out of the data
           cache. *)
@@ -89,13 +78,15 @@ val flush_cutoff_pages : int
 (** 20 — the tuned cutoff. *)
 
 val reclaim_interval_slices : int
-(** 16 — reclaim every 16th idle slice. *)
+(** 16 — with [idle_zombie_reclaim], every 16th idle slice runs a
+    reclaim scan (§7). *)
 
 val reclaim_chunk_ptes : int
-(** 64 — htab slots per reclaim scan. *)
+(** 64 — htab slots one reclaim scan examines (§7). *)
 
 val prezero_list_pages : int
-(** 64 — pre-zeroed list depth cap. *)
+(** 64 — the pre-zeroed list's depth cap: idle stops clearing once this
+    many pages are banked (§9). *)
 
 val mmu_knobs : t -> Ppc.Mmu.knobs
 (** The subset of the policy the MMU consumes. *)

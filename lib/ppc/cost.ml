@@ -29,7 +29,6 @@ let ipi_handler_instr = 36
 let dcbz_cycles = 2
 let prefetch_cycles = 2
 let zombie_check_instr = 40
-let page_fault_instr = 450
 
 let us_of_cycles ~mhz c = float_of_int c /. float_of_int mhz
 

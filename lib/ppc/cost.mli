@@ -82,10 +82,6 @@ val zombie_check_instr : int
     pair during a reload — the in-line cost of the zombie-aware
     replacement the paper rejected in favour of idle-time reclaim. *)
 
-val page_fault_instr : int
-(** Instructions on the (C) demand-fault service path, excluding the
-    memory references it performs. *)
-
 val us_of_cycles : mhz:int -> int -> float
 (** [us_of_cycles ~mhz c] converts a cycle count to microseconds. *)
 

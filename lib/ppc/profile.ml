@@ -90,7 +90,6 @@ let create ~timeline =
     timeline }
 
 let enable t = t.enabled <- true
-let disable t = t.enabled <- false
 let enabled t = t.enabled
 
 (* --- hooks wired by the MMU ------------------------------------------- *)

@@ -67,9 +67,6 @@ val create : timeline:Recorder.t -> t
 val enable : t -> unit
 (** Start attributing. *)
 
-val disable : t -> unit
-(** Stop attributing; accumulated data stays readable. *)
-
 val enabled : t -> bool
 
 (** {1 Hooks wired by the MMU} *)

@@ -62,13 +62,3 @@ let hash_primary ~n_ptegs ~vsid ~page_index =
   ((vsid land 0x7FFFF) lxor (page_index land 0xFFFF)) land (n_ptegs - 1)
 
 let hash_secondary ~n_ptegs ~primary = lnot primary land (n_ptegs - 1)
-
-let pp fmt t =
-  if not t.valid then Format.fprintf fmt "<invalid>"
-  else
-    Format.fprintf fmt "{vsid=%#x pidx=%#x rpn=%#x%s%s%s%s}" t.vsid
-      t.page_index t.rpn
-      (if t.secondary then " H" else "")
-      (if t.referenced then " R" else "")
-      (if t.changed then " C" else "")
-      (if t.wimg.cache_inhibited then " I" else "")

@@ -76,6 +76,3 @@ val hash_primary : n_ptegs:int -> vsid:int -> page_index:int -> int
 val hash_secondary : n_ptegs:int -> primary:int -> int
 (** [hash_secondary ~n_ptegs ~primary] is the one's complement of the
     primary hash under the same fold — the overflow PTEG. *)
-
-val pp : Format.formatter -> t -> unit
-(** Debug printer. *)

@@ -144,7 +144,3 @@ let sample t i =
   t.samples.(i)
 
 let samples t = Array.to_list (Array.sub t.samples 0 t.len)
-let iter t f =
-  for i = 0 to t.len - 1 do
-    f t.samples.(i)
-  done

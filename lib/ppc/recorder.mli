@@ -110,4 +110,3 @@ val sample : t -> int -> sample
 (** @raise Invalid_argument out of range. *)
 
 val samples : t -> sample list
-val iter : t -> (sample -> unit) -> unit

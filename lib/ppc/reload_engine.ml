@@ -5,11 +5,6 @@ type style =
 
 let all_styles = [ Hw_search; Sw_htab; Sw_direct ]
 
-let style_name = function
-  | Hw_search -> "hw-search"
-  | Sw_htab -> "sw-htab"
-  | Sw_direct -> "sw-direct"
-
 type costs = {
   entry_stall_cycles : int;
   handler_on_entry : bool;
@@ -62,7 +57,3 @@ let style t = t.e_style
 let costs t = t.e_costs
 
 let uses_htab t = t.e_style <> Sw_direct
-
-let describe t =
-  Printf.sprintf "%s (%s)" (style_name t.e_style)
-    (if uses_htab t then "htab" else "direct page-table walk")

@@ -29,7 +29,6 @@ type style =
           the Linux PTE tree — three loads worst case. *)
 
 val all_styles : style list
-val style_name : style -> string
 
 (** One backend's cost row.  The generic reload sequence is:
 
@@ -82,6 +81,3 @@ val costs : t -> costs
 val uses_htab : t -> bool
 (** [false] exactly for {!Sw_direct} — the backend that "improved the
     hash table away".  {!Mmu.create} builds an htab iff this is true. *)
-
-val describe : t -> string
-(** One-line human rendering, e.g. ["hw-search (htab)"]. *)

@@ -137,7 +137,3 @@ let report d =
                f.f_ea))
         flushes);
   Buffer.contents b
-
-let summary t =
-  Printf.sprintf "%d translations cross-checked, %d divergence(s)"
-    t.sh_checks t.sh_total_divergences

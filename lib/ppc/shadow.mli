@@ -111,6 +111,3 @@ val max_kept : int
 
 val report : divergence -> string
 (** Multi-line human rendering of one divergence. *)
-
-val summary : t -> string
-(** One line: checks performed and divergences found. *)

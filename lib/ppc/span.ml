@@ -74,8 +74,8 @@ let create ~perf =
 
 (* --- lifecycle -------------------------------------------------------- *)
 
-let enable ?(requests = initial_requests) t =
-  let requests = max 1 requests in
+let enable t =
+  let requests = initial_requests in
   t.r_cls <- Array.make requests 0;
   t.r_arrival <- Array.make requests 0;
   t.r_finish <- Array.make requests (-1);
@@ -94,7 +94,6 @@ let enable ?(requests = initial_requests) t =
   t.cur_req <- -1;
   t.enabled <- true
 
-let disable t = t.enabled <- false
 let enabled t = t.enabled
 
 let set_label t label = t.label <- label

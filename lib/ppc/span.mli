@@ -38,12 +38,9 @@ type t
 val create : perf:Perf.t -> t
 (** A disabled recorder stamping cycles from [perf]. *)
 
-val enable : ?requests:int -> t -> unit
-(** Start recording; [requests] sizes the initial per-request arrays
-    (they grow by doubling).  Resets any previously recorded data. *)
-
-val disable : t -> unit
-(** Stop recording; accumulated data stays readable. *)
+val enable : t -> unit
+(** Start recording, with room for 1024 requests (the per-request arrays
+    grow by doubling).  Resets any previously recorded data. *)
 
 val enabled : t -> bool
 

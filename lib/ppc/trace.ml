@@ -126,8 +126,6 @@ let enable ?(ring = default_ring) t =
   t.head <- 0;
   t.enabled <- true
 
-let disable t = t.enabled <- false
-
 (* --- emission --------------------------------------------------------- *)
 
 let enabled t = t.enabled

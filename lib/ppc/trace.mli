@@ -70,9 +70,6 @@ val enable : ?ring:int -> t -> unit
 (** Allocate the ring ([ring] events, default {!default_ring}; oldest
     events are overwritten on wrap) and start recording. *)
 
-val disable : t -> unit
-(** Stop recording; retained events stay readable. *)
-
 val enabled : t -> bool
 
 (** {1 Emission} — all no-ops unless {!enabled} *)

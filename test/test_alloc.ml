@@ -142,7 +142,7 @@ let words_per_reclaim ~armed =
         : int)
   done;
   if armed then Recorder.enable (Kernel.recorder k) ~every:(1 lsl 50);
-  let chunk = Policy.optimized.Policy.reclaim_chunk in
+  let chunk = Policy.reclaim_chunk_ptes in
   let n = 8 * Htab.capacity h / chunk in
   let reclaimed = ref 0 in
   let words_before = Gc.minor_words () in

@@ -80,7 +80,6 @@ let prop_invariants_random_policies =
           fast_reload = b 1;
           fast_paths = b 2;
           use_htab = b 3;
-          lazy_flush = b 4;
           flush_cutoff = (if b 5 then Some 20 else None);
           idle_zombie_reclaim = b 6;
           idle_clearing =

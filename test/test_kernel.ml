@@ -496,6 +496,13 @@ let test_rejected_calls_charge_nothing () =
                  ~writable:false) );
       ( "map_framebuffer with no task", false,
         fun k () -> ignore (Kernel.sys_map_framebuffer k ~pages:32) );
+      ( "map_framebuffer of no pages", true,
+        fun k () -> ignore (Kernel.sys_map_framebuffer k ~pages:0) );
+      ( "map_framebuffer larger than the aperture", true,
+        fun k () ->
+          ignore
+            (Kernel.sys_map_framebuffer k
+               ~pages:((Mm.framebuffer_bytes lsr Addr.page_shift) + 1)) );
       ( "brk with no task", false,
         fun k () -> ignore (Kernel.sys_brk k ~pages:1) );
       ("fork with no task", false, fun k () -> ignore (Kernel.sys_fork k));
@@ -600,6 +607,56 @@ let test_mmap_window_is_reused () =
   done;
   Alcotest.(check int) "the arena restarted from its base once" 2 !from_base
 
+(* The frame-buffer aperture is never part of the mmap arena: a 512 MB
+   mapping fills the arena up to the aperture, the next mapping lands past
+   it, and the frame buffer still maps.  Mapping it a second time is
+   rejected before the call enters. *)
+let test_mmap_arena_skips_framebuffer () =
+  let k = boot () in
+  Kernel.switch_to k (Kernel.spawn k ());
+  let big = Kernel.sys_mmap k ~pages:131072 ~writable:true in
+  Alcotest.(check int) "the big mapping starts the arena" Mm.user_mmap_base
+    big;
+  let next = Kernel.sys_mmap k ~pages:32 ~writable:true in
+  Alcotest.(check int) "the next one lands past the aperture"
+    (Mm.framebuffer_base + Mm.framebuffer_bytes)
+    next;
+  Alcotest.(check int) "the frame buffer maps" Mm.framebuffer_base
+    (Kernel.sys_map_framebuffer k ~pages:16);
+  let cycles0 = Kernel.cycles k in
+  let calls0 = (Kernel.perf k).Perf.syscalls in
+  (match Kernel.sys_map_framebuffer k ~pages:16 with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "a second frame-buffer map must be rejected");
+  Alcotest.(check int) "no cycle charged" cycles0 (Kernel.cycles k);
+  Alcotest.(check int) "no syscall counted" calls0
+    (Kernel.perf k).Perf.syscalls
+
+(* Lazy flushing is the counter VSID source: with PID-derived VSIDs the
+   optimized kernel flushes a munmap above the cutoff page by page, and
+   with the counter it resets the context instead. *)
+let test_pid_vsids_flush_precisely () =
+  let big = Policy.flush_cutoff_pages + 10 in
+  let unmap_big policy =
+    let k = boot ~policy () in
+    Kernel.switch_to k (Kernel.spawn k ());
+    let ea = Kernel.sys_mmap k ~pages:big ~writable:true in
+    let p = Kernel.perf k in
+    let searches0 = p.Perf.flush_pte_searches
+    and resets0 = p.Perf.flush_context_resets in
+    Kernel.sys_munmap k ~ea ~pages:big;
+    (p.Perf.flush_pte_searches - searches0,
+     p.Perf.flush_context_resets - resets0)
+  in
+  let searches, resets =
+    unmap_big { Policy.optimized with Policy.vsid_source = V.Pid_based }
+  in
+  Alcotest.(check int) "pid VSIDs: one search per page" big searches;
+  Alcotest.(check int) "pid VSIDs: no context reset" 0 resets;
+  let searches, resets = unmap_big Policy.optimized in
+  Alcotest.(check int) "counter VSIDs: no per-page search" 0 searches;
+  Alcotest.(check bool) "counter VSIDs: the context resets" true (resets > 0)
+
 let suite =
   [ Alcotest.test_case "boot programs BATs" `Quick test_boot_bat;
     Alcotest.test_case "boot without BATs" `Quick test_boot_no_bat;
@@ -649,4 +706,8 @@ let suite =
     Alcotest.test_case "a raising call closes its window" `Quick
       test_raising_calls_close_the_window;
     Alcotest.test_case "munmap returns address space to the mmap window"
-      `Quick test_mmap_window_is_reused ]
+      `Quick test_mmap_window_is_reused;
+    Alcotest.test_case "the mmap arena skips the frame-buffer aperture"
+      `Quick test_mmap_arena_skips_framebuffer;
+    Alcotest.test_case "pid VSIDs flush precisely above the cutoff (§7)"
+      `Quick test_pid_vsids_flush_precisely ]

@@ -4,8 +4,7 @@ module Physmem = Kernel_sim.Physmem
 module Pagepool = Kernel_sim.Pagepool
 module Policy = Kernel_sim.Policy
 
-let mk ?(clearing = Policy.Clear_uncached) ?(use_list = true)
-    ?(list_limit = 8) () =
+let mk ?(clearing = Policy.Clear_uncached) ?(use_list = true) () =
   let machine = Machine.ppc604_185 in
   let perf = Perf.create () in
   let memsys = Memsys.create ~machine ~perf in
@@ -13,7 +12,7 @@ let mk ?(clearing = Policy.Clear_uncached) ?(use_list = true)
     Physmem.create ~ram_bytes:(2 * 1024 * 1024) ~reserved_bytes:4096
   in
   let pool =
-    Pagepool.create ~physmem ~memsys ~clearing ~use_list ~list_limit ()
+    Pagepool.create ~physmem ~memsys ~clearing ~use_list ()
   in
   (pool, perf, physmem, memsys)
 
@@ -65,13 +64,14 @@ let test_nolist_returns_frame () =
   Alcotest.(check int) "but work counted" 1 perf.Perf.pages_cleared_idle
 
 let test_list_limit () =
-  let pool, _, _, _ = mk ~list_limit:3 () in
-  for _ = 1 to 3 do
+  let pool, _, _, _ = mk () in
+  for _ = 1 to Policy.prezero_list_pages do
     Alcotest.(check bool) "filling" true (Pagepool.idle_clear_one pool)
   done;
   Alcotest.(check bool) "full list stops work" false
     (Pagepool.idle_clear_one pool);
-  Alcotest.(check int) "capped" 3 (Pagepool.prezeroed_available pool)
+  Alcotest.(check int) "capped" Policy.prezero_list_pages
+    (Pagepool.prezeroed_available pool)
 
 let test_clear_off_never_works () =
   let pool, _, _, _ = mk ~clearing:Policy.Clear_off () in

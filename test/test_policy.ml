@@ -29,13 +29,12 @@ let test_paper_default_constants () =
   Alcotest.(check int) "...which is 897" 897 p.Kpolicy.vsid_multiplier;
   Alcotest.(check (option int)) "flush cutoff is the tuned 20 pages"
     (Some Kpolicy.flush_cutoff_pages) p.Kpolicy.flush_cutoff;
-  Alcotest.(check int) "reclaim every 16th idle slice"
-    Kpolicy.reclaim_interval_slices p.Kpolicy.reclaim_interval;
-  Alcotest.(check int) "...which is 16" 16 p.Kpolicy.reclaim_interval;
-  Alcotest.(check int) "64 htab slots per reclaim scan"
-    Kpolicy.reclaim_chunk_ptes p.Kpolicy.reclaim_chunk;
-  Alcotest.(check int) "pre-zeroed list capped at 64 pages"
-    Kpolicy.prezero_list_pages p.Kpolicy.prezero_list_limit;
+  Alcotest.(check int) "reclaim every 16th idle slice" 16
+    Kpolicy.reclaim_interval_slices;
+  Alcotest.(check int) "64 htab slots per reclaim scan" 64
+    Kpolicy.reclaim_chunk_ptes;
+  Alcotest.(check int) "pre-zeroed list capped at 64 pages" 64
+    Kpolicy.prezero_list_pages;
   Alcotest.(check bool) "LRU TLB replacement (the 603/604 hardware)" true
     (p.Kpolicy.tlb_replacement = Ppc.Tlb.Lru)
 
@@ -81,17 +80,17 @@ let test_mechanism_modules_do_not_hardcode () =
         false
         (contains kparams_src banned))
     [ "reclaim"; "prezero" ];
-  (* pagepool takes its list depth from the policy, no baked-in default *)
+  (* pagepool reads its list depth from the policy module's constant *)
   let pagepool_src = read_source "../lib/kernel_sim/pagepool.ml" in
-  Alcotest.(check bool) "pagepool.ml takes ~list_limit" true
-    (contains pagepool_src "~list_limit");
-  Alcotest.(check bool) "pagepool.ml has no hardcoded 64-page default" false
-    (contains pagepool_src "list_limit = 64")
+  Alcotest.(check bool) "pagepool.ml reads Policy.prezero_list_pages" true
+    (contains pagepool_src "Policy.prezero_list_pages");
+  Alcotest.(check bool) "pagepool.ml has no hardcoded 64-page depth" false
+    (contains pagepool_src "64")
 
 (* --- catalog + string get/set --------------------------------------- *)
 
 let test_catalog_shape () =
-  Alcotest.(check int) "21 knobs" 21 (List.length Policy.catalog);
+  Alcotest.(check int) "16 knobs" 16 (List.length Policy.catalog);
   Alcotest.(check (list string)) "knob_keys is the catalog order"
     (List.map (fun k -> k.Policy.ki_key) Policy.catalog)
     Policy.knob_keys;
@@ -119,7 +118,29 @@ let test_set_rejects_garbage () =
   expect_error "non-integer multiplier"
     (Policy.set p "vsid_multiplier" "banana");
   expect_error "bad enum" (Policy.set p "tlb_replacement" "clairvoyant");
-  expect_error "bad bool" (Policy.set p "lazy_flush" "maybe")
+  expect_error "bad bool" (Policy.set p "fast_reload" "maybe")
+
+(* The knobs that became constants (the idle cadence and list depth), the
+   never-enabled I/O BAT, and lazy flushing (now the counter VSID source
+   itself) are unknown keys, to [--policy] and to policy files alike. *)
+let test_removed_knobs_rejected () =
+  List.iter
+    (fun (key, value) ->
+      Alcotest.(check bool) (key ^ " is not in the catalog") false
+        (List.mem key Policy.knob_keys);
+      let unknown = Error (Printf.sprintf "unknown policy knob %S" key) in
+      let rejected how r =
+        Alcotest.(check (result reject string))
+          (key ^ " is unknown " ^ how) unknown r
+      in
+      rejected "to set" (Policy.set Policy.paper_default key value);
+      rejected "to a policy file"
+        (Policy.of_string (Printf.sprintf "{%S: %s}" key value)))
+    [ ("bat_io_mapping", "true");
+      ("lazy_flush", "false");
+      ("reclaim_interval", "8");
+      ("reclaim_chunk", "32");
+      ("prezero_list_limit", "16") ]
 
 let test_apply_kv () =
   let p = ok (Policy.apply_kv Policy.paper_default "vsid_multiplier=64") in
@@ -219,4 +240,6 @@ let suite =
     Alcotest.test_case "JSON rejects unknown keys" `Quick
       test_json_unknown_key_rejected;
     Alcotest.test_case "JSON base member" `Quick test_json_base_member;
-    Alcotest.test_case "policy file loading" `Quick test_load_file ]
+    Alcotest.test_case "policy file loading" `Quick test_load_file;
+    Alcotest.test_case "removed knobs are unknown keys" `Quick
+      test_removed_knobs_rejected ]
