@@ -25,21 +25,24 @@ let parse_axis s =
       if values = [] then failwith ("--axis " ^ key ^ ": no values")
       else { Tuner.a_key = key; a_values = values }
 
-let run wl_names axis_specs smoke jobs seed timeout retries rounds json
-    out expect explained top =
+let run wl_names axis_specs smoke jobs seed timeout retries json out
+    expect explained top =
   try
     let workloads =
       match wl_names with
       | [] -> if smoke then Tuner.smoke_workloads else Tuner.default_workloads
       | names ->
+          let known =
+            List.map (fun w -> (w.Tuner.w_name, w)) Tuner.default_workloads
+          in
           List.map
             (fun n ->
-              match List.assoc_opt n Tuner.all_named with
+              match List.assoc_opt n known with
               | Some w -> w
               | None ->
                   failwith
                     ("unknown workload " ^ n ^ " (known: "
-                    ^ String.concat ", " (List.map fst Tuner.all_named)
+                    ^ String.concat ", " (List.map fst known)
                     ^ ")"))
             names
     in
@@ -56,12 +59,11 @@ let run wl_names axis_specs smoke jobs seed timeout retries rounds json
               (parse_assignment s) ]
     in
     let result =
-      Tuner.tune ~jobs ~seed ~timeout ~retries ~rounds ~extra ~workloads ~axes
-        ()
+      Tuner.tune ~jobs ~seed ~timeout ~retries ~extra ~workloads ~axes ()
     in
     let info = if json then Printf.eprintf else Printf.printf in
     if not json then begin
-      Report.section "Policy auto-tuner (grid + hill-climb, Pareto scoring)";
+      Report.section "Policy auto-tuner (grid, Pareto scoring)";
       Report.table
         ~header:[ "candidate"; "score vs base"; "Pareto" ]
         ~rows:
@@ -136,20 +138,15 @@ let cmd =
       value & opt_all string []
       & info [ "axis" ] ~docv:"KEY=V1,V2,..."
           ~doc:"One grid axis: a policy knob and its candidate values; \
-                repeatable. Default: vsid_multiplier x flush_cutoff x \
-                tlb_replacement.")
+                repeatable. The axes are the whole search space: list the \
+                base's own value on an axis to search around it. Default: \
+                vsid_multiplier x flush_cutoff x tlb_replacement.")
   in
   let smoke =
     Arg.(
       value & flag
       & info [ "smoke" ]
           ~doc:"CI diet: a 2x2x2 grid over two small workloads.")
-  in
-  let rounds =
-    Arg.(
-      value & opt int 4
-      & info [ "rounds" ] ~docv:"N"
-          ~doc:"Hill-climb rounds after the grid (0 disables climbing).")
   in
   let json =
     Arg.(
@@ -190,8 +187,8 @@ let cmd =
   in
   Cmd.v
     (Cmd.info "tune"
-       ~doc:"Derive policy constants with the parallel auto-tuner (grid + \
-             hill-climb, Pareto scoring)."
+       ~doc:"Derive policy constants with the parallel auto-tuner (grid, \
+             Pareto scoring)."
        ~man:
          [ `S Manpage.s_description;
            `P
@@ -202,10 +199,11 @@ let cmd =
               tail latency and htab hot spots per workload (one isolated \
               kernel per candidate x workload, fanned through the \
               fault-tolerant parallel runner — results are byte-identical \
-              at any --jobs), keep the Pareto front, hill-climb from the \
-              best point, and report why the winner beats paper_default." ])
+              at any --jobs), keep the Pareto front, and report why the \
+              winner beats paper_default. The axes are the whole search \
+              space." ])
     Term.(
       term_result
         (const run $ wl_names $ axis_specs $ smoke $ jobs_term
-        $ seed_term $ timeout_term $ retries_term $ rounds $ json $ out
-        $ expect $ explained $ top))
+        $ seed_term $ timeout_term $ retries_term $ json $ out $ expect
+        $ explained $ top))

@@ -720,51 +720,29 @@ let incidents sk = List.rev sk.sk_incidents_rev
 (* ---------------------------------------------------------- Perfetto *)
 
 let to_chrome ?(mhz = 100) ?(name = "mmu_sim flight") tls =
-  let mhzf = float_of_int mhz in
-  let ts cycle = Json.Float (float_of_int cycle /. mhzf) in
-  let events = ref [] in
-  let emit e = events := e :: !events in
-  List.iteri
-    (fun pi tl ->
-      let pid = pi + 1 in
-      let pname = if tl.tl_label = "" then Printf.sprintf "run %d" tl.tl_run else tl.tl_label in
-      emit
+  let process pi tl =
+    let pid = pi + 1 in
+    let pname =
+      if tl.tl_label = "" then Printf.sprintf "run %d" tl.tl_run
+      else tl.tl_label
+    in
+    let counters (metric, points) =
+      List.map
+        (fun (cycle, value) ->
+          Perfetto.counter ~mhz ~name:metric ~pid cycle
+            (Json.Obj [ ("value", Json.Float value) ]))
+        points
+    in
+    let incident i =
+      Perfetto.instant ~mhz ~cat:"incident" ~name:i.i_rule ~pid ~tid:0
+        ~scope:`Process i.i_cycle
         (Json.Obj
-           [ ("ph", Json.String "M");
-             ("pid", Json.Int pid);
-             ("tid", Json.Int 0);
-             ("name", Json.String "process_name");
-             ("args", Json.Obj [ ("name", Json.String (name ^ ": " ^ pname)) ]) ]);
-      List.iter
-        (fun (metric, points) ->
-          List.iter
-            (fun (cycle, value) ->
-              emit
-                (Json.Obj
-                   [ ("ph", Json.String "C");
-                     ("pid", Json.Int pid);
-                     ("name", Json.String metric);
-                     ("ts", ts cycle);
-                     ("args", Json.Obj [ ("value", Json.Float value) ]) ]))
-            points)
-        (series tl);
-      List.iter
-        (fun i ->
-          emit
-            (Json.Obj
-               [ ("ph", Json.String "i");
-                 ("s", Json.String "p");
-                 ("pid", Json.Int pid);
-                 ("tid", Json.Int 0);
-                 ("name", Json.String i.i_rule);
-                 ("ts", ts i.i_cycle);
-                 ("args",
-                  Json.Obj
-                    [ ("metric", Json.String i.i_metric);
-                      ("value", Json.Float i.i_value);
-                      ("trigger", Json.String i.i_trigger) ]) ]))
-        tl.tl_incidents)
-    tls;
-  Json.Obj
-    [ ("traceEvents", Json.List (List.rev !events));
-      ("displayTimeUnit", Json.String "ms") ]
+           [ ("metric", Json.String i.i_metric);
+             ("value", Json.Float i.i_value);
+             ("trigger", Json.String i.i_trigger) ])
+    in
+    (Perfetto.process_name ~pid (name ^ ": " ^ pname)
+    :: List.concat_map counters (series tl))
+    @ List.map incident tl.tl_incidents
+  in
+  Perfetto.document (List.concat (List.mapi process tls))

@@ -184,6 +184,7 @@ val incidents : sink -> incident list
 (** {1 Export} *)
 
 val to_chrome : ?mhz:int -> ?name:string -> timeline list -> Json.t
-(** Perfetto/Chrome trace JSON: one process per timeline, one counter
-    track ([ph:"C"]) per derived metric, one instant event per incident.
+(** The timelines mapped onto the {!Perfetto} skeleton: one process per
+    timeline, one counter track ([ph:"C"]) per derived metric, one
+    process-wide instant event (category ["incident"]) per incident.
     [mhz] converts cycles to microsecond timestamps (default 100). *)

@@ -89,55 +89,26 @@ let to_json ?top recorders =
    with the component breakdown in args — queued requests show as
    overlapping slices, which is exactly what a fat tail looks like. *)
 let to_chrome ?(mhz = 100) ?(name = "mmu_sim spans") recorders =
-  let mhzf = float_of_int mhz in
-  let ts cycle = Json.Float (float_of_int cycle /. mhzf) in
   let events = ref [] in
   let emit e = events := e :: !events in
   List.iteri
     (fun pi sp ->
       let pid = pi + 1 in
-      emit
-        (Json.Obj
-           [ ("ph", Json.String "M");
-             ("pid", Json.Int pid);
-             ("tid", Json.Int 0);
-             ("name", Json.String "process_name");
-             ("args",
-              Json.Obj
-                [ ("name",
-                   Json.String (name ^ ": " ^ Span.label sp)) ]) ]);
+      emit (Perfetto.process_name ~pid (name ^ ": " ^ Span.label sp));
       Span.iter sp (fun r ->
           if r.Span.q_finish >= 0 then begin
-            let tid = r.Span.q_rid + 1 in
+            let tid = r.Span.q_rid + 1
+            and cls = Span.class_name sp r.Span.q_cls in
             emit
-              (Json.Obj
-                 [ ("ph", Json.String "M");
-                   ("pid", Json.Int pid);
-                   ("tid", Json.Int tid);
-                   ("name", Json.String "thread_name");
-                   ("args",
-                    Json.Obj
-                      [ ("name",
-                         Json.String
-                           (Printf.sprintf "req %d (%s)" r.Span.q_rid
-                              (Span.class_name sp r.Span.q_cls))) ]) ]);
+              (Perfetto.thread_name ~pid ~tid
+                 (Printf.sprintf "req %d (%s)" r.Span.q_rid cls));
             emit
-              (Json.Obj
-                 [ ("name",
-                    Json.String (Span.class_name sp r.Span.q_cls));
-                   ("cat", Json.String "request");
-                   ("ph", Json.String "X");
-                   ("pid", Json.Int pid);
-                   ("tid", Json.Int tid);
-                   ("ts", ts r.Span.q_arrival);
-                   ("dur",
-                    Json.Float (float_of_int r.Span.q_latency /. mhzf));
-                   ("args", request_json sp r) ])
+              (Perfetto.slice ~mhz ~cat:"request" ~name:cls ~pid ~tid
+                 ~start:r.Span.q_arrival ~cycles:r.Span.q_latency
+                 (request_json sp r))
           end))
     recorders;
-  Json.Obj
-    [ ("traceEvents", Json.List (List.rev !events));
-      ("displayTimeUnit", Json.String "ms") ]
+  Perfetto.document (List.rev !events)
 
 (* -------------------------------------------------------- text tables *)
 

@@ -33,10 +33,12 @@ val to_json : ?top:int -> Span.t list -> Json.t
     creation order (one per configuration the experiment booted). *)
 
 val to_chrome : ?mhz:int -> ?name:string -> Span.t list -> Json.t
-(** Perfetto/Chrome trace JSON: one process per recorder, one thread
-    per request, one complete slice from arrival to completion with the
+(** The recorders mapped onto the {!Perfetto} skeleton: one process
+    per recorder (named by its label), one thread per completed
+    request, one complete slice from arrival to completion with the
     component breakdown in [args] — queued requests render as
-    overlapping slices. *)
+    overlapping slices.  A request still in flight exports nothing.
+    [mhz] converts cycles to microseconds (default 100). *)
 
 val slowest_table : ?top:int -> Span.t -> string
 (** Text table of the [top] (default 10) slowest requests: latency and

@@ -57,16 +57,6 @@ let counter_tracks =
     ("idle_cycles", [ "idle_cycles" ]) ]
 
 let to_chrome ?(mhz = 100) ?(name = "mmu_sim") tr =
-  let mhzf = float_of_int mhz in
-  let ts cycle = Json.Float (float_of_int cycle /. mhzf) in
-  let meta =
-    Json.Obj
-      [ ("ph", Json.String "M");
-        ("pid", Json.Int 1);
-        ("tid", Json.Int 0);
-        ("name", Json.String "process_name");
-        ("args", Json.Obj [ ("name", Json.String name) ]) ]
-  in
   (* One thread per PID seen in the ring; tid 0 is the kernel/idle task. *)
   let pids = Hashtbl.create 16 in
   Trace.iter tr (fun e -> Hashtbl.replace pids e.Trace.e_pid ());
@@ -74,40 +64,23 @@ let to_chrome ?(mhz = 100) ?(name = "mmu_sim") tr =
   let thread_names =
     Hashtbl.fold
       (fun pid () acc ->
-        let tname = if pid = 0 then "kernel/idle" else Printf.sprintf "task %d" pid in
-        Json.Obj
-          [ ("ph", Json.String "M");
-            ("pid", Json.Int 1);
-            ("tid", Json.Int pid);
-            ("name", Json.String "thread_name");
-            ("args", Json.Obj [ ("name", Json.String tname) ]) ]
+        Perfetto.thread_name ~pid:1 ~tid:pid
+          (if pid = 0 then "kernel/idle" else Printf.sprintf "task %d" pid)
         :: acc)
       pids []
   in
   let events = ref [] in
   Trace.iter tr (fun e ->
-      let base =
-        [ ("name", Json.String (Trace.kind_name e.Trace.e_kind));
-          ("cat", Json.String "mmu");
-          ("pid", Json.Int 1);
-          ("tid", Json.Int e.Trace.e_pid) ]
-      in
+      let kind = Trace.kind_name e.Trace.e_kind and tid = e.Trace.e_pid in
       let ev =
         if span_kind e.Trace.e_kind then
           (* spans are emitted at completion; the start is cycle - dur *)
-          Json.Obj
-            (base
-            @ [ ("ph", Json.String "X");
-                ("ts", ts (e.Trace.e_cycle - e.Trace.e_b));
-                ("dur", Json.Float (float_of_int e.Trace.e_b /. mhzf));
-                ("args", Json.Obj (args_of e)) ])
+          Perfetto.slice ~mhz ~cat:"mmu" ~name:kind ~pid:1 ~tid
+            ~start:(e.Trace.e_cycle - e.Trace.e_b) ~cycles:e.Trace.e_b
+            (Json.Obj (args_of e))
         else
-          Json.Obj
-            (base
-            @ [ ("ph", Json.String "i");
-                ("s", Json.String "t");
-                ("ts", ts e.Trace.e_cycle);
-                ("args", Json.Obj (args_of e)) ])
+          Perfetto.instant ~mhz ~cat:"mmu" ~name:kind ~pid:1 ~tid
+            ~scope:`Thread e.Trace.e_cycle (Json.Obj (args_of e))
       in
       events := ev :: !events);
   (* Counter tracks from the timeline samples: each sample contributes
@@ -127,26 +100,18 @@ let to_chrome ?(mhz = 100) ?(name = "mmu_sim") tr =
             List.iter
               (fun (track, series) ->
                 counters :=
-                  Json.Obj
-                    [ ("ph", Json.String "C");
-                      ("name", Json.String track);
-                      ("pid", Json.Int 1);
-                      ("ts", ts !prev_cycle);
-                      ("args",
-                       Json.Obj
-                         (List.map (fun s -> (s, Json.Int (value s))) series))
-                    ]
+                  Perfetto.counter ~mhz ~name:track ~pid:1 !prev_cycle
+                    (Json.Obj
+                       (List.map (fun s -> (s, Json.Int (value s))) series))
                   :: !counters)
               counter_tracks;
             prev := snap;
             prev_cycle := cycle
           end)
         samples);
-  Json.Obj
-    [ ("traceEvents",
-       Json.List
-         ((meta :: thread_names) @ List.rev !events @ List.rev !counters));
-      ("displayTimeUnit", Json.String "ms") ]
+  Perfetto.document
+    ((Perfetto.process_name ~pid:1 name :: thread_names)
+    @ List.rev !events @ List.rev !counters)
 
 (* --- machine-readable distributions ---------------------------------- *)
 

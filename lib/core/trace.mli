@@ -11,10 +11,9 @@
 open Ppc
 
 val to_chrome : ?mhz:int -> ?name:string -> Trace.t -> Json.t
-(** [to_chrome tr] renders the retained events as a Chrome trace-event
-    document ([{"traceEvents": [...]}]).  Timestamps are microseconds:
-    simulated cycles divided by [mhz] (default 100, the paper's 604e
-    clock).  Span kinds (TLB reloads, context switches, run slices, idle
+(** [to_chrome tr] maps the retained events onto the {!Perfetto}
+    skeleton.  Timestamps are microseconds: simulated cycles divided by
+    [mhz] (default 100, the paper's 604e clock).  Span kinds (TLB reloads, context switches, run slices, idle
     windows) become complete events (ph ["X"]) with durations; the rest
     are instants (ph ["i"]).  Events carry the owning task's PID as the
     thread id (0 = kernel/idle) and decoded payloads in [args]; timeline

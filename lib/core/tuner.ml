@@ -164,16 +164,6 @@ let smoke_workloads =
         { Workloads.Server.default_params with Workloads.Server.requests = 80 }
       Workloads.Server.Pool ]
 
-let all_named =
-  [ ("kbuild", kbuild ());
-    ("server-pool", server Workloads.Server.Pool);
-    ( "server-fork_exec",
-      server
-        ~params:
-          { Workloads.Server.default_params with
-            Workloads.Server.requests = 120 }
-        Workloads.Server.Fork_exec ) ]
-
 (* --- candidates -------------------------------------------------------- *)
 
 type axis = { a_key : string; a_values : string list }
@@ -309,99 +299,6 @@ let score ~base e =
     let ratios = List.map2 (fun v b -> (1. +. v) /. (1. +. b)) ve vb in
     List.fold_left ( +. ) 0. ratios /. float_of_int (List.length ratios)
 
-(* --- hill climbing ----------------------------------------------------- *)
-
-let index_of v l =
-  let rec go i = function
-    | [] -> -1
-    | x :: tl -> if String.equal x v then i else go (i + 1) tl
-  in
-  go 0 l
-
-(* Every axis pinned: the candidate's assigned value, else the base
-   policy's current one.  Candidates whose label matches a grid label
-   are recognized as already evaluated. *)
-let full_assignment ~base ~axes partial =
-  List.filter_map
-    (fun ax ->
-      match List.assoc_opt ax.a_key partial with
-      | Some v -> Some (ax.a_key, v)
-      | None -> (
-          match Policy.get base ax.a_key with
-          | Ok v -> Some (ax.a_key, v)
-          | Error _ -> None))
-    axes
-
-let neighbors ~base ~axes cand =
-  let full = full_assignment ~base ~axes cand.c_assignment in
-  List.concat_map
-    (fun ax ->
-      match List.assoc_opt ax.a_key full with
-      | None -> []
-      | Some cur ->
-          let i = index_of cur ax.a_values in
-          if i < 0 then []
-          else
-            List.filter_map
-              (fun j ->
-                if j < 0 || j >= List.length ax.a_values then None
-                else
-                  let v = List.nth ax.a_values j in
-                  let assignment =
-                    List.map
-                      (fun (k, v0) ->
-                        if String.equal k ax.a_key then (k, v) else (k, v0))
-                      full
-                  in
-                  Some (candidate_of_assignment ~base assignment))
-              [ i - 1; i + 1 ])
-    axes
-
-let best_of ~base evals =
-  List.fold_left
-    (fun acc e ->
-      match acc with
-      | None -> Some e
-      | Some b -> if score ~base e < score ~base b then Some e else acc)
-    None evals
-
-let hill_climb ?jobs ?seed ?timeout ?retries ?(rounds = 4) ~workloads ~axes
-    ~base_eval evals0 =
-  let basep = base_eval.e_cand.c_policy in
-  let seen = Hashtbl.create 64 in
-  List.iter (fun e -> Hashtbl.replace seen e.e_cand.c_label ()) evals0;
-  let all = ref evals0 in
-  let failures = ref [] in
-  let continue = ref true in
-  let round = ref 0 in
-  while !continue && !round < rounds do
-    incr round;
-    match best_of ~base:base_eval !all with
-    | None -> continue := false
-    | Some b ->
-        let prev = score ~base:base_eval b in
-        let cands =
-          neighbors ~base:basep ~axes b.e_cand
-          |> List.filter (fun c -> not (Hashtbl.mem seen c.c_label))
-        in
-        if cands = [] then continue := false
-        else begin
-          List.iter (fun c -> Hashtbl.replace seen c.c_label ()) cands;
-          let evals, fails =
-            evaluate ?jobs ?seed ?timeout ?retries ~workloads cands
-          in
-          failures := !failures @ fails;
-          all := !all @ evals;
-          let now =
-            match best_of ~base:base_eval !all with
-            | Some b' -> score ~base:base_eval b'
-            | None -> prev
-          in
-          if not (now < prev) then continue := false
-        end
-  done;
-  (!all, !failures)
-
 (* --- the whole tuning run ---------------------------------------------- *)
 
 type result = {
@@ -412,9 +309,11 @@ type result = {
   r_failures : (string * string) list;
 }
 
-let tune ?jobs ?(seed = 42) ?timeout ?retries ?rounds
-    ?(base = Policy.paper_default) ?(base_label = "paper_default")
-    ?(extra = []) ~workloads ~axes () =
+(* The search space is exactly the base, the grid and the extras: the
+   grid is already the whole Cartesian product of the axes, and nothing
+   around the base is tried unless an axis lists it. *)
+let tune ?jobs ?(seed = 42) ?timeout ?retries ?(base = Policy.paper_default)
+    ?(base_label = "paper_default") ?(extra = []) ~workloads ~axes () =
   let cands = (base_candidate ~label:base_label base :: grid ~base axes) @ extra in
   let evals, fails = evaluate ?jobs ~seed ?timeout ?retries ~workloads cands in
   let base_eval =
@@ -426,21 +325,20 @@ let tune ?jobs ?(seed = 42) ?timeout ?retries ?rounds
         failwith
           ("tuner: the base policy '" ^ base_label ^ "' failed to evaluate")
   in
-  let evals, fails2 =
-    hill_climb ?jobs ~seed ?timeout ?retries ?rounds ~workloads ~axes
-      ~base_eval evals
-  in
   let front = pareto evals in
+  (* the lowest score on the front, the earliest on a tie; the front is
+     never empty, since the base or whatever dominates it is on it *)
+  let score = score ~base:base_eval in
   let winner =
-    match best_of ~base:base_eval front with
-    | Some w -> w
-    | None -> base_eval
+    List.fold_left
+      (fun w e -> if score e < score w then e else w)
+      (List.hd front) front
   in
   { r_base = base_eval;
     r_evals = evals;
     r_front = front;
     r_winner = winner;
-    r_failures = fails @ fails2 }
+    r_failures = fails }
 
 let on_front result label =
   List.exists (fun e -> String.equal e.e_cand.c_label label) result.r_front

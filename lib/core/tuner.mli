@@ -8,9 +8,10 @@
     axes, fan them through the fault-tolerant parallel {!Runner} (one
     isolated kernel per candidate x workload), score each candidate on
     translation cost, tail latency and htab hot spots per workload, keep
-    the Pareto front, hill-climb from the best point, and emit a
-    machine-readable document plus an {!Explain}-backed account of why
-    the winner beats (or ties) {!Policy.paper_default}.
+    the Pareto front, and emit a machine-readable document plus an
+    {!Explain}-backed account of why the winner beats (or ties)
+    {!Policy.paper_default}.  The search space is the base, the grid of
+    the axes and any extra candidates: nothing around them is tried.
 
     Everything is deterministic in [seed], and results are independent
     of [jobs]: payloads ride the Runner's result pipe, so a [--jobs 4]
@@ -63,13 +64,11 @@ val server : ?params:Workloads.Server.params -> Workloads.Server.model -> worklo
 
 val default_workloads : workload list
 (** [kbuild], [server-pool], [server-fork_exec] — the three canonical
-    shapes a policy must not regress. *)
+    shapes a policy must not regress, and the workloads the CLI's
+    [--workloads] flag names by [w_name]. *)
 
 val smoke_workloads : workload list
 (** A small kbuild and a short server-pool run — the CI smoke diet. *)
-
-val all_named : (string * workload) list
-(** The workloads the CLI's [--workloads] flag can name. *)
 
 (** {1 Candidates} *)
 
@@ -154,27 +153,11 @@ type result = {
   r_failures : (string * string) list;
 }
 
-val hill_climb :
-  ?jobs:int ->
-  ?seed:int ->
-  ?timeout:float ->
-  ?retries:int ->
-  ?rounds:int ->
-  workloads:workload list ->
-  axes:axis list ->
-  base_eval:eval ->
-  eval list ->
-  eval list * (string * string) list
-(** From the best-scoring known point, evaluate the unvisited +-1
-    neighbors along every axis; repeat (up to [rounds], default 4)
-    while the best score improves.  Returns the accumulated evals. *)
-
 val tune :
   ?jobs:int ->
   ?seed:int ->
   ?timeout:float ->
   ?retries:int ->
-  ?rounds:int ->
   ?base:Kernel_sim.Policy.t ->
   ?base_label:string ->
   ?extra:candidate list ->
@@ -182,9 +165,12 @@ val tune :
   axes:axis list ->
   unit ->
   result
-(** Grid + hill-climb: evaluate the base, the full grid, any [extra]
-    candidates (e.g. a policy the caller expects to be dominated), then
-    climb.  @raise Failure if the base itself fails to evaluate. *)
+(** Evaluate exactly the base, the full {!grid} of [axes] over [base] and
+    any [extra] candidates (e.g. a policy the caller expects to be
+    dominated), then keep the Pareto front and its lowest {!score}.  The
+    axes are the search space: to search around the base's own value,
+    list it on its axis, as {!default_axes} and {!smoke_axes} do.
+    @raise Failure if the base itself fails to evaluate. *)
 
 val on_front : result -> string -> bool
 (** Is the labeled candidate on the Pareto front? *)

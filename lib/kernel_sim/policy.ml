@@ -85,8 +85,8 @@ let describe t =
     @ flag "htab" t.use_htab
     @ flag "lazy" counter
     @ (match t.flush_cutoff with
-      | None -> []
-      | Some n -> [ Printf.sprintf "cutoff=%d" n ])
+      | Some n when counter -> [ Printf.sprintf "cutoff=%d" n ]
+      | Some _ | None -> [])
     @ flag "reclaim" t.idle_zombie_reclaim
     @ (match t.idle_clearing with
       | Clear_off -> []

@@ -92,4 +92,6 @@ val mmu_knobs : t -> Ppc.Mmu.knobs
 (** The subset of the policy the MMU consumes. *)
 
 val describe : t -> string
-(** Short human-readable flag summary. *)
+(** Short human-readable flag summary.  It names a [flush_cutoff] only
+    under counter VSIDs: with PID-derived VSIDs every range flush is
+    precise, so the cutoff has no effect and prints nothing. *)

@@ -221,6 +221,17 @@ let test_load_file () =
         (Policy.equal p Policy.paper_default));
   expect_error "missing file" (Policy.load_file "/nonexistent/policy.json")
 
+(* Kernel.flush_range applies a cutoff only under counter VSIDs, so the
+   flag summary names one only there. *)
+let test_describe_cutoff_needs_counter_vsids () =
+  Alcotest.(check bool) "counter VSIDs name the cutoff" true
+    (contains (Kpolicy.describe Kpolicy.optimized) "cutoff=20");
+  Alcotest.(check bool) "pid VSIDs name no cutoff" false
+    (contains
+       (Kpolicy.describe
+          { Kpolicy.optimized with Kpolicy.vsid_source = Vsid_alloc.Pid_based })
+       "cutoff=")
+
 let suite =
   [ Alcotest.test_case "paper_default carries the paper's constants" `Quick
       test_paper_default_constants;
@@ -242,4 +253,6 @@ let suite =
     Alcotest.test_case "JSON base member" `Quick test_json_base_member;
     Alcotest.test_case "policy file loading" `Quick test_load_file;
     Alcotest.test_case "removed knobs are unknown keys" `Quick
-      test_removed_knobs_rejected ]
+      test_removed_knobs_rejected;
+    Alcotest.test_case "describe names a cutoff only with counter VSIDs"
+      `Quick test_describe_cutoff_needs_counter_vsids ]

@@ -137,6 +137,70 @@ let test_request_lifecycle () =
   | Some h -> Alcotest.(check int) "class hist saw r1" 1 (Hist.count h)
   | None -> Alcotest.fail "class 1 has no hist"
 
+(* --- the Perfetto export -------------------------------------------------- *)
+
+(* One process per recorder, one thread and one complete slice per
+   finished request, timed in microseconds at the given clock; a
+   request still in flight exports nothing. *)
+let test_to_chrome () =
+  let perf = Perf.create () in
+  let sp = Span.create ~perf in
+  Span.enable sp;
+  Span.set_label sp "pool";
+  Span.set_classes sp [| "m/compute"; "m/file" |];
+  perf.Perf.cycles <- 1_000;
+  let r0 = Span.request_begin sp ~cls:0 ~arrival:450 in
+  let r1 = Span.request_begin sp ~cls:1 ~arrival:1_000 in
+  let r2 = Span.request_begin sp ~cls:0 ~arrival:1_000 in
+  perf.Perf.cycles <- 1_700;
+  Span.request_end sp r1;
+  perf.Perf.cycles <- 2_500;
+  Span.request_end sp r0;
+  let events =
+    match
+      Json.member "traceEvents"
+        (Span_export.to_chrome ~mhz:200 ~name:"t" [ sp ])
+    with
+    | Some (Json.List l) -> l
+    | _ -> Alcotest.fail "no traceEvents list"
+  in
+  let str k e = Option.bind (Json.member k e) Json.to_string_opt in
+  let int k e = Option.bind (Json.member k e) Json.to_int_opt in
+  let flt k e = Option.bind (Json.member k e) Json.to_float_opt in
+  let arg_name e = Option.bind (Json.member "args" e) (str "name") in
+  let with_ph ph = List.filter (fun e -> str "ph" e = Some ph) events in
+  let meta kind =
+    List.filter (fun e -> str "name" e = Some kind) (with_ph "M")
+  in
+  (match meta "process_name" with
+  | [ p ] ->
+      Alcotest.(check (option int)) "process pid" (Some 1) (int "pid" p);
+      Alcotest.(check (option string)) "process named by the label"
+        (Some "t: pool") (arg_name p)
+  | l -> Alcotest.failf "expected 1 process, got %d" (List.length l));
+  Alcotest.(check (list (pair (option int) (option string))))
+    "one thread per completed request"
+    [ (Some (r0 + 1), Some "req 0 (m/compute)");
+      (Some (r1 + 1), Some "req 1 (m/file)") ]
+    (List.map (fun e -> (int "tid" e, arg_name e)) (meta "thread_name"));
+  let slices = with_ph "X" in
+  Alcotest.(check int) "one slice per completed request" 2 (List.length slices);
+  List.iter2
+    (fun e (rid, cls, arrival, latency) ->
+      Alcotest.(check (option int)) "slice thread" (Some (rid + 1))
+        (int "tid" e);
+      Alcotest.(check (option string)) "slice class" (Some cls) (str "name" e);
+      Alcotest.(check (option string)) "slice category" (Some "request")
+        (str "cat" e);
+      Alcotest.(check (option (float 1e-9))) "ts = arrival / mhz"
+        (Some (float_of_int arrival /. 200.)) (flt "ts" e);
+      Alcotest.(check (option (float 1e-9))) "dur = latency / mhz"
+        (Some (float_of_int latency /. 200.)) (flt "dur" e))
+    slices
+    [ (r0, "m/compute", 450, 2_050); (r1, "m/file", 1_000, 700) ];
+  Alcotest.(check bool) "nothing for the unfinished request" false
+    (List.exists (fun e -> int "tid" e = Some (r2 + 1)) events)
+
 (* --- recording is free ------------------------------------------------- *)
 
 let perf_signature p =
@@ -281,4 +345,5 @@ let suite =
       `Slow test_server_table_identical_when_armed;
     Alcotest.test_case "SLO verdicts" `Quick test_slo_verdicts;
     Alcotest.test_case "SLO document roundtrip" `Quick
-      test_slo_doc_roundtrip ]
+      test_slo_doc_roundtrip;
+    Alcotest.test_case "Perfetto export" `Quick test_to_chrome ]

@@ -139,7 +139,7 @@ let test_fan_out_failure_isolated () =
 
 (* A workload whose metrics are pure functions of the policy: fast,
    deterministic, and with a known optimum (vsid_multiplier = 64), so
-   the grid + Pareto + hill-climb machinery is checked exactly. *)
+   the grid + Pareto machinery is checked exactly. *)
 let synth_workload =
   { Tuner.w_name = "synthetic";
     w_eval =
@@ -189,7 +189,7 @@ let test_tune_doc_shape () =
     (str "winner");
   match Json.member "candidates" doc with
   | Some (Json.List cands) ->
-      (* base + 3 grid points; hill-climb adds nothing new here *)
+      (* base + 3 grid points, nothing else *)
       Alcotest.(check int) "base + grid candidates" 4 (List.length cands)
   | _ -> Alcotest.fail "doc has no candidates array"
 
@@ -208,16 +208,47 @@ let test_tune_drops_failing_candidate () =
   let result =
     Tuner.tune ~jobs:2 ~seed:7 ~workloads:[ treacherous ] ~axes:synth_axes ()
   in
-  Alcotest.(check bool) "failing candidate reported" true
-    (List.exists
-       (fun (id, _) ->
-         id = "vsid_multiplier=17 @ treacherous")
-       result.Tuner.r_failures);
+  Alcotest.(check int) "failing candidate reported once" 1
+    (List.length
+       (List.filter
+          (fun (id, _) -> id = "vsid_multiplier=17 @ treacherous")
+          result.Tuner.r_failures));
   Alcotest.(check bool) "failing candidate not evaluated" false
     (List.exists
        (fun e -> e.Tuner.e_cand.Tuner.c_label = "vsid_multiplier=17")
        result.Tuner.r_evals);
   Alcotest.(check string) "winner still found" "vsid_multiplier=64"
+    result.Tuner.r_winner.Tuner.e_cand.Tuner.c_label
+
+(* The axes are the whole search space.  The cost here is minimized by
+   the base's own values (multiplier 897, cutoff 20), and 897 is on no
+   axis: nothing around the base is tried beyond the grid. *)
+let test_tune_evaluates_exactly_the_grid () =
+  let base_optimal =
+    { Tuner.w_name = "base-optimal";
+      w_eval =
+        (fun ~policy ~seed:_ ->
+          [ { Tuner.m_name = "cost";
+              m_value =
+                float_of_int
+                  (abs (policy.Kpolicy.vsid_multiplier - 897)
+                  + if policy.Kpolicy.flush_cutoff = Some 20 then 0 else 1);
+              m_unit = "units" } ]) }
+  in
+  let axes =
+    [ { Tuner.a_key = "vsid_multiplier"; a_values = [ "17"; "64" ] };
+      { Tuner.a_key = "flush_cutoff"; a_values = [ "4"; "20"; "none" ] } ]
+  in
+  let result =
+    Tuner.tune ~jobs:2 ~seed:7 ~workloads:[ base_optimal ] ~axes ()
+  in
+  Alcotest.(check (list string)) "the base, then the 6 grid points"
+    ("paper_default"
+    :: List.map
+         (fun c -> c.Tuner.c_label)
+         (Tuner.grid ~base:Policy.paper_default axes))
+    (List.map (fun e -> e.Tuner.e_cand.Tuner.c_label) result.Tuner.r_evals);
+  Alcotest.(check string) "the base wins" "paper_default"
     result.Tuner.r_winner.Tuner.e_cand.Tuner.c_label
 
 let suite =
@@ -236,4 +267,6 @@ let suite =
       test_tune_doc_jobs_identical;
     Alcotest.test_case "tune doc shape" `Quick test_tune_doc_shape;
     Alcotest.test_case "tune drops failing candidates" `Quick
-      test_tune_drops_failing_candidate ]
+      test_tune_drops_failing_candidate;
+    Alcotest.test_case "tune evaluates exactly the grid" `Quick
+      test_tune_evaluates_exactly_the_grid ]
