@@ -235,37 +235,51 @@ let evaluate ?jobs ?(seed = 42) ?timeout ?retries ~workloads cands =
         end)
       cands
   in
+  (* Each distinct policy runs once, under the first label that names
+     it; a later label with an equal policy reads that run. *)
+  let runner c = List.find (fun r -> r.c_policy = c.c_policy) cands in
   let tasks =
     List.concat_map
       (fun c ->
-        List.map
+        if runner c != c then []
+        else
+          List.map
+            (fun w ->
+              ( c.c_label ^ task_sep ^ w.w_name,
+                fun ?seed:(job_seed : int option) () ->
+                  let seed = Option.value job_seed ~default:seed in
+                  metrics_json (w.w_eval ~policy:c.c_policy ~seed) ))
+            workloads)
+      cands
+  in
+  let results = Hashtbl.create 64 in
+  List.iter
+    (fun (id, r) -> Hashtbl.replace results id r)
+    (fan_out ?jobs ~seed ?timeout ?retries tasks);
+  let result c w =
+    Hashtbl.find results ((runner c).c_label ^ task_sep ^ w.w_name)
+  in
+  let failures =
+    List.concat_map
+      (fun c ->
+        List.filter_map
           (fun w ->
-            ( c.c_label ^ task_sep ^ w.w_name,
-              fun ?seed:(job_seed : int option) () ->
-                let seed = Option.value job_seed ~default:seed in
-                metrics_json (w.w_eval ~policy:c.c_policy ~seed) ))
+            match result c w with
+            | Ok _ -> None
+            | Error e -> Some (c.c_label ^ task_sep ^ w.w_name, e))
           workloads)
       cands
   in
-  let results = fan_out ?jobs ~seed ?timeout ?retries tasks in
-  let tbl = Hashtbl.create 64 in
-  let failures = ref [] in
-  List.iter
-    (fun (id, r) ->
-      match r with
-      | Ok j -> Hashtbl.replace tbl id j
-      | Error e -> failures := (id, e) :: !failures)
-    results;
   let evals =
     List.filter_map
       (fun c ->
         let per_w =
           List.filter_map
             (fun w ->
-              let id = c.c_label ^ task_sep ^ w.w_name in
-              match Option.bind (Hashtbl.find_opt tbl id) metrics_of_json with
-              | Some ms -> Some (w.w_name, ms)
-              | None -> None)
+              match result c w with
+              | Ok j ->
+                  Option.map (fun ms -> (w.w_name, ms)) (metrics_of_json j)
+              | Error _ -> None)
             workloads
         in
         (* a candidate with any failed workload cannot be compared *)
@@ -274,7 +288,7 @@ let evaluate ?jobs ?(seed = 42) ?timeout ?retries ~workloads cands =
         else None)
       cands
   in
-  (evals, List.rev !failures)
+  (evals, failures)
 
 (* --- scoring and the Pareto front -------------------------------------- *)
 

@@ -123,9 +123,12 @@ val evaluate :
   candidate list ->
   eval list * (string * string) list
 (** Fan every (candidate x workload) cell through {!fan_out}.
-    Candidates are deduplicated by label.  A candidate with any failed
-    workload is dropped from the evals (it cannot be compared) and its
-    failures are reported as [(task id, detail)]. *)
+    Candidates are deduplicated by label, and each distinct policy runs
+    once: a later candidate whose policy equals an earlier one's reads
+    that candidate's results under its own label.  A candidate with any
+    failed workload is dropped from the evals (it cannot be compared)
+    and its failures are reported as [(task id, detail)], under each
+    label that names the policy. *)
 
 val vector : eval -> float list
 (** The candidate's metric values, concatenated in workload order —

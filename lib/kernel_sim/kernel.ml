@@ -49,6 +49,7 @@ let memsys t = t.k_memsys
 let mmu t = t.k_mmu
 let shadow t = Mmu.shadow t.k_mmu
 let physmem t = t.k_physmem
+let kernel_pagetable t = t.kernel_pt
 let vsid_alloc t = t.k_vsid
 let pagepool t = t.k_pagepool
 let vfs t = t.k_vfs
@@ -179,14 +180,13 @@ let boot ~machine ~policy ?(seed = 42) ?shadow ?cpus () =
      [kernel_base + physical].  With the BAT optimization one block
      register covers it all and the pages never enter TLB or htab;
      without it, kernel references page-fault through these PTEs like any
-     others — the 33%-of-the-TLB footprint of §5.1. *)
-  let frames = Physmem.total_frames physmem in
-  for rpn = 0 to frames - 1 do
-    Pagetable.map kernel_pt ~physmem
-      ~ea:(Kparams.kernel_virt_of_phys (rpn lsl Addr.page_shift))
-      (Pagetable.pte ~rpn ~writable:true ~inhibited:false ~shared:false
-         ~cow:false)
-  done;
+     others — the 33%-of-the-TLB footprint of §5.1.  Its PTE pages are
+     linear: their frames are allocated, in the order mapping frame by
+     frame would take them, but their words are computed on demand. *)
+  Pagetable.map_linear kernel_pt ~physmem ~ea:Kparams.kernel_base
+    (Pagetable.pte ~rpn:0 ~writable:true ~inhibited:false ~shared:false
+       ~cow:false)
+    ~pages:(Physmem.total_frames physmem);
   (* Every CPU gets the same kernel view: BAT banks and kernel segment
      registers are programmed per CPU at boot (cost-free bookkeeping, so
      the [cpus = 1] boot charges exactly what it always did). *)
@@ -262,14 +262,40 @@ let kaccess t kind ea =
    within at most [max_path_lines] distinct lines. *)
 let max_path_lines = 48 (* 1.5 KB of text per kernel path *)
 
+(* The path's fetches.  While nothing watches between two charges (no
+   instrument, no shadow) and the current CPU's IBAT covers the text,
+   they are one run: one BAT translation, an I-cache reference per line
+   and one charge.  A BAT block is at least [Bat.min_block] long and
+   aligned to its length, so text inside one [min_block]-aligned chunk
+   is covered all or not at all.  Otherwise each fetch goes through the
+   MMU, and the first that fails raises [Kernel_fault]. *)
+let fetch_text t code_ea ~lines ~distinct =
+  let m = t.k_memsys in
+  let last = code_ea + ((distinct - 1) * Addr.line_size) in
+  let pa = Bat.translate_pa (Mmu.ibat t.k_mmu) code_ea in
+  if
+    pa >= 0
+    && code_ea / Bat.min_block = last / Bat.min_block
+    && Option.is_none (Mmu.shadow t.k_mmu)
+    && not (Memsys.observed m)
+  then begin
+    let owed = ref 0 in
+    for i = 0 to lines - 1 do
+      let line = pa + (i mod distinct * Addr.line_size) in
+      owed := !owed + Memsys.inst_ref_cycles m line
+    done;
+    Memsys.stall m !owed
+  end
+  else
+    for i = 0 to lines - 1 do
+      kaccess t Mmu.Fetch (code_ea + (i mod distinct * Addr.line_size))
+    done
+
 let run_path t ~off ~instrs ~data =
   let code_ea = Kparams.kernel_virt_of_phys (Kparams.text_pa + off) in
   Memsys.instructions t.k_memsys instrs;
   let lines = max 1 (instrs / 8) in
-  let distinct = min lines max_path_lines in
-  for i = 0 to lines - 1 do
-    kaccess t Mmu.Fetch (code_ea + (i mod distinct * Addr.line_size))
-  done;
+  fetch_text t code_ea ~lines ~distinct:(min lines max_path_lines);
   List.iter
     (fun (write, ea) ->
       kaccess t (if write then Mmu.Store else Mmu.Load) ea)

@@ -93,6 +93,12 @@ val shadow : t -> Shadow.t option
 (** The attached shadow checker, if any. *)
 
 val physmem : t -> Physmem.t
+
+val kernel_pagetable : t -> Pagetable.t
+(** The kernel's linear map of all RAM at {!Kparams.kernel_base}: the
+    tree a kernel reference walks when no BAT covers it.  Its PTE pages
+    are linear (see {!Pagetable.map_linear}). *)
+
 val vsid_alloc : t -> Vsid_alloc.t
 val pagepool : t -> Pagepool.t
 val vfs : t -> Vfs.t
@@ -173,6 +179,19 @@ val touch : t -> Mmu.access_kind -> Addr.ea -> unit
 val user_run : t -> instrs:int -> unit
 (** Execute [instrs] user instructions: cycle cost plus instruction
     fetches walking cyclically through the current task's text vma. *)
+
+val run_path :
+  t -> off:int -> instrs:int -> data:(bool * Addr.ea) list -> unit
+(** [run_path t ~off ~instrs ~data] runs the kernel code path at
+    [off] in the kernel text: [instrs] instruction cycles, one I-fetch
+    per 8 instructions cycling over at most 48 lines of text, then the
+    kernel data references [data] (a store when the flag is set).
+    While no instrument watches the machine, no shadow is attached and
+    the active CPU's IBAT covers the text, the fetches are charged as
+    one run; the counters, caches and clock end exactly where fetching
+    line by line leaves them.
+    @raise Kernel_fault at the first reference that does not
+    translate. *)
 
 (** {1 Syscalls} *)
 

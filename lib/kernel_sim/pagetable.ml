@@ -32,9 +32,15 @@ let break_cow w ~rpn =
   lor (w land (inhibited_bit lor shared_bit))
   lor writable_bit
 
+(* A PTE page holds its 1024 words, or, while it is linear, none:
+   slot [j] of a linear page maps [first + j lsl rpn_shift] for
+   [j < slots] and nothing above.  The first store into a linear page
+   materializes its words. *)
 type pte_page = {
-  frame : int;          (* physical frame holding this table *)
-  words : int array;    (* 1024 PTE words *)
+  frame : int;                (* physical frame holding this table *)
+  mutable words : int array;  (* 1024 PTE words; [||] while linear *)
+  first : int;                (* a linear page's slot-0 word *)
+  slots : int;                (* a linear page maps slots [0, slots) *)
 }
 
 type t = {
@@ -46,10 +52,20 @@ type t = {
 
 let entries_per_table = 1024
 let pte_entry_bytes = 4
-let no_page = { frame = -1; words = [||] }
+let no_page = { frame = -1; words = [||]; first = unmapped; slots = 0 }
 
 let pgd_index ea = (ea lsr 22) land 0x3FF
 let pte_index ea = (ea lsr Addr.page_shift) land 0x3FF
+
+let[@inline] word page j =
+  if Array.length page.words > 0 then page.words.(j)
+  else if j < page.slots then page.first + (j lsl rpn_shift)
+  else unmapped
+
+let set page j w =
+  if Array.length page.words = 0 then
+    page.words <- Array.init entries_per_table (fun j -> word page j);
+  page.words.(j) <- w
 
 let alloc_frame physmem =
   match Physmem.alloc physmem with
@@ -72,24 +88,41 @@ let map t ~physmem ~ea w =
     else begin
       let page =
         { frame = alloc_frame physmem;
-          words = Array.make entries_per_table unmapped }
+          words = Array.make entries_per_table unmapped;
+          first = unmapped;
+          slots = 0 }
       in
       t.pgd.(i) <- page;
       page
     end
   in
   let j = pte_index ea in
-  if page.words.(j) = unmapped then t.mapped <- t.mapped + 1;
-  page.words.(j) <- w
+  if word page j = unmapped then t.mapped <- t.mapped + 1;
+  set page j w
+
+let rec map_linear t ~physmem ~ea w ~pages =
+  if pages > 0 then begin
+    let i = pgd_index ea in
+    if pte_index ea <> 0 || t.pgd.(i) != no_page then
+      invalid_arg "Pagetable.map_linear: not an empty PTE page";
+    let slots = min pages entries_per_table in
+    t.pgd.(i) <-
+      { frame = alloc_frame physmem; words = [||]; first = w; slots };
+    t.mapped <- t.mapped + slots;
+    map_linear t ~physmem
+      ~ea:(ea + (slots lsl Addr.page_shift))
+      (w + (slots lsl rpn_shift))
+      ~pages:(pages - slots)
+  end
 
 let unmap t ~ea =
   let page = t.pgd.(pgd_index ea) in
   if page == no_page then unmapped
   else begin
     let j = pte_index ea in
-    let w = page.words.(j) in
+    let w = word page j in
     if w <> unmapped then begin
-      page.words.(j) <- unmapped;
+      set page j unmapped;
       t.mapped <- t.mapped - 1
     end;
     w
@@ -97,7 +130,7 @@ let unmap t ~ea =
 
 let find t ~ea =
   let page = t.pgd.(pgd_index ea) in
-  if page == no_page then unmapped else page.words.(pte_index ea)
+  if page == no_page then unmapped else word page (pte_index ea)
 
 (* The three loads of §6.1: the pgd pointer in the context structure,
    the pgd entry, and (when the pgd entry is present) the PTE. *)
@@ -110,7 +143,7 @@ let walk t ~ea ~on_ref =
   else begin
     let j = pte_index ea in
     on_ref ((page.frame lsl Addr.page_shift) + (j * pte_entry_bytes));
-    page.words.(j)
+    word page j
   end
 
 let mapped_count t = t.mapped
@@ -122,7 +155,7 @@ let iter t f =
     let page = t.pgd.(i) in
     if page != no_page then
       for j = 0 to entries_per_table - 1 do
-        let w = page.words.(j) in
+        let w = word page j in
         if w <> unmapped then f (page_ea i j) w
       done
   done
@@ -132,9 +165,9 @@ let unmap_all t f =
     let page = t.pgd.(i) in
     if page != no_page then
       for j = entries_per_table - 1 downto 0 do
-        let w = page.words.(j) in
+        let w = word page j in
         if w <> unmapped then begin
-          page.words.(j) <- unmapped;
+          set page j unmapped;
           t.mapped <- t.mapped - 1;
           f w
         end

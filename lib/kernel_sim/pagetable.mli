@@ -32,7 +32,17 @@
 
     {!pte} builds a word and the accessors below read one;
     [find], [unmap], [walk] and [iter] hand out words, so no lookup
-    allocates. *)
+    allocates.
+
+    A PTE page may also be {e linear}: one that {!map_linear} filled
+    from its first slot with consecutive frames, such as the kernel's
+    linear map of all RAM.  A linear page has its frame, so walks report
+    the same load addresses, but stores no words: slot [j] holds its
+    first word with [j] added to the rpn, for the slots the range
+    reached, and {!unmapped} above them.  [walk], [find] and [iter]
+    compute a linear page's word from that; the first [map] or [unmap]
+    into the page (or [unmap_all] over it) materializes its 1024 words,
+    so every answer is what the same mappings made one by one give. *)
 
 open Ppc
 
@@ -73,6 +83,17 @@ val pgd_rpn : t -> int
 val map : t -> physmem:Physmem.t -> ea:Addr.ea -> int -> unit
 (** [map t ~physmem ~ea w] installs the mapped word [w] for the page
     containing [ea], allocating the PTE page on demand.
+    @raise Out_of_frames when a directory frame cannot be allocated. *)
+
+val map_linear :
+  t -> physmem:Physmem.t -> ea:Addr.ea -> int -> pages:int -> unit
+(** [map_linear t ~physmem ~ea w ~pages] maps the [pages] pages from
+    [ea] to consecutive frames from [rpn w], each with [w]'s bits, into
+    linear PTE pages that store no words.  It allocates their frames,
+    and gives every answer, exactly as [pages] {!map} calls in
+    ascending order would.
+    @raise Invalid_argument unless [ea] starts a PTE page's 4 MB and
+    every pgd slot the range reaches is empty.
     @raise Out_of_frames when a directory frame cannot be allocated. *)
 
 val unmap : t -> ea:Addr.ea -> int

@@ -1,50 +1,64 @@
 open Ppc
 
+(* Frames go out in the order of one stack of every free frame: the
+   never-used ones below, lowest on top, and the freed ones pushed above
+   them.  [fresh] stands for the never-used part (every frame from it
+   up) and [freed] holds the pushed part, so neither costs a word per
+   frame until frames are actually freed. *)
 type t = {
   total : int;
   reserved : int;
-  allocated : bool array;  (* indexed by rpn *)
-  free_list : int array;   (* stack of free rpns *)
-  mutable top : int;       (* number of frames on the stack *)
+  allocated : Bytes.t;     (* one byte per rpn, nonzero while handed out *)
+  mutable fresh : int;     (* frames [fresh, total) were never handed out *)
+  mutable freed : int array;  (* stack of freed rpns, grown on demand *)
+  mutable top : int;       (* number of frames on [freed] *)
 }
 
 let create ~ram_bytes ~reserved_bytes =
   let total = ram_bytes / Addr.page_size in
   let reserved = Addr.round_up_pages reserved_bytes in
   if reserved > total then invalid_arg "Physmem.create: reserved > ram";
-  let allocated = Array.make total false in
-  for i = 0 to reserved - 1 do
-    allocated.(i) <- true
-  done;
-  let free_list = Array.make total 0 in
-  (* LIFO stack with low frames on top so early allocations are low. *)
-  let top = ref 0 in
-  for rpn = total - 1 downto reserved do
-    free_list.(!top) <- rpn;
-    incr top
-  done;
-  { total; reserved; allocated; free_list; top = !top }
+  { total;
+    reserved;
+    allocated = Bytes.make total '\000';
+    fresh = reserved;
+    freed = [||];
+    top = 0 }
 
 let total_frames t = t.total
 let reserved_frames t = t.reserved
-let free_frames t = t.top
+let free_frames t = t.top + (t.total - t.fresh)
 
+let take t rpn =
+  Bytes.set t.allocated rpn '\001';
+  Some rpn
+
+(* Freed frames first, newest on top; then the lowest fresh one, so
+   early allocations are low. *)
 let alloc t =
-  if t.top = 0 then None
-  else begin
+  if t.top > 0 then begin
     t.top <- t.top - 1;
-    let rpn = t.free_list.(t.top) in
-    t.allocated.(rpn) <- true;
-    Some rpn
+    take t t.freed.(t.top)
   end
+  else if t.fresh < t.total then begin
+    t.fresh <- t.fresh + 1;
+    take t (t.fresh - 1)
+  end
+  else None
+
+let is_allocated t rpn =
+  if rpn < 0 || rpn >= t.total then false
+  else rpn < t.reserved || Bytes.get t.allocated rpn <> '\000'
 
 let free t rpn =
   if rpn < 0 || rpn >= t.total then invalid_arg "Physmem.free: out of range";
   if rpn < t.reserved then invalid_arg "Physmem.free: reserved frame";
-  if not t.allocated.(rpn) then invalid_arg "Physmem.free: double free";
-  t.allocated.(rpn) <- false;
-  t.free_list.(t.top) <- rpn;
+  if not (is_allocated t rpn) then invalid_arg "Physmem.free: double free";
+  Bytes.set t.allocated rpn '\000';
+  if t.top = Array.length t.freed then begin
+    let grown = Array.make (max 16 (2 * t.top)) 0 in
+    Array.blit t.freed 0 grown 0 t.top;
+    t.freed <- grown
+  end;
+  t.freed.(t.top) <- rpn;
   t.top <- t.top + 1
-
-let is_allocated t rpn =
-  if rpn < 0 || rpn >= t.total then false else t.allocated.(rpn)

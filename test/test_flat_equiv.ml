@@ -1046,20 +1046,276 @@ let test_linear_map_footprint () =
   if words > bound then
     Alcotest.failf "%d words for the linear map (bound %d)" words bound
 
-(* A booted 604-185 kernel: the htab's 32,774 words, the physical frame
-   allocator's 16,392, the linear map's 9,2xx and the rest.  It read
-   67,133 words when this bound was set; boxed page-table entries would
-   add back about 65,000. *)
+(* A booted 604-185 kernel: the htab's 32,774 words, then the D- and
+   I-caches, the TLBs and the rest.  The physical frame allocator keeps
+   one byte per frame (about 1,025 words) and a stack of freed frames,
+   and the kernel's linear map stores no PTE words.  It read 43,617
+   words when this bound was set; the per-frame allocator arrays would
+   add back 16,386 and a materialized linear map 8,200. *)
 let test_booted_kernel_footprint () =
   let k =
     Kernel_sim.Kernel.boot ~machine:Machine.ppc604_185
       ~policy:Kernel_sim.Policy.optimized ~seed:42 ()
   in
   let words = Obj.reachable_words (Obj.repr k) in
-  let bound = 72_000 in
+  let bound = 46_000 in
   if words > bound then
     Alcotest.failf "%d words for a booted 604-185 kernel (bound %d)" words
       bound
+
+(* The kernel's own linear map of the 604-185's 8,192 frames: the pgd
+   array (1,025 words with its header) and nine records (the table and
+   its eight linear PTE pages), and no 1,024-word PTE array. *)
+let test_kernel_linear_map_footprint () =
+  let k =
+    Kernel_sim.Kernel.boot ~machine:Machine.ppc604_185
+      ~policy:Kernel_sim.Policy.optimized ~seed:42 ()
+  in
+  let pt = Kernel_sim.Kernel.kernel_pagetable k in
+  Alcotest.(check int) "every frame mapped" 8192 (Pagetable.mapped_count pt);
+  let words = Obj.reachable_words (Obj.repr pt) in
+  let bound = 1025 + 64 in
+  if words > bound then
+    Alcotest.failf "%d words for the kernel's linear map (bound %d)" words
+      bound
+
+(* --- the linear map: computed vs materialized ------------------------- *)
+
+module Kparams = Kernel_sim.Kparams
+
+let kernel_word rpn =
+  Pagetable.pte ~rpn ~writable:true ~inhibited:false ~shared:false ~cow:false
+
+(* Each machine's kernel map two ways: computed, as [Kernel.boot] builds
+   it (linear PTE pages), and materialized, as the boot used to build
+   it (one [map] per frame, over an identically built [Physmem]), plus
+   a 5 MB machine whose last PTE page is a partial one.  Both must
+   allocate the same frames and give the same answers: for every RAM
+   frame's kernel EA (at an offset that varies with the frame), the
+   first EA past RAM, a slot past RAM in the last PTE page and two
+   empty pgd slots, [walk] must return the same word and report the
+   same load addresses, [find] the same word, and [iter] and
+   [mapped_count] must agree.  Then a [map] and an [unmap] into linear
+   pages (and a [map] past RAM in the last one) must leave the same
+   answers. *)
+let linear_map_machines =
+  Machine.all
+  @ [ { Machine.ppc604_185 with
+        name = "604 185MHz, 5 MB";
+        ram_bytes = 5 * 1024 * 1024 } ]
+
+let test_linear_map_computed_vs_materialized () =
+  List.iter
+    (fun (machine : Machine.t) ->
+      let k =
+        Kernel_sim.Kernel.boot ~machine ~policy:Kernel_sim.Policy.optimized
+          ~seed:42 ()
+      in
+      let computed = Kernel_sim.Kernel.kernel_pagetable k in
+      let pm =
+        Physmem.create ~ram_bytes:machine.Machine.ram_bytes
+          ~reserved_bytes:Kparams.reserved_bytes
+      in
+      let materialized =
+        Pagetable.create ~physmem:pm ~ctx_pa:(Kparams.data_pa + 0x80)
+      in
+      let frames = Physmem.total_frames pm in
+      for rpn = 0 to frames - 1 do
+        Pagetable.map materialized ~physmem:pm
+          ~ea:(Kparams.kernel_virt_of_phys (rpn lsl Addr.page_shift))
+          (kernel_word rpn)
+      done;
+      let fail what ea =
+        Alcotest.failf "%s: %s differ at %#x" machine.Machine.name what ea
+      in
+      let same_frames () =
+        for rpn = 0 to frames - 1 do
+          if
+            Physmem.is_allocated (Kernel_sim.Kernel.physmem k) rpn
+            <> Physmem.is_allocated pm rpn
+          then fail "allocated frames" (rpn lsl Addr.page_shift)
+        done
+      in
+      let check ea =
+        let walk pt =
+          let refs = ref [] in
+          let w =
+            Pagetable.walk pt ~ea ~on_ref:(fun pa -> refs := pa :: !refs)
+          in
+          (w, !refs)
+        in
+        if walk computed <> walk materialized then fail "walks" ea;
+        if Pagetable.find computed ~ea <> Pagetable.find materialized ~ea then
+          fail "finds" ea
+      in
+      let listing pt =
+        let l = ref [] in
+        Pagetable.iter pt (fun ea w -> l := (ea, w) :: !l);
+        !l
+      in
+      let kea rpn = Kparams.kernel_virt_of_phys (rpn lsl Addr.page_shift) in
+      let last_page_end = (frames + 1023) / 1024 * 1024 in
+      let check_all () =
+        for rpn = 0 to frames - 1 do
+          check (kea rpn + (rpn * 36 land 0xFFC))
+        done;
+        check (kea frames);
+        check (kea (last_page_end - 1));
+        check 0;
+        check 0xF000_0000;
+        if listing computed <> listing materialized then fail "listings" 0;
+        if
+          Pagetable.mapped_count computed <> Pagetable.mapped_count materialized
+        then fail "mapped counts" 0;
+        same_frames ()
+      in
+      check_all ();
+      Alcotest.check_raises "no linear page over a mapped one"
+        (Invalid_argument "Pagetable.map_linear: not an empty PTE page")
+        (fun () ->
+          Pagetable.map_linear computed ~physmem:pm ~ea:Kparams.kernel_base
+            (kernel_word 0) ~pages:1);
+      let edit f =
+        f computed (Kernel_sim.Kernel.physmem k);
+        f materialized pm;
+        check_all ()
+      in
+      edit (fun pt _ -> ignore (Pagetable.unmap pt ~ea:(kea 5) : int));
+      edit (fun pt physmem ->
+          Pagetable.map pt ~physmem ~ea:(kea 1500)
+            (Pagetable.pte ~rpn:7 ~writable:false ~inhibited:true
+               ~shared:true ~cow:false));
+      edit (fun pt physmem ->
+          Pagetable.map pt ~physmem ~ea:(kea (last_page_end - 1))
+            (kernel_word 9));
+      edit (fun pt _ ->
+          ignore (Pagetable.unmap pt ~ea:(kea (frames - 1)) : int)))
+    linear_map_machines
+
+(* --- the frame allocator vs the full free stack ----------------------- *)
+
+(* [Physmem] as it was before the watermark: one stack holding every
+   free frame from creation on, lowest on top, and a [bool] per frame. *)
+module Ref_physmem = struct
+  type t = {
+    total : int;
+    reserved : int;
+    allocated : bool array;
+    free_list : int array;
+    mutable top : int;
+  }
+
+  let create ~ram_bytes ~reserved_bytes =
+    let total = ram_bytes / Addr.page_size in
+    let reserved = Addr.round_up_pages reserved_bytes in
+    if reserved > total then invalid_arg "Physmem.create: reserved > ram";
+    let allocated = Array.make total false in
+    for i = 0 to reserved - 1 do
+      allocated.(i) <- true
+    done;
+    let free_list = Array.make total 0 in
+    let top = ref 0 in
+    for rpn = total - 1 downto reserved do
+      free_list.(!top) <- rpn;
+      incr top
+    done;
+    { total; reserved; allocated; free_list; top = !top }
+
+  let free_frames t = t.top
+
+  let alloc t =
+    if t.top = 0 then None
+    else begin
+      t.top <- t.top - 1;
+      let rpn = t.free_list.(t.top) in
+      t.allocated.(rpn) <- true;
+      Some rpn
+    end
+
+  let free t rpn =
+    if rpn < 0 || rpn >= t.total then invalid_arg "Physmem.free: out of range";
+    if rpn < t.reserved then invalid_arg "Physmem.free: reserved frame";
+    if not t.allocated.(rpn) then invalid_arg "Physmem.free: double free";
+    t.allocated.(rpn) <- false;
+    t.free_list.(t.top) <- rpn;
+    t.top <- t.top + 1
+
+  let is_allocated t rpn =
+    if rpn < 0 || rpn >= t.total then false else t.allocated.(rpn)
+end
+
+type pm_op =
+  | M_alloc
+  | M_free of int  (** any rpn: reserved, out of range or free ones too *)
+  | M_free_held of int  (** the [n mod held]th frame the stream holds *)
+
+let pm_op_print = function
+  | M_alloc -> "alloc"
+  | M_free rpn -> Printf.sprintf "free %d" rpn
+  | M_free_held n -> Printf.sprintf "free held #%d" n
+
+(* Up to 40 frames, of which anything from none to all are reserved (a
+   reservation need not be whole pages), and a stream of allocations and
+   frees: of held frames, so that freed frames pile up and are reused,
+   and of any rpn from -2 to 42, so reserved, out-of-range and double
+   frees too.  After every operation the two must agree on the answer
+   (an [Invalid_argument] message is an answer), on [free_frames] and on
+   [is_allocated] of every rpn from -2 to [frames + 1]. *)
+let prop_physmem_matches_full_stack =
+  QCheck.Test.make ~name:"physmem == full free stack" ~count:500
+    (QCheck.make
+       ~print:(fun ((frames, reserved), ops) ->
+         Printf.sprintf "%d frames, %d reserved bytes: %s" frames reserved
+           (String.concat "; " (List.map pm_op_print ops)))
+       QCheck.Gen.(
+         pair
+           (int_range 1 40 >>= fun frames ->
+            map
+              (fun r -> (frames, r))
+              (int_bound (frames * Addr.page_size)))
+           (list_size (int_range 1 150)
+              (frequency
+                 [ (5, return M_alloc);
+                   (4, map (fun n -> M_free_held n) (int_bound 1000));
+                   (2, map (fun r -> M_free (r - 2)) (int_bound 44)) ]))))
+    (fun ((frames, reserved_bytes), ops) ->
+      let ram_bytes = frames * Addr.page_size in
+      let pm = Physmem.create ~ram_bytes ~reserved_bytes
+      and rm = Ref_physmem.create ~ram_bytes ~reserved_bytes in
+      let held = ref [] in
+      let outcome f =
+        match f () with () -> Ok () | exception Invalid_argument m -> Error m
+      in
+      let free rpn =
+        outcome (fun () -> Physmem.free pm rpn)
+        = outcome (fun () -> Ref_physmem.free rm rpn)
+      in
+      List.for_all
+        (fun op ->
+          let same_answer =
+            match op with
+            | M_alloc ->
+                let a = Physmem.alloc pm in
+                Option.iter (fun rpn -> held := rpn :: !held) a;
+                a = Ref_physmem.alloc rm
+            | M_free rpn ->
+                held := List.filter (( <> ) rpn) !held;
+                free rpn
+            | M_free_held n -> (
+                match !held with
+                | [] -> true
+                | l ->
+                    let rpn = List.nth l (n mod List.length l) in
+                    held := List.filter (( <> ) rpn) l;
+                    free rpn)
+          in
+          same_answer
+          && Physmem.free_frames pm = Ref_physmem.free_frames rm
+          && List.for_all
+               (fun rpn ->
+                 Physmem.is_allocated pm rpn = Ref_physmem.is_allocated rm rpn)
+               (List.init (frames + 4) (fun i -> i - 2)))
+        ops)
 
 (* --- cache scans vs a reference model -------------------------------- *)
 
@@ -1700,6 +1956,117 @@ let kernel_reload_equivalence ?(policy = Kernel_sim.Policy.optimized)
     (p.Perf.dtlb_misses > 0 && p.Perf.itlb_misses > 0
     && p.Perf.page_faults > 0 && !segfaults > 0)
 
+(* --- a kernel path's fused fetch vs fetch by fetch ---------------------- *)
+
+(* [Kernel.run_path]'s fetches as they were before they fused: its
+   instructions, then one [Mmu.access_pa] per line, cycling over at most
+   48 lines of text. *)
+let fetch_by_fetch k ~off ~instrs =
+  let module Kernel = Kernel_sim.Kernel in
+  let code_ea = Kparams.kernel_virt_of_phys (Kparams.text_pa + off) in
+  Memsys.instructions (Kernel.memsys k) instrs;
+  let lines = max 1 (instrs / 8) in
+  let distinct = min lines 48 in
+  for i = 0 to lines - 1 do
+    let ea = code_ea + (i mod distinct * Addr.line_size) in
+    if Mmu.access_pa (Kernel.mmu k) Mmu.Fetch ea < 0 then
+      raise (Kernel.Kernel_fault ea)
+  done
+
+(* Two 604-185 kernels booted at one seed run one random stream of
+   kernel paths: [fused] through [Kernel.run_path] (with no data
+   references) and [stepwise] through [fetch_by_fetch].  A path is 0 to
+   3,000 instructions (1 to 375 fetches) at a line-aligned offset
+   anywhere in the text, a quarter of them within 2 KB of physical
+   0x20000, a 128 KB boundary.  At 4 CPUs the stream also moves the
+   active CPU; CPU 2 has no kernel IBAT, so its fetches reload through
+   the TLB and the kernel's linear map, and under a BAT policy CPU 3's
+   IBAT maps only the first 128 KB, so a path across the boundary is
+   covered in part.  [armed] arms both kernels' flight recorders at a
+   cadence that never comes due, so both fetch line by line.  After
+   every path the two kernels' [Perf.fields] and I-caches must be
+   equal. *)
+let fused_fetch_equivalence ~policy ~cpus ~armed () =
+  let module Kernel = Kernel_sim.Kernel in
+  let boot () =
+    let k = Kernel.boot ~machine:Machine.ppc604_185 ~policy ~seed:42 ~cpus () in
+    if armed then Recorder.enable (Kernel.recorder k) ~every:(1 lsl 50);
+    let mmu = Kernel.mmu k in
+    if cpus = 4 then begin
+      Bat.clear (Mmu.ibat_of mmu ~cpu:2) ~index:0;
+      if policy.Kernel_sim.Policy.bat_kernel_mapping then
+        Bat.set (Mmu.ibat_of mmu ~cpu:3) ~index:0 ~base_ea:Kparams.kernel_base
+          ~length:Bat.min_block ~phys_base:0
+    end;
+    k
+  in
+  let fused = boot () and stepwise = boot () in
+  let stream = Rng.create ~seed:99 in
+  let bat_paths = ref 0 in
+  for i = 0 to 399 do
+    if cpus > 1 && Rng.int stream 4 = 0 then begin
+      let cpu = Rng.int stream cpus in
+      Kernel.set_active_cpu fused cpu;
+      Kernel.set_active_cpu stepwise cpu
+    end;
+    let off =
+      if Rng.int stream 4 = 0 then
+        0x10000 - 2048 + (Rng.int stream 128 * Addr.line_size)
+      else
+        Rng.int stream ((Kparams.text_bytes - 2048) / Addr.line_size)
+        * Addr.line_size
+    in
+    let instrs = Rng.int stream 3001 in
+    if
+      Bat.covers
+        (Mmu.ibat (Kernel.mmu fused))
+        (Kparams.kernel_virt_of_phys (Kparams.text_pa + off))
+    then incr bat_paths;
+    Kernel.run_path fused ~off ~instrs ~data:[];
+    fetch_by_fetch stepwise ~off ~instrs;
+    if Perf.fields (Kernel.perf fused) <> Perf.fields (Kernel.perf stepwise)
+    then
+      Alcotest.failf "path %d (%#x, %d instructions): counters differ" i off
+        instrs;
+    if
+      Memsys.icache (Kernel.memsys fused)
+      <> Memsys.icache (Kernel.memsys stepwise)
+    then
+      Alcotest.failf "path %d (%#x, %d instructions): I-caches differ" i off
+        instrs
+  done;
+  List.iter
+    (fun k ->
+      Alcotest.(check int) "the recorder never fired" 0
+        (Recorder.total (Kernel.recorder k));
+      Alcotest.(check bool) "armed as asked" armed
+        (Memsys.sampling (Kernel.memsys k)))
+    [ fused; stepwise ];
+  Alcotest.(check bool) "paths under a kernel IBAT as the policy has it"
+    policy.Kernel_sim.Policy.bat_kernel_mapping (!bat_paths > 0);
+  Alcotest.(check bool) "fetches reloaded through the TLB"
+    (cpus = 4 || not policy.Kernel_sim.Policy.bat_kernel_mapping)
+    ((Kernel.perf fused).Perf.itlb_misses > 0)
+
+let fused_fetch_cases =
+  List.concat_map
+    (fun (name, policy) ->
+      List.concat_map
+        (fun cpus ->
+          List.map
+            (fun armed ->
+              Alcotest.test_case
+                (Printf.sprintf "fused fetch == fetch by fetch (%s, %d CPU%s%s)"
+                   name cpus
+                   (if cpus = 1 then "" else "s")
+                   (if armed then ", recorder armed" else ""))
+                `Quick
+                (fused_fetch_equivalence ~policy ~cpus ~armed))
+            [ false; true ])
+        [ 1; 4 ])
+    [ ("optimized", Kernel_sim.Policy.optimized);
+      ("baseline", Kernel_sim.Policy.baseline) ]
+
 (* Every machine, plus the 603 without an htab and the 604 with
    cache-inhibited page tables. *)
 let reload_machines =
@@ -1793,3 +2160,9 @@ let suite =
                 (kernel_reload_equivalence ~policy ~watched_by machine))
             reload_kernels)
       [ Traced; Spanned; Shadowed ]
+  @ [ Alcotest.test_case "footprint: the kernel's linear map" `Quick
+        test_kernel_linear_map_footprint;
+      Alcotest.test_case "linear map: computed == materialized" `Quick
+        test_linear_map_computed_vs_materialized;
+      QCheck_alcotest.to_alcotest prop_physmem_matches_full_stack ]
+  @ fused_fetch_cases

@@ -251,6 +251,41 @@ let test_tune_evaluates_exactly_the_grid () =
   Alcotest.(check string) "the base wins" "paper_default"
     result.Tuner.r_winner.Tuner.e_cand.Tuner.c_label
 
+(* A grid point whose policy is the base's ([vsid_multiplier=897] is
+   [paper_default] itself) runs once, under the base's label, and reads
+   the same metrics under its own.  Serial, so the calls are counted in
+   this process. *)
+let test_tune_runs_each_policy_once () =
+  let calls = ref [] in
+  let counted =
+    { Tuner.w_name = "counted";
+      w_eval =
+        (fun ~policy ~seed:_ ->
+          calls := policy.Kpolicy.vsid_multiplier :: !calls;
+          [ { Tuner.m_name = "cost";
+              m_value = float_of_int policy.Kpolicy.vsid_multiplier;
+              m_unit = "units" } ]) }
+  in
+  let result =
+    Tuner.tune ~jobs:1 ~seed:7 ~workloads:[ counted ]
+      ~axes:[ { Tuner.a_key = "vsid_multiplier"; a_values = [ "17"; "897" ] } ]
+      ()
+  in
+  Alcotest.(check (list int)) "the base's policy runs once" [ 897; 17 ]
+    (List.rev !calls);
+  let metrics label =
+    match
+      List.find_opt
+        (fun e -> e.Tuner.e_cand.Tuner.c_label = label)
+        result.Tuner.r_evals
+    with
+    | Some e -> e.Tuner.e_metrics
+    | None -> Alcotest.failf "%s was not evaluated" label
+  in
+  Alcotest.(check bool) "both labels carry the base's metrics" true
+    (metrics "paper_default" = metrics "vsid_multiplier=897");
+  Alcotest.(check int) "three candidates" 3 (List.length result.Tuner.r_evals)
+
 let suite =
   [ Alcotest.test_case "labels and assignments" `Quick test_labels;
     Alcotest.test_case "grid enumeration" `Quick test_grid;
@@ -269,4 +304,6 @@ let suite =
     Alcotest.test_case "tune drops failing candidates" `Quick
       test_tune_drops_failing_candidate;
     Alcotest.test_case "tune evaluates exactly the grid" `Quick
-      test_tune_evaluates_exactly_the_grid ]
+      test_tune_evaluates_exactly_the_grid;
+    Alcotest.test_case "tune runs each policy once" `Quick
+      test_tune_runs_each_policy_once ]
